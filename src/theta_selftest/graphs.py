@@ -112,38 +112,6 @@ def complement(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(g.n, edges, g.weights)
 
 
-# The 16 three-party events (outcomes, settings) behind the 16-vertex graph
-# below; settings 0/1 per party, outcomes 0/1 per party.
-_SIXTEEN_EVENTS: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = tuple(
-    (outs, setts)
-    for setts, group in (
-        ((0, 1, 1), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((1, 0, 1), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((1, 1, 0), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((0, 0, 0), ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))),
-    )
-    for outs in group
-)
-
-
-def _events_exclusive(e1, e2) -> bool:
-    # Exclusive iff some party keeps its setting but changes its outcome.
-    (a1, x1), (a2, x2) = e1, e2
-    return any(x == y and a != b for a, b, x, y in zip(a1, a2, x1, x2))
-
-
-def shrikhande_complement() -> WeightedGraph:
-    """16-vertex, 9-regular exclusivity graph of the 16 three-party events."""
-    n = len(_SIXTEEN_EVENTS)
-    edges = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if _events_exclusive(_SIXTEEN_EVENTS[i], _SIXTEEN_EVENTS[j])
-    )
-    return WeightedGraph(n, edges)
-
-
 def _greedy_clique_cover_bound(g: WeightedGraph, candidates: list[int]) -> float:
     """Upper bound on the best weighted stable set inside `candidates`.
 
@@ -247,53 +215,6 @@ def fractional_packing(g: WeightedGraph, max_cliques: int = 100_000) -> float:
     if not res.success:
         raise RuntimeError(f"fractional packing LP failed: {res.message}")
     return float(-res.fun)
-
-
-def _automorphism_exists(g: WeightedGraph, source: int, target: int) -> bool:
-    """Backtracking search for an automorphism mapping `source` to `target`."""
-    n = g.n
-    deg = [g.degree(v) for v in range(n)]
-    if deg[source] != deg[target]:
-        return False
-    image = [-1] * n
-    used = [False] * n
-
-    def assign(v: int, t: int) -> bool:
-        if deg[v] != deg[t]:
-            return False
-        for u in range(v):
-            if image[u] >= 0 and g.has_edge(u, v) != g.has_edge(image[u], t):
-                return False
-        return True
-
-    order = [source] + [v for v in range(n) if v != source]
-
-    def dfs(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        choices = [target] if v == source else range(n)
-        for t in choices:
-            if not used[t] and assign(v, t):
-                image[v] = t
-                used[t] = True
-                if dfs(k + 1):
-                    return True
-                image[v] = -1
-                used[t] = False
-        return False
-
-    return dfs(0)
-
-
-def is_vertex_transitive(g: WeightedGraph) -> bool:
-    """True iff some automorphism maps vertex 0 to every other vertex."""
-    if g.n > 32:
-        raise ResourceLimitError("vertex-transitivity search limited to n <= 32")
-    degs = {g.degree(v) for v in range(g.n)}
-    if len(degs) > 1:
-        return False
-    return all(_automorphism_exists(g, 0, t) for t in range(1, g.n))
 
 
 def find_isomorphism(g: WeightedGraph, h: WeightedGraph) -> tuple[int, ...] | None:

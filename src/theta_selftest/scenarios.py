@@ -152,8 +152,7 @@ def chained_witness(N: int) -> BellWitness:
     return BellWitness(scenario, tuple(terms), classical_bound=2.0 * N - 1.0)
 
 
-# Sixteen three-party events; settings grouped as in the exclusivity-graph
-# generator so the two constructions stay aligned index by index.
+# Sixteen three-party events (outcomes, settings), grouped by setting triple.
 _MERMIN_RAW: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = tuple(
     (outs, setts)
     for setts, group in (

@@ -232,43 +232,3 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
     j = np.arange(n)
     k = np.arange(n)
     return (c[None, :] * np.cos(2.0 * np.pi * np.outer(j, k) / n)).sum(axis=1)
-
-
-def schur_psd_check(
-    m: np.ndarray, pivot: float, border: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Whether [[pivot, -border^T], [-border, M]] is positive semidefinite.
-
-    With pivot > 0 this is equivalent to M - border border^T / pivot >= 0,
-    decided via its minimum eigenvalue against -tol.
-    """
-    if pivot <= 0:
-        raise ValueError("pivot must be positive")
-    border = np.asarray(border, dtype=float).reshape(-1)
-    m = sym(np.asarray(m, dtype=float))
-    return min_eigenvalue(m - np.outer(border, border) / pivot) >= -tol
-
-
-def problem_to_json_dict(p: SdpProblem) -> dict:
-    return {
-        "dim": p.dim,
-        "objective": [[float(v) for v in row] for row in p.objective],
-        "constraints": [
-            {"matrix": [[float(v) for v in row] for row in a], "rhs": float(b)}
-            for a, b in p.constraints
-        ],
-    }
-
-
-def solution_to_json_dict(s: SdpSolution) -> dict:
-    return {
-        "primal": [[float(v) for v in row] for row in s.primal],
-        "dual_multipliers": [float(v) for v in s.dual_multipliers],
-        "dual_slack": [[float(v) for v in row] for row in s.dual_slack],
-        "value": float(s.value),
-        "dual_value": float(s.dual_value),
-        "gap": float(s.gap),
-        "pinfeas": float(s.pinfeas),
-        "dinfeas": float(s.dinfeas),
-        "iterations": int(s.iterations),
-    }

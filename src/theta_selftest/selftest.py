@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Event, Realization, kron_all, validate_realization
+from .scenarios import Event, Realization, event_projectors, kron_all, validate_realization
 
 OVERLAP_TOL = 1e-8  # numeric threshold for "nonzero overlap" tests
 ETA_TOL = 1e-10  # events with smaller norm are treated as degenerate
@@ -156,8 +156,7 @@ def product_structure_from_realization(
     phases = np.zeros(len(events), dtype=complex)
     etas = np.zeros(len(events))
     for i, e in enumerate(events):
-        op = kron_all([r.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(parties)])
-        proj = op @ state
+        proj = kron_all(event_projectors(r, e)) @ state
         eta = np.linalg.norm(proj)
         if eta < ETA_TOL:
             raise PreconditionError(f"event {i} has negligible probability")
@@ -272,6 +271,33 @@ def _orthogonal_pairing(kets, tol: float):
     return None
 
 
+def _joint_span(ps: ProductStructure, overlap_tol: float) -> tuple[int, float]:
+    """Span dimension of the event vectors plus the state, and the state's
+    residual outside the span of the event vectors."""
+    vs = [ps.product_vector(i) for i in range(len(ps.events))]
+    return _span_rank(vs + [ps.state], overlap_tol), _residual_outside_span(ps.state, vs)
+
+
+def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, shown) -> None:
+    """A3/A8: every party's ideal space is a qubit."""
+    rep.verdicts[key] = all(d == 2 for d in ps.dims)
+    if not rep.verdicts[key]:
+        rep.reasons[key] = f"ideal dimensions are {shown}"
+
+
+def _pairing_verdict(
+    rep: ConditionReport, key: str, ps: ProductStructure, overlap_tol: float
+) -> None:
+    """A4/A9: each party's four local kets split into two orthogonal pairs."""
+    pairings = tuple(_orthogonal_pairing(kets, overlap_tol) for kets in ps.locals_)
+    rep.verdicts[key] = None not in pairings
+    if rep.verdicts[key]:
+        rep.evidence[key] = pairings
+    else:
+        j = pairings.index(None)
+        rep.reasons[key] = f"party {j} has no orthogonal pairing of 4 local kets"
+
+
 def check_bipartite_conditions(
     ps: ProductStructure, overlap_tol: float = OVERLAP_TOL
 ) -> ConditionReport:
@@ -280,13 +306,10 @@ def check_bipartite_conditions(
     if ps.party_count != 2:
         raise ValueError("bipartite conditions need a two-party structure")
     d_a, d_b = ps.dims
-    verdicts: dict[str, bool] = {}
-    reasons: dict[str, str] = {}
-    evidence: dict[str, object] = {}
+    rep = ConditionReport({}, {}, {})
+    verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
 
-    vs = [ps.product_vector(i) for i in range(len(ps.events))]
-    joint_rank = _span_rank(vs + [ps.state], overlap_tol)
-    psi_res = _residual_outside_span(ps.state, vs)
+    joint_rank, psi_res = _joint_span(ps, overlap_tol)
     verdicts["A1"] = joint_rank == d_a * d_b
     evidence["A1"] = {"span_dim": joint_rank, "state_residual": psi_res}
     if not verdicts["A1"]:
@@ -304,22 +327,9 @@ def check_bipartite_conditions(
         for key in ("A2", "B1", "B2", "B3", "B4"):
             reasons[key] = msg
 
-    verdicts["A3"] = d_a == 2 and d_b == 2
-    if not verdicts["A3"]:
-        reasons["A3"] = f"ideal dimensions are {d_a} x {d_b}"
-    pairings = []
-    ok = True
-    for j in range(2):
-        pairing = _orthogonal_pairing(ps.locals_[j], overlap_tol)
-        if len(ps.locals_[j]) != 4 or pairing is None:
-            ok = False
-            reasons["A4"] = f"party {j} has no orthogonal pairing of 4 local kets"
-            break
-        pairings.append(pairing)
-    verdicts["A4"] = ok
-    if ok:
-        evidence["A4"] = tuple(pairings)
-    return ConditionReport(verdicts, reasons, evidence)
+    _ideal_dims_verdict(rep, "A3", ps, f"{d_a} x {d_b}")
+    _pairing_verdict(rep, "A4", ps, overlap_tol)
+    return rep
 
 
 def _linked_edges(ps: ProductStructure, overlap_tol: float):
@@ -366,14 +376,11 @@ def check_tripartite_conditions(
     if ps.party_count != 3:
         raise ValueError("tripartite conditions need a three-party structure")
     d_a, d_b, d_c = ps.dims
-    verdicts: dict[str, bool] = {}
-    reasons: dict[str, str] = {}
-    evidence: dict[str, object] = {}
+    rep = ConditionReport({}, {}, {})
+    verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
 
-    vs = [ps.product_vector(i) for i in range(len(ps.events))]
     party_ranks = [_span_rank(ps.locals_[j], overlap_tol) for j in range(3)]
-    psi_res = _residual_outside_span(ps.state, vs)
-    joint_rank = _span_rank(vs + [ps.state], overlap_tol)
+    joint_rank, psi_res = _joint_span(ps, overlap_tol)
     verdicts["A5"] = all(
         party_ranks[j] == ps.dims[j] for j in range(3)
     ) and psi_res <= 1e-8
@@ -455,22 +462,9 @@ def check_tripartite_conditions(
         reasons["A6"] = "no spanning first-party family with a connected linked-triple graph"
         reasons["A7"] = "searched only after A6"
 
-    verdicts["A8"] = ps.dims == (2, 2, 2)
-    if not verdicts["A8"]:
-        reasons["A8"] = f"ideal dimensions are {ps.dims}"
-    pairings = []
-    ok = True
-    for j in range(3):
-        pairing = _orthogonal_pairing(ps.locals_[j], overlap_tol)
-        if len(ps.locals_[j]) != 4 or pairing is None:
-            ok = False
-            reasons["A9"] = f"party {j} has no orthogonal pairing of 4 local kets"
-            break
-        pairings.append(pairing)
-    verdicts["A9"] = ok
-    if ok:
-        evidence["A9"] = tuple(pairings)
-    return ConditionReport(verdicts, reasons, evidence)
+    _ideal_dims_verdict(rep, "A8", ps, ps.dims)
+    _pairing_verdict(rep, "A9", ps, overlap_tol)
+    return rep
 
 
 def check_projector_condition_C1(
@@ -552,18 +546,16 @@ def _gauge_isometry(v: np.ndarray) -> np.ndarray:
     return v * (np.abs(z) / z)
 
 
-def _check_gram_match(ps: ProductStructure, cand_ps: ProductStructure, tol: float):
-    n = len(ps.events)
-    ref = [ps.state] + [ps.product_vector(i) for i in range(n)]
-    cand = [cand_ps.state] + [cand_ps.product_vector(i) for i in range(n)]
-    g_ref = np.array([[np.vdot(u, v) for v in ref] for u in ref])
-    g_cand = np.array([[np.vdot(u, v) for v in cand] for u in cand])
-    # fold in the eta scaling so entries compare Pi_i psi inner products
-    eta_ref = np.concatenate(([1.0], ps.etas))
-    eta_cand = np.concatenate(([1.0], cand_ps.etas))
-    x_ref = g_ref * np.outer(eta_ref, eta_ref)
-    x_cand = g_cand * np.outer(eta_cand, eta_cand)
-    dev = float(np.abs(x_ref - x_cand).max())
+def _event_vectors(ps: ProductStructure) -> list[np.ndarray]:
+    """The projected states Pi_i psi = eta_i v_i, rebuilt from the structure."""
+    return [ps.etas[i] * ps.product_vector(i) for i in range(len(ps.events))]
+
+
+def _check_gram_match(ref_vecs, cand_vecs, tol: float) -> None:
+    """Compare the Gram matrices of [state, Pi_1 psi, ..., Pi_n psi]."""
+    g_ref = np.array([[np.vdot(u, v) for v in ref_vecs] for u in ref_vecs])
+    g_cand = np.array([[np.vdot(u, v) for v in cand_vecs] for u in cand_vecs])
+    dev = float(np.abs(g_ref - g_cand).max())
     if dev > tol:
         raise NotOptimizerError(
             f"Gram mismatch: candidate deviates from the unique optimizer by {dev:.3e}"
@@ -576,20 +568,19 @@ def _unit_phase(z: complex, context: str) -> complex:
     return z / abs(z)
 
 
-def extract_bipartite_isometries_rank1(
-    ps: ProductStructure, cand: Realization, tol: float = 1e-8
-) -> SelfTestReport:
-    """Build V_A from a spanning root column, propagate the column phases to
-    V_B, and report the residuals of (V_A x V_B) mapping state and event
-    vectors onto the candidate's."""
-    conditions = check_bipartite_conditions(ps)
-    if not conditions.all_true(("A1", "A2")):
-        raise PreconditionError(
-            f"conditions {conditions.failed(('A1', 'A2'))} fail for the reference"
-        )
-    cand_ps = product_structure_from_realization(cand, ps.events)
-    _check_gram_match(ps, cand_ps, tol)
+def _fit_local(ref_kets, cand_kets, factors: dict) -> np.ndarray:
+    """Least-squares local map carrying ref_kets[k] to factors[k] * cand_kets[k]."""
+    keys = sorted(factors)
+    stack = np.column_stack([ref_kets[k] for k in keys])
+    target = np.column_stack([factors[k] * cand_kets[k] for k in keys])
+    return np.linalg.lstsq(stack.T, target.T, rcond=None)[0].T
 
+
+def _bipartite_rank_one(
+    ps: ProductStructure, cand_ps: ProductStructure, conditions: ConditionReport
+) -> tuple[np.ndarray, ...]:
+    """Build V_A from a spanning root column and propagate the column phases
+    to V_B."""
     a2 = conditions.evidence["A2"]
     i_b0 = a2["I_B"][0]
     events_by_pair = {
@@ -621,49 +612,15 @@ def extract_bipartite_isometries_rank1(
         if ib not in beta:
             s = cand_ps.phases[e] / ps.phases[e]
             beta[ib] = _unit_phase(s / g_hat[loc[0]], f"second-party local {ib}")
-    b_stack = np.column_stack([ps.locals_[1][ib] for ib in sorted(beta)])
-    b_target = np.column_stack(
-        [beta[ib] * cand_ps.locals_[1][ib] for ib in sorted(beta)]
-    )
-    v_b = np.linalg.lstsq(b_stack.T, b_target.T, rcond=None)[0].T
-
-    v_a = _gauge_isometry(v_a)
-    v_b = _gauge_isometry(v_b)
-    return _finish_rank_one(ps, cand_ps, (v_a, v_b), conditions)
+    return v_a, _fit_local(ps.locals_[1], cand_ps.locals_[1], beta)
 
 
-def _finish_rank_one(ps, cand_ps, isometries, conditions) -> SelfTestReport:
-    big = kron_all(list(isometries))
-    z = np.vdot(big @ ps.state, cand_ps.state)
-    z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
-    junk = np.array([z])
-    junk_dims = (1,) * ps.party_count
-    ref_vecs = [ps.etas[i] * ps.product_vector(i) for i in range(len(ps.events))]
-    cand_vecs = [
-        cand_ps.etas[i] * cand_ps.product_vector(i) for i in range(len(ps.events))
-    ]
-    state_res, vec_res = _claim_residuals(
-        ps.state, ref_vecs, cand_vecs, cand_ps.state, isometries, junk, ps.dims, junk_dims
-    )
-    return SelfTestReport(
-        tuple(isometries), junk, junk_dims, state_res, vec_res, ps.events, conditions
-    )
-
-
-def extract_tripartite_isometries_rank1(
-    ps: ProductStructure, cand: Realization, tol: float = 1e-8
-) -> SelfTestReport:
+def _tripartite_rank_one(
+    ps: ProductStructure, cand_ps: ProductStructure, conditions: ConditionReport
+) -> tuple[np.ndarray, ...]:
     """Build the joint second/third-party isometry from a spanning first-party
     row, split it into V_B x V_C by propagating pair phases over a spanning
     tree (cycle closure is checked), and recover V_A from the row factors."""
-    conditions = check_tripartite_conditions(ps)
-    if not conditions.all_true(("A5", "A6", "A7")):
-        raise PreconditionError(
-            f"conditions {conditions.failed(('A5', 'A6', 'A7'))} fail for the reference"
-        )
-    cand_ps = product_structure_from_realization(cand, ps.events)
-    _check_gram_match(ps, cand_ps, tol)
-
     # sign/phase factors alpha along a spanning tree of the linked-triple
     # graph: the inner-product ratio across each edge is forced to be unit
     # modulus when both realizations share the Gram matrix
@@ -722,11 +679,7 @@ def extract_tripartite_isometries_rank1(
             raise NotOptimizerError(
                 f"inconsistent first-party factors for local {loc[0]}"
             )
-    a_stack = np.column_stack([ps.locals_[0][ia] for ia in sorted(g_a)])
-    a_target = np.column_stack(
-        [g_a[ia] * cand_ps.locals_[0][ia] for ia in sorted(g_a)]
-    )
-    v_a = np.linalg.lstsq(a_stack.T, a_target.T, rcond=None)[0].T
+    v_a = _fit_local(ps.locals_[0], cand_ps.locals_[0], g_a)
 
     # split v_bc: phases zeta(i_B, i_C) must factor as beta(i_B) gamma(i_C)
     pair_set = sorted({(loc[1], loc[2]) for loc in ps.event_locals})
@@ -771,15 +724,9 @@ def extract_tripartite_isometries_rank1(
                         continue
                     beta[nidx] = val
                 queue.append((nkind, nidx))
-    b_stack = np.column_stack([ps.locals_[1][ib] for ib in sorted(beta)])
-    b_target = np.column_stack([beta[ib] * cand_ps.locals_[1][ib] for ib in sorted(beta)])
-    v_b = np.linalg.lstsq(b_stack.T, b_target.T, rcond=None)[0].T
-    c_stack = np.column_stack([ps.locals_[2][ic] for ic in sorted(gamma)])
-    c_target = np.column_stack([gamma[ic] * cand_ps.locals_[2][ic] for ic in sorted(gamma)])
-    v_c = np.linalg.lstsq(c_stack.T, c_target.T, rcond=None)[0].T
-
-    isometries = tuple(_gauge_isometry(v) for v in (v_a, v_b, v_c))
-    return _finish_rank_one(ps, cand_ps, isometries, conditions)
+    v_b = _fit_local(ps.locals_[1], cand_ps.locals_[1], beta)
+    v_c = _fit_local(ps.locals_[2], cand_ps.locals_[2], gamma)
+    return v_a, v_b, v_c
 
 
 def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_mat):
@@ -878,34 +825,22 @@ def _apply_party(op: np.ndarray, state_tensor: np.ndarray, j: int) -> np.ndarray
 def _extract_general(
     ps: ProductStructure, cand: Realization, conditions: ConditionReport, tol: float
 ) -> SelfTestReport:
-    cand_ps_shape = tuple(int(d) for d in cand.dims)
+    """General-rank extraction: block-decompose each party via the product of
+    its two reference-selected candidate projectors, run the per-block
+    rank-one construction, and assemble the junk state from the block
+    components of the candidate state."""
     cand_state = np.asarray(cand.state, dtype=complex)
-    state_tensor = cand_state.reshape(cand_ps_shape)
+    state_tensor = cand_state.reshape(tuple(int(d) for d in cand.dims))
 
     # Gram precondition on the candidate event vectors
-    n = len(ps.events)
     cand_proj_vecs = []
-    etas = []
     for e in ps.events:
-        op = kron_all(
-            [cand.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(ps.party_count)]
-        )
-        vec = op @ cand_state
-        eta = np.linalg.norm(vec)
-        if eta < ETA_TOL:
+        vec = kron_all(event_projectors(cand, e)) @ cand_state
+        if np.linalg.norm(vec) < ETA_TOL:
             raise PreconditionError("candidate event with negligible probability")
         cand_proj_vecs.append(vec)
-        etas.append(eta)
-    ref_vecs = [ps.etas[i] * ps.product_vector(i) for i in range(n)]
-    ref_all = [ps.state] + ref_vecs
-    cand_all = [cand_state] + cand_proj_vecs
-    g_ref = np.array([[np.vdot(u, v) for v in ref_all] for u in ref_all])
-    g_cand = np.array([[np.vdot(u, v) for v in cand_all] for u in cand_all])
-    dev = float(np.abs(g_ref - g_cand).max())
-    if dev > tol:
-        raise NotOptimizerError(
-            f"Gram mismatch: candidate deviates from the unique optimizer by {dev:.3e}"
-        )
+    ref_vecs = _event_vectors(ps)
+    _check_gram_match([ps.state] + ref_vecs, [cand_state] + cand_proj_vecs, tol)
 
     party_blocks = []
     party_vs = []
@@ -965,39 +900,6 @@ def _extract_general(
     )
 
 
-def extract_bipartite_isometries_general(
-    ps: ProductStructure, cand: Realization, tol: float = 1e-8
-) -> SelfTestReport:
-    """General-rank bipartite extraction: block-decompose each party via the
-    product of its two reference-selected candidate projectors, run the
-    per-block rank-one construction, and assemble the junk state from the
-    block components of the candidate state."""
-    conditions = check_bipartite_conditions(ps)
-    needed = ("A1", "A2", "A3", "A4")
-    if not conditions.all_true(needed):
-        raise PreconditionError(
-            f"conditions {conditions.failed(needed)} fail for the reference"
-        )
-    if not check_projector_condition_C1(cand, ps):
-        raise PreconditionError("candidate projectors violate completeness (C1)")
-    return _extract_general(ps, cand, conditions, tol)
-
-
-def extract_tripartite_isometries_general(
-    ps: ProductStructure, cand: Realization, tol: float = 1e-8
-) -> SelfTestReport:
-    """Three-party analog of the general-rank extraction."""
-    conditions = check_tripartite_conditions(ps)
-    needed = ("A5", "A6", "A7", "A8", "A9")
-    if not conditions.all_true(needed):
-        raise PreconditionError(
-            f"conditions {conditions.failed(needed)} fail for the reference"
-        )
-    if not check_projector_condition_C1(cand, ps):
-        raise PreconditionError("candidate projectors violate completeness (C1)")
-    return _extract_general(ps, cand, conditions, tol)
-
-
 def candidate_is_rank_one(cand: Realization, tol: float = 1e-8) -> bool:
     for party in cand.projectors:
         for setting in party:
@@ -1007,22 +909,63 @@ def candidate_is_rank_one(cand: Realization, tol: float = 1e-8) -> bool:
     return True
 
 
+def _extract_rank_one(
+    ps: ProductStructure, cand: Realization, conditions: ConditionReport, core, tol: float
+) -> SelfTestReport:
+    """Check the candidate's Gram matrix, run the party-count `core` for the
+    isometries, and report the residuals of their tensor product mapping the
+    state and event vectors onto the candidate's."""
+    cand_ps = product_structure_from_realization(cand, ps.events)
+    ref_vecs, cand_vecs = _event_vectors(ps), _event_vectors(cand_ps)
+    _check_gram_match([ps.state] + ref_vecs, [cand_ps.state] + cand_vecs, tol)
+    isometries = tuple(_gauge_isometry(v) for v in core(ps, cand_ps, conditions))
+    big = kron_all(list(isometries))
+    z = np.vdot(big @ ps.state, cand_ps.state)
+    z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
+    junk = np.array([z])
+    junk_dims = (1,) * ps.party_count
+    state_res, vec_res = _claim_residuals(
+        ps.state, ref_vecs, cand_vecs, cand_ps.state, isometries, junk, ps.dims, junk_dims
+    )
+    return SelfTestReport(
+        isometries, junk, junk_dims, state_res, vec_res, ps.events, conditions
+    )
+
+
+# Party count -> (condition checker, conditions the rank-one path needs,
+# conditions the general-rank path needs, rank-one isometry core).
+_EXTRACTION = {
+    2: (check_bipartite_conditions, ("A1", "A2"), ("A1", "A2", "A3", "A4"),
+        _bipartite_rank_one),
+    3: (check_tripartite_conditions, ("A5", "A6", "A7"),
+        ("A5", "A6", "A7", "A8", "A9"), _tripartite_rank_one),
+}
+
+
 def run_selftest(
     witness, ref: Realization, cand: Realization, tol: float = 1e-8
 ) -> SelfTestReport:
-    """Dispatch on party count and candidate projector rank."""
+    """Check the reference's conditions, then extract isometries onto `cand`:
+    by the rank-one core of the party count when every candidate projector
+    is rank one, else (after projector completeness C1) by the general-rank
+    block construction."""
     events = tuple(e for e, _ in witness.terms)
     ps = product_structure_from_realization(ref, events)
     rank_one = candidate_is_rank_one(cand)
-    if ps.party_count == 2:
-        if rank_one:
-            return extract_bipartite_isometries_rank1(ps, cand, tol)
-        return extract_bipartite_isometries_general(ps, cand, tol)
-    if ps.party_count == 3:
-        if rank_one:
-            return extract_tripartite_isometries_rank1(ps, cand, tol)
-        return extract_tripartite_isometries_general(ps, cand, tol)
-    raise ValueError("self-testing supports two or three parties")
+    if ps.party_count not in _EXTRACTION:
+        raise ValueError("self-testing supports two or three parties")
+    check, rank_one_needed, general_needed, core = _EXTRACTION[ps.party_count]
+    conditions = check(ps)
+    needed = rank_one_needed if rank_one else general_needed
+    if not conditions.all_true(needed):
+        raise PreconditionError(
+            f"conditions {conditions.failed(needed)} fail for the reference"
+        )
+    if rank_one:
+        return _extract_rank_one(ps, cand, conditions, core, tol)
+    if not check_projector_condition_C1(cand, ps):
+        raise PreconditionError("candidate projectors violate completeness (C1)")
+    return _extract_general(ps, cand, conditions, tol)
 
 
 def verify_selftest_claim(
@@ -1034,7 +977,6 @@ def verify_selftest_claim(
         eye = np.eye(v.shape[1])
         if np.abs(v.conj().T @ v - eye).max() > 1e-9:
             return False
-    parties = len(ref.dims)
     big = kron_all(list(report.isometries))
     ref_state = np.asarray(ref.state, dtype=complex)
     cand_state = np.asarray(cand.state, dtype=complex)
@@ -1044,12 +986,8 @@ def verify_selftest_claim(
     if np.linalg.norm(mapped - cand_state) > tol:
         return False
     for e in report.events:
-        m_ref = kron_all(
-            [ref.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(parties)]
-        )
-        m_cand = kron_all(
-            [cand.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(parties)]
-        )
+        m_ref = kron_all(event_projectors(ref, e))
+        m_cand = kron_all(event_projectors(cand, e))
         lhs = big @ interleave_with_junk(
             m_ref @ ref_state, report.junk, tuple(ref.dims), report.junk_dims
         )

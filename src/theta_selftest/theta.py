@@ -14,7 +14,8 @@ from math import cos, pi, sqrt
 
 import numpy as np
 
-from .graphs import WeightedGraph, circulant, complement, shrikhande_complement
+from .graphs import WeightedGraph, circulant, complement
+from .scenarios import exclusivity_graph, mermin_witness
 from .sdp import SdpProblem, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 
@@ -77,11 +78,7 @@ def theta_start(
     t = dual_scale * (float(wcap.sum()) + 1.0)
     lam = 2.0 * dual_scale * wcap
     y = np.concatenate(([t], lam, np.zeros(len(g.edges))))
-    z = np.zeros((n + 1, n + 1))
-    z[0, 0] = t
-    z[0, 1:] = z[1:, 0] = -lam / 2.0
-    z[np.arange(1, n + 1), np.arange(1, n + 1)] = lam - np.asarray(g.weights)
-    return x, y, z
+    return x, y, certificate_matrix(g, t, lam, {})
 
 
 # Interior starting points tried in order when none is requested explicitly.
@@ -323,7 +320,7 @@ def chsh_primal_matrix() -> np.ndarray:
 
 def mermin_primal_matrix() -> np.ndarray:
     """The unique 17x17 theta optimizer for the 16-event three-party graph."""
-    g = shrikhande_complement()
+    g = exclusivity_graph(mermin_witness())
     a, b = 0.25, 0.125
     p = np.zeros((17, 17))
     p[0, 0] = 1.0

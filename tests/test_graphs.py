@@ -20,13 +20,12 @@ from theta_selftest.graphs import (
     graph_to_json,
     independence_number,
     is_isomorphic,
-    is_vertex_transitive,
     maximal_cliques,
     mobius_ladder,
-    shrikhande_complement,
     to_dot,
     to_json_dict,
 )
+from theta_selftest.scenarios import exclusivity_graph, mermin_witness
 
 
 class TestWeightedGraph:
@@ -84,10 +83,9 @@ class TestGenerators:
         assert full == g.n * (g.n - 1) // 2
 
     def test_shrikhande_complement_structure(self):
-        g = shrikhande_complement()
+        g = exclusivity_graph(mermin_witness())
         assert g.n == 16
         assert all(g.degree(v) == 9 for v in range(16))
-        assert is_vertex_transitive(g)
         value, _ = independence_number(g)
         assert value == 3.0
 
@@ -140,16 +138,6 @@ class TestCliquesAndPacking:
 
 
 class TestSymmetry:
-    def test_vertex_transitive_families(self):
-        assert is_vertex_transitive(circulant(6, (1,)))
-        assert is_vertex_transitive(circulant(8, (1, 4)))
-        path = WeightedGraph(3, [(0, 1), (1, 2)])
-        assert not is_vertex_transitive(path)
-
-    def test_vertex_transitive_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
-            is_vertex_transitive(WeightedGraph(33, []))
-
     def test_isomorphism_roundtrip(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng, max_n=8)

@@ -10,11 +10,13 @@ from theta_selftest import (
     BellWitness,
     Event,
     Realization,
+    WeightedGraph,
     as4_witness,
     builtin_witness,
     chained_witness,
     chsh_witness,
     circulant,
+    complement,
     correlator_to_probability_terms,
     evaluate_witness,
     events_exclusive,
@@ -27,7 +29,6 @@ from theta_selftest import (
     realization_from_json_dict,
     realization_to_json_dict,
     reference_realization,
-    shrikhande_complement,
     validate_realization,
     witness_from_json_dict,
     witness_to_json_dict,
@@ -120,7 +121,15 @@ class TestBuiltinWitnesses:
         assert len(wit.terms) == 16
         assert wit.classical_bound == 3.0
         assert wit.affine == (2.0, -4.0)
-        assert exclusivity_graph(wit) == shrikhande_complement()
+        # The complement is the Shrikhande graph: the Cayley graph of
+        # Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.
+        shrikhande = WeightedGraph(16, tuple(
+            (4 * a + b, 4 * ((a + c) % 4) + (b + d) % 4)
+            for a in range(4) for b in range(4) for c, d in ((1, 0), (0, 1), (1, 1))
+        ))
+        g = exclusivity_graph(wit)
+        assert g.weights == (1.0,) * 16
+        assert find_isomorphism(complement(g), shrikhande) is not None
 
     def test_as4_structure(self):
         wit = as4_witness()

@@ -8,10 +8,8 @@ from theta_selftest import (
     SolverError,
     circulant_eigenvalues,
     min_eigenvalue,
-    schur_psd_check,
     solve_sdp,
 )
-from theta_selftest.sdp import problem_to_json_dict, solution_to_json_dict
 
 
 def _trace_problem(c: np.ndarray) -> SdpProblem:
@@ -141,36 +139,3 @@ class TestSpectralUtilities:
             circulant_eigenvalues([])
         with pytest.raises(ValueError):
             circulant_eigenvalues([0.0, 1.0, 2.0])  # c_1 != c_{n-1}
-
-    def test_schur_psd_check(self):
-        assert schur_psd_check(np.eye(2), 1.0, np.array([1.0, 0.0]))
-        assert not schur_psd_check(np.eye(2), 0.5, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            schur_psd_check(np.eye(2), 0.0, np.array([1.0, 0.0]))
-        # Equivalence with the bordered matrix's minimum eigenvalue.
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        border = np.array([0.7, -0.4])
-        pivot = 0.9
-        big = np.zeros((3, 3))
-        big[0, 0] = pivot
-        big[0, 1:] = big[1:, 0] = -border
-        big[1:, 1:] = m
-        assert schur_psd_check(m, pivot, border) == (min_eigenvalue(big) >= -1e-9)
-
-
-class TestSerialization:
-    def test_problem_json_shape(self):
-        p = _trace_problem(np.diag([1.0, 2.0]))
-        d = problem_to_json_dict(p)
-        assert d["dim"] == 2
-        assert d["objective"] == [[1.0, 0.0], [0.0, 2.0]]
-        assert d["constraints"][0]["rhs"] == 1.0
-
-    def test_solution_json_shape(self):
-        sol = solve_sdp(_trace_problem(np.diag([1.0, 2.0])))
-        d = solution_to_json_dict(sol)
-        assert set(d) == {
-            "primal", "dual_multipliers", "dual_slack", "value", "dual_value",
-            "gap", "pinfeas", "dinfeas", "iterations",
-        }
-        assert abs(d["value"] - 2.0) <= 1e-8

@@ -266,6 +266,19 @@ class TestGeneralRankExtraction:
         schmidt = np.linalg.svd(report.junk.reshape(2, 2), compute_uv=False)
         assert np.abs(np.sort(schmidt) - [0.0, 1.0]).max() <= 1e-7
 
+    @pytest.mark.parametrize(
+        "name,ancilla",
+        [("chsh", [0.8, 0.0, 0.0, 0.6]), ("mermin", [0.8] + [0.0] * 6 + [0.6])],
+    )
+    def test_perturbed_ancilla_candidate_rejected(self, name, ancilla):
+        wit, r, _ = _structure(name)
+        cand = tensor_padded_candidate(
+            perturbed_candidate(r, 0.05), np.array(ancilla, dtype=complex), k=2
+        )
+        assert not candidate_is_rank_one(cand)
+        with pytest.raises(NotOptimizerError, match="Gram mismatch"):
+            run_selftest(wit, r, cand)
+
     def test_precondition_failure_names_condition(self):
         wit, r, _ = _structure("chained:3")
         ancilla = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)

@@ -15,11 +15,12 @@ from theta_selftest import (
     chsh_primal_matrix,
     circulant,
     dual_nondegenerate,
+    exclusivity_graph,
     lovasz_theta,
     make_certificate,
     mermin_primal_matrix,
+    mermin_witness,
     mobius_theta_closed_form,
-    shrikhande_complement,
     solve_theta_problem,
     theta_problem,
     theta_start,
@@ -103,7 +104,7 @@ class TestPrimalMatrices:
         assert abs(np.trace(p) - 1.0 - (2.0 + sqrt(2.0))) <= 1e-12
 
     def test_mermin_primal_is_feasible_and_optimal(self):
-        g = shrikhande_complement()
+        g = exclusivity_graph(mermin_witness())
         p = mermin_primal_matrix()
         assert p.shape == (17, 17)
         assert float(np.linalg.eigvalsh(p).min()) >= -1e-9
