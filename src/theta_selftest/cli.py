@@ -188,7 +188,7 @@ def cmd_uniqueness(args) -> int:
     cfg = _config(args)
     scenario = getattr(args, "scenario", None)
     kind = parse_scenario_name(scenario)[0] if scenario else None
-    if kind in ("chsh", "chained"):
+    if kind in ("chsh", "chained") and not getattr(args, "graph", None):
         cert, g = _closed_form_certificate(scenario)
         z = cert.matrix
     else:

@@ -217,6 +217,10 @@ def validate_realization(r: Realization, tol: float = 1e-10) -> None:
         raise ValueError("state length must equal the product of the dims")
     if abs(np.linalg.norm(state) - 1.0) > 1e-12:
         raise ValueError("state must be normalized")
+    if len(r.projectors) != len(r.dims):
+        raise ValueError(
+            f"projectors cover {len(r.projectors)} parties but dims list {len(r.dims)}"
+        )
     for j, party in enumerate(r.projectors):
         for x, setting in enumerate(party):
             for a, p in enumerate(setting):

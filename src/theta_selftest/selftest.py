@@ -1,11 +1,10 @@
 """Constructive self-testing for realizations that saturate the graph bound.
 
-Pipeline: decompose the optimizer's Gram matrix, read the product structure
-off a rank-one reference realization, check the structural conditions the
-extraction needs (A1-A4 bipartite, A5-A9 tripartite, projector completeness
-C1), then build local isometries (and a junk state in the general-rank case)
-carrying the reference state and event vectors onto any candidate realization
-that reproduces the same Gram matrix.
+Pipeline: read the product structure off a rank-one reference realization,
+check the structural conditions the extraction needs (A1-A4 bipartite, A5-A9
+tripartite, projector completeness C1), then build local isometries (and a
+junk state in the general-rank case) carrying the reference state and event
+vectors onto any candidate realization that reproduces the same Gram matrix.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -40,53 +39,6 @@ class NotOptimizerError(SelfTestError):
 
 
 @dataclass(frozen=True)
-class GramDecomposition:
-    """Vectors (rows) whose pairwise inner products rebuild the source matrix.
-
-    Row 0 is the handle/state vector; rows 1..n are the event vectors.  The
-    gauge is fixed: eigenvector signs are deterministic and the handle is
-    rotated onto the first coordinate axis.
-    """
-
-    vectors: np.ndarray
-    rank: int
-    truncation_error: float
-
-
-def gram_decompose(x: np.ndarray, tol: float = 1e-9) -> GramDecomposition:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if np.abs(x - x.T).max() > 1e-10:
-        raise ValueError("input must be symmetric")
-    w, u = np.linalg.eigh((x + x.T) / 2.0)
-    if w.min() < -10.0 * tol:
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e} < {-10.0 * tol:.3e}")
-    keep = np.flatnonzero(w > tol)
-    cols = []
-    for k in keep:
-        col = u[:, k].copy()
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            col = -col
-        cols.append(col * np.sqrt(w[k]))
-    rank = len(cols)
-    vectors = np.column_stack(cols) if cols else np.zeros((x.shape[0], 0))
-    handle = vectors[0]
-    norm = np.linalg.norm(handle)
-    if norm > 1e-12:
-        unit = handle / norm
-        e0 = np.zeros_like(unit)
-        e0[0] = 1.0
-        if np.linalg.norm(unit - e0) > 1e-14:
-            h = unit - e0
-            h /= np.linalg.norm(h)
-            vectors = vectors - 2.0 * np.outer(vectors @ h, h)
-    err = float(np.abs(vectors @ vectors.T - x).max()) if rank else float(np.abs(x).max())
-    return GramDecomposition(vectors, rank, err)
-
-
-@dataclass(frozen=True)
 class ProductStructure:
     """Per-event product decomposition of a rank-one realization.
 
@@ -115,10 +67,13 @@ class ProductStructure:
 
 
 def _canonical_phase(v: np.ndarray, tol: float = OVERLAP_TOL) -> np.ndarray:
+    """Rotate `v` (a ket or a matrix) so its first significant entry, in
+    row-major order, is positive real."""
     nz = np.flatnonzero(np.abs(v) > tol)
     if nz.size == 0:
         return v
-    return v * (np.abs(v[nz[0]]) / v[nz[0]])
+    z = v.flat[nz[0]]
+    return v * (np.abs(z) / z)
 
 
 def _rank_one_ket(p: np.ndarray) -> np.ndarray:
@@ -537,15 +492,6 @@ def _claim_residuals(
     return state_res, vec_res
 
 
-def _gauge_isometry(v: np.ndarray) -> np.ndarray:
-    flat = v.reshape(-1)
-    nz = np.flatnonzero(np.abs(flat) > OVERLAP_TOL)
-    if nz.size == 0:
-        return v
-    z = flat[nz[0]]
-    return v * (np.abs(z) / z)
-
-
 def _event_vectors(ps: ProductStructure) -> list[np.ndarray]:
     """The projected states Pi_i psi = eta_i v_i, rebuilt from the structure."""
     return [ps.etas[i] * ps.product_vector(i) for i in range(len(ps.events))]
@@ -576,157 +522,109 @@ def _fit_local(ref_kets, cand_kets, factors: dict) -> np.ndarray:
     return np.linalg.lstsq(stack.T, target.T, rcond=None)[0].T
 
 
-def _bipartite_rank_one(
-    ps: ProductStructure, cand_ps: ProductStructure, conditions: ConditionReport
-) -> tuple[np.ndarray, ...]:
-    """Build V_A from a spanning root column and propagate the column phases
-    to V_B."""
-    a2 = conditions.evidence["A2"]
-    i_b0 = a2["I_B"][0]
-    events_by_pair = {
-        (loc[0], loc[1]): i for i, loc in enumerate(ps.event_locals)
-    }
-    root = [events_by_pair[(ia, i_b0)] for ia in a2["I_A"][i_b0]]
-    y = np.column_stack(
-        [ps.phases[e] * ps.locals_[0][ps.event_locals[e][0]] for e in root]
-    )
-    x_hat = np.column_stack(
-        [cand_ps.phases[e] * cand_ps.locals_[0][cand_ps.event_locals[e][0]] for e in root]
-    )
-    v_a = x_hat @ np.linalg.inv(y)
+def _walk_phases(adj: dict, roots, step) -> dict:
+    """Breadth-first unit phases over the graph `adj`.
 
-    g_hat = {}
-    for ia in range(len(ps.locals_[0])):
-        image = v_a @ ps.locals_[0][ia]
-        g = np.vdot(cand_ps.locals_[0][ia], image)
-        g = _unit_phase(g, f"first-party local {ia}")
-        if np.linalg.norm(image - g * cand_ps.locals_[0][ia]) > PHASE_TOL:
+    Each unvisited root gets phase 1; a neighbour q of p gets
+    step(p, q, phase[p]), and a revisit must agree within PHASE_TOL.
+    """
+    phase: dict = {}
+    for root in roots:
+        if root in phase:
+            continue
+        phase[root] = 1.0 + 0.0j
+        queue = [root]
+        while queue:
+            p = queue.pop(0)
+            for q in adj[p]:
+                val = step(p, q, phase[p])
+                if q not in phase:
+                    phase[q] = val
+                    queue.append(q)
+                elif abs(phase[q] - val) > PHASE_TOL:
+                    raise NotOptimizerError(f"phase cycle closure fails at {p}, {q}")
+    return phase
+
+
+def _rank_one_core(
+    ps: ProductStructure, cand_ps: ProductStructure, pivot: int, family, edges
+) -> tuple[np.ndarray, ...]:
+    """Rank-one isometries for any party count.
+
+    Walk unit phases over the pivot party's connected `family` of locals (the
+    inner-product ratio across each edge is forced to be unit modulus when
+    both realizations share the Gram matrix), fit the remaining parties'
+    joint map from the events whose pivot local lies in the family, read the
+    per-event pivot factors off that map and fit the pivot isometry from
+    them.  A joint map over two parties is split into V_j x V_k by walking
+    the pair phases, which must factor as beta(i_j) gamma(i_k).
+    """
+    rest = [j for j in range(ps.party_count) if j != pivot]
+    ref_kets, cand_kets = ps.locals_[pivot], cand_ps.locals_[pivot]
+
+    def rest_ket(s: ProductStructure, e: int) -> np.ndarray:
+        return kron_all([s.locals_[j][s.event_locals[e][j]] for j in rest])
+
+    def ratio(e: int) -> complex:
+        return cand_ps.phases[e] / ps.phases[e]
+
+    def edge_phase(p, q, alpha_p):
+        den = np.vdot(cand_kets[p], cand_kets[q])
+        if abs(den) <= OVERLAP_TOL:
             raise NotOptimizerError(
-                f"first-party local {ia} is not carried onto the candidate's ket line"
+                f"candidate party-{pivot} kets {p},{q} are orthogonal where the reference's are not"
             )
-        g_hat[ia] = g
+        num = np.vdot(ref_kets[p], ref_kets[q])
+        return alpha_p * _unit_phase(num / den, f"party-{pivot} edge ({p},{q})")
 
-    beta = {}
-    for e, loc in enumerate(ps.event_locals):
-        ib = loc[1]
-        if ib not in beta:
-            s = cand_ps.phases[e] / ps.phases[e]
-            beta[ib] = _unit_phase(s / g_hat[loc[0]], f"second-party local {ib}")
-    return v_a, _fit_local(ps.locals_[1], cand_ps.locals_[1], beta)
+    adj: dict = {p: [] for p in family}
+    for p, q in edges:
+        adj[p].append(q)
+        adj[q].append(p)
+    alpha = _walk_phases(adj, family, edge_phase)
 
-
-def _tripartite_rank_one(
-    ps: ProductStructure, cand_ps: ProductStructure, conditions: ConditionReport
-) -> tuple[np.ndarray, ...]:
-    """Build the joint second/third-party isometry from a spanning first-party
-    row, split it into V_B x V_C by propagating pair phases over a spanning
-    tree (cycle closure is checked), and recover V_A from the row factors."""
-    # sign/phase factors alpha along a spanning tree of the linked-triple
-    # graph: the inner-product ratio across each edge is forced to be unit
-    # modulus when both realizations share the Gram matrix
-    i_a_set = conditions.evidence["A6"]["I_A"]
-    g_a_edges = conditions.evidence["A6"]["G_A_edges"]
-    alpha: dict[int, complex] = {i_a_set[0]: 1.0 + 0.0j}
-    adj_a: dict[int, list[int]] = {ia: [] for ia in i_a_set}
-    for p, q in g_a_edges:
-        adj_a[p].append(q)
-        adj_a[q].append(p)
-    queue = [i_a_set[0]]
-    while queue:
-        p = queue.pop(0)
-        for q in adj_a[p]:
-            if q in alpha:
-                continue
-            num = np.vdot(ps.locals_[0][p], ps.locals_[0][q])
-            den = np.vdot(cand_ps.locals_[0][p], cand_ps.locals_[0][q])
-            if abs(den) <= OVERLAP_TOL:
-                raise NotOptimizerError(
-                    f"candidate first-party kets {p},{q} are orthogonal where the reference's are not"
-                )
-            alpha[q] = alpha[p] * _unit_phase(num / den, f"first-party edge ({p},{q})")
-            queue.append(q)
-
-    # joint second/third-party isometry from the union of the chosen rows
-    def bc(ps_, e):
-        loc = ps_.event_locals[e]
-        return np.kron(ps_.locals_[1][loc[1]], ps_.locals_[2][loc[2]])
-
-    rows = [i for i, loc in enumerate(ps.event_locals) if loc[0] in alpha]
-    w = np.column_stack([bc(ps, e) for e in rows])
-    w_hat = np.column_stack(
-        [
-            (cand_ps.phases[e] / ps.phases[e]) / alpha[ps.event_locals[e][0]] * bc(cand_ps, e)
-            for e in rows
-        ]
+    rows = [e for e, loc in enumerate(ps.event_locals) if loc[pivot] in alpha]
+    joint = _fit_local(
+        {e: rest_ket(ps, e) for e in rows},
+        {e: rest_ket(cand_ps, e) for e in rows},
+        {e: ratio(e) / alpha[ps.event_locals[e][pivot]] for e in rows},
     )
-    v_bc = np.linalg.lstsq(w.T, w_hat.T, rcond=None)[0].T
 
-    g_a: dict[int, complex] = {}
+    factors: dict[int, complex] = {}
+    rest_phases: dict[tuple[int, ...], complex] = {}
     for e, loc in enumerate(ps.event_locals):
-        target = np.kron(
-            cand_ps.locals_[1][loc[1]], cand_ps.locals_[2][loc[2]]
-        )
-        image = v_bc @ np.kron(ps.locals_[1][loc[1]], ps.locals_[2][loc[2]])
-        h = np.vdot(target, image)
-        h = _unit_phase(h, f"event {e} joint factor")
+        target = rest_ket(cand_ps, e)
+        image = joint @ rest_ket(ps, e)
+        h = _unit_phase(np.vdot(target, image), f"event {e} joint factor")
         if np.linalg.norm(image - h * target) > PHASE_TOL:
             raise NotOptimizerError(
-                f"event {e} pair is not carried onto the candidate's product line"
+                f"event {e} is not carried onto the candidate's product line"
             )
-        g = _unit_phase((cand_ps.phases[e] / ps.phases[e]) / h, f"event {e} first-party factor")
-        prev = g_a.setdefault(loc[0], g)
-        if abs(prev - g) > PHASE_TOL:
+        rest_phases[tuple(loc[j] for j in rest)] = h
+        g = _unit_phase(ratio(e) / h, f"event {e} party-{pivot} factor")
+        if abs(factors.setdefault(loc[pivot], g) - g) > PHASE_TOL:
             raise NotOptimizerError(
-                f"inconsistent first-party factors for local {loc[0]}"
+                f"inconsistent party-{pivot} factors for local {loc[pivot]}"
             )
-    v_a = _fit_local(ps.locals_[0], cand_ps.locals_[0], g_a)
+    isometries = {pivot: _fit_local(ref_kets, cand_kets, factors)}
 
-    # split v_bc: phases zeta(i_B, i_C) must factor as beta(i_B) gamma(i_C)
-    pair_set = sorted({(loc[1], loc[2]) for loc in ps.event_locals})
-    zeta = {}
-    for ib, ic in pair_set:
-        z = np.vdot(
-            np.kron(cand_ps.locals_[1][ib], cand_ps.locals_[2][ic]),
-            v_bc @ np.kron(ps.locals_[1][ib], ps.locals_[2][ic]),
-        )
-        zeta[(ib, ic)] = _unit_phase(z, f"pair ({ib},{ic}) joint factor")
-    beta: dict[int, complex] = {}
-    gamma: dict[int, complex] = {}
-    adj: dict = {}
-    for ib, ic in pair_set:
-        adj.setdefault(("b", ib), []).append(("c", ic))
-        adj.setdefault(("c", ic), []).append(("b", ib))
-    for node in sorted(adj):
-        if (node[0] == "b" and node[1] in beta) or (node[0] == "c" and node[1] in gamma):
-            continue
-        (beta if node[0] == "b" else gamma)[node[1]] = 1.0 + 0.0j
-        queue = [node]
-        while queue:
-            kind, idx = queue.pop(0)
-            for nkind, nidx in adj[(kind, idx)]:
-                z = zeta[(idx, nidx)] if kind == "b" else zeta[(nidx, idx)]
-                if nkind == "c":
-                    val = z / beta[idx]
-                    if nidx in gamma:
-                        if abs(gamma[nidx] - val) > PHASE_TOL:
-                            raise NotOptimizerError(
-                                f"pair phase cycle closure fails at ({idx},{nidx})"
-                            )
-                        continue
-                    gamma[nidx] = val
-                else:
-                    val = z / gamma[idx]
-                    if nidx in beta:
-                        if abs(beta[nidx] - val) > PHASE_TOL:
-                            raise NotOptimizerError(
-                                f"pair phase cycle closure fails at ({nidx},{idx})"
-                            )
-                        continue
-                    beta[nidx] = val
-                queue.append((nkind, nidx))
-    v_b = _fit_local(ps.locals_[1], cand_ps.locals_[1], beta)
-    v_c = _fit_local(ps.locals_[2], cand_ps.locals_[2], gamma)
-    return v_a, v_b, v_c
+    if len(rest) == 1:
+        isometries[rest[0]] = joint
+    else:
+        pair_adj: dict = {}
+        for ib, ic in sorted(rest_phases):
+            pair_adj.setdefault((rest[0], ib), []).append((rest[1], ic))
+            pair_adj.setdefault((rest[1], ic), []).append((rest[0], ib))
+
+        def pair_phase(p, q, phase_p):
+            pair = (p[1], q[1]) if p[0] == rest[0] else (q[1], p[1])
+            return rest_phases[pair] / phase_p
+
+        phase = _walk_phases(pair_adj, sorted(pair_adj), pair_phase)
+        for j in rest:
+            split = {i: z for (k, i), z in phase.items() if k == j}
+            isometries[j] = _fit_local(ps.locals_[j], cand_ps.locals_[j], split)
+    return tuple(isometries[j] for j in range(ps.party_count))
 
 
 def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_mat):
@@ -882,7 +780,7 @@ def _extract_general(
             basis[m] = 1.0
             for b in range(k):
                 v[:, m * k + b] = party_vs[j][b] @ basis
-        isometries.append(_gauge_isometry(v))
+        isometries.append(_canonical_phase(v))
     isometries = tuple(isometries)
 
     state_res, vec_res = _claim_residuals(
@@ -910,15 +808,28 @@ def candidate_is_rank_one(cand: Realization, tol: float = 1e-8) -> bool:
 
 
 def _extract_rank_one(
-    ps: ProductStructure, cand: Realization, conditions: ConditionReport, core, tol: float
+    ps: ProductStructure,
+    cand: Realization,
+    conditions: ConditionReport,
+    pivot: int,
+    family_keys: tuple[str, str, str],
+    tol: float,
 ) -> SelfTestReport:
-    """Check the candidate's Gram matrix, run the party-count `core` for the
-    isometries, and report the residuals of their tensor product mapping the
-    state and event vectors onto the candidate's."""
+    """Check the candidate's Gram matrix, run the rank-one core on the pivot
+    family named by `family_keys` (condition, family key, edges key), and
+    report the residuals of the isometries' tensor product mapping the state
+    and event vectors onto the candidate's."""
     cand_ps = product_structure_from_realization(cand, ps.events)
     ref_vecs, cand_vecs = _event_vectors(ps), _event_vectors(cand_ps)
     _check_gram_match([ps.state] + ref_vecs, [cand_ps.state] + cand_vecs, tol)
-    isometries = tuple(_gauge_isometry(v) for v in core(ps, cand_ps, conditions))
+    condition, family_key, edges_key = family_keys
+    evidence = conditions.evidence[condition]
+    isometries = tuple(
+        _canonical_phase(v)
+        for v in _rank_one_core(
+            ps, cand_ps, pivot, evidence[family_key], evidence[edges_key]
+        )
+    )
     big = kron_all(list(isometries))
     z = np.vdot(big @ ps.state, cand_ps.state)
     z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
@@ -933,28 +844,45 @@ def _extract_rank_one(
 
 
 # Party count -> (condition checker, conditions the rank-one path needs,
-# conditions the general-rank path needs, rank-one isometry core).
+# conditions the general-rank path needs, rank-one pivot party, and the
+# condition whose evidence names the pivot family and its edges).
 _EXTRACTION = {
     2: (check_bipartite_conditions, ("A1", "A2"), ("A1", "A2", "A3", "A4"),
-        _bipartite_rank_one),
+        1, ("A2", "I_B", "edges")),
     3: (check_tripartite_conditions, ("A5", "A6", "A7"),
-        ("A5", "A6", "A7", "A8", "A9"), _tripartite_rank_one),
+        ("A5", "A6", "A7", "A8", "A9"), 0, ("A6", "I_A", "G_A_edges")),
 }
+
+
+def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> None:
+    """Raise ValueError naming the first witness label the candidate lacks a
+    projector for (or a ket for, when it carries kets)."""
+    for e in events:
+        for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
+            for what, table in (("projector", cand.projectors), ("ket", cand.kets)):
+                if table is None:
+                    continue
+                if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
+                    raise ValueError(
+                        f"candidate has no {what} for witness label "
+                        f"(party {j}, setting {x}, outcome {a})"
+                    )
 
 
 def run_selftest(
     witness, ref: Realization, cand: Realization, tol: float = 1e-8
 ) -> SelfTestReport:
     """Check the reference's conditions, then extract isometries onto `cand`:
-    by the rank-one core of the party count when every candidate projector
-    is rank one, else (after projector completeness C1) by the general-rank
-    block construction."""
+    by the rank-one core when every candidate projector is rank one, else
+    (after projector completeness C1) by the general-rank block
+    construction."""
     events = tuple(e for e, _ in witness.terms)
     ps = product_structure_from_realization(ref, events)
+    _check_candidate_labels(cand, events)
     rank_one = candidate_is_rank_one(cand)
     if ps.party_count not in _EXTRACTION:
         raise ValueError("self-testing supports two or three parties")
-    check, rank_one_needed, general_needed, core = _EXTRACTION[ps.party_count]
+    check, rank_one_needed, general_needed, pivot, family_keys = _EXTRACTION[ps.party_count]
     conditions = check(ps)
     needed = rank_one_needed if rank_one else general_needed
     if not conditions.all_true(needed):
@@ -962,7 +890,7 @@ def run_selftest(
             f"conditions {conditions.failed(needed)} fail for the reference"
         )
     if rank_one:
-        return _extract_rank_one(ps, cand, conditions, core, tol)
+        return _extract_rank_one(ps, cand, conditions, pivot, family_keys, tol)
     if not check_projector_condition_C1(cand, ps):
         raise PreconditionError("candidate projectors violate completeness (C1)")
     return _extract_general(ps, cand, conditions, tol)

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import json
+import os
 from math import cos, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,12 @@ class TestUniqueness:
         assert code == 0
         assert json.loads(out)["nullspace_dim"] == 0
 
+    def test_scenario_and_graph_together_rejected(self, tmp_path):
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)]))
+        code, out, err = run_cli(["uniqueness", "--scenario", "chsh", "--graph", path])
+        assert code == 1 and out == ""
+        assert "not both" in err
+
     def test_graph_file_routes(self, tmp_path):
         path = _write_graph(tmp_path / "e2.json", WeightedGraph(2, []))
         code, out, _ = run_cli(["uniqueness", "--graph", path, "--json"])
@@ -194,6 +202,25 @@ class TestSelftest:
         monkeypatch.delenv("THETA_SELFTEST_TOL")
         code, _, _ = run_cli(["selftest", "--scenario", "chsh"])
         assert code == 0
+
+    @pytest.mark.parametrize("shape", ["party", "setting", "outcome"])
+    def test_malformed_candidate_is_input_error(self, tmp_path, shape):
+        doc = realization_to_json_dict(reference_realization("chsh"))
+        for key in ("projectors", "kets"):
+            if shape == "party":
+                del doc[key][1]
+            elif shape == "setting":
+                del doc[key][0][1]
+            else:
+                del doc[key][0][1][1]
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            ["selftest", "--scenario", "chsh", "--candidate", str(path)]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("input error:") and "witness label" in err
+        assert "Traceback" not in err
 
     def test_missing_candidate_file(self, tmp_path):
         code, _, _ = run_cli(
@@ -297,9 +324,11 @@ class TestModuleEntryPoint:
         import subprocess
         import sys
 
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
             [sys.executable, "-m", "theta_selftest", "certify", "--scenario", "chsh"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

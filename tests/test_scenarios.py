@@ -305,6 +305,12 @@ class TestRealizationValidation:
         with pytest.raises(ValueError):
             evaluate_witness(mermin_witness(), reference_realization("chsh"))
 
+    def test_projector_party_count_must_match_dims(self):
+        r = reference_realization("chsh")
+        bad = Realization(r.dims, r.state, r.projectors[:1])
+        with pytest.raises(ValueError, match="projectors cover 1 parties"):
+            validate_realization(bad)
+
     def test_edge_projectors_are_orthogonal(self):
         # Exclusive events share a setting with differing outcomes at some
         # party, so their joint projectors are orthogonal in any valid

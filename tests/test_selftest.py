@@ -1,4 +1,4 @@
-"""Gram decomposition, structural conditions, and isometry extraction tests."""
+"""Product structure, structural conditions, and isometry extraction tests."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from theta_selftest import (
     check_tripartite_conditions,
     chsh_primal_matrix,
     evaluate_witness,
-    gram_decompose,
     interleave_with_junk,
     mermin_primal_matrix,
     mermin_seven_dim_check,
@@ -50,46 +49,6 @@ def _structure(name):
 
 def _eig_rank(m: np.ndarray, threshold: float) -> int:
     return int(np.sum(np.linalg.eigvalsh(m) > threshold))
-
-
-class TestGramDecompose:
-    def test_reconstructs_low_rank_matrices(self):
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=(6, 3))
-        x = v @ v.T
-        dec = gram_decompose(x)
-        assert dec.rank == 3
-        assert np.abs(dec.vectors @ dec.vectors.T - x).max() <= 1e-10
-        assert dec.truncation_error <= 1e-10
-
-    def test_handle_gauge_points_along_first_axis(self):
-        rng = np.random.default_rng(6)
-        v = rng.normal(size=(5, 4))
-        v[0] /= np.linalg.norm(v[0])
-        x = v @ v.T
-        x[0, 0] = 1.0
-        dec = gram_decompose(x)
-        handle = dec.vectors[0]
-        assert abs(handle[0] - 1.0) <= 1e-10
-        assert np.abs(handle[1:]).max() <= 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            gram_decompose(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            gram_decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            gram_decompose(np.diag([1.0, -1.0]))
-
-    def test_zero_matrix(self):
-        dec = gram_decompose(np.zeros((3, 3)))
-        assert dec.rank == 0
-        assert dec.vectors.shape == (3, 0)
-
-    def test_deterministic(self):
-        x = chsh_primal_matrix()
-        a, b = gram_decompose(x), gram_decompose(x)
-        assert np.array_equal(a.vectors, b.vectors)
 
 
 class TestProductStructure:
@@ -184,13 +143,16 @@ class TestConditions:
 
 
 class TestRankOneExtraction:
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", ALL_NAMES + ["chained:8"])
     def test_identity_candidate_accepted(self, name):
         wit, r, _ = _structure(name)
         report = run_selftest(wit, r, r)
         assert report.state_residual <= 1e-9
         assert report.vector_residuals.max() <= 1e-9
         assert report.junk_dims == (1,) * wit.scenario.parties
+        for v, d in zip(report.isometries, r.dims):
+            assert np.abs(v - np.eye(d)).max() <= 1e-12
+        assert np.abs(report.junk - [1.0]).max() <= 1e-12
         assert verify_selftest_claim(r, r, report, 1e-7)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
