@@ -7,7 +7,9 @@ certification failure, 3 self-test rejection.  Human-readable output prints
 six significant digits; JSON output carries full double precision and is
 emitted in canonical form (sorted keys, no whitespace) so repeated runs are
 byte-identical.  The only environment variable honored is
-THETA_SELFTEST_TOL, the default acceptance tolerance of `selftest`.
+THETA_SELFTEST_TOL, the default acceptance tolerance of `selftest`; the
+other tolerance flags default to the constants of the modules that own
+them (sdp.SOLVER_TOL, theta.NULL_THRESHOLD).
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import (
     WeightedGraph,
@@ -39,8 +38,9 @@ from .scenarios import (
     reference_realization,
     witness_to_json_dict,
 )
-from .sdp import SolverError, min_eigenvalue
+from .sdp import SOLVER_TOL, SolverError, min_eigenvalue
 from .selftest import (
+    SELFTEST_TOL,
     PreconditionError,
     SelfTestError,
     run_selftest,
@@ -48,6 +48,7 @@ from .selftest import (
     verify_selftest_claim,
 )
 from .theta import (
+    NULL_THRESHOLD,
     MalformedCertificateError,
     NotPsdError,
     certificate_from_multipliers,
@@ -65,18 +66,13 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_REJECT = 3
 
+SANDWICH_SLACK = 1e-6  # allowed solver error in alpha <= theta <= alpha*
 
-@dataclass(frozen=True)
-class RunConfig:
-    solver_tol: float = 1e-9
-    null_threshold: float = 1e-8
-    selftest_tol: float = 1e-7
-    as_json: bool = False
 
-    def __post_init__(self):
-        for name in ("solver_tol", "null_threshold", "selftest_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+def _positive(name: str, value: float) -> float:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def _emit_json(obj) -> None:
@@ -93,38 +89,25 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def _input_graph(args) -> WeightedGraph:
-    if getattr(args, "scenario", None) and getattr(args, "graph", None):
+    if args.scenario and args.graph:
         raise ValueError("give either --scenario or --graph, not both")
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return exclusivity_graph(builtin_witness(args.scenario))
-    if getattr(args, "graph", None):
+    if args.graph:
         return _load_graph(args.graph)
     raise ValueError("one of --scenario or --graph is required")
 
 
-def _config(args) -> RunConfig:
-    env_tol = os.environ.get("THETA_SELFTEST_TOL")
-    selftest_tol = (
-        args.tol
-        if getattr(args, "tol", None) is not None
-        else (float(env_tol) if env_tol is not None else 1e-7)
-    )
-    return RunConfig(
-        solver_tol=getattr(args, "solver_tol", 1e-9),
-        null_threshold=getattr(args, "threshold", 1e-8),
-        selftest_tol=selftest_tol,
-        as_json=getattr(args, "json", False),
-    )
-
-
 def cmd_theta(args) -> int:
-    cfg = _config(args)
+    solver_tol = _positive("solver_tol", args.solver_tol)
     g = _input_graph(args)
     alpha, _ = independence_number(g)
-    theta, _ = lovasz_theta(g, tol=cfg.solver_tol)
+    theta, _ = lovasz_theta(g, tol=solver_tol)
     alpha_star = fractional_packing(g)
-    sandwich_ok = alpha <= theta + 1e-6 and theta <= alpha_star + 1e-6
-    if cfg.as_json:
+    sandwich_ok = (
+        alpha <= theta + SANDWICH_SLACK and theta <= alpha_star + SANDWICH_SLACK
+    )
+    if args.json:
         _emit_json(
             {
                 "alpha": alpha,
@@ -160,7 +143,6 @@ def _closed_form_certificate(scenario: str):
 
 
 def cmd_certify(args) -> int:
-    cfg = _config(args)
     cert, g = _closed_form_certificate(args.scenario)
     try:
         verify_dual_certificate(g, cert)
@@ -168,7 +150,7 @@ def cmd_certify(args) -> int:
     except (MalformedCertificateError, NotPsdError):
         verified = False
     eig = min_eigenvalue(cert.matrix)
-    if cfg.as_json:
+    if args.json:
         _emit_json(
             {
                 "bound": cert.t,
@@ -185,18 +167,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    cfg = _config(args)
-    scenario = getattr(args, "scenario", None)
+    solver_tol = _positive("solver_tol", args.solver_tol)
+    threshold = _positive("null_threshold", args.threshold)
+    scenario = args.scenario
     kind = parse_scenario_name(scenario)[0] if scenario else None
-    if kind in ("chsh", "chained") and not getattr(args, "graph", None):
+    if kind in ("chsh", "chained") and not args.graph:
         cert, g = _closed_form_certificate(scenario)
         z = cert.matrix
     else:
         g = _input_graph(args)
-        sol = solve_theta_problem(g, tol=cfg.solver_tol)
+        sol = solve_theta_problem(g, tol=solver_tol)
         z = certificate_from_multipliers(g, sol.dual_multipliers).matrix
-    verdict = dual_nondegenerate(g, z, threshold=cfg.null_threshold)
-    if cfg.as_json:
+    verdict = dual_nondegenerate(g, z, threshold=threshold)
+    if args.json:
         _emit_json(
             {
                 "nondegenerate": verdict.nondegenerate,
@@ -215,7 +198,10 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    cfg = _config(args)
+    tol = args.tol
+    if tol is None:
+        tol = float(os.environ.get("THETA_SELFTEST_TOL", SELFTEST_TOL))
+    tol = _positive("selftest_tol", tol)
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:
@@ -223,9 +209,9 @@ def cmd_selftest(args) -> int:
             cand = realization_from_json_dict(json.load(fh))
     else:
         cand = ref
-    report = run_selftest(witness, ref, cand, tol=cfg.selftest_tol)
-    verified = verify_selftest_claim(ref, cand, report, cfg.selftest_tol)
-    if cfg.as_json:
+    report = run_selftest(witness, ref, cand, tol=tol)
+    verified = verify_selftest_claim(ref, cand, report, tol)
+    if args.json:
         payload = selftest_report_to_json_dict(report)
         payload["verified"] = verified
         _emit_json(payload)
@@ -302,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="independence number, theta, fractional packing")
     add_common(p, graph_input=True)
-    p.add_argument("--solver-tol", type=float, default=1e-9, dest="solver_tol")
+    p.add_argument("--solver-tol", type=float, default=SOLVER_TOL, dest="solver_tol")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("certify", help="verify a closed-form dual certificate")
@@ -311,8 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="dual nondegeneracy of the optimizer")
     add_common(p, graph_input=True)
-    p.add_argument("--solver-tol", type=float, default=1e-9, dest="solver_tol")
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--solver-tol", type=float, default=SOLVER_TOL, dest="solver_tol")
+    p.add_argument("--threshold", type=float, default=NULL_THRESHOLD)
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser("selftest", help="run the extraction pipeline on a candidate")

@@ -199,9 +199,9 @@ def maximal_cliques(g: WeightedGraph, limit: int = 100_000) -> list[tuple[int, .
     return sorted(out)
 
 
-def fractional_packing(g: WeightedGraph, max_cliques: int = 100_000) -> float:
+def fractional_packing(g: WeightedGraph) -> float:
     """LP value max sum(w_i x_i) s.t. sum over each maximal clique <= 1, x >= 0."""
-    cliques = maximal_cliques(g, limit=max_cliques)
+    cliques = maximal_cliques(g)
     a_ub = np.zeros((len(cliques), g.n))
     for r, clique in enumerate(cliques):
         a_ub[r, list(clique)] = 1.0
@@ -275,8 +275,8 @@ def from_json_dict(d: dict) -> WeightedGraph:
     return WeightedGraph(n, edges, weights)
 
 
-def to_dot(g: WeightedGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: WeightedGraph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f'  {v} [weight="{g.weights[v]!r}"];')
     for i, j in g.edges:

@@ -15,6 +15,10 @@ import numpy as np
 
 from .graphs import WeightedGraph
 
+PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
+NORM_TOL = 1e-12  # deviation of the state norm from 1
+POLE_TOL = 1e-14  # Bloch directions this close to -z use the fixed south-pole ket
+
 
 @dataclass(frozen=True)
 class BellScenario:
@@ -211,11 +215,11 @@ class Realization:
     kets: tuple[tuple[tuple[np.ndarray, ...], ...], ...] | None = None
 
 
-def validate_realization(r: Realization, tol: float = 1e-10) -> None:
+def validate_realization(r: Realization) -> None:
     state = np.asarray(r.state)
     if state.shape != (int(np.prod(r.dims)),):
         raise ValueError("state length must equal the product of the dims")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     if len(r.projectors) != len(r.dims):
         raise ValueError(
@@ -227,13 +231,13 @@ def validate_realization(r: Realization, tol: float = 1e-10) -> None:
                 p = np.asarray(p)
                 if p.shape != (r.dims[j], r.dims[j]):
                     raise ValueError(f"projector {j}:{x}:{a} has wrong shape")
-                if np.abs(p - p.conj().T).max() > tol:
+                if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                     raise ValueError(f"projector {j}:{x}:{a} not Hermitian")
-                if np.abs(p @ p - p).max() > tol:
+                if np.abs(p @ p - p).max() > PROJECTOR_TOL:
                     raise ValueError(f"projector {j}:{x}:{a} not idempotent")
             for a in range(len(setting)):
                 for b in range(a + 1, len(setting)):
-                    if np.abs(setting[a] @ setting[b]).max() > tol:
+                    if np.abs(setting[a] @ setting[b]).max() > PROJECTOR_TOL:
                         raise ValueError(
                             f"projectors {j}:{x}:{a} and {j}:{x}:{b} not orthogonal"
                         )
@@ -253,8 +257,8 @@ def kron_all(mats) -> np.ndarray:
 def evaluate_witness(wit: BellWitness, r: Realization) -> tuple[float, np.ndarray]:
     """Witness value sum_i w_i p_i and the per-event behavior vector.
 
-    Validates the realization and checks exclusivity: tr(Pi_i Pi_j) <= 1e-10
-    for every edge of the exclusivity graph.
+    Validates the realization and checks exclusivity: tr(Pi_i Pi_j) <=
+    PROJECTOR_TOL for every edge of the exclusivity graph.
     """
     validate_realization(r)
     if len(r.dims) != wit.scenario.parties:
@@ -265,7 +269,7 @@ def evaluate_witness(wit: BellWitness, r: Realization) -> tuple[float, np.ndarra
     g = exclusivity_graph(wit)
     for i, j in g.edges:
         overlap = float(np.abs(np.trace(ops[i] @ ops[j])))
-        if overlap > 1e-10:
+        if overlap > PROJECTOR_TOL:
             raise ValueError(
                 f"events {i} and {j} are exclusive but tr(Pi_i Pi_j) = {overlap:.3e}"
             )
@@ -351,7 +355,7 @@ def mermin_realization() -> Realization:
 
 
 def _bloch_ket(n: np.ndarray) -> np.ndarray:
-    if n[2] < -1.0 + 1e-14:
+    if n[2] < -1.0 + POLE_TOL:
         return np.array([0.0, 1.0], dtype=complex)
     v = np.array([1.0 + n[2], n[0] + 1j * n[1]], dtype=complex)
     return v / np.linalg.norm(v)

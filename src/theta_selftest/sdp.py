@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SOLVER_TOL = 1e-9  # default bound on the relative gap and both infeasibilities
+
 
 class SolverError(RuntimeError):
     """Non-convergence diagnostic carrying the final residuals."""
@@ -104,7 +106,7 @@ def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
 
 def solve_sdp(
     problem: SdpProblem,
-    tol: float = 1e-9,
+    tol: float = SOLVER_TOL,
     max_iter: int = 200,
     start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SdpSolution:

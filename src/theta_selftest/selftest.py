@@ -18,12 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenarios import Event, Realization, event_projectors, kron_all, validate_realization
+from .scenarios import (
+    PROJECTOR_TOL,
+    Event,
+    Realization,
+    event_projectors,
+    kron_all,
+    validate_realization,
+)
 
-OVERLAP_TOL = 1e-8  # numeric threshold for "nonzero overlap" tests
+SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
+OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one/product tests
 ETA_TOL = 1e-10  # events with smaller norm are treated as degenerate
 SECTOR_TOL = 1e-8  # leakage bound for annihilating sectors (general rank)
 PHASE_TOL = 1e-6  # unit-modulus checks on propagated phase factors
+EIGEN_TOL = 1e-7  # eigenvalue match selecting a corner sector (general rank)
+TRACE_SLACK = 1e-6  # slack on the summed block dimensions (general rank)
 
 
 class SelfTestError(Exception):
@@ -66,10 +76,10 @@ class ProductStructure:
         return self.phases[i] * kron_all(kets)
 
 
-def _canonical_phase(v: np.ndarray, tol: float = OVERLAP_TOL) -> np.ndarray:
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate `v` (a ket or a matrix) so its first significant entry, in
     row-major order, is positive real."""
-    nz = np.flatnonzero(np.abs(v) > tol)
+    nz = np.flatnonzero(np.abs(v) > OVERLAP_TOL)
     if nz.size == 0:
         return v
     z = v.flat[nz[0]]
@@ -78,7 +88,7 @@ def _canonical_phase(v: np.ndarray, tol: float = OVERLAP_TOL) -> np.ndarray:
 
 def _rank_one_ket(p: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(np.asarray(p, dtype=complex))
-    if abs(w[-1] - 1.0) > 1e-8 or (w.size > 1 and abs(w[-2]) > 1e-8):
+    if abs(w[-1] - 1.0) > OVERLAP_TOL or (w.size > 1 and abs(w[-2]) > OVERLAP_TOL):
         raise PreconditionError("projector is not rank one")
     return u[:, -1]
 
@@ -117,7 +127,7 @@ def product_structure_from_realization(
             raise PreconditionError(f"event {i} has negligible probability")
         u = kron_all([locals_[j][event_locals[i][j]] for j in range(parties)])
         phase = np.vdot(u, proj) / eta
-        if np.linalg.norm(proj / eta - phase * u) > 1e-8:
+        if np.linalg.norm(proj / eta - phase * u) > OVERLAP_TOL:
             raise PreconditionError(f"event {i} vector is not a local product")
         phases[i] = phase / abs(phase)
         etas[i] = eta
@@ -147,11 +157,11 @@ class ConditionReport:
         return [k for k in keys if not self.verdicts.get(k, False)]
 
 
-def _span_rank(vectors, tol: float = OVERLAP_TOL) -> int:
+def _span_rank(vectors) -> int:
     m = np.array(vectors)
     if m.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(m, tol=tol))
+    return int(np.linalg.matrix_rank(m, tol=OVERLAP_TOL))
 
 
 def _residual_outside_span(v: np.ndarray, vectors) -> float:
@@ -178,7 +188,7 @@ def _connected(nodes, edges) -> bool:
     return len(seen) == len(nodes)
 
 
-def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int, tol: float):
+def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int):
     """Search index family (I_B, {I_A per i_B}) with the four properties:
     containment of the product pairs, spanning on both sides, and
     connectivity of the overlap/nonorthogonality graph.  Returns the first
@@ -188,14 +198,14 @@ def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int, tol: float):
     for ia, ib in sorted(pairs):
         rows.setdefault(ib, []).append(ia)
     for i_b_subset in itertools.combinations(sorted(rows), d_b):
-        if _span_rank([b_vectors[i] for i in i_b_subset], tol) < d_b:
+        if _span_rank([b_vectors[i] for i in i_b_subset]) < d_b:
             continue
         options = []
         for ib in i_b_subset:
             opts = [
                 s
                 for s in itertools.combinations(rows[ib], d_a)
-                if _span_rank([a_vectors[i] for i in s], tol) == d_a
+                if _span_rank([a_vectors[i] for i in s]) == d_a
             ]
             options.append(opts)
         if any(not o for o in options):
@@ -205,7 +215,7 @@ def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int, tol: float):
             edges = [
                 (p, q)
                 for p, q in itertools.combinations(i_b_subset, 2)
-                if abs(np.vdot(b_vectors[p], b_vectors[q])) > tol
+                if abs(np.vdot(b_vectors[p], b_vectors[q])) > OVERLAP_TOL
                 and set(sets[p]) & set(sets[q])
             ]
             if _connected(i_b_subset, edges):
@@ -213,24 +223,24 @@ def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int, tol: float):
     return None
 
 
-def _orthogonal_pairing(kets, tol: float):
+def _orthogonal_pairing(kets):
     """Partition 4 local kets into two mutually orthogonal pairs, or None."""
     if len(kets) != 4:
         return None
     for partner in (1, 2, 3):
-        if abs(np.vdot(kets[0], kets[partner])) > tol:
+        if abs(np.vdot(kets[0], kets[partner])) > OVERLAP_TOL:
             continue
         rest = [k for k in (1, 2, 3) if k != partner]
-        if abs(np.vdot(kets[rest[0]], kets[rest[1]])) <= tol:
+        if abs(np.vdot(kets[rest[0]], kets[rest[1]])) <= OVERLAP_TOL:
             return ((0, partner), (rest[0], rest[1]))
     return None
 
 
-def _joint_span(ps: ProductStructure, overlap_tol: float) -> tuple[int, float]:
+def _joint_span(ps: ProductStructure) -> tuple[int, float]:
     """Span dimension of the event vectors plus the state, and the state's
     residual outside the span of the event vectors."""
     vs = [ps.product_vector(i) for i in range(len(ps.events))]
-    return _span_rank(vs + [ps.state], overlap_tol), _residual_outside_span(ps.state, vs)
+    return _span_rank(vs + [ps.state]), _residual_outside_span(ps.state, vs)
 
 
 def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, shown) -> None:
@@ -240,11 +250,9 @@ def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, sh
         rep.reasons[key] = f"ideal dimensions are {shown}"
 
 
-def _pairing_verdict(
-    rep: ConditionReport, key: str, ps: ProductStructure, overlap_tol: float
-) -> None:
+def _pairing_verdict(rep: ConditionReport, key: str, ps: ProductStructure) -> None:
     """A4/A9: each party's four local kets split into two orthogonal pairs."""
-    pairings = tuple(_orthogonal_pairing(kets, overlap_tol) for kets in ps.locals_)
+    pairings = tuple(_orthogonal_pairing(kets) for kets in ps.locals_)
     rep.verdicts[key] = None not in pairings
     if rep.verdicts[key]:
         rep.evidence[key] = pairings
@@ -253,9 +261,7 @@ def _pairing_verdict(
         rep.reasons[key] = f"party {j} has no orthogonal pairing of 4 local kets"
 
 
-def check_bipartite_conditions(
-    ps: ProductStructure, overlap_tol: float = OVERLAP_TOL
-) -> ConditionReport:
+def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
     """Verdicts for A1 (joint span), A2 with its B1-B4 sub-conditions, A3
     (qubit ideal spaces), and A4 (four local kets in orthogonal pairs)."""
     if ps.party_count != 2:
@@ -264,14 +270,14 @@ def check_bipartite_conditions(
     rep = ConditionReport({}, {}, {})
     verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
 
-    joint_rank, psi_res = _joint_span(ps, overlap_tol)
+    joint_rank, psi_res = _joint_span(ps)
     verdicts["A1"] = joint_rank == d_a * d_b
     evidence["A1"] = {"span_dim": joint_rank, "state_residual": psi_res}
     if not verdicts["A1"]:
         reasons["A1"] = f"event vectors and state span {joint_rank} < {d_a * d_b} dims"
 
     pairs = {(loc[0], loc[1]) for loc in ps.event_locals}
-    found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b, overlap_tol)
+    found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b)
     verdicts["A2"] = found is not None
     for key in ("B1", "B2", "B3", "B4"):
         verdicts[key] = found is not None
@@ -283,11 +289,11 @@ def check_bipartite_conditions(
             reasons[key] = msg
 
     _ideal_dims_verdict(rep, "A3", ps, f"{d_a} x {d_b}")
-    _pairing_verdict(rep, "A4", ps, overlap_tol)
+    _pairing_verdict(rep, "A4", ps)
     return rep
 
 
-def _linked_edges(ps: ProductStructure, overlap_tol: float):
+def _linked_edges(ps: ProductStructure):
     """Edges between first-party local indices certified by linked triples.
 
     A triple of events is linked when its pairwise vector overlaps are all
@@ -305,7 +311,7 @@ def _linked_edges(ps: ProductStructure, overlap_tol: float):
         return eq[0] if len(eq) == 1 else None
 
     for i, j, k in itertools.combinations(range(n), 3):
-        if min(abs(gram[i, j]), abs(gram[i, k]), abs(gram[j, k])) <= overlap_tol:
+        if min(abs(gram[i, j]), abs(gram[i, k]), abs(gram[j, k])) <= OVERLAP_TOL:
             continue
         ts = (shared(i, j), shared(i, k), shared(j, k))
         if None in ts or set(ts) != {0, 1, 2}:
@@ -316,9 +322,7 @@ def _linked_edges(ps: ProductStructure, overlap_tol: float):
     return found
 
 
-def check_tripartite_conditions(
-    ps: ProductStructure, overlap_tol: float = OVERLAP_TOL
-) -> ConditionReport:
+def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
     """Verdicts for A5-A9.
 
     A5 is checked in its operative form: each party's local kets span that
@@ -334,11 +338,11 @@ def check_tripartite_conditions(
     rep = ConditionReport({}, {}, {})
     verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
 
-    party_ranks = [_span_rank(ps.locals_[j], overlap_tol) for j in range(3)]
-    joint_rank, psi_res = _joint_span(ps, overlap_tol)
+    party_ranks = [_span_rank(ps.locals_[j]) for j in range(3)]
+    joint_rank, psi_res = _joint_span(ps)
     verdicts["A5"] = all(
         party_ranks[j] == ps.dims[j] for j in range(3)
-    ) and psi_res <= 1e-8
+    ) and psi_res <= OVERLAP_TOL
     evidence["A5"] = {
         "party_span_dims": tuple(party_ranks),
         "joint_span_dim": joint_rank,
@@ -350,7 +354,7 @@ def check_tripartite_conditions(
         )
 
     locs = ps.event_locals
-    linked = _linked_edges(ps, overlap_tol)
+    linked = _linked_edges(ps)
     rows_a: dict[int, list[tuple[int, int]]] = {}
     for loc in locs:
         rows_a.setdefault(loc[0], []).append((loc[1], loc[2]))
@@ -368,7 +372,7 @@ def check_tripartite_conditions(
     a6_first = None
     a6a7 = None
     for i_a_subset in itertools.combinations(sorted(rows_a), d_a):
-        if _span_rank([ps.locals_[0][i] for i in i_a_subset], overlap_tol) < d_a:
+        if _span_rank([ps.locals_[0][i] for i in i_a_subset]) < d_a:
             continue
         edges = [
             (p, q)
@@ -378,7 +382,7 @@ def check_tripartite_conditions(
         if not _connected(i_a_subset, edges):
             continue
         bc_pairs = sorted({p for ia in i_a_subset for p in rows_a[ia]})
-        if _span_rank([bc_vector(p) for p in bc_pairs], overlap_tol) < d_b * d_c:
+        if _span_rank([bc_vector(p) for p in bc_pairs]) < d_b * d_c:
             continue
         ev6 = {
             "I_A": i_a_subset,
@@ -394,7 +398,6 @@ def check_tripartite_conditions(
             ps.locals_[1],
             d_c,
             d_b,
-            overlap_tol,
         )
         if found is not None:
             a6a7 = (ev6, found)
@@ -418,13 +421,11 @@ def check_tripartite_conditions(
         reasons["A7"] = "searched only after A6"
 
     _ideal_dims_verdict(rep, "A8", ps, ps.dims)
-    _pairing_verdict(rep, "A9", ps, overlap_tol)
+    _pairing_verdict(rep, "A9", ps)
     return rep
 
 
-def check_projector_condition_C1(
-    r: Realization, ps: ProductStructure, tol: float = 1e-10
-) -> bool:
+def check_projector_condition_C1(r: Realization, ps: ProductStructure) -> bool:
     """For every orthogonal pair of reference local kets, the candidate's two
     projectors must sum to the identity."""
     if len(r.dims) != ps.party_count:
@@ -440,7 +441,7 @@ def check_projector_condition_C1(
                 total = r.projectors[j][x1][a1] + r.projectors[j][x2][a2]
             except IndexError as exc:
                 raise ValueError("candidate projector labels do not cover the structure") from exc
-            if np.abs(total - eye).max() > tol:
+            if np.abs(total - eye).max() > PROJECTOR_TOL:
                 return False
     return True
 
@@ -657,7 +658,7 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_ma
 
     def corner_leak(op, target):
         w_eig, u_eig = np.linalg.eigh(op)
-        sel = np.abs(w_eig - target) <= 1e-7
+        sel = np.abs(w_eig - target) <= EIGEN_TOL
         if not sel.any():
             return 0.0
         p = u_eig[:, sel] @ u_eig[:, sel].conj().T
@@ -709,7 +710,7 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_ma
             np.column_stack([e_vec, (c / abs(c)) * g_vec]) @ b_ref.conj().T
         )
     total = sum(np.trace(b).real for b in blocks)
-    if total > dim + 1e-6:
+    if total > dim + TRACE_SLACK:
         raise NotOptimizerError(f"party {j} block dimensions exceed the space")
     return blocks, v_blocks
 
@@ -798,11 +799,11 @@ def _extract_general(
     )
 
 
-def candidate_is_rank_one(cand: Realization, tol: float = 1e-8) -> bool:
+def candidate_is_rank_one(cand: Realization) -> bool:
     for party in cand.projectors:
         for setting in party:
             for p in setting:
-                if abs(np.trace(np.asarray(p)).real - 1.0) > tol:
+                if abs(np.trace(np.asarray(p)).real - 1.0) > OVERLAP_TOL:
                     return False
     return True
 
@@ -870,7 +871,7 @@ def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> Non
 
 
 def run_selftest(
-    witness, ref: Realization, cand: Realization, tol: float = 1e-8
+    witness, ref: Realization, cand: Realization, tol: float = SELFTEST_TOL
 ) -> SelfTestReport:
     """Check the reference's conditions, then extract isometries onto `cand`:
     by the rank-one core when every candidate projector is rank one, else
@@ -900,10 +901,10 @@ def verify_selftest_claim(
     ref: Realization, cand: Realization, report: SelfTestReport, tol: float
 ) -> bool:
     """Independently re-check isometry property, state residual, and the
-    measurement-action residual for every witness event."""
+    measurement-action residual for every witness event, each within `tol`."""
     for v in report.isometries:
         eye = np.eye(v.shape[1])
-        if np.abs(v.conj().T @ v - eye).max() > 1e-9:
+        if np.abs(v.conj().T @ v - eye).max() > tol:
             return False
     big = kron_all(list(report.isometries))
     ref_state = np.asarray(ref.state, dtype=complex)

@@ -16,7 +16,17 @@ import numpy as np
 
 from .graphs import WeightedGraph, circulant, complement
 from .scenarios import exclusivity_graph, mermin_witness
-from .sdp import SdpProblem, SdpSolution, SolverError, min_eigenvalue, solve_sdp
+from .sdp import (
+    SOLVER_TOL,
+    SdpProblem,
+    SdpSolution,
+    SolverError,
+    min_eigenvalue,
+    solve_sdp,
+)
+
+CERT_TOL = 1e-9  # certificate entries vs. their structural values; PSD slack
+NULL_THRESHOLD = 1e-8  # relative singular value counted as null in uniqueness
 
 
 class CertificateError(Exception):
@@ -91,7 +101,7 @@ _START_LADDER: tuple[tuple[float, float], ...] = (
 
 def solve_theta_problem(
     g: WeightedGraph,
-    tol: float = 1e-9,
+    tol: float = SOLVER_TOL,
     start: tuple[float, float] | None = None,
 ) -> SdpSolution:
     """Solve the theta SDP; `start` = (primal_scale, dual_scale) if given.
@@ -112,11 +122,9 @@ def solve_theta_problem(
     raise err
 
 
-def lovasz_theta(
-    g: WeightedGraph, tol: float = 1e-9, start: tuple[float, float] | None = None
-) -> tuple[float, np.ndarray]:
+def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.ndarray]:
     """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix."""
-    sol = solve_theta_problem(g, tol=tol, start=start)
+    sol = solve_theta_problem(g, tol=tol)
     return sol.value, sol.primal
 
 
@@ -206,39 +214,30 @@ def mobius_theta_closed_form(N: int) -> float:
 
 
 def verify_dual_certificate(
-    g: WeightedGraph, cert: ThetaDualCertificate, tol: float = 1e-9
+    g: WeightedGraph, cert: ThetaDualCertificate, tol: float = CERT_TOL
 ) -> float:
     """Check structural form and positive semidefiniteness; return the bound t.
 
-    Structural checks (entry tolerance 1e-9): Z_00 = t, border = -lambda/2,
-    diagonal = lambda - w, edge entries = mu/2, non-edge off-diagonals zero.
+    The matrix must equal certificate_matrix(g, t, lambda, mu) entrywise
+    within CERT_TOL: Z_00 = t, border = -lambda/2, diagonal = lambda - w,
+    edge entries = mu/2, non-edge off-diagonals zero.  Its minimum
+    eigenvalue must be at least -tol.
     """
     z = np.asarray(cert.matrix, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
         raise MalformedCertificateError("certificate dimension mismatch")
-    if not np.allclose(z, z.T, atol=1e-9):
-        raise MalformedCertificateError("certificate matrix not symmetric")
-    etol = 1e-9
-
-    def entry_check(val, want, what):
-        if abs(val - want) > etol:
-            raise MalformedCertificateError(f"{what}: {val!r} != {want!r}")
-
-    entry_check(z[0, 0], cert.t, "entry (0,0) vs t")
     if len(cert.lambdas) != g.n:
         raise MalformedCertificateError("lambda vector length mismatch")
-    for i in range(g.n):
-        entry_check(z[0, i + 1], -cert.lambdas[i] / 2.0, f"border entry {i}")
-        entry_check(
-            z[i + 1, i + 1], cert.lambdas[i] - g.weights[i], f"diagonal entry {i}"
+    try:
+        want = certificate_matrix(g, cert.t, cert.lambdas, cert.mus)
+    except ValueError as exc:
+        raise MalformedCertificateError(str(exc)) from exc
+    bad = np.argwhere(~(np.abs(z - want) <= CERT_TOL))
+    if bad.size:
+        p, q = bad[0]
+        raise MalformedCertificateError(
+            f"entry ({p},{q}): {float(z[p, q])!r} != {float(want[p, q])!r}"
         )
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.has_edge(i, j):
-                mu = cert.mus.get((i, j), 0.0)
-                entry_check(z[i + 1, j + 1], mu / 2.0, f"edge entry ({i},{j})")
-            else:
-                entry_check(z[i + 1, j + 1], 0.0, f"non-edge entry ({i},{j})")
     lam_min = min_eigenvalue(z)
     if lam_min < -tol:
         raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{tol:.1e}")
@@ -253,7 +252,7 @@ class UniquenessVerdict:
 
 
 def dual_nondegenerate(
-    g: WeightedGraph, z: np.ndarray, threshold: float = 1e-8
+    g: WeightedGraph, z: np.ndarray, threshold: float = NULL_THRESHOLD
 ) -> UniquenessVerdict:
     """Decide dual nondegeneracy of an optimal slack Z.
 
@@ -348,7 +347,7 @@ def certificate_from_json_dict(g: WeightedGraph, d: dict) -> ThetaDualCertificat
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate document: {exc}") from exc
     if "matrix" in d and not np.allclose(
-        np.asarray(d["matrix"], dtype=float), cert.matrix, atol=1e-9
+        np.asarray(d["matrix"], dtype=float), cert.matrix, atol=CERT_TOL
     ):
         raise MalformedCertificateError("matrix disagrees with t/lambda/mu fields")
     return cert

@@ -203,6 +203,27 @@ class TestSelftest:
         code, _, _ = run_cli(["selftest", "--scenario", "chsh"])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["theta", "certify", "uniqueness"])
+    def test_tolerance_variable_ignored_by_other_commands(self, monkeypatch, command):
+        argv = [command, "--scenario", "chsh"]
+        monkeypatch.delenv("THETA_SELFTEST_TOL", raising=False)
+        unset = run_cli(argv)
+        monkeypatch.setenv("THETA_SELFTEST_TOL", "not-a-number")
+        code, out, _ = run_cli(argv)
+        assert unset[0] == code == 0
+        assert out == unset[1]
+
+    def test_isometry_check_uses_acceptance_tolerance(self, tmp_path):
+        # Residuals near 1e-9 and an isometry deviation of 1.5e-9: accepted
+        # under the default 1e-7, rejected under 1e-10.
+        cand = perturbed_candidate(reference_realization("chained:3"), angle=1e-9)
+        path = _write_realization(tmp_path / "cand.json", cand)
+        argv = ["selftest", "--scenario", "chained:3", "--candidate", path]
+        code, out, _ = run_cli(argv)
+        assert code == 0 and "ACCEPT" in out
+        code, _, _ = run_cli(argv + ["--tol", "1e-10"])
+        assert code == 3
+
     @pytest.mark.parametrize("shape", ["party", "setting", "outcome"])
     def test_malformed_candidate_is_input_error(self, tmp_path, shape):
         doc = realization_to_json_dict(reference_realization("chsh"))

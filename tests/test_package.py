@@ -1,6 +1,13 @@
-"""The package's public namespace."""
+"""The package's public namespace and its tolerance policy."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
 
 import theta_selftest
+from theta_selftest import cli, sdp, selftest, theta
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +20,48 @@ def test_star_import():
     namespace: dict = {}
     exec("from theta_selftest import *", namespace)
     assert set(theta_selftest.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", ["cli", "theta", "scenarios", "selftest"])
+def test_small_float_literals_are_named_constants(module):
+    """Every tolerance-sized float (0 < |x| < 1e-3) is the value of a
+    module-level ``NAME = ...`` assignment, so each threshold is stated once
+    and every use refers to it by name.
+
+    ``sdp`` and ``graphs`` are exempt: their small literals are internal
+    epsilons of one algorithm each (the solver's step length and cone nudge,
+    the circulant-spectrum symmetry check, the branch-and-bound comparison
+    slack), not verdicts a caller reads or sets.
+    """
+    path = Path(theta_selftest.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+    }
+    loose = [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-3
+        and id(node) not in named
+    ]
+    assert loose == []
+
+
+def _flag_default(command: str, dest: str):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return sub.choices[command].get_default(dest)
+
+
+def test_each_default_has_a_single_source():
+    # Identity, not equality: each default is the owning module's constant.
+    assert _flag_default("theta", "solver_tol") is sdp.SOLVER_TOL
+    assert _flag_default("uniqueness", "solver_tol") is sdp.SOLVER_TOL
+    assert _flag_default("uniqueness", "threshold") is theta.NULL_THRESHOLD
+    tol = inspect.signature(selftest.run_selftest).parameters["tol"].default
+    assert tol is selftest.SELFTEST_TOL

@@ -33,6 +33,7 @@ from theta_selftest import (
     verify_selftest_claim,
 )
 from theta_selftest.selftest import (
+    SELFTEST_TOL,
     condition_report_to_json_dict,
     selftest_report_to_json_dict,
 )
@@ -179,6 +180,14 @@ class TestRankOneExtraction:
         cand = perturbed_candidate(r, angle=0.05)
         with pytest.raises(NotOptimizerError, match="Gram mismatch"):
             run_selftest(wit, r, cand)
+
+    def test_candidate_within_default_tolerance_accepted(self):
+        # A 4e-8 rotation moves the Gram matrix by 1.7e-8: inside the 1e-7
+        # acceptance tolerance that run_selftest and the CLI share.
+        wit, r, _ = _structure("chsh")
+        cand = perturbed_candidate(r, angle=4e-8)
+        report = run_selftest(wit, r, cand)
+        assert verify_selftest_claim(r, cand, report, SELFTEST_TOL)
 
     def test_witness_value_drop_of_rejected_candidate(self):
         wit, r, _ = _structure("chsh")

@@ -153,6 +153,21 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError):
             verify_dual_certificate(CHSH_GRAPH, tampered)
 
+    def test_nan_entry_raises(self):
+        cert = chsh_dual_certificate()
+        bad = np.array(cert.matrix)
+        bad[1, 3] = bad[3, 1] = np.nan
+        tampered = type(cert)(t=cert.t, lambdas=cert.lambdas, mus=cert.mus, matrix=bad)
+        with pytest.raises(MalformedCertificateError):
+            verify_dual_certificate(CHSH_GRAPH, tampered)
+
+    def test_mu_on_non_edge_is_malformed(self):
+        cert = chsh_dual_certificate()
+        mus = {**cert.mus, (0, 2): 0.0}  # (0, 2) is not an edge of Ci_8(1, 4)
+        tampered = type(cert)(t=cert.t, lambdas=cert.lambdas, mus=mus, matrix=cert.matrix)
+        with pytest.raises(MalformedCertificateError, match="non-edge"):
+            verify_dual_certificate(CHSH_GRAPH, tampered)
+
     def test_negative_eigenvalue_raises(self):
         cert = make_certificate(C5, 1.0, [2.0] * 5, {})
         with pytest.raises(NotPsdError):
