@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 Edge = tuple[int, int]
 
@@ -201,6 +200,9 @@ def maximal_cliques(g: WeightedGraph, limit: int = 100_000) -> list[tuple[int, .
 
 def fractional_packing(g: WeightedGraph) -> float:
     """LP value max sum(w_i x_i) s.t. sum over each maximal clique <= 1, x >= 0."""
+    # Imported here so that only the alpha* bound pays scipy's load time.
+    from scipy.optimize import linprog
+
     cliques = maximal_cliques(g)
     a_ub = np.zeros((len(cliques), g.n))
     for r, clique in enumerate(cliques):

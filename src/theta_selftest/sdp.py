@@ -229,7 +229,7 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
     n = c.shape[0]
     if n < 1:
         raise ValueError("row must be nonempty")
-    if not np.allclose(c[1:], c[1:][::-1], atol=1e-12):
+    if not np.allclose(c[1:], c[1:][::-1], rtol=0.0, atol=1e-12):
         raise ValueError("row must satisfy c_j = c_{n-j} for a real spectrum")
     j = np.arange(n)
     k = np.arange(n)

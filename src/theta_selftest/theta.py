@@ -251,6 +251,28 @@ class UniquenessVerdict:
     residual: float
 
 
+def _nondegeneracy_system(g: WeightedGraph, z: np.ndarray) -> np.ndarray:
+    """The homogeneous system of dual_nondegenerate, one column per upper-triangle
+    entry (p, q) of M in row-major order."""
+    d = g.n + 1
+    col = np.empty((d, d), dtype=int)
+    iu, ju = np.triu_indices(d)
+    col[iu, ju] = col[ju, iu] = np.arange(iu.size)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    head = d + len(edges)
+    s = np.zeros((head + d * d, iu.size))
+    v = np.arange(1, d)
+    s[0, col[0, 0]] = 1.0  # M_00 = 0
+    s[v, col[0, v]] = 1.0  # M_0i - M_ii = 0
+    s[v, col[v, v]] = -1.0
+    s[d + np.arange(len(edges)), col[edges[:, 0], edges[:, 1]]] = 1.0  # M_ij = 0
+    # M Z = 0, flattened row-major: (M Z)_ab = sum_c M_ac Z_cb, so row
+    # head + a*d + b takes Z_cb in column (a, c).  No (row, column) repeats.
+    a, b, c = np.ogrid[:d, :d, :d]
+    s[head + a * d + b, col[a, c]] = z[c, b]
+    return s
+
+
 def dual_nondegenerate(
     g: WeightedGraph, z: np.ndarray, threshold: float = NULL_THRESHOLD
 ) -> UniquenessVerdict:
@@ -263,36 +285,13 @@ def dual_nondegenerate(
     the primal optimizer is unique) iff the null space is trivial.
     """
     z = np.asarray(z, dtype=float)
-    d = g.n + 1
-    if z.shape != (d, d):
+    if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
-    unknowns = [(p, q) for p in range(d) for q in range(p, d)]
-    col_of = {pq: idx for idx, pq in enumerate(unknowns)}
-    n_rows = 1 + g.n + len(g.edges) + d * d
-    s = np.zeros((n_rows, len(unknowns)))
-    row = 0
-    s[row, col_of[(0, 0)]] = 1.0  # M_00 = 0
-    row += 1
-    for i in range(g.n):  # M_0i - M_ii = 0
-        s[row, col_of[(0, i + 1)]] = 1.0
-        s[row, col_of[(i + 1, i + 1)]] = -1.0
-        row += 1
-    for i, j in g.edges:  # M_ij = 0
-        s[row, col_of[(i + 1, j + 1)]] = 1.0
-        row += 1
-    # M Z = 0, flattened row-major: with M = E_pq (ones, both triangles),
-    # column (p,q) of the system is kron(e_p, Z_q) [+ kron(e_q, Z_p) if p != q].
-    eye = np.eye(d)
-    for p, q in unknowns:
-        col = np.kron(eye[p], z[q])
-        if p != q:
-            col = col + np.kron(eye[q], z[p])
-        s[row : row + d * d, col_of[(p, q)]] = col
-    row += d * d
+    s = _nondegeneracy_system(g, z)
     sv = np.linalg.svd(s, compute_uv=False)
     smax = float(sv.max()) if sv.size else 0.0
     if smax == 0.0:
-        dim = len(unknowns)
+        dim = s.shape[1]
         residual = 0.0
     else:
         dim = int(np.sum(sv <= threshold * smax))
@@ -346,8 +345,10 @@ def certificate_from_json_dict(g: WeightedGraph, d: dict) -> ThetaDualCertificat
         cert = make_certificate(g, float(d["t"]), [float(v) for v in d["lambda"]], mus)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate document: {exc}") from exc
-    if "matrix" in d and not np.allclose(
-        np.asarray(d["matrix"], dtype=float), cert.matrix, atol=CERT_TOL
-    ):
-        raise MalformedCertificateError("matrix disagrees with t/lambda/mu fields")
+    if "matrix" in d:
+        matrix = np.asarray(d["matrix"], dtype=float)
+        if matrix.shape != cert.matrix.shape:
+            raise MalformedCertificateError("certificate dimension mismatch")
+        if not np.all(np.abs(matrix - cert.matrix) <= CERT_TOL):
+            raise MalformedCertificateError("matrix disagrees with t/lambda/mu fields")
     return cert

@@ -1,7 +1,10 @@
-"""The package's public namespace and its tolerance policy."""
+"""The package's public namespace, its tolerance policy and its import footprint."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,41 @@ def test_each_default_has_a_single_source():
     assert _flag_default("uniqueness", "threshold") is theta.NULL_THRESHOLD
     tol = inspect.signature(selftest.run_selftest).parameters["tol"].default
     assert tol is selftest.SELFTEST_TOL
+
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import theta_selftest
+from theta_selftest import cli
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_modules_after(commands: list[list[str]]) -> set[str]:
+    # A fresh interpreter: this pytest process has loaded scipy already.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE.format(commands=commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_commands_other_than_theta_load_no_scipy():
+    """scipy serves the alpha* LP alone, so no other command pays its import."""
+    commands = [
+        ["certify", "--scenario", "chsh"],
+        ["uniqueness", "--scenario", "chained:3"],
+        ["selftest", "--scenario", "chsh"],
+        ["scenario", "--scenario", "chsh"],
+        ["export", "--scenario", "chsh", "--format", "dot"],
+    ]
+    assert _scipy_modules_after(commands) == set()
+
+
+def test_theta_loads_scipy_optimize():
+    assert "scipy.optimize" in _scipy_modules_after([["theta", "--scenario", "chsh"]])

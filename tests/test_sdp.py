@@ -139,3 +139,8 @@ class TestSpectralUtilities:
             circulant_eigenvalues([])
         with pytest.raises(ValueError):
             circulant_eigenvalues([0.0, 1.0, 2.0])  # c_1 != c_{n-1}
+
+    def test_circulant_eigenvalues_no_relative_slack(self):
+        # c_1 and c_3 differ by 5e-6: within allclose's default rtol, not symmetric.
+        with pytest.raises(ValueError):
+            circulant_eigenvalues([2.0, 1.0, 0.0, 1.0 + 5e-6])

@@ -4,6 +4,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
+from conftest import random_graph
 
 from theta_selftest import (
     MalformedCertificateError,
@@ -26,6 +27,7 @@ from theta_selftest import (
     theta_start,
     verify_dual_certificate,
 )
+from theta_selftest.theta import _nondegeneracy_system
 
 C5 = circulant(5, (1,))
 CHSH_GRAPH = circulant(8, (1, 4))
@@ -247,6 +249,39 @@ class TestUniqueness:
         with pytest.raises(ValueError):
             dual_nondegenerate(C5, np.eye(4))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            circulant(12, (1, 6)),
+            exclusivity_graph(mermin_witness()),
+            random_graph(np.random.default_rng(7)),
+        ],
+        ids=["chained:3", "mermin", "random"],
+    )
+    def test_system_matches_loop_oracle(self, g):
+        # The system built row by row, one pair of kron columns per unknown.
+        d = g.n + 1
+        rng = np.random.default_rng(d)
+        z = rng.normal(size=(d, d))
+        z = z + z.T
+        unknowns = [(p, q) for p in range(d) for q in range(p, d)]
+        col_of = {pq: idx for idx, pq in enumerate(unknowns)}
+        want = np.zeros((d + len(g.edges) + d * d, len(unknowns)))
+        want[0, col_of[(0, 0)]] = 1.0
+        for i in range(1, d):
+            want[i, col_of[(0, i)]] = 1.0
+            want[i, col_of[(i, i)]] = -1.0
+        for row, (i, j) in enumerate(g.edges, start=d):
+            want[row, col_of[(i + 1, j + 1)]] = 1.0
+        head = d + len(g.edges)
+        eye = np.eye(d)
+        for p, q in unknowns:
+            col = np.kron(eye[p], z[q])
+            if p != q:
+                col = col + np.kron(eye[q], z[p])
+            want[head:, col_of[(p, q)]] = col
+        assert np.array_equal(_nondegeneracy_system(g, z), want)
+
     def test_nondegeneracy_implies_multi_start_agreement(self):
         # Re-solving from distinct strictly feasible starts recovers the same
         # primal matrix entrywise whenever the dual certificate is nondegenerate.
@@ -274,6 +309,30 @@ class TestCertificateSerialization:
 
         d = certificate_to_json_dict(chsh_dual_certificate())
         d["matrix"][0][0] += 0.5
+        with pytest.raises(MalformedCertificateError):
+            certificate_from_json_dict(CHSH_GRAPH, d)
+
+    def test_json_matrix_held_to_cert_tol(self):
+        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
+
+        d = certificate_to_json_dict(chsh_dual_certificate())
+        d["matrix"][0][0] += 1e-6  # inside allclose's default rtol, far outside CERT_TOL
+        with pytest.raises(MalformedCertificateError, match="disagrees"):
+            certificate_from_json_dict(CHSH_GRAPH, d)
+
+    def test_json_matrix_dimension_mismatch_rejected(self):
+        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
+
+        d = certificate_to_json_dict(chsh_dual_certificate())
+        d["matrix"] = [row[:8] for row in d["matrix"][:8]]
+        with pytest.raises(MalformedCertificateError, match="dimension mismatch"):
+            certificate_from_json_dict(CHSH_GRAPH, d)
+
+    def test_json_matrix_nan_rejected(self):
+        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
+
+        d = certificate_to_json_dict(chsh_dual_certificate())
+        d["matrix"][2][3] = float("nan")
         with pytest.raises(MalformedCertificateError):
             certificate_from_json_dict(CHSH_GRAPH, d)
 
