@@ -20,6 +20,7 @@ import os
 import sys
 
 from .graphs import (
+    ResourceLimitError,
     WeightedGraph,
     circulant,
     fractional_packing,
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SolverError as exc:
+    except (SolverError, ResourceLimitError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except PreconditionError as exc:

@@ -1,14 +1,28 @@
-"""Vertex-weighted graphs: generators, exact independence number, fractional packing."""
+"""Vertex-weighted graphs: generators, exact independence number, fractional packing.
+
+The fractional packing number alpha* (the clique LP) is solved in-package by
+a small interior-point method and enclosed in [lo, hi], whose ends are the
+values of a primal and a dual point repaired to exact feasibility, widened
+by a rounding allowance: they bound alpha* however inaccurate the solver's
+last iterate is.  `theta` prints hi, the end that bounds theta from above.
+"""
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .sdp import SolverError
+
 Edge = tuple[int, int]
+
+
+PACKING_TOL = 1e-10  # relative width of the certified alpha* enclosure
+_PACKING_MAX_ITER = 100
 
 
 class ResourceLimitError(RuntimeError):
@@ -198,25 +212,123 @@ def maximal_cliques(g: WeightedGraph, limit: int = 100_000) -> list[tuple[int, .
     return sorted(out)
 
 
-def fractional_packing(g: WeightedGraph) -> float:
-    """LP value max sum(w_i x_i) s.t. sum over each maximal clique <= 1, x >= 0."""
-    # Imported here so that only the alpha* bound pays scipy's load time.
-    from scipy.optimize import linprog
+def _packing_bounds(
+    a: np.ndarray, w: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float, float]:
+    """Values of x and y repaired into the primal and dual feasible sets.
 
+    x clipped at 0 and divided by max(1, max(Ax)) packs every clique, so
+    w.x is a lower bound on alpha*.  y clipped at 0 covers w once each
+    vertex's deficit max(0, w - A^T y) is added to one clique through it
+    (every vertex lies in a maximal clique), so 1.y plus the deficits is an
+    upper bound (weak duality).  The repair is additive, not a rescaling of
+    y, because a vertex of tiny weight would otherwise inflate all of y.
+    Both ends are widened by an allowance for the rounding of their sums.
+    """
+    x = np.maximum(x, 0.0)
+    lo = float(w @ x) / max(1.0, float((a @ x).max()))
+    y = np.maximum(y, 0.0)
+    hi = float(y.sum()) + float(np.maximum(w - a.T @ y, 0.0).sum())
+    # A sum of k nonnegative terms is off by at most about k*eps relative;
+    # no sum here has more than (cliques + vertices) terms.
+    rounding = (a.shape[0] + a.shape[1]) * sys.float_info.epsilon
+    return lo * (1.0 - rounding), hi * (1.0 + rounding)
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
+    shrinking = dv < 0.0
+    return min(1.0, float((-v[shrinking] / dv[shrinking]).min(initial=np.inf)))
+
+
+def _face_projection(a, w, x, s, y, z) -> tuple[np.ndarray, np.ndarray]:
+    """x and y moved onto the optimal face the iterate points to (Mehrotra and
+    Ye, Math. Prog. 62, 1993): vertices with x > z and cliques with y > s are
+    guessed to be the supports, and complementary slackness is imposed on
+    them by least-change corrections.  The interior-point iterate itself
+    approaches that face only as fast as its ill-conditioning allows.
+    """
+    basic, tight = x > z, y > s
+    block = a[np.ix_(tight, basic)]
+    xp, yp = np.where(basic, x, 0.0), np.where(tight, y, 0.0)
+    xp[basic] += np.linalg.lstsq(block, 1.0 - block @ x[basic], rcond=None)[0]
+    yp[tight] += np.linalg.lstsq(block.T, w[basic] - block.T @ y[tight], rcond=None)[0]
+    return xp, yp
+
+
+def fractional_packing_bounds(g: WeightedGraph) -> tuple[float, float]:
+    """Certified enclosure lo <= alpha* <= hi of the clique LP
+    max w.x  s.t.  sum of x over each maximal clique <= 1,  x >= 0,
+    with hi - lo <= PACKING_TOL * max(1, hi).
+
+    Mehrotra's predictor-corrector primal-dual interior-point method on
+    Ax + s = 1 and A^T y - z = w (A the clique-vertex 0/1 matrix).  Its
+    n x n normal equations (A^T diag(y/s) A + diag(z/x)) dx = r are solved
+    as the least-squares problem they belong to, by QR, which does not
+    square the condition number; weights many orders of magnitude apart
+    stall the method otherwise.  Each iteration turns the iterate and its
+    projection onto the optimal face into bounds (`_packing_bounds`) and
+    stops once they are close.  Raises SolverError when they do not close
+    in _PACKING_MAX_ITER iterations.
+    """
     cliques = maximal_cliques(g)
-    a_ub = np.zeros((len(cliques), g.n))
+    a = np.zeros((len(cliques), g.n))
     for r, clique in enumerate(cliques):
-        a_ub[r, list(clique)] = 1.0
-    res = linprog(
-        c=-np.asarray(g.weights),
-        A_ub=a_ub,
-        b_ub=np.ones(len(cliques)),
-        bounds=(0, None),
-        method="highs",
+        a[r, list(clique)] = 1.0
+    w = np.asarray(g.weights)
+    x, z = np.ones(g.n), np.ones(g.n)
+    s, y = np.ones(len(cliques)), np.ones(len(cliques))
+    for _ in range(_PACKING_MAX_ITER):
+        lo, hi = _packing_bounds(a, w, x, y)
+        face_lo, face_hi = _packing_bounds(a, w, *_face_projection(a, w, x, s, y, z))
+        lo, hi = max(lo, face_lo), min(hi, face_hi)
+        if hi - lo <= PACKING_TOL * max(1.0, hi):
+            return lo, hi
+        rp = 1.0 - a @ x - s
+        rd = w - a.T @ y + z
+        mu = (x @ z + s @ y) / (x.size + s.size)
+        # The normal matrix is K^T K; columns scaled to unit norm, so that
+        # lstsq's relative cutoff keeps the directions of small columns.
+        root_d, root_q = np.sqrt(y / s), np.sqrt(z / x)
+        k = np.vstack((a * root_d[:, None], np.diag(root_q)))
+        unit = 1.0 / np.linalg.norm(k, axis=0)
+        q, r = np.linalg.qr(k * unit)
+
+        def direction(rxz, rsy):
+            rhs = np.concatenate(
+                ((y * rp - rsy) / (s * root_d), (rd + rxz / x) / root_q)
+            )
+            dx = unit * np.linalg.lstsq(r, q.T @ rhs, rcond=None)[0]
+            dy = (y * (a @ dx - rp) + rsy) / s
+            return dx, (rsy - s * dy) / y, dy, (rxz - z * dx) / x
+
+        dx, ds, dy, dz = direction(-x * z, -s * y)
+        tp = min(_max_step(x, dx), _max_step(s, ds))
+        td = min(_max_step(y, dy), _max_step(z, dz))
+        mu_aff = ((x + tp * dx) @ (z + td * dz) + (s + tp * ds) @ (y + td * dy)) / (
+            x.size + s.size
+        )
+        sigma = (mu_aff / mu) ** 3
+        dx, ds, dy, dz = direction(
+            sigma * mu - x * z - dx * dz, sigma * mu - s * y - ds * dy
+        )
+        tp = 0.99 * min(_max_step(x, dx), _max_step(s, ds))
+        td = 0.99 * min(_max_step(y, dy), _max_step(z, dz))
+        x, s = x + tp * dx, s + tp * ds
+        y, z = y + td * dy, z + td * dz
+        if not np.isfinite(np.concatenate((x, s, y, z))).all():
+            break
+    raise SolverError(
+        "fractional packing LP did not converge",
+        float(np.abs(rp).max()),
+        float(np.abs(rd).max()),
+        hi - lo,
     )
-    if not res.success:
-        raise RuntimeError(f"fractional packing LP failed: {res.message}")
-    return float(-res.fun)
+
+
+def fractional_packing(g: WeightedGraph) -> float:
+    """The upper end of `fractional_packing_bounds`, so alpha* <= it (and theta)."""
+    return fractional_packing_bounds(g)[1]
 
 
 def find_isomorphism(g: WeightedGraph, h: WeightedGraph) -> tuple[int, ...] | None:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import functools
 import json
 import os
 from math import cos, pi, sqrt
@@ -11,10 +12,12 @@ from conftest import perturbed_candidate, run_cli, tensor_padded_candidate
 
 from theta_selftest import (
     WeightedGraph,
+    complement,
     graph_to_json,
     realization_to_json_dict,
     reference_realization,
 )
+from theta_selftest import graphs
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
@@ -69,6 +72,25 @@ class TestTheta:
         assert doc["alpha"] == 4.0
         assert abs(doc["theta"] - 4.0) <= 1e-7
         assert abs(doc["alpha_star"] - 4.0) <= 1e-9
+
+    def test_clique_limit_is_solver_error(self, tmp_path, monkeypatch):
+        # The cocktail-party graph K_{2x5} has 2^5 maximal cliques; the same
+        # path serves K_{2x17}, whose 2^17 exceed the default limit.
+        pairs = [(2 * i, 2 * i + 1) for i in range(5)]
+        path = _write_graph(tmp_path / "g.json", complement(WeightedGraph(10, pairs)))
+        monkeypatch.setattr(
+            graphs, "maximal_cliques", functools.partial(graphs.maximal_cliques, limit=16)
+        )
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err == "solver error: more than 16 maximal cliques\n"
+
+    def test_packing_non_convergence_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", 1)
+        code, out, err = run_cli(["theta", "--scenario", "mermin", "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: fractional packing LP did not converge")
+        assert err.count("\n") == 1
 
     def test_input_flag_errors(self, tmp_path):
         path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)]))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_independence,
@@ -10,12 +12,14 @@ from conftest import (
     random_graph,
 )
 from theta_selftest.graphs import (
+    PACKING_TOL,
     ResourceLimitError,
     WeightedGraph,
     circulant,
     complement,
     find_isomorphism,
     fractional_packing,
+    fractional_packing_bounds,
     from_json_dict,
     graph_to_json,
     independence_number,
@@ -25,7 +29,7 @@ from theta_selftest.graphs import (
     to_dot,
     to_json_dict,
 )
-from theta_selftest.scenarios import exclusivity_graph, mermin_witness
+from theta_selftest.scenarios import builtin_witness, exclusivity_graph, mermin_witness
 
 
 class TestWeightedGraph:
@@ -135,6 +139,121 @@ class TestCliquesAndPacking:
     def test_fractional_packing_weighted(self):
         g = WeightedGraph(2, [(0, 1)], [0.5, 2.0])
         assert fractional_packing(g) == pytest.approx(2.0, abs=1e-9)
+
+
+@st.composite
+def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
+    n = draw(st.integers(1, 10))
+    if bipartite:
+        left = draw(st.integers(1, n))
+        pairs = [(i, j) for i in range(left) for j in range(left, n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
+
+
+def _assert_closed(lo: float, hi: float) -> None:
+    assert lo <= hi
+    assert hi - lo <= PACKING_TOL * max(1.0, hi)
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestPackingLP:
+    """The in-package clique LP and its certified enclosure [lo, hi] of alpha*."""
+
+    @_PROPERTY
+    @given(weighted_graphs())
+    def test_enclosure_above_alpha_and_closed(self, g):
+        lo, hi = fractional_packing_bounds(g)
+        _assert_closed(lo, hi)
+        alpha = independence_number(g)[0]
+        # alpha <= alpha* <= hi; lo may sit below alpha, by at most the
+        # width, where alpha == alpha* (on perfect graphs, for one).
+        assert alpha <= hi
+        assert alpha - lo <= PACKING_TOL * max(1.0, hi)
+        assert fractional_packing(g) == hi
+
+    @_PROPERTY
+    @given(weighted_graphs(bipartite=True), st.booleans())
+    def test_exact_on_perfect_graphs(self, g, complemented):
+        # The clique LP is exact on perfect graphs: bipartite graphs and,
+        # by the weak perfect graph theorem, their complements.
+        if complemented:
+            g = complement(g)
+        lo, hi = fractional_packing_bounds(g)
+        _assert_closed(lo, hi)
+        assert lo <= independence_number(g)[0] <= hi
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            WeightedGraph(2, [], [1.0, 1.192092896e-07]),
+            WeightedGraph(
+                7, [(0, 4), (0, 6)], [1.0, 0.0, 0.0, 0.0, 4.621889863722993e-08, 0.0, 1.0]
+            ),
+            WeightedGraph(
+                5,
+                [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)],
+                [7.624499714347505e-09, 0.0, 1.0, 1.0, 9.390584103660767e-13],
+            ),
+        ],
+        ids=["edgeless", "forest", "five-vertex"],
+    )
+    def test_weights_far_apart(self, g):
+        # Weights 1e-7 to 1e-12 times the largest: the directions they need
+        # are lost in normal equations, and the dual stalls short of the
+        # optimal face.  All three graphs are perfect, so alpha* == alpha.
+        lo, hi = fractional_packing_bounds(g)
+        _assert_closed(lo, hi)
+        assert lo <= independence_number(g)[0] <= hi
+
+    @pytest.mark.parametrize(
+        "g, value",
+        [
+            (WeightedGraph(3, [(0, 1)], [0.0, 0.0, 0.0]), 0.0),
+            (complement(WeightedGraph(4, [])).with_weights([0.0] * 4), 0.0),
+            (WeightedGraph(3, [(0, 1), (1, 2)], [1.5, 0.0, 0.5]), 2.0),
+            (WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [0.0, 1.0, 0.0, 1.0]), 2.0),
+            (WeightedGraph(1, [], [0.7]), 0.7),
+            (WeightedGraph(5, [], [0.3, 0.0, 2.0, 1.0, 0.25]), 3.55),
+            (
+                complement(WeightedGraph(6, [])).with_weights([0.5, 2.0, 1.0, 0.0, 1.5, 0.2]),
+                2.0,
+            ),
+            (exclusivity_graph(builtin_witness("mermin")), 4.0),
+            (exclusivity_graph(builtin_witness("as4")), 14.0),
+        ],
+        ids=["all-zero", "all-zero-complete", "one-zero-path", "zero-ends-path",
+             "single-vertex", "edgeless", "complete", "mermin", "as4"],
+    )
+    def test_known_values(self, g, value):
+        lo, hi = fractional_packing_bounds(g)
+        _assert_closed(lo, hi)
+        assert lo <= value <= hi
+
+    def test_highs_value_inside_enclosure(self):
+        """HiGHS, where scipy is installed, as an oracle independent of this solver."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(2024)
+        for _ in range(24):
+            n = int(rng.integers(12, 41))
+            p = rng.uniform(0.1, 0.8)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = WeightedGraph(n, edges, rng.uniform(0.0, 2.0, size=n))
+            cliques = maximal_cliques(g)
+            a_ub = np.zeros((len(cliques), n))
+            for r, clique in enumerate(cliques):
+                a_ub[r, list(clique)] = 1.0
+            res = linprog(-np.asarray(g.weights), A_ub=a_ub, b_ub=np.ones(len(cliques)),
+                          bounds=(0, None), method="highs")
+            assert res.success
+            lo, hi = fractional_packing_bounds(g)
+            _assert_closed(lo, hi)
+            assert lo <= -res.fun <= hi
 
 
 class TestSymmetry:

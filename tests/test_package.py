@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import cli, sdp, selftest, theta
+from theta_selftest import circulant, cli, graph_to_json, sdp, selftest, theta
 
 
 def test_every_exported_name_resolves():
@@ -92,9 +92,13 @@ def _scipy_modules_after(commands: list[list[str]]) -> set[str]:
     return set(proc.stdout.split())
 
 
-def test_commands_other_than_theta_load_no_scipy():
-    """scipy serves the alpha* LP alone, so no other command pays its import."""
+def test_no_command_loads_scipy(tmp_path):
+    """The package depends on numpy alone: alpha* comes from its own LP solver."""
+    graph = tmp_path / "c5.json"
+    graph.write_text(graph_to_json(circulant(5, (1,))), encoding="utf-8")
     commands = [
+        ["theta", "--scenario", "chsh"],
+        ["theta", "--graph", str(graph), "--json"],
         ["certify", "--scenario", "chsh"],
         ["uniqueness", "--scenario", "chained:3"],
         ["selftest", "--scenario", "chsh"],
@@ -102,7 +106,3 @@ def test_commands_other_than_theta_load_no_scipy():
         ["export", "--scenario", "chsh", "--format", "dot"],
     ]
     assert _scipy_modules_after(commands) == set()
-
-
-def test_theta_loads_scipy_optimize():
-    assert "scipy.optimize" in _scipy_modules_after([["theta", "--scenario", "chsh"]])
