@@ -92,6 +92,21 @@ def _scipy_modules_after(commands: list[list[str]]) -> set[str]:
     return set(proc.stdout.split())
 
 
+# The five commands that never reach the alpha* LP.
+_NON_THETA_COMMANDS = [
+    ["certify", "--scenario", "chsh"],
+    ["uniqueness", "--scenario", "chained:3"],
+    ["selftest", "--scenario", "chsh"],
+    ["scenario", "--scenario", "chsh"],
+    ["export", "--scenario", "chsh", "--format", "dot"],
+]
+
+
+def test_commands_other_than_theta_load_no_scipy():
+    """No command that skips the alpha* LP pays a scipy import."""
+    assert _scipy_modules_after(_NON_THETA_COMMANDS) == set()
+
+
 def test_no_command_loads_scipy(tmp_path):
     """The package depends on numpy alone: alpha* comes from its own LP solver."""
     graph = tmp_path / "c5.json"
@@ -99,10 +114,6 @@ def test_no_command_loads_scipy(tmp_path):
     commands = [
         ["theta", "--scenario", "chsh"],
         ["theta", "--graph", str(graph), "--json"],
-        ["certify", "--scenario", "chsh"],
-        ["uniqueness", "--scenario", "chained:3"],
-        ["selftest", "--scenario", "chsh"],
-        ["scenario", "--scenario", "chsh"],
-        ["export", "--scenario", "chsh", "--format", "dot"],
+        *_NON_THETA_COMMANDS,
     ]
     assert _scipy_modules_after(commands) == set()
