@@ -6,182 +6,91 @@ the bound with closed-form dual certificates, decides uniqueness of the
 optimizer via dual nondegeneracy, and extracts local isometries proving that
 any candidate realization saturating the bound equals the reference one up
 to local isometries and a junk state.
+
+`__all__` holds the functions behind the command line and the README
+examples, the input types they take, the readers of the documents the
+command line reads and the errors they raise; every other name lives in its
+submodule (`graphs`, `sdp`, `theta`, `scenarios`, `selftest`).
 """
 
 from .graphs import (
     ResourceLimitError,
     WeightedGraph,
     circulant,
-    complement,
-    find_isomorphism,
     fractional_packing,
     from_json_dict as graph_from_json_dict,
     graph_to_json,
     independence_number,
-    is_isomorphic,
-    maximal_cliques,
     mobius_ladder,
-    to_dot,
-    to_json_dict as graph_to_json_dict,
 )
-from .sdp import (
-    SdpProblem,
-    SdpSolution,
-    SolverError,
-    circulant_eigenvalues,
-    min_eigenvalue,
-    solve_sdp,
-)
+from .sdp import SolverError, circulant_eigenvalues, min_eigenvalue
 from .theta import (
     MalformedCertificateError,
     NotPsdError,
-    ThetaDualCertificate,
-    UniquenessVerdict,
-    certificate_from_json_dict,
-    certificate_from_multipliers,
-    certificate_to_json_dict,
     chained_dual_certificate,
     chsh_dual_certificate,
     chsh_primal_matrix,
     dual_nondegenerate,
     lovasz_theta,
-    make_certificate,
     mermin_primal_matrix,
     mobius_theta_closed_form,
     solve_theta_problem,
-    theta_problem,
-    theta_start,
     verify_dual_certificate,
 )
 from .scenarios import (
-    BellScenario,
     BellWitness,
-    Event,
     Realization,
-    as4_realization,
-    as4_witness,
     builtin_witness,
-    chained_realization,
-    chained_witness,
-    chsh_realization,
-    chsh_witness,
-    correlator_to_probability_terms,
     evaluate_witness,
-    events_exclusive,
-    event_projectors,
     exclusivity_graph,
-    kron_all,
-    mermin_realization,
-    mermin_witness,
-    parse_scenario_name,
     realization_from_json_dict,
-    realization_to_json_dict,
     reference_realization,
-    validate_realization,
-    witness_from_json_dict,
-    witness_to_json_dict,
 )
 from .selftest import (
-    ConditionReport,
     NotOptimizerError,
     PreconditionError,
-    ProductStructure,
     SelfTestError,
-    SelfTestReport,
-    candidate_is_rank_one,
-    check_bipartite_conditions,
-    check_projector_condition_C1,
-    check_tripartite_conditions,
-    interleave_with_junk,
     mermin_seven_dim_check,
-    product_structure_from_realization,
     run_selftest,
     seven_dim_vectors,
-    verify_selftest_claim,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BellScenario",
     "BellWitness",
-    "ConditionReport",
-    "Event",
     "MalformedCertificateError",
     "NotOptimizerError",
     "NotPsdError",
     "PreconditionError",
-    "ProductStructure",
     "Realization",
     "ResourceLimitError",
-    "SdpProblem",
-    "SdpSolution",
     "SelfTestError",
-    "SelfTestReport",
     "SolverError",
-    "ThetaDualCertificate",
-    "UniquenessVerdict",
     "WeightedGraph",
-    "as4_realization",
-    "as4_witness",
     "builtin_witness",
-    "candidate_is_rank_one",
-    "certificate_from_json_dict",
-    "certificate_from_multipliers",
-    "certificate_to_json_dict",
     "chained_dual_certificate",
-    "chained_realization",
-    "chained_witness",
-    "check_bipartite_conditions",
-    "check_projector_condition_C1",
-    "check_tripartite_conditions",
     "chsh_dual_certificate",
     "chsh_primal_matrix",
-    "chsh_realization",
-    "chsh_witness",
     "circulant",
     "circulant_eigenvalues",
-    "complement",
-    "correlator_to_probability_terms",
     "dual_nondegenerate",
     "evaluate_witness",
-    "event_projectors",
-    "events_exclusive",
     "exclusivity_graph",
-    "find_isomorphism",
     "fractional_packing",
     "graph_from_json_dict",
     "graph_to_json",
-    "graph_to_json_dict",
     "independence_number",
-    "interleave_with_junk",
-    "is_isomorphic",
-    "kron_all",
     "lovasz_theta",
-    "make_certificate",
-    "maximal_cliques",
     "mermin_primal_matrix",
-    "mermin_realization",
     "mermin_seven_dim_check",
-    "mermin_witness",
     "min_eigenvalue",
     "mobius_ladder",
     "mobius_theta_closed_form",
-    "parse_scenario_name",
-    "product_structure_from_realization",
     "realization_from_json_dict",
-    "realization_to_json_dict",
     "reference_realization",
     "run_selftest",
     "seven_dim_vectors",
-    "solve_sdp",
     "solve_theta_problem",
-    "theta_problem",
-    "theta_start",
-    "to_dot",
-    "validate_realization",
     "verify_dual_certificate",
-    "verify_selftest_claim",
-    "witness_from_json_dict",
-    "witness_to_json_dict",
 ]

@@ -67,7 +67,7 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_REJECT = 3
 
-SANDWICH_SLACK = 1e-6  # allowed solver error in alpha <= theta <= alpha*
+SANDWICH_SLACK = 1e-6  # allowed relative solver error in alpha <= theta <= alpha*
 
 
 def _positive(name: str, value: float) -> float:
@@ -102,12 +102,12 @@ def _input_graph(args) -> WeightedGraph:
 def cmd_theta(args) -> int:
     solver_tol = _positive("solver_tol", args.solver_tol)
     g = _input_graph(args)
+    # alpha* first: its clique enumeration is the step that can hit a limit.
+    alpha_star = fractional_packing(g)
     alpha, _ = independence_number(g)
     theta, _ = lovasz_theta(g, tol=solver_tol)
-    alpha_star = fractional_packing(g)
-    sandwich_ok = (
-        alpha <= theta + SANDWICH_SLACK and theta <= alpha_star + SANDWICH_SLACK
-    )
+    slack = SANDWICH_SLACK * max(1.0, abs(theta))
+    sandwich_ok = alpha <= theta + slack and theta <= alpha_star + slack
     if args.json:
         _emit_json(
             {
@@ -275,14 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True, graph_input=False):
+    def add_common(p, graph_input=False):
         if graph_input:
             p.add_argument("--scenario", help="built-in scenario name")
             p.add_argument("--graph", help="path to a graph JSON file")
         else:
             p.add_argument(
                 "--scenario",
-                required=scenario_required,
+                required=True,
                 help="built-in scenario name (chsh, chained:N, mermin, as4)",
             )
         p.add_argument("--json", action="store_true", help="emit canonical JSON")

@@ -23,6 +23,7 @@ Edge = tuple[int, int]
 
 PACKING_TOL = 1e-10  # relative width of the certified alpha* enclosure
 _PACKING_MAX_ITER = 100
+_CLIQUE_LIMIT = 100_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -164,18 +165,21 @@ def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
     pruned by a greedy clique-cover bound.
     """
     # Start just below the greedy value so the DFS still visits (and records)
-    # the lex-smallest optimum instead of keeping the greedy witness.
-    best_value = _greedy_stable_value(g) - 1e-9
+    # the lex-smallest optimum instead of keeping the greedy witness.  Both
+    # slacks are relative: an absolute one is lost in rounding at large weights.
+    greedy = _greedy_stable_value(g)
+    scale = max(1.0, greedy)
+    best_value, tie = greedy - 1e-9 * scale, 1e-12 * scale
     best_set: tuple[int, ...] | None = None
 
     def dfs(candidates: list[int], current: list[int], value: float) -> None:
         nonlocal best_value, best_set
         if not candidates:
-            if value > best_value + 1e-12:
+            if value > best_value + tie:
                 best_value = value
                 best_set = tuple(current)
             return
-        if value + _greedy_clique_cover_bound(g, candidates) <= best_value + 1e-12:
+        if value + _greedy_clique_cover_bound(g, candidates) <= best_value + tie:
             return
         v = candidates[0]
         rest = candidates[1:]
@@ -190,16 +194,17 @@ def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
     return sum(g.weights[v] for v in best_set), best_set
 
 
-def maximal_cliques(g: WeightedGraph, limit: int = 100_000) -> list[tuple[int, ...]]:
-    """All maximal cliques, Bron-Kerbosch with pivoting, deterministic order."""
+def maximal_cliques(g: WeightedGraph) -> list[tuple[int, ...]]:
+    """All maximal cliques, Bron-Kerbosch with pivoting, deterministic order;
+    ResourceLimitError beyond _CLIQUE_LIMIT of them."""
     out: list[tuple[int, ...]] = []
     adj = g.neighbor_sets
 
     def expand(r: list[int], p: list[int], x: list[int]) -> None:
         if not p and not x:
             out.append(tuple(sorted(r)))
-            if len(out) > limit:
-                raise ResourceLimitError(f"more than {limit} maximal cliques")
+            if len(out) > _CLIQUE_LIMIT:
+                raise ResourceLimitError(f"more than {_CLIQUE_LIMIT} maximal cliques")
             return
         pivot = max(p + x, key=lambda u: (len(adj[u] & set(p)), -u))
         for v in [u for u in p if u not in adj[pivot]]:
@@ -365,10 +370,6 @@ def find_isomorphism(g: WeightedGraph, h: WeightedGraph) -> tuple[int, ...] | No
         return False
 
     return tuple(image) if dfs(0) else None
-
-
-def is_isomorphic(g: WeightedGraph, h: WeightedGraph) -> bool:
-    return find_isomorphism(g, h) is not None
 
 
 def to_json_dict(g: WeightedGraph) -> dict:

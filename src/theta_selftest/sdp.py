@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SOLVER_TOL = 1e-9  # default bound on the relative gap and both infeasibilities
+_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
@@ -35,30 +36,22 @@ def sym(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Objective matrix C and equality constraints (A_i, b_i), all symmetric."""
+    """Objective C (d x d), constraint stack A (m x d x d) and right-hand
+    sides b (m), as float arrays; C and every A_i must be symmetric."""
 
     objective: np.ndarray
-    constraints: tuple[tuple[np.ndarray, float], ...]
+    constraints: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        c = sym(np.asarray(self.objective, dtype=float))
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("objective must be a square matrix")
-        d = c.shape[0]
-        cons = []
-        for a, b in self.constraints:
-            a = sym(np.asarray(a, dtype=float))
-            if a.shape != (d, d):
-                raise ValueError("constraint matrix dimension mismatch")
-            cons.append((a, float(b)))
-        if not cons:
-            raise ValueError("constraint list must be nonempty")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(cons))
-
-    @property
-    def dim(self) -> int:
-        return self.objective.shape[0]
+        d, m = len(self.objective), len(self.b)
+        if (
+            m == 0
+            or self.objective.shape != (d, d)
+            or self.constraints.shape != (m, d, d)
+            or self.b.shape != (m,)
+        ):
+            raise ValueError("need C of d x d, A of m x d x d and b of m >= 1 entries")
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
 def solve_sdp(
     problem: SdpProblem,
     tol: float = SOLVER_TOL,
-    max_iter: int = 200,
     start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SdpSolution:
     """Solve the primal/dual pair to duality gap and feasibility residuals <= tol.
@@ -115,11 +107,8 @@ def solve_sdp(
     `start` optionally supplies (X0, y0, Z0) with X0, Z0 strictly positive
     definite; the default is an identity start.  Deterministic for fixed inputs.
     """
-    d = problem.dim
-    m = len(problem.constraints)
-    a_stack = np.stack([a for a, _ in problem.constraints])
-    b = np.array([bi for _, bi in problem.constraints])
-    c = problem.objective
+    c, a_stack, b = problem.objective, problem.constraints, problem.b
+    d, m = len(c), len(b)
 
     if start is None:
         scale = max(1.0, float(np.abs(c).max()), float(np.abs(b).max()))
@@ -140,7 +129,7 @@ def solve_sdp(
         rd = np.einsum("k,kab->ab", y, a_stack) - z - c
         return rp, rd
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         rp, rd = residuals(x, y, z)
         pobj = float(np.sum(c * x))
         dobj = float(b @ y)
@@ -207,7 +196,7 @@ def solve_sdp(
 
     rp, rd = residuals(x, y, z)
     raise SolverError(
-        f"no convergence within {max_iter} iterations",
+        f"no convergence within {_MAX_ITER} iterations",
         float(np.linalg.norm(rp)) / bnorm,
         float(np.linalg.norm(rd)) / cnorm,
         float(np.sum(x * z)),

@@ -41,44 +41,38 @@ class NotPsdError(CertificateError):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
-def _basis_e(dim: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    if i == j:
-        m[i, i] = 1.0
-    else:
-        m[i, j] = m[j, i] = 0.5
-    return m
-
-
 def theta_problem(g: WeightedGraph) -> SdpProblem:
     """Assemble the theta SDP; constraint order: normalization, one
     diagonal-border row per vertex, one zero per edge (sorted)."""
     d = g.n + 1
+    v = np.arange(1, d)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    rows = d + np.arange(len(edges))
     c = np.zeros((d, d))
-    for i in range(g.n):
-        c[i + 1, i + 1] = g.weights[i]
-    cons: list[tuple[np.ndarray, float]] = [(_basis_e(d, 0, 0), 1.0)]
-    for i in range(g.n):
-        cons.append((_basis_e(d, i + 1, i + 1) - _basis_e(d, 0, i + 1), 0.0))
-    for i, j in g.edges:
-        cons.append((_basis_e(d, i + 1, j + 1), 0.0))
-    return SdpProblem(c, tuple(cons))
+    c[v, v] = g.weights
+    a = np.zeros((d + len(edges), d, d))
+    a[0, 0, 0] = 1.0  # X_00 = 1
+    a[v, v, v] = 1.0  # X_ii - X_0i = 0
+    a[v, 0, v] = a[v, v, 0] = -0.5
+    a[rows, edges[:, 0], edges[:, 1]] = 0.5  # X_ij = 0
+    a[rows, edges[:, 1], edges[:, 0]] = 0.5
+    b = np.zeros(len(a))
+    b[0] = 1.0
+    return SdpProblem(c, a, b)
 
 
 def theta_start(
-    g: WeightedGraph, primal_scale: float = 0.5, dual_scale: float = 1.0
+    g: WeightedGraph, primal_scale: float, dual_scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A strictly feasible primal/dual starting point for the theta SDP.
 
     Primal: X_00 = 1, border and diagonal s = primal_scale/(n+1) < 1/n, zeros
     elsewhere.  Dual: t = dual_scale*(sum max(w_i,1) + 1), lambda_i =
     2*dual_scale*max(w_i,1), mu = 0; positive definite by a Schur-complement
-    argument since lambda_i >= 2 w_i and t exceeds sum lambda_i / 2.
+    argument since lambda_i >= 2 w_i and t exceeds sum lambda_i / 2.  This
+    needs 0 < primal_scale <= 1 <= dual_scale, which every start of
+    _START_LADDER meets.
     """
-    if not 0 < primal_scale <= 1:
-        raise ValueError("primal_scale must lie in (0, 1]")
-    if dual_scale < 1:
-        raise ValueError("dual_scale must be >= 1")
     n = g.n
     s = primal_scale / (n + 1)
     x = s * np.eye(n + 1)
@@ -91,7 +85,7 @@ def theta_start(
     return x, y, certificate_matrix(g, t, lam, {})
 
 
-# Interior starting points tried in order when none is requested explicitly.
+# Interior starting points (primal_scale, dual_scale) tried in order.
 # Trajectories from a single start can stall short of tolerance on instances
 # without strict complementarity; a differently centered start then converges.
 _START_LADDER: tuple[tuple[float, float], ...] = (
@@ -99,20 +93,11 @@ _START_LADDER: tuple[tuple[float, float], ...] = (
 )
 
 
-def solve_theta_problem(
-    g: WeightedGraph,
-    tol: float = SOLVER_TOL,
-    start: tuple[float, float] | None = None,
-) -> SdpSolution:
-    """Solve the theta SDP; `start` = (primal_scale, dual_scale) if given.
-
-    With the default start, a fixed ladder of interior points is tried until
-    one converges, keeping the result deterministic; an explicit `start` is
-    used alone and failures propagate.
-    """
+def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolution:
+    """Solve the theta SDP from each start of _START_LADDER in turn until one
+    converges, which keeps the result deterministic; the last start's
+    SolverError propagates when none does."""
     problem = theta_problem(g)
-    if start is not None:
-        return solve_sdp(problem, tol=tol, start=theta_start(g, *start))
     err: SolverError | None = None
     for scales in _START_LADDER:
         try:

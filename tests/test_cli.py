@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
-import functools
 import json
 import os
 from math import cos, pi, sqrt
@@ -10,14 +9,10 @@ import numpy as np
 import pytest
 from conftest import perturbed_candidate, run_cli, tensor_padded_candidate
 
-from theta_selftest import (
-    WeightedGraph,
-    complement,
-    graph_to_json,
-    realization_to_json_dict,
-    reference_realization,
-)
-from theta_selftest import graphs
+from theta_selftest import WeightedGraph, graph_to_json, reference_realization
+from theta_selftest import cli, graphs
+from theta_selftest.graphs import complement
+from theta_selftest.scenarios import realization_to_json_dict
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
@@ -75,15 +70,29 @@ class TestTheta:
 
     def test_clique_limit_is_solver_error(self, tmp_path, monkeypatch):
         # The cocktail-party graph K_{2x5} has 2^5 maximal cliques; the same
-        # path serves K_{2x17}, whose 2^17 exceed the default limit.
+        # path serves K_{2x17}, whose 2^17 exceed the default limit.  The
+        # limit trips before any SDP is solved.
         pairs = [(2 * i, 2 * i + 1) for i in range(5)]
         path = _write_graph(tmp_path / "g.json", complement(WeightedGraph(10, pairs)))
-        monkeypatch.setattr(
-            graphs, "maximal_cliques", functools.partial(graphs.maximal_cliques, limit=16)
-        )
+        monkeypatch.setattr(graphs, "_CLIQUE_LIMIT", 16)
+
+        def no_theta(*args, **kwargs):
+            raise AssertionError("theta solved before the clique limit tripped")
+
+        monkeypatch.setattr(cli, "lovasz_theta", no_theta)
         code, out, err = run_cli(["theta", "--graph", path, "--json"])
         assert (code, out) == (2, "")
         assert err == "solver error: more than 16 maximal cliques\n"
+
+    def test_large_weights_pass_the_sandwich(self, tmp_path):
+        # theta = 29999999.99645 sits 1.2e-10 below alpha = 3e7 relative,
+        # within the solver tolerance; the sandwich slack scales with it.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)], [3e7, 3e7]))
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["alpha"] == 3e7
+        assert doc["sandwich_ok"] is True
 
     def test_packing_non_convergence_is_solver_error(self, monkeypatch):
         monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", 1)

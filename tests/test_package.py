@@ -19,6 +19,45 @@ def test_every_exported_name_resolves():
     assert len(set(theta_selftest.__all__)) == len(theta_selftest.__all__)
 
 
+# What the command line and the README examples use, and nothing else: the
+# names tests/test_acceptance.py imports, the errors they raise, their input
+# types, and the readers of the documents the command line reads.
+_EXPORTED = {
+    # tests/test_acceptance.py
+    "SelfTestError", "builtin_witness", "chained_dual_certificate",
+    "chsh_dual_certificate", "chsh_primal_matrix", "circulant",
+    "circulant_eigenvalues", "dual_nondegenerate", "evaluate_witness",
+    "exclusivity_graph", "fractional_packing", "graph_to_json",
+    "independence_number", "lovasz_theta", "mermin_primal_matrix",
+    "mermin_seven_dim_check", "min_eigenvalue", "mobius_ladder",
+    "mobius_theta_closed_form", "reference_realization", "run_selftest",
+    "seven_dim_vectors", "solve_theta_problem", "verify_dual_certificate",
+    # errors
+    "SolverError", "ResourceLimitError", "MalformedCertificateError",
+    "NotPsdError", "PreconditionError", "NotOptimizerError",
+    # input types
+    "WeightedGraph", "Realization", "BellWitness",
+    # document readers
+    "graph_from_json_dict", "realization_from_json_dict",
+}
+
+
+def test_exported_names_are_exactly_the_used_surface():
+    assert len(_EXPORTED) == 35
+    assert set(theta_selftest.__all__) == _EXPORTED
+
+
+def test_version_has_a_single_source():
+    # pyproject.toml reads the version from the package, so the two agree.
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    version = config["tool"]["setuptools"]["dynamic"]["version"]
+    assert version == {"attr": "theta_selftest.__version__"}
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from theta_selftest import *", namespace)

@@ -6,34 +6,35 @@ import numpy as np
 import pytest
 
 from theta_selftest import (
-    BellScenario,
     BellWitness,
-    Event,
     Realization,
     WeightedGraph,
-    as4_witness,
     builtin_witness,
+    circulant,
+    evaluate_witness,
+    exclusivity_graph,
+    lovasz_theta,
+    realization_from_json_dict,
+    reference_realization,
+)
+from theta_selftest.graphs import complement, find_isomorphism
+from theta_selftest.scenarios import (
+    BellScenario,
+    Event,
+    as4_witness,
     chained_witness,
     chsh_witness,
-    circulant,
-    complement,
     correlator_to_probability_terms,
-    evaluate_witness,
+    event_projectors,
     events_exclusive,
-    exclusivity_graph,
-    find_isomorphism,
     kron_all,
-    lovasz_theta,
     mermin_witness,
     parse_scenario_name,
-    realization_from_json_dict,
     realization_to_json_dict,
-    reference_realization,
     validate_realization,
     witness_from_json_dict,
     witness_to_json_dict,
 )
-from theta_selftest.scenarios import event_projectors
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
 

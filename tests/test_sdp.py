@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from theta_selftest import (
+from theta_selftest import sdp
+from theta_selftest.sdp import (
     SdpProblem,
     SolverError,
     circulant_eigenvalues,
@@ -15,31 +16,28 @@ from theta_selftest import (
 def _trace_problem(c: np.ndarray) -> SdpProblem:
     """max <C, X> over the spectraplex (tr X = 1), whose value is lambda_max(C)."""
     d = c.shape[0]
-    return SdpProblem(c, ((np.eye(d), 1.0),))
+    return SdpProblem(c, np.eye(d)[None], np.array([1.0]))
 
 
 class TestProblemValidation:
     def test_rejects_non_square_objective(self):
         with pytest.raises(ValueError):
-            SdpProblem(np.zeros((2, 3)), ((np.zeros((2, 2)), 0.0),))
+            SdpProblem(np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros(1))
 
     def test_rejects_mismatched_constraint(self):
         with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), ((np.eye(3), 1.0),))
+            SdpProblem(np.eye(2), np.eye(3)[None], np.array([1.0]))
+        with pytest.raises(ValueError):
+            SdpProblem(np.eye(2), np.eye(2)[None], np.array([1.0, 0.0]))
 
     def test_rejects_empty_constraints(self):
         with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), ())
-
-    def test_symmetrizes_inputs(self):
-        p = SdpProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), ((np.eye(2), 1.0),))
-        assert np.array_equal(p.objective, p.objective.T)
-        assert p.dim == 2
+            SdpProblem(np.eye(2), np.zeros((0, 2, 2)), np.zeros(0))
 
 
 class TestSolver:
     def test_scalar_equality(self):
-        sol = solve_sdp(SdpProblem(np.eye(1), ((np.eye(1), 3.0),)))
+        sol = solve_sdp(SdpProblem(np.eye(1), np.eye(1)[None], np.array([3.0])))
         assert abs(sol.value - 3.0) <= 1e-8
         assert abs(sol.primal[0, 0] - 3.0) <= 1e-8
 
@@ -72,7 +70,7 @@ class TestSolver:
         assert (pobj, dobj) == (sol.value, sol.dual_value)
         assert gap >= 0.0
         # Dual slack satisfies its defining equation Z = sum y_i A_i - C.
-        recon = sum(y * a for y, (a, _) in zip(sol.dual_multipliers, ((np.eye(3), 1.0),)))
+        recon = np.einsum("k,kab->ab", sol.dual_multipliers, _trace_problem(c).constraints)
         assert np.abs(recon - c - sol.dual_slack).max() <= 1e-8
 
     def test_primal_feasibility_of_optimizer(self):
@@ -81,15 +79,16 @@ class TestSolver:
         c = (m + m.T) / 2.0
         a1 = np.diag([1.0, 1.0, 0.0, 0.0])
         a2 = np.diag([0.0, 0.0, 1.0, 1.0])
-        sol = solve_sdp(SdpProblem(c, ((a1, 0.5), (a2, 0.5))))
+        sol = solve_sdp(SdpProblem(c, np.stack([a1, a2]), np.array([0.5, 0.5])))
         assert abs(np.sum(a1 * sol.primal) - 0.5) <= 1e-8
         assert abs(np.sum(a2 * sol.primal) - 0.5) <= 1e-8
         assert min_eigenvalue(sol.primal) >= -1e-9
 
-    def test_iteration_cap_raises_with_diagnostics(self):
+    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 2)
         c = np.diag([1.0, 2.0, 5.0])
-        with pytest.raises(SolverError) as err:
-            solve_sdp(_trace_problem(c), max_iter=2)
+        with pytest.raises(SolverError, match="within 2 iterations") as err:
+            solve_sdp(_trace_problem(c))
         assert err.value.gap >= 0.0
         assert isinstance(err.value.pinfeas, float)
         assert isinstance(err.value.dinfeas, float)

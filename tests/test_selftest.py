@@ -10,32 +10,31 @@ from conftest import (
 )
 
 from theta_selftest import (
-    BellScenario,
     BellWitness,
-    Event,
     NotOptimizerError,
     PreconditionError,
     Realization,
     builtin_witness,
+    chsh_primal_matrix,
+    evaluate_witness,
+    mermin_primal_matrix,
+    mermin_seven_dim_check,
+    reference_realization,
+    run_selftest,
+    seven_dim_vectors,
+)
+from theta_selftest.scenarios import BellScenario, Event
+from theta_selftest.selftest import (
+    SELFTEST_TOL,
     candidate_is_rank_one,
     check_bipartite_conditions,
     check_projector_condition_C1,
     check_tripartite_conditions,
-    chsh_primal_matrix,
-    evaluate_witness,
-    interleave_with_junk,
-    mermin_primal_matrix,
-    mermin_seven_dim_check,
-    product_structure_from_realization,
-    reference_realization,
-    run_selftest,
-    seven_dim_vectors,
-    verify_selftest_claim,
-)
-from theta_selftest.selftest import (
-    SELFTEST_TOL,
     condition_report_to_json_dict,
+    interleave_with_junk,
+    product_structure_from_realization,
     selftest_report_to_json_dict,
+    verify_selftest_claim,
 )
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
@@ -55,7 +54,7 @@ def _eig_rank(m: np.ndarray, threshold: float) -> int:
 class TestProductStructure:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_reconstructs_projected_states(self, name):
-        from theta_selftest import kron_all
+        from theta_selftest.scenarios import kron_all
         from theta_selftest.scenarios import event_projectors
 
         wit, r, ps = _structure(name)

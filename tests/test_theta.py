@@ -10,7 +10,6 @@ from theta_selftest import (
     MalformedCertificateError,
     NotPsdError,
     WeightedGraph,
-    certificate_from_multipliers,
     chained_dual_certificate,
     chsh_dual_certificate,
     chsh_primal_matrix,
@@ -18,52 +17,81 @@ from theta_selftest import (
     dual_nondegenerate,
     exclusivity_graph,
     lovasz_theta,
-    make_certificate,
     mermin_primal_matrix,
-    mermin_witness,
     mobius_theta_closed_form,
     solve_theta_problem,
-    theta_problem,
-    theta_start,
     verify_dual_certificate,
 )
-from theta_selftest.theta import _nondegeneracy_system
+from theta_selftest.scenarios import mermin_witness
+from theta_selftest.sdp import solve_sdp
+from theta_selftest.theta import (
+    _START_LADDER,
+    _nondegeneracy_system,
+    certificate_from_json_dict,
+    certificate_from_multipliers,
+    certificate_to_json_dict,
+    make_certificate,
+    theta_problem,
+    theta_start,
+)
 
 C5 = circulant(5, (1,))
 CHSH_GRAPH = circulant(8, (1, 4))
+
+
+def _basis_e(dim: int, i: int, j: int) -> np.ndarray:
+    m = np.zeros((dim, dim))
+    if i == j:
+        m[i, i] = 1.0
+    else:
+        m[i, j] = m[j, i] = 0.5
+    return m
 
 
 class TestProblemAssembly:
     def test_constraint_count_and_dim(self):
         g = WeightedGraph(4, [(0, 1), (2, 3)], [1.0, 2.0, 1.0, 1.0])
         p = theta_problem(g)
-        assert p.dim == 5
-        assert len(p.constraints) == 1 + 4 + 2
+        assert p.objective.shape == (5, 5)
+        assert p.constraints.shape == (1 + 4 + 2, 5, 5)
+        assert np.array_equal(p.b, [1.0] + [0.0] * (4 + 2))
 
     def test_objective_holds_weights(self):
         g = WeightedGraph(3, [(0, 1)], [2.0, 0.5, 1.0])
         p = theta_problem(g)
-        assert np.array_equal(np.diag(p.objective), [0.0, 2.0, 0.5, 1.0])
+        assert np.array_equal(p.objective, np.diag([0.0, 2.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            WeightedGraph(1, [], [1.5]),
+            WeightedGraph(3, []),
+            CHSH_GRAPH,
+            exclusivity_graph(mermin_witness()),
+            random_graph(np.random.default_rng(5)),
+        ],
+        ids=["single", "edgeless", "chsh", "mermin", "random"],
+    )
+    def test_constraints_match_basis_oracle(self, g):
+        # One dense symmetrized d x d matrix per constraint, stacked in order.
+        d = g.n + 1
+        mats = [_basis_e(d, 0, 0)]
+        mats += [_basis_e(d, i + 1, i + 1) - _basis_e(d, 0, i + 1) for i in range(g.n)]
+        mats += [_basis_e(d, i + 1, j + 1) for i, j in g.edges]
+        want = np.stack([(m + m.T) / 2.0 for m in mats])
+        assert np.array_equal(theta_problem(g).constraints, want)
 
     def test_start_is_strictly_feasible(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [2.0, 1.0, 0.5, 1.0])
-        x, y, z = theta_start(g)
-        assert float(np.linalg.eigvalsh(x).min()) > 0
-        assert float(np.linalg.eigvalsh(z).min()) > 0
-        for (a, b), yi in zip(theta_problem(g).constraints, y):
-            assert abs(np.sum(a * x) - b) <= 1e-12
-        # Z matches its structural definition sum_i y_i A_i - C.
-        a_stack = [a for a, _ in theta_problem(g).constraints]
-        recon = sum(yi * a for yi, a in zip(y, a_stack)) - theta_problem(g).objective
-        assert np.abs(recon - z).max() <= 1e-12
-
-    def test_start_validation(self):
-        with pytest.raises(ValueError):
-            theta_start(C5, primal_scale=0.0)
-        with pytest.raises(ValueError):
-            theta_start(C5, primal_scale=1.5)
-        with pytest.raises(ValueError):
-            theta_start(C5, dual_scale=0.5)
+        p = theta_problem(g)
+        for scales in _START_LADDER:
+            x, y, z = theta_start(g, *scales)
+            assert float(np.linalg.eigvalsh(x).min()) > 0
+            assert float(np.linalg.eigvalsh(z).min()) > 0
+            assert np.abs(np.einsum("kab,ab->k", p.constraints, x) - p.b).max() <= 1e-12
+            # Z matches its structural definition sum_i y_i A_i - C.
+            recon = np.einsum("k,kab->ab", y, p.constraints) - p.objective
+            assert np.abs(recon - z).max() <= 1e-12
 
 
 class TestThetaValues:
@@ -286,16 +314,17 @@ class TestUniqueness:
         # Re-solving from distinct strictly feasible starts recovers the same
         # primal matrix entrywise whenever the dual certificate is nondegenerate.
         assert dual_nondegenerate(CHSH_GRAPH, chsh_dual_certificate().matrix).nondegenerate
-        starts = [(0.5, 1.0), (0.25, 2.0), (0.9, 1.5), (0.1, 3.0), (0.75, 1.25)]
-        primals = [solve_theta_problem(CHSH_GRAPH, start=s).primal for s in starts]
+        problem = theta_problem(CHSH_GRAPH)
+        primals = [
+            solve_sdp(problem, start=theta_start(CHSH_GRAPH, *s)).primal
+            for s in _START_LADDER
+        ]
         for p in primals[1:]:
             assert np.abs(p - primals[0]).max() <= 1e-6
 
 
 class TestCertificateSerialization:
     def test_json_roundtrip(self):
-        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
-
         cert = chsh_dual_certificate()
         d = certificate_to_json_dict(cert)
         back = certificate_from_json_dict(CHSH_GRAPH, d)
@@ -305,39 +334,29 @@ class TestCertificateSerialization:
         assert np.array_equal(back.matrix, cert.matrix)
 
     def test_json_matrix_mismatch_rejected(self):
-        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
-
         d = certificate_to_json_dict(chsh_dual_certificate())
         d["matrix"][0][0] += 0.5
         with pytest.raises(MalformedCertificateError):
             certificate_from_json_dict(CHSH_GRAPH, d)
 
     def test_json_matrix_held_to_cert_tol(self):
-        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
-
         d = certificate_to_json_dict(chsh_dual_certificate())
         d["matrix"][0][0] += 1e-6  # inside allclose's default rtol, far outside CERT_TOL
         with pytest.raises(MalformedCertificateError, match="disagrees"):
             certificate_from_json_dict(CHSH_GRAPH, d)
 
     def test_json_matrix_dimension_mismatch_rejected(self):
-        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
-
         d = certificate_to_json_dict(chsh_dual_certificate())
         d["matrix"] = [row[:8] for row in d["matrix"][:8]]
         with pytest.raises(MalformedCertificateError, match="dimension mismatch"):
             certificate_from_json_dict(CHSH_GRAPH, d)
 
     def test_json_matrix_nan_rejected(self):
-        from theta_selftest import certificate_from_json_dict, certificate_to_json_dict
-
         d = certificate_to_json_dict(chsh_dual_certificate())
         d["matrix"][2][3] = float("nan")
         with pytest.raises(MalformedCertificateError):
             certificate_from_json_dict(CHSH_GRAPH, d)
 
     def test_json_missing_field_rejected(self):
-        from theta_selftest import certificate_from_json_dict
-
         with pytest.raises(ValueError):
             certificate_from_json_dict(CHSH_GRAPH, {"t": 1.0})
