@@ -22,7 +22,6 @@ import sys
 from .graphs import (
     ResourceLimitError,
     WeightedGraph,
-    circulant,
     fractional_packing,
     from_json_dict as graph_from_json_dict,
     independence_number,
@@ -52,7 +51,7 @@ from .theta import (
     NULL_THRESHOLD,
     MalformedCertificateError,
     NotPsdError,
-    certificate_from_multipliers,
+    certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
     chsh_dual_certificate,
@@ -129,24 +128,27 @@ def cmd_theta(args) -> int:
 
 
 def _closed_form_certificate(scenario: str):
-    """Certificate plus the canonically labeled graph it is written for.
+    """The closed-form certificate of a chsh or chained scenario, else None.
 
     The chained witness's exclusivity graph is isomorphic to the circulant
-    graph but lists vertices in event order; the closed-form certificate uses
-    the circulant labeling, so certification runs on that labeling.
+    graph but lists vertices in event order; the closed-form certificate is
+    written for the circulant labeling (cert.graph), so certification and
+    uniqueness run on that labeling.
     """
     kind, n = parse_scenario_name(scenario)
     if kind == "chsh":
-        return chsh_dual_certificate(), circulant(8, (1, 4))
+        return chsh_dual_certificate()
     if kind == "chained":
-        return chained_dual_certificate(n), circulant(4 * n, (1, 2 * n))
-    raise ValueError(f"no closed-form certificate for scenario '{scenario}'")
+        return chained_dual_certificate(n)
+    return None
 
 
 def cmd_certify(args) -> int:
-    cert, g = _closed_form_certificate(args.scenario)
+    cert = _closed_form_certificate(args.scenario)
+    if cert is None:
+        raise ValueError(f"no closed-form certificate for scenario '{args.scenario}'")
     try:
-        verify_dual_certificate(g, cert)
+        verify_dual_certificate(cert.graph, cert)
         verified = True
     except (MalformedCertificateError, NotPsdError):
         verified = False
@@ -170,15 +172,15 @@ def cmd_certify(args) -> int:
 def cmd_uniqueness(args) -> int:
     solver_tol = _positive("solver_tol", args.solver_tol)
     threshold = _positive("null_threshold", args.threshold)
-    scenario = args.scenario
-    kind = parse_scenario_name(scenario)[0] if scenario else None
-    if kind in ("chsh", "chained") and not args.graph:
-        cert, g = _closed_form_certificate(scenario)
-        z = cert.matrix
-    else:
+    cert = None
+    if args.scenario and not args.graph:
+        cert = _closed_form_certificate(args.scenario)
+    if cert is None:
         g = _input_graph(args)
         sol = solve_theta_problem(g, tol=solver_tol)
-        z = certificate_from_multipliers(g, sol.dual_multipliers).matrix
+        z = certificate_matrix(g, sol.dual_multipliers)
+    else:
+        g, z = cert.graph, cert.matrix
     verdict = dual_nondegenerate(g, z, threshold=threshold)
     if args.json:
         _emit_json(
@@ -248,10 +250,9 @@ def _export_payload(scenario: str, fmt: str) -> str:
         "graph": graph_to_json_dict(g),
         "witness": witness_to_json_dict(witness),
     }
-    if parse_scenario_name(scenario)[0] in ("chsh", "chained"):
-        payload["certificate"] = certificate_to_json_dict(
-            _closed_form_certificate(scenario)[0]
-        )
+    cert = _closed_form_certificate(scenario)
+    if cert is not None:
+        payload["certificate"] = certificate_to_json_dict(cert)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 

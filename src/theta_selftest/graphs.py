@@ -10,6 +10,7 @@ last iterate is.  `theta` prints hi, the end that bounds theta from above.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,8 +66,8 @@ class WeightedGraph:
         w = tuple(float(x) for x in w)
         if len(w) != self.n:
             raise ValueError("weight vector length must equal vertex count")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= x < float("inf") for x in w):
+            raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "weights", w)
 
     @cached_property
@@ -380,10 +381,17 @@ def to_json_dict(g: WeightedGraph) -> dict:
     }
 
 
+def _json_int(v) -> int:
+    """An integer from a JSON document; floats and booleans are rejected."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
 def from_json_dict(d: dict) -> WeightedGraph:
     try:
-        n = int(d["n"])
-        edges = tuple((int(i), int(j)) for i, j in d["edges"])
+        n = _json_int(d["n"])
+        edges = tuple((_json_int(i), _json_int(j)) for i, j in d["edges"])
         weights = tuple(float(w) for w in d.get("weights") or [1.0] * n)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc

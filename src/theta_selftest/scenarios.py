@@ -219,6 +219,8 @@ def validate_realization(r: Realization) -> None:
     state = np.asarray(r.state)
     if state.shape != (int(np.prod(r.dims)),):
         raise ValueError("state length must equal the product of the dims")
+    if not np.isfinite(state).all():
+        raise ValueError("state has a non-finite entry")
     if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     if len(r.projectors) != len(r.dims):
@@ -231,6 +233,8 @@ def validate_realization(r: Realization) -> None:
                 p = np.asarray(p)
                 if p.shape != (r.dims[j], r.dims[j]):
                     raise ValueError(f"projector {j}:{x}:{a} has wrong shape")
+                if not np.isfinite(p).all():
+                    raise ValueError(f"projector {j}:{x}:{a} has a non-finite entry")
                 if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                     raise ValueError(f"projector {j}:{x}:{a} not Hermitian")
                 if np.abs(p @ p - p).max() > PROJECTOR_TOL:
@@ -241,6 +245,10 @@ def validate_realization(r: Realization) -> None:
                         raise ValueError(
                             f"projectors {j}:{x}:{a} and {j}:{x}:{b} not orthogonal"
                         )
+    if r.kets is not None and not all(
+        np.isfinite(k).all() for party in r.kets for setting in party for k in setting
+    ):
+        raise ValueError("kets have a non-finite entry")
 
 
 def event_projectors(r: Realization, e: Event) -> list[np.ndarray]:
@@ -462,23 +470,6 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
     if wit.affine is not None:
         d["affine"] = [float(wit.affine[0]), float(wit.affine[1])]
     return d
-
-
-def witness_from_json_dict(d: dict) -> BellWitness:
-    try:
-        sc = d["scenario"]
-        scenario = BellScenario(
-            int(sc["parties"]),
-            tuple(int(v) for v in sc["settings"]),
-            tuple(int(v) for v in sc["outcomes"]),
-        )
-        terms = tuple(
-            (Event(tuple(t["a"]), tuple(t["x"])), float(t["w"])) for t in d["terms"]
-        )
-        affine = tuple(float(v) for v in d["affine"]) if "affine" in d else None
-        return BellWitness(scenario, terms, float(d["classical_bound"]), affine)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed witness document: {exc}") from exc
 
 
 def realization_to_json_dict(r: Realization) -> dict:

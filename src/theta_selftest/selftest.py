@@ -901,10 +901,11 @@ def verify_selftest_claim(
     ref: Realization, cand: Realization, report: SelfTestReport, tol: float
 ) -> bool:
     """Independently re-check isometry property, state residual, and the
-    measurement-action residual for every witness event, each within `tol`."""
+    measurement-action residual for every witness event, each within `tol`;
+    a NaN residual never verifies."""
     for v in report.isometries:
         eye = np.eye(v.shape[1])
-        if np.abs(v.conj().T @ v - eye).max() > tol:
+        if not np.abs(v.conj().T @ v - eye).max() <= tol:
             return False
     big = kron_all(list(report.isometries))
     ref_state = np.asarray(ref.state, dtype=complex)
@@ -912,7 +913,7 @@ def verify_selftest_claim(
     mapped = big @ interleave_with_junk(
         ref_state, report.junk, tuple(ref.dims), report.junk_dims
     )
-    if np.linalg.norm(mapped - cand_state) > tol:
+    if not np.linalg.norm(mapped - cand_state) <= tol:
         return False
     for e in report.events:
         m_ref = kron_all(event_projectors(ref, e))
@@ -920,7 +921,7 @@ def verify_selftest_claim(
         lhs = big @ interleave_with_junk(
             m_ref @ ref_state, report.junk, tuple(ref.dims), report.junk_dims
         )
-        if np.linalg.norm(lhs - m_cand @ cand_state) > tol:
+        if not np.linalg.norm(lhs - m_cand @ cand_state) <= tol:
             return False
     return True
 

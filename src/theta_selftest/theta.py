@@ -3,13 +3,15 @@ and uniqueness of the primal optimizer via dual nondegeneracy.
 
 The primal over (1+n)-dimensional symmetric X (index 0 = handle):
     max sum_i w_i X_ii   s.t.  X_00 = 1,  X_ii = X_0i,  X_ij = 0 (i ~ j),  X >= 0.
-A dual certificate is Z = t E_00 + sum_i lambda_i (E_ii - E_0i)
-+ sum_{i~j} mu_ij E_ij - sum_i w_i E_ii  with Z >= 0, certifying theta <= t.
+A dual point is its multiplier vector y = (t, lambda, one mu per edge of
+g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
+lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
+rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -25,7 +27,7 @@ from .sdp import (
     solve_sdp,
 )
 
-CERT_TOL = 1e-9  # certificate entries vs. their structural values; PSD slack
+CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative singular value counted as null in uniqueness
 
 
@@ -34,7 +36,7 @@ class CertificateError(Exception):
 
 
 class MalformedCertificateError(CertificateError):
-    """Certificate matrix disagrees with its structural decomposition."""
+    """Multiplier vector does not fit the graph or has a non-finite entry."""
 
 
 class NotPsdError(CertificateError):
@@ -82,7 +84,7 @@ def theta_start(
     t = dual_scale * (float(wcap.sum()) + 1.0)
     lam = 2.0 * dual_scale * wcap
     y = np.concatenate(([t], lam, np.zeros(len(g.edges))))
-    return x, y, certificate_matrix(g, t, lam, {})
+    return x, y, certificate_matrix(g, y)
 
 
 # Interior starting points (primal_scale, dual_scale) tried in order.
@@ -113,65 +115,47 @@ def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.n
     return sol.value, sol.primal
 
 
-@dataclass(frozen=True)
-class ThetaDualCertificate:
-    """Dual feasible point in structural form plus its materialized matrix."""
-
-    t: float
-    lambdas: tuple[float, ...]
-    mus: dict[tuple[int, int], float]
-    matrix: np.ndarray
-
-
-def certificate_matrix(
-    g: WeightedGraph, t: float, lambdas, mus: dict[tuple[int, int], float]
-) -> np.ndarray:
-    z = np.zeros((g.n + 1, g.n + 1))
-    z[0, 0] = t
-    lam = np.asarray([float(v) for v in lambdas])
-    z[0, 1:] = z[1:, 0] = -lam / 2.0
-    z[np.arange(1, g.n + 1), np.arange(1, g.n + 1)] = lam - np.asarray(g.weights)
-    for (i, j), mu in mus.items():
-        if not g.has_edge(i, j):
-            raise ValueError(f"mu given for non-edge ({i},{j})")
-        z[i + 1, j + 1] = z[j + 1, i + 1] = mu / 2.0
+def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
+    """The slack Z = sum_i y_i A_i - C of theta_problem(g) at multipliers y,
+    filled by index as theta_problem fills its stack."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (1 + g.n + len(g.edges),):
+        raise MalformedCertificateError("multiplier vector length mismatch")
+    if not np.isfinite(y).all():
+        raise MalformedCertificateError("non-finite multiplier")
+    d = g.n + 1
+    v = np.arange(1, d)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    z = np.zeros((d, d))
+    z[0, 0] = y[0]
+    z[0, v] = z[v, 0] = -y[v] / 2.0
+    z[v, v] = y[v] - np.asarray(g.weights)
+    z[edges[:, 0], edges[:, 1]] = z[edges[:, 1], edges[:, 0]] = y[d:] / 2.0
     return z
 
 
-def make_certificate(
-    g: WeightedGraph, t: float, lambdas, mus: dict[tuple[int, int], float]
-) -> ThetaDualCertificate:
-    mus = {(min(i, j), max(i, j)): float(v) for (i, j), v in mus.items()}
-    return ThetaDualCertificate(
-        t=float(t),
-        lambdas=tuple(float(v) for v in lambdas),
-        mus=mus,
-        matrix=certificate_matrix(g, t, lambdas, mus),
-    )
+@dataclass(frozen=True, eq=False)
+class ThetaDualCertificate:
+    """Dual point of theta_problem(graph): multipliers y in its constraint
+    order, and the slack matrix certificate_matrix(graph, y)."""
 
+    graph: WeightedGraph
+    y: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
 
-def certificate_from_multipliers(g: WeightedGraph, y: np.ndarray) -> ThetaDualCertificate:
-    """Certificate from solver multipliers ordered as in theta_problem."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (1 + g.n + len(g.edges),):
-        raise ValueError("multiplier vector length mismatch")
-    t = float(y[0])
-    lambdas = y[1 : 1 + g.n]
-    mus = {e: float(v) for e, v in zip(g.edges, y[1 + g.n :])}
-    return make_certificate(g, t, lambdas, mus)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "matrix", certificate_matrix(self.graph, self.y))
+
+    @property
+    def t(self) -> float:
+        return float(self.y[0])
 
 
 def chsh_dual_certificate() -> ThetaDualCertificate:
-    """The 9x9 dual optimal certificate for circulant(8, [1, 4]), t = 2 + sqrt(2)."""
-    g = circulant(8, [1, 4])
-    h = 2.0 - sqrt(2.0)  # cycle edges
-    k = 3.0 - 2.0 * sqrt(2.0)  # antipodal edges
-    mus = {}
-    for i in range(8):
-        mus[(min(i, (i + 1) % 8), max(i, (i + 1) % 8))] = 2.0 * h
-    for i in range(4):
-        mus[(i, i + 4)] = 2.0 * k
-    return make_certificate(g, 2.0 + sqrt(2.0), [2.0] * 8, mus)
+    """The 9x9 dual optimal certificate for circulant(8, [1, 4]), t = 2 + sqrt(2):
+    the chained certificate at N = 2."""
+    return chained_dual_certificate(2)
 
 
 def chained_dual_certificate(N: int) -> ThetaDualCertificate:
@@ -183,12 +167,9 @@ def chained_dual_certificate(N: int) -> ThetaDualCertificate:
     l = 1.0 / (1.0 + k)
     n = 4 * N
     g = circulant(n, [1, 2 * N])
-    mus = {}
-    for i in range(n):
-        mus[(min(i, (i + 1) % n), max(i, (i + 1) % n))] = 2.0 * l
-    for i in range(2 * N):
-        mus[(i, i + 2 * N)] = 2.0 * f
-    return make_certificate(g, N / l, [2.0] * n, mus)
+    e = np.asarray(g.edges)
+    mus = np.where(e[:, 1] - e[:, 0] == 2 * N, 2.0 * f, 2.0 * l)  # antipodal, cycle
+    return ThetaDualCertificate(g, np.concatenate(([N / l], np.full(n, 2.0), mus)))
 
 
 def mobius_theta_closed_form(N: int) -> float:
@@ -201,32 +182,16 @@ def mobius_theta_closed_form(N: int) -> float:
 def verify_dual_certificate(
     g: WeightedGraph, cert: ThetaDualCertificate, tol: float = CERT_TOL
 ) -> float:
-    """Check structural form and positive semidefiniteness; return the bound t.
+    """Return the bound t that cert certifies for g.
 
-    The matrix must equal certificate_matrix(g, t, lambda, mu) entrywise
-    within CERT_TOL: Z_00 = t, border = -lambda/2, diagonal = lambda - w,
-    edge entries = mu/2, non-edge off-diagonals zero.  Its minimum
-    eigenvalue must be at least -tol.
+    Z is rebuilt from (g, cert.y); cert.matrix is never read.  Any y of the
+    right length with Z >= 0 is dual feasible for theta_problem(g), so the
+    only check is that Z's minimum eigenvalue is at least -tol.
     """
-    z = np.asarray(cert.matrix, dtype=float)
-    if z.shape != (g.n + 1, g.n + 1):
-        raise MalformedCertificateError("certificate dimension mismatch")
-    if len(cert.lambdas) != g.n:
-        raise MalformedCertificateError("lambda vector length mismatch")
-    try:
-        want = certificate_matrix(g, cert.t, cert.lambdas, cert.mus)
-    except ValueError as exc:
-        raise MalformedCertificateError(str(exc)) from exc
-    bad = np.argwhere(~(np.abs(z - want) <= CERT_TOL))
-    if bad.size:
-        p, q = bad[0]
-        raise MalformedCertificateError(
-            f"entry ({p},{q}): {float(z[p, q])!r} != {float(want[p, q])!r}"
-        )
-    lam_min = min_eigenvalue(z)
-    if lam_min < -tol:
+    lam_min = min_eigenvalue(certificate_matrix(g, cert.y))
+    if not lam_min >= -tol:
         raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{tol:.1e}")
-    return float(cert.t)
+    return cert.t
 
 
 @dataclass(frozen=True)
@@ -313,27 +278,10 @@ def mermin_primal_matrix() -> np.ndarray:
 
 
 def certificate_to_json_dict(cert: ThetaDualCertificate) -> dict:
+    g, y = cert.graph, cert.y.tolist()
     return {
-        "t": float(cert.t),
-        "lambda": [float(v) for v in cert.lambdas],
-        "mu": {f"{i}-{j}": float(v) for (i, j), v in sorted(cert.mus.items())},
-        "matrix": [[float(v) for v in row] for row in cert.matrix],
+        "t": cert.t,
+        "lambda": y[1 : 1 + g.n],
+        "mu": {f"{i}-{j}": v for (i, j), v in zip(g.edges, y[1 + g.n :])},
+        "matrix": cert.matrix.tolist(),
     }
-
-
-def certificate_from_json_dict(g: WeightedGraph, d: dict) -> ThetaDualCertificate:
-    try:
-        mus = {}
-        for key, val in d["mu"].items():
-            i, j = key.split("-")
-            mus[(int(i), int(j))] = float(val)
-        cert = make_certificate(g, float(d["t"]), [float(v) for v in d["lambda"]], mus)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed certificate document: {exc}") from exc
-    if "matrix" in d:
-        matrix = np.asarray(d["matrix"], dtype=float)
-        if matrix.shape != cert.matrix.shape:
-            raise MalformedCertificateError("certificate dimension mismatch")
-        if not np.all(np.abs(matrix - cert.matrix) <= CERT_TOL):
-            raise MalformedCertificateError("matrix disagrees with t/lambda/mu fields")
-    return cert

@@ -7,6 +7,7 @@ import io
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from theta_selftest.cli import main as cli_main
 from theta_selftest.graphs import WeightedGraph
@@ -44,6 +45,19 @@ def brute_force_maximal_cliques(g: WeightedGraph) -> list[tuple[int, ...]]:
                 continue
             cliques.append(subset)
     return sorted(cliques)
+
+
+@st.composite
+def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
+    n = draw(st.integers(1, 10))
+    if bipartite:
+        left = draw(st.integers(1, n))
+        pairs = [(i, j) for i in range(left) for j in range(left, n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
 
 
 def random_graph(rng: np.random.Generator, max_n: int = 12) -> WeightedGraph:

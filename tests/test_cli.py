@@ -114,9 +114,18 @@ class TestTheta:
 
     def test_malformed_graph_file(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"nope\": 1}", encoding="utf-8")
-        code, _, err = run_cli(["theta", "--graph", str(bad)])
-        assert code == 1 and "input error" in err
+        for text in (
+            '{"nope": 1}',
+            '{"n": 2, "edges": [[0, 1]], "weights": [1.0, NaN]}',
+            '{"n": 2, "edges": [[0, 1]], "weights": [Infinity, 1.0]}',
+            '{"n": 2, "edges": [[0, 1.7]]}',
+            '{"n": true, "edges": []}',
+        ):
+            bad.write_text(text, encoding="utf-8")
+            for command in ("theta", "uniqueness"):
+                code, out, err = run_cli([command, "--graph", str(bad)])
+                assert (code, out) == (1, ""), (command, text)
+                assert err.startswith("input error"), (command, text)
 
     def test_unachievable_tolerance_is_solver_failure(self, tmp_path):
         from theta_selftest import circulant
@@ -149,9 +158,10 @@ class TestCertify:
         assert abs(doc["bound"] - 5.0 * (1.0 + cos(pi / 10.0))) <= 1e-12
 
     def test_rejects_unsupported_scenarios(self):
-        for bad in ("chained:1", "mermin", "as4", "nope"):
-            code, _, err = run_cli(["certify", "--scenario", bad])
-            assert code == 1, bad
+        for bad in ("chained:0", "chained:1", "mermin", "as4", "nope"):
+            code, out, err = run_cli(["certify", "--scenario", bad])
+            assert (code, out) == (1, ""), bad
+            assert err.startswith("input error"), bad
 
 
 class TestUniqueness:
@@ -166,6 +176,12 @@ class TestUniqueness:
     def test_chained_closed_form(self):
         code, out, _ = run_cli(["uniqueness", "--scenario", "chained:3"])
         assert code == 0 and "NONDEGENERATE" in out
+
+    def test_chained_below_two_rejected(self):
+        for bad in ("chained:0", "chained:1"):
+            code, out, err = run_cli(["uniqueness", "--scenario", bad])
+            assert (code, out) == (1, ""), bad
+            assert err.startswith("input error"), bad
 
     def test_mermin_solver_route(self):
         code, out, _ = run_cli(["uniqueness", "--scenario", "mermin", "--json"])
@@ -273,6 +289,23 @@ class TestSelftest:
         assert code == 1 and out == ""
         assert err.startswith("input error:") and "witness label" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["state", "projector", "ket"])
+    def test_non_finite_candidate_is_input_error(self, tmp_path, entry):
+        doc = realization_to_json_dict(reference_realization("chsh"))
+        if entry == "state":
+            doc["state"] = [[float("nan"), float("nan")] for _ in doc["state"]]
+        elif entry == "projector":
+            doc["projectors"][0][0][0][0][0] = [float("nan"), 0.0]
+        else:
+            doc["kets"][0][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            ["selftest", "--scenario", "chsh", "--candidate", str(path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "non-finite" in err
 
     def test_missing_candidate_file(self, tmp_path):
         code, _, _ = run_cli(

@@ -10,6 +10,7 @@ from conftest import (
     brute_force_independence,
     brute_force_maximal_cliques,
     random_graph,
+    weighted_graphs,
 )
 from theta_selftest import graphs
 from theta_selftest.graphs import (
@@ -50,6 +51,8 @@ class TestWeightedGraph:
             (2, [(0, 1), (1, 0)], None),
             (2, [], [1.0]),
             (2, [], [1.0, -0.5]),
+            (2, [], [1.0, float("nan")]),
+            (2, [], [float("inf"), 1.0]),
         ],
     )
     def test_invalid_inputs(self, n, edges, weights):
@@ -152,19 +155,6 @@ class TestCliquesAndPacking:
     def test_fractional_packing_weighted(self):
         g = WeightedGraph(2, [(0, 1)], [0.5, 2.0])
         assert fractional_packing(g) == pytest.approx(2.0, abs=1e-9)
-
-
-@st.composite
-def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
-    n = draw(st.integers(1, 10))
-    if bipartite:
-        left = draw(st.integers(1, n))
-        pairs = [(i, j) for i in range(left) for j in range(left, n)]
-    else:
-        pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    weights = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
-    return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
 
 
 def _assert_closed(lo: float, hi: float) -> None:
@@ -298,6 +288,15 @@ class TestSerialization:
             from_json_dict({"edges": [[0, 1]]})
         with pytest.raises(ValueError):
             from_json_dict({"n": 2, "edges": [[0, 5]], "weights": [1, 1]})
+        # Vertex counts and indices must be integers, and not booleans.
+        for doc in (
+            {"n": 2, "edges": [[0, 1.7]]},
+            {"n": 2.0, "edges": []},
+            {"n": True, "edges": []},
+            {"n": 2, "edges": [[False, 1]]},
+        ):
+            with pytest.raises(ValueError, match="malformed graph document"):
+                from_json_dict(doc)
 
     def test_graph_to_json_deterministic(self):
         g = circulant(6, (1, 3))

@@ -155,6 +155,14 @@ class TestRankOneExtraction:
         assert np.abs(report.junk - [1.0]).max() <= 1e-12
         assert verify_selftest_claim(r, r, report, 1e-7)
 
+    def test_nan_candidate_never_verifies(self):
+        # The claim check runs on its own inputs: a NaN residual must fail it.
+        wit, r, _ = _structure("chsh")
+        report = run_selftest(wit, r, r)
+        state = np.full_like(np.asarray(r.state, dtype=complex), np.nan)
+        cand = Realization(r.dims, state, r.projectors, r.kets)
+        assert not verify_selftest_claim(r, cand, report, 1e-7)
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rotated_candidate_accepted(self, name, seed):

@@ -1,10 +1,13 @@
 """Theta SDP assembly, closed-form certificates, and uniqueness tests."""
 
+import json
 from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_graph
+from conftest import random_graph, weighted_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selftest import (
     MalformedCertificateError,
@@ -26,11 +29,10 @@ from theta_selftest.scenarios import mermin_witness
 from theta_selftest.sdp import solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
+    ThetaDualCertificate,
     _nondegeneracy_system,
-    certificate_from_json_dict,
-    certificate_from_multipliers,
+    certificate_matrix,
     certificate_to_json_dict,
-    make_certificate,
     theta_problem,
     theta_start,
 )
@@ -143,6 +145,39 @@ class TestPrimalMatrices:
         assert abs(np.trace(p) - 1.0 - 4.0) <= 1e-12
 
 
+def _multipliers(g: WeightedGraph, t: float, lam, mu=None) -> np.ndarray:
+    """y in theta_problem's order; mu defaults to zero on every edge."""
+    mu = np.zeros(len(g.edges)) if mu is None else mu
+    return np.concatenate(([t], np.broadcast_to(lam, g.n), mu))
+
+
+def _slack_oracle(g: WeightedGraph, y: np.ndarray) -> np.ndarray:
+    """sum_i y_i A_i - C straight from theta_problem's dense stack."""
+    p = theta_problem(g)
+    return np.tensordot(y, p.constraints, axes=1) - p.objective
+
+
+@st.composite
+def _dual_points(draw):
+    """A weighted graph, its theta, and a multiplier vector near the optimal
+    dual: the solver's lambda and mu, perturbed, with t at the least value
+    making Z PSD plus a jitter of either sign."""
+    g = draw(weighted_graphs())
+    sol = solve_theta_problem(g)
+    y = sol.dual_multipliers
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(y), max_size=len(y)))
+    y = y + scale * np.asarray(noise)
+    # Shift lambda until the vertex block of Z is positive definite, then
+    # put t at the Schur-complement threshold.
+    block = _slack_oracle(g, y)[1:, 1:]
+    y[1 : 1 + g.n] += max(0.0, -float(np.linalg.eigvalsh(block).min())) + 1e-3
+    z = _slack_oracle(g, y)
+    y[0] += float(z[0, 1:] @ np.linalg.solve(z[1:, 1:], z[0, 1:])) - z[0, 0]
+    y[0] += draw(st.floats(-0.05, 0.05))
+    return g, y, sol.value
+
+
 class TestCertificates:
     def test_chsh_certificate_verifies(self):
         cert = chsh_dual_certificate()
@@ -150,9 +185,16 @@ class TestCertificates:
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-12
 
     def test_chained_matches_chsh_at_n2(self):
-        assert np.abs(
-            chained_dual_certificate(2).matrix - chsh_dual_certificate().matrix
-        ).max() <= 1e-12
+        # The CHSH closed form written out: mu = 2(2 - sqrt 2) on the cycle
+        # and 2(3 - 2 sqrt 2) on the antipodal edges, lambda = 2, t = 2 + sqrt 2.
+        e = np.asarray(CHSH_GRAPH.edges)
+        mu = np.where(e[:, 1] - e[:, 0] == 4, 2.0 * (3.0 - 2.0 * sqrt(2.0)),
+                      2.0 * (2.0 - sqrt(2.0)))
+        y = _multipliers(CHSH_GRAPH, 2.0 + sqrt(2.0), 2.0, mu)
+        cert = chained_dual_certificate(2)
+        assert np.abs(cert.y - y).max() <= 1e-14
+        assert np.abs(cert.matrix - _slack_oracle(CHSH_GRAPH, y)).max() <= 1e-14
+        assert np.array_equal(chsh_dual_certificate().y, cert.y)
 
     def test_chained_bound_values(self):
         for n in (2, 3, 4, 6):
@@ -175,56 +217,98 @@ class TestCertificates:
         x = chsh_primal_matrix()
         assert np.abs(z @ x).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            CHSH_GRAPH,
+            exclusivity_graph(mermin_witness()),
+            random_graph(np.random.default_rng(5)),
+            WeightedGraph(3, []),
+        ],
+        ids=["chsh", "mermin", "random", "edgeless"],
+    )
+    def test_matrix_matches_problem_stack(self, g):
+        y = np.random.default_rng(g.n).normal(size=1 + g.n + len(g.edges))
+        assert np.array_equal(certificate_matrix(g, y), _slack_oracle(g, y))
+
     def test_structural_mismatch_raises(self):
-        cert = chsh_dual_certificate()
-        bad = np.array(cert.matrix)
-        bad[1, 3] += 1e-3  # non-edge entry must be zero
-        tampered = type(cert)(t=cert.t, lambdas=cert.lambdas, mus=cert.mus, matrix=bad)
-        with pytest.raises(MalformedCertificateError):
-            verify_dual_certificate(CHSH_GRAPH, tampered)
+        # A multiplier vector that does not fit the graph has no slack matrix.
+        y = chsh_dual_certificate().y
+        with pytest.raises(MalformedCertificateError, match="length"):
+            ThetaDualCertificate(CHSH_GRAPH, y[:-1])
+        with pytest.raises(MalformedCertificateError, match="length"):
+            certificate_matrix(CHSH_GRAPH, y.reshape(1, -1))
+        with pytest.raises(MalformedCertificateError, match="length"):
+            verify_dual_certificate(C5, chsh_dual_certificate())
 
     def test_nan_entry_raises(self):
-        cert = chsh_dual_certificate()
-        bad = np.array(cert.matrix)
-        bad[1, 3] = bad[3, 1] = np.nan
-        tampered = type(cert)(t=cert.t, lambdas=cert.lambdas, mus=cert.mus, matrix=bad)
-        with pytest.raises(MalformedCertificateError):
-            verify_dual_certificate(CHSH_GRAPH, tampered)
+        # Non-finite t, lambda or mu entries.
+        for index in (0, 1, -1):
+            for value in (np.nan, np.inf, -np.inf):
+                y = np.array(chsh_dual_certificate().y)
+                y[index] = value
+                with pytest.raises(MalformedCertificateError, match="non-finite"):
+                    ThetaDualCertificate(CHSH_GRAPH, y)
+                with pytest.raises(MalformedCertificateError, match="non-finite"):
+                    certificate_matrix(CHSH_GRAPH, y)
 
     def test_mu_on_non_edge_is_malformed(self):
-        cert = chsh_dual_certificate()
-        mus = {**cert.mus, (0, 2): 0.0}  # (0, 2) is not an edge of Ci_8(1, 4)
-        tampered = type(cert)(t=cert.t, lambdas=cert.lambdas, mus=mus, matrix=cert.matrix)
-        with pytest.raises(MalformedCertificateError, match="non-edge"):
-            verify_dual_certificate(CHSH_GRAPH, tampered)
+        # A mu for the non-edge (0, 2) of Ci_8(1, 4) has no slot in y.
+        y = np.append(chsh_dual_certificate().y, 0.0)
+        with pytest.raises(MalformedCertificateError, match="length"):
+            ThetaDualCertificate(CHSH_GRAPH, y)
+
+    def test_mu_on_non_edge_rejected(self):
+        # A certificate written for a supergraph does not verify on the graph.
+        sup = WeightedGraph(5, C5.edges + ((0, 2),))
+        cert = ThetaDualCertificate(sup, _multipliers(sup, 3.0, 2.0))
+        with pytest.raises(MalformedCertificateError, match="length"):
+            verify_dual_certificate(C5, cert)
 
     def test_negative_eigenvalue_raises(self):
-        cert = make_certificate(C5, 1.0, [2.0] * 5, {})
+        cert = ThetaDualCertificate(C5, _multipliers(C5, 1.0, 2.0))
         with pytest.raises(NotPsdError):
             verify_dual_certificate(C5, cert)
 
-    def test_mu_on_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            make_certificate(C5, 3.0, [2.0] * 5, {(0, 2): 1.0})
+    def test_stored_matrix_is_not_read(self):
+        # Verification rebuilds Z from y: a stale matrix can neither pass a
+        # bad certificate nor fail a good one.
+        bad = ThetaDualCertificate(C5, _multipliers(C5, 1.0, 2.0))
+        object.__setattr__(bad, "matrix", np.eye(6))
+        with pytest.raises(NotPsdError):
+            verify_dual_certificate(C5, bad)
+        good = chsh_dual_certificate()
+        object.__setattr__(good, "matrix", -np.eye(9))
+        assert verify_dual_certificate(CHSH_GRAPH, good) == good.t
 
     def test_multiplier_recovery_roundtrip(self):
         sol = solve_theta_problem(CHSH_GRAPH)
-        cert = certificate_from_multipliers(CHSH_GRAPH, sol.dual_multipliers)
+        cert = ThetaDualCertificate(CHSH_GRAPH, sol.dual_multipliers)
         t = verify_dual_certificate(CHSH_GRAPH, cert, tol=1e-6)
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-6
-        with pytest.raises(ValueError):
-            certificate_from_multipliers(CHSH_GRAPH, sol.dual_multipliers[:-1])
+        with pytest.raises(MalformedCertificateError):
+            ThetaDualCertificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
 
     def test_recovered_certificates_on_random_weighted_graphs(self):
-        from conftest import random_graph
-
         rng = np.random.default_rng(41)
         for _ in range(5):
             g = random_graph(rng, max_n=8)
             sol = solve_theta_problem(g)
-            cert = certificate_from_multipliers(g, sol.dual_multipliers)
+            cert = ThetaDualCertificate(g, sol.dual_multipliers)
             t = verify_dual_certificate(g, cert, tol=1e-6)
             assert abs(t - sol.value) <= 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_dual_points())
+    def test_verified_bound_is_at_least_theta(self, point):
+        # Any y whose Z is PSD is dual feasible, so no structural check is
+        # needed for verify_dual_certificate's t to bound theta.
+        g, y, theta = point  # theta is lovasz_theta(g)[0]
+        try:
+            t = verify_dual_certificate(g, ThetaDualCertificate(g, y))
+        except NotPsdError:
+            return
+        assert t >= theta - 1e-6 * max(1.0, t)
 
 
 class TestUniqueness:
@@ -242,20 +326,18 @@ class TestUniqueness:
 
     def test_single_vertex_nondegenerate(self):
         g = WeightedGraph(1, [], [1.5])
-        z = make_certificate(g, 1.5, [3.0], {}).matrix
+        z = certificate_matrix(g, [1.5, 3.0])
         verdict = dual_nondegenerate(g, z)
         assert verdict.nondegenerate and verdict.nullspace_dim == 0
 
     def test_empty_two_vertex_nondegenerate(self):
         g = WeightedGraph(2, [])
-        z = make_certificate(g, 2.0, [2.0, 2.0], {}).matrix
+        z = certificate_matrix(g, [2.0, 2.0, 2.0])
         assert dual_nondegenerate(g, z).nondegenerate
 
     def test_four_cycle_degenerate(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        z = make_certificate(
-            g, 2.0, [2.0] * 4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0}
-        ).matrix
+        z = certificate_matrix(g, [2.0] + [2.0] * 4 + [1.0] * 4)
         verdict = dual_nondegenerate(g, z)
         assert not verdict.nondegenerate
         assert verdict.nullspace_dim >= 1
@@ -325,38 +407,12 @@ class TestUniqueness:
 
 class TestCertificateSerialization:
     def test_json_roundtrip(self):
+        # The document carries y: t, lambda and mu keyed by edge rebuild the
+        # certificate, and its matrix is the certificate's.
         cert = chsh_dual_certificate()
-        d = certificate_to_json_dict(cert)
-        back = certificate_from_json_dict(CHSH_GRAPH, d)
-        assert back.t == cert.t
-        assert back.lambdas == cert.lambdas
-        assert back.mus == cert.mus
-        assert np.array_equal(back.matrix, cert.matrix)
-
-    def test_json_matrix_mismatch_rejected(self):
-        d = certificate_to_json_dict(chsh_dual_certificate())
-        d["matrix"][0][0] += 0.5
-        with pytest.raises(MalformedCertificateError):
-            certificate_from_json_dict(CHSH_GRAPH, d)
-
-    def test_json_matrix_held_to_cert_tol(self):
-        d = certificate_to_json_dict(chsh_dual_certificate())
-        d["matrix"][0][0] += 1e-6  # inside allclose's default rtol, far outside CERT_TOL
-        with pytest.raises(MalformedCertificateError, match="disagrees"):
-            certificate_from_json_dict(CHSH_GRAPH, d)
-
-    def test_json_matrix_dimension_mismatch_rejected(self):
-        d = certificate_to_json_dict(chsh_dual_certificate())
-        d["matrix"] = [row[:8] for row in d["matrix"][:8]]
-        with pytest.raises(MalformedCertificateError, match="dimension mismatch"):
-            certificate_from_json_dict(CHSH_GRAPH, d)
-
-    def test_json_matrix_nan_rejected(self):
-        d = certificate_to_json_dict(chsh_dual_certificate())
-        d["matrix"][2][3] = float("nan")
-        with pytest.raises(MalformedCertificateError):
-            certificate_from_json_dict(CHSH_GRAPH, d)
-
-    def test_json_missing_field_rejected(self):
-        with pytest.raises(ValueError):
-            certificate_from_json_dict(CHSH_GRAPH, {"t": 1.0})
+        d = json.loads(json.dumps(certificate_to_json_dict(cert)))
+        mu = [d["mu"][f"{i}-{j}"] for i, j in CHSH_GRAPH.edges]
+        back = ThetaDualCertificate(CHSH_GRAPH, [d["t"], *d["lambda"], *mu])
+        assert np.array_equal(back.y, cert.y)
+        assert len(d["mu"]) == len(CHSH_GRAPH.edges)
+        assert np.array_equal(np.asarray(d["matrix"]), cert.matrix)
