@@ -442,12 +442,24 @@ def reference_realization(name: str) -> Realization:
     }[kind]()
 
 
-def _c_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _c_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
+def _jsonify(obj):
+    """`obj` with numpy values turned into JSON types: arrays into nested
+    lists and complex numbers into [real, imag] pairs."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonify(obj.tolist())
+    if isinstance(obj, (np.complexfloating, complex)):
+        return [float(np.real(obj)), float(np.imag(obj))]
+    return obj
 
 
 def _from_c_pair(v) -> complex:
@@ -473,22 +485,18 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
 
 
 def realization_to_json_dict(r: Realization) -> dict:
+    def complex_tree(per_party):
+        return _jsonify(
+            [[[np.asarray(m, dtype=complex) for m in s] for s in party] for party in per_party]
+        )
+
     d = {
         "dims": list(r.dims),
-        "state": [_c_pair(v) for v in np.asarray(r.state, dtype=complex)],
-        "projectors": [
-            [[_c_matrix(p) for p in setting] for setting in party]
-            for party in r.projectors
-        ],
+        "state": _jsonify(np.asarray(r.state, dtype=complex)),
+        "projectors": complex_tree(r.projectors),
     }
     if r.kets is not None:
-        d["kets"] = [
-            [
-                [[_c_pair(v) for v in np.asarray(k, dtype=complex)] for k in setting]
-                for setting in party
-            ]
-            for party in r.kets
-        ]
+        d["kets"] = complex_tree(r.kets)
     return d
 
 

@@ -1,10 +1,15 @@
 """Constructive self-testing for realizations that saturate the graph bound.
 
-Pipeline: read the product structure off a rank-one reference realization,
-check the structural conditions the extraction needs (A1-A4 bipartite, A5-A9
-tripartite, projector completeness C1), then build local isometries (and a
-junk state in the general-rank case) carrying the reference state and event
-vectors onto any candidate realization that reproduces the same Gram matrix.
+Pipeline (run_selftest): read the product structure off the validated
+rank-one reference realization, check the candidate's party count and
+witness labels and validate it, check the structural conditions the
+extraction needs (A1-A4 bipartite, A5-A9 tripartite, and projector
+completeness C1 for a general-rank candidate), check once that the candidate
+reproduces the reference's Gram matrix of [psi, Pi_1 psi, ..., Pi_n psi],
+then build local isometries (and a junk state in the general-rank case)
+carrying the reference onto the candidate.  The claim residuals are measured
+by one function from the two realizations' states and projectors;
+verify_selftest_claim reruns it on a report.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -22,6 +27,7 @@ from .scenarios import (
     PROJECTOR_TOL,
     Event,
     Realization,
+    _jsonify,
     event_projectors,
     kron_all,
     validate_realization,
@@ -52,9 +58,9 @@ class NotOptimizerError(SelfTestError):
 class ProductStructure:
     """Per-event product decomposition of a rank-one realization.
 
-    Every event vector factorizes as v_i = phase_i * (x-th local kets
-    tensored over the parties), with unit local kets in a canonical gauge and
-    eta_i = |Pi_i psi| > 0.  local_keys[j] lists each party's (setting,
+    Every normalized event vector Pi_i psi / |Pi_i psi| factorizes as
+    v_i = phase_i * (x-th local kets tensored over the parties), with unit
+    local kets in a canonical gauge.  local_keys[j] lists each party's (setting,
     outcome) labels in sorted order; event_locals[i] gives each event's local
     index per party.
     """
@@ -65,7 +71,6 @@ class ProductStructure:
     locals_: tuple[tuple[np.ndarray, ...], ...]
     event_locals: tuple[tuple[int, ...], ...]
     phases: np.ndarray
-    etas: np.ndarray
     state: np.ndarray
     events: tuple[Event, ...]
 
@@ -93,11 +98,16 @@ def _rank_one_ket(p: np.ndarray) -> np.ndarray:
     return u[:, -1]
 
 
+def _event_vector(r: Realization, e: Event) -> np.ndarray:
+    """The projected state Pi_e psi of realization `r`."""
+    return kron_all(event_projectors(r, e)) @ np.asarray(r.state, dtype=complex)
+
+
 def product_structure_from_realization(
     r: Realization, events: tuple[Event, ...]
 ) -> ProductStructure:
-    """Extract the product structure of a rank-one realization on `events`."""
-    validate_realization(r)
+    """Extract the product structure of a validated rank-one realization on
+    `events`."""
     parties = len(r.dims)
     keys = tuple(
         tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
@@ -119,9 +129,8 @@ def product_structure_from_realization(
         for e in events
     )
     phases = np.zeros(len(events), dtype=complex)
-    etas = np.zeros(len(events))
     for i, e in enumerate(events):
-        proj = kron_all(event_projectors(r, e)) @ state
+        proj = _event_vector(r, e)
         eta = np.linalg.norm(proj)
         if eta < ETA_TOL:
             raise PreconditionError(f"event {i} has negligible probability")
@@ -130,7 +139,6 @@ def product_structure_from_realization(
         if np.linalg.norm(proj / eta - phase * u) > OVERLAP_TOL:
             raise PreconditionError(f"event {i} vector is not a local product")
         phases[i] = phase / abs(phase)
-        etas[i] = eta
     return ProductStructure(
         parties,
         tuple(r.dims),
@@ -138,7 +146,6 @@ def product_structure_from_realization(
         tuple(tuple(party) for party in locals_),
         event_locals,
         phases,
-        etas,
         state,
         tuple(events),
     )
@@ -427,9 +434,8 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
 
 def check_projector_condition_C1(r: Realization, ps: ProductStructure) -> bool:
     """For every orthogonal pair of reference local kets, the candidate's two
-    projectors must sum to the identity."""
-    if len(r.dims) != ps.party_count:
-        raise ValueError("realization party count does not match the structure")
+    projectors must sum to the identity.  `r` must carry the structure's
+    parties and labels, as run_selftest checks first."""
     for j in range(ps.party_count):
         keys = ps.local_keys[j]
         eye = np.eye(r.dims[j])
@@ -437,10 +443,7 @@ def check_projector_condition_C1(r: Realization, ps: ProductStructure) -> bool:
             if abs(np.vdot(ps.locals_[j][p], ps.locals_[j][q])) > OVERLAP_TOL:
                 continue
             (x1, a1), (x2, a2) = keys[p], keys[q]
-            try:
-                total = r.projectors[j][x1][a1] + r.projectors[j][x2][a2]
-            except IndexError as exc:
-                raise ValueError("candidate projector labels do not cover the structure") from exc
+            total = r.projectors[j][x1][a1] + r.projectors[j][x2][a2]
             if np.abs(total - eye).max() > PROJECTOR_TOL:
                 return False
     return True
@@ -471,35 +474,47 @@ def interleave_with_junk(
 
 
 def _claim_residuals(
-    ref_state: np.ndarray,
-    ref_event_vectors,
-    cand_event_vectors,
-    cand_state: np.ndarray,
+    ref: Realization,
+    cand: Realization,
     isometries,
     junk: np.ndarray,
-    dims: tuple[int, ...],
     junk_dims: tuple[int, ...],
-):
+    events: tuple[Event, ...],
+) -> tuple[float, float, np.ndarray]:
+    """Residuals of the claim that V = V_1 x ... x V_n carries the reference
+    onto the candidate: max |V_j^dagger V_j - 1|, |V (psi x junk) - psi'|,
+    and |V (Pi_i psi x junk) - Pi'_i psi'| for every event, measured from
+    the two realizations' states and projectors."""
     big = kron_all(list(isometries))
-    state_res = float(
-        np.linalg.norm(big @ interleave_with_junk(ref_state, junk, dims, junk_dims) - cand_state)
+    dims = tuple(ref.dims)
+
+    def residual(ref_vec, cand_vec) -> float:
+        mapped = big @ interleave_with_junk(ref_vec, junk, dims, junk_dims)
+        return float(np.linalg.norm(mapped - cand_vec))
+
+    isometry_dev = float(
+        np.max([np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in isometries])
+    )
+    state_res = residual(
+        np.asarray(ref.state, dtype=complex), np.asarray(cand.state, dtype=complex)
     )
     vec_res = np.array(
-        [
-            np.linalg.norm(big @ interleave_with_junk(rv, junk, dims, junk_dims) - cv)
-            for rv, cv in zip(ref_event_vectors, cand_event_vectors)
-        ]
+        [residual(_event_vector(ref, e), _event_vector(cand, e)) for e in events]
     )
-    return state_res, vec_res
+    return isometry_dev, state_res, vec_res
 
 
-def _event_vectors(ps: ProductStructure) -> list[np.ndarray]:
-    """The projected states Pi_i psi = eta_i v_i, rebuilt from the structure."""
-    return [ps.etas[i] * ps.product_vector(i) for i in range(len(ps.events))]
-
-
-def _check_gram_match(ref_vecs, cand_vecs, tol: float) -> None:
-    """Compare the Gram matrices of [state, Pi_1 psi, ..., Pi_n psi]."""
+def _check_gram_match(
+    ref: Realization, cand: Realization, events: tuple[Event, ...], tol: float
+) -> None:
+    """Compare the two realizations' Gram matrices of [psi, Pi_1 psi, ...,
+    Pi_n psi], after ruling out candidate events of negligible probability."""
+    ref_vecs, cand_vecs = (
+        [np.asarray(r.state, dtype=complex)] + [_event_vector(r, e) for e in events]
+        for r in (ref, cand)
+    )
+    if any(np.linalg.norm(v) < ETA_TOL for v in cand_vecs[1:]):
+        raise PreconditionError("candidate event with negligible probability")
     g_ref = np.array([[np.vdot(u, v) for v in ref_vecs] for u in ref_vecs])
     g_cand = np.array([[np.vdot(u, v) for v in cand_vecs] for u in cand_vecs])
     dev = float(np.abs(g_ref - g_cand).max())
@@ -721,26 +736,15 @@ def _apply_party(op: np.ndarray, state_tensor: np.ndarray, j: int) -> np.ndarray
     return np.moveaxis(out, 0, j)
 
 
-def _extract_general(
-    ps: ProductStructure, cand: Realization, conditions: ConditionReport, tol: float
-) -> SelfTestReport:
+def _general_isometries(ps: ProductStructure, cand: Realization):
     """General-rank extraction: block-decompose each party via the product of
     its two reference-selected candidate projectors, run the per-block
     rank-one construction, and assemble the junk state from the block
-    components of the candidate state."""
-    cand_state = np.asarray(cand.state, dtype=complex)
-    state_tensor = cand_state.reshape(tuple(int(d) for d in cand.dims))
-
-    # Gram precondition on the candidate event vectors
-    cand_proj_vecs = []
-    for e in ps.events:
-        vec = kron_all(event_projectors(cand, e)) @ cand_state
-        if np.linalg.norm(vec) < ETA_TOL:
-            raise PreconditionError("candidate event with negligible probability")
-        cand_proj_vecs.append(vec)
-    ref_vecs = _event_vectors(ps)
-    _check_gram_match([ps.state] + ref_vecs, [cand_state] + cand_proj_vecs, tol)
-
+    components of the candidate state.  Returns (isometries, junk,
+    junk_dims)."""
+    state_tensor = np.asarray(cand.state, dtype=complex).reshape(
+        tuple(int(d) for d in cand.dims)
+    )
     party_blocks = []
     party_vs = []
     for j in range(ps.party_count):
@@ -769,34 +773,12 @@ def _extract_general(
         raise NotOptimizerError(
             f"block components carry total weight {total_weight:.6f} != 1"
         )
-    junk_flat = junk.reshape(-1)
-
-    isometries = []
-    for j in range(ps.party_count):
-        d = ps.dims[j]
-        k = k_dims[j]
-        v = np.zeros((cand.dims[j], d * k), dtype=complex)
-        for m in range(d):
-            basis = np.zeros(d)
-            basis[m] = 1.0
-            for b in range(k):
-                v[:, m * k + b] = party_vs[j][b] @ basis
-        isometries.append(_canonical_phase(v))
-    isometries = tuple(isometries)
-
-    state_res, vec_res = _claim_residuals(
-        ps.state,
-        ref_vecs,
-        cand_proj_vecs,
-        cand_state,
-        isometries,
-        junk_flat,
-        ps.dims,
-        k_dims,
+    # Column m * k + b of party j's isometry is column m of its block-b map.
+    isometries = tuple(
+        _canonical_phase(np.stack(vs, axis=-1).reshape(vs[0].shape[0], -1))
+        for vs in party_vs
     )
-    return SelfTestReport(
-        isometries, junk_flat, k_dims, state_res, vec_res, ps.events, conditions
-    )
+    return isometries, junk.reshape(-1), k_dims
 
 
 def candidate_is_rank_one(cand: Realization) -> bool:
@@ -808,40 +790,20 @@ def candidate_is_rank_one(cand: Realization) -> bool:
     return True
 
 
-def _extract_rank_one(
-    ps: ProductStructure,
-    cand: Realization,
-    conditions: ConditionReport,
-    pivot: int,
-    family_keys: tuple[str, str, str],
-    tol: float,
-) -> SelfTestReport:
-    """Check the candidate's Gram matrix, run the rank-one core on the pivot
-    family named by `family_keys` (condition, family key, edges key), and
-    report the residuals of the isometries' tensor product mapping the state
-    and event vectors onto the candidate's."""
+def _rank_one_isometries(
+    ps: ProductStructure, cand: Realization, pivot: int, family, edges
+):
+    """Run the rank-one core on the pivot party's `family` and its `edges`; the
+    one-dimensional junk carries the global phase.  Returns (isometries,
+    junk, junk_dims)."""
     cand_ps = product_structure_from_realization(cand, ps.events)
-    ref_vecs, cand_vecs = _event_vectors(ps), _event_vectors(cand_ps)
-    _check_gram_match([ps.state] + ref_vecs, [cand_ps.state] + cand_vecs, tol)
-    condition, family_key, edges_key = family_keys
-    evidence = conditions.evidence[condition]
     isometries = tuple(
         _canonical_phase(v)
-        for v in _rank_one_core(
-            ps, cand_ps, pivot, evidence[family_key], evidence[edges_key]
-        )
+        for v in _rank_one_core(ps, cand_ps, pivot, family, edges)
     )
-    big = kron_all(list(isometries))
-    z = np.vdot(big @ ps.state, cand_ps.state)
+    z = np.vdot(kron_all(list(isometries)) @ ps.state, cand_ps.state)
     z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
-    junk = np.array([z])
-    junk_dims = (1,) * ps.party_count
-    state_res, vec_res = _claim_residuals(
-        ps.state, ref_vecs, cand_vecs, cand_ps.state, isometries, junk, ps.dims, junk_dims
-    )
-    return SelfTestReport(
-        isometries, junk, junk_dims, state_res, vec_res, ps.events, conditions
-    )
+    return isometries, np.array([z]), (1,) * ps.party_count
 
 
 # Party count -> (condition checker, conditions the rank-one path needs,
@@ -856,8 +818,12 @@ _EXTRACTION = {
 
 
 def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> None:
-    """Raise ValueError naming the first witness label the candidate lacks a
-    projector for (or a ket for, when it carries kets)."""
+    """Raise ValueError unless the candidate has the witness's party count,
+    naming the first witness label it lacks a projector for (or a ket for,
+    when it carries kets)."""
+    parties = len(events[0].settings)
+    if len(cand.dims) != parties:
+        raise ValueError(f"candidate has {len(cand.dims)} parties, the witness {parties}")
     for e in events:
         for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
             for what, table in (("projector", cand.projectors), ("ket", cand.kets)):
@@ -873,28 +839,41 @@ def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> Non
 def run_selftest(
     witness, ref: Realization, cand: Realization, tol: float = SELFTEST_TOL
 ) -> SelfTestReport:
-    """Check the reference's conditions, then extract isometries onto `cand`:
-    by the rank-one core when every candidate projector is rank one, else
-    (after projector completeness C1) by the general-rank block
+    """Validate `cand`, check the reference's conditions (and projector
+    completeness C1 for a general-rank candidate) and the candidate's Gram
+    matrix, then extract isometries onto `cand`: by the rank-one core when
+    every candidate projector is rank one, else by the general-rank block
     construction."""
     events = tuple(e for e, _ in witness.terms)
+    validate_realization(ref)
     ps = product_structure_from_realization(ref, events)
     _check_candidate_labels(cand, events)
-    rank_one = candidate_is_rank_one(cand)
+    validate_realization(cand)
     if ps.party_count not in _EXTRACTION:
         raise ValueError("self-testing supports two or three parties")
     check, rank_one_needed, general_needed, pivot, family_keys = _EXTRACTION[ps.party_count]
+    rank_one = candidate_is_rank_one(cand)
     conditions = check(ps)
-    needed = rank_one_needed if rank_one else general_needed
-    if not conditions.all_true(needed):
-        raise PreconditionError(
-            f"conditions {conditions.failed(needed)} fail for the reference"
-        )
-    if rank_one:
-        return _extract_rank_one(ps, cand, conditions, pivot, family_keys, tol)
-    if not check_projector_condition_C1(cand, ps):
+    failed = conditions.failed(rank_one_needed if rank_one else general_needed)
+    if failed:
+        raise PreconditionError(f"conditions {failed} fail for the reference")
+    if not rank_one and not check_projector_condition_C1(cand, ps):
         raise PreconditionError("candidate projectors violate completeness (C1)")
-    return _extract_general(ps, cand, conditions, tol)
+    _check_gram_match(ref, cand, events, tol)
+    if rank_one:
+        condition, family_key, edges_key = family_keys
+        evidence = conditions.evidence[condition]
+        isometries, junk, junk_dims = _rank_one_isometries(
+            ps, cand, pivot, evidence[family_key], evidence[edges_key]
+        )
+    else:
+        isometries, junk, junk_dims = _general_isometries(ps, cand)
+    _, state_res, vec_res = _claim_residuals(
+        ref, cand, isometries, junk, junk_dims, events
+    )
+    return SelfTestReport(
+        isometries, junk, junk_dims, state_res, vec_res, events, conditions
+    )
 
 
 def verify_selftest_claim(
@@ -903,27 +882,10 @@ def verify_selftest_claim(
     """Independently re-check isometry property, state residual, and the
     measurement-action residual for every witness event, each within `tol`;
     a NaN residual never verifies."""
-    for v in report.isometries:
-        eye = np.eye(v.shape[1])
-        if not np.abs(v.conj().T @ v - eye).max() <= tol:
-            return False
-    big = kron_all(list(report.isometries))
-    ref_state = np.asarray(ref.state, dtype=complex)
-    cand_state = np.asarray(cand.state, dtype=complex)
-    mapped = big @ interleave_with_junk(
-        ref_state, report.junk, tuple(ref.dims), report.junk_dims
+    isometry_dev, state_res, vec_res = _claim_residuals(
+        ref, cand, report.isometries, report.junk, report.junk_dims, report.events
     )
-    if not np.linalg.norm(mapped - cand_state) <= tol:
-        return False
-    for e in report.events:
-        m_ref = kron_all(event_projectors(ref, e))
-        m_cand = kron_all(event_projectors(cand, e))
-        lhs = big @ interleave_with_junk(
-            m_ref @ ref_state, report.junk, tuple(ref.dims), report.junk_dims
-        )
-        if not np.linalg.norm(lhs - m_cand @ cand_state) <= tol:
-            return False
-    return True
+    return bool(np.all(np.array([isometry_dev, state_res, *vec_res]) <= tol))
 
 
 # Seven-dimensional configuration reproducing the 16-event tripartite
@@ -988,22 +950,6 @@ def mermin_seven_dim_check() -> float:
     return float(np.abs(aligned - mermin_primal_matrix()).max())
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.complexfloating, complex)):
-        return [float(np.real(obj)), float(np.imag(obj))]
-    return obj
-
-
 def condition_report_to_json_dict(rep: ConditionReport) -> dict:
     return {
         "verdicts": dict(sorted(rep.verdicts.items())),
@@ -1014,14 +960,11 @@ def condition_report_to_json_dict(rep: ConditionReport) -> dict:
 
 def selftest_report_to_json_dict(report: SelfTestReport) -> dict:
     return {
-        "isometries": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in v]
-            for v in report.isometries
-        ],
-        "junk": [[float(z.real), float(z.imag)] for z in report.junk],
+        "isometries": _jsonify(report.isometries),
+        "junk": _jsonify(report.junk),
         "junk_dims": list(report.junk_dims),
         "state_residual": report.state_residual,
-        "vector_residuals": [float(r) for r in report.vector_residuals],
+        "vector_residuals": _jsonify(report.vector_residuals),
         "events": [
             {"a": list(e.outcomes), "x": list(e.settings)} for e in report.events
         ],

@@ -110,9 +110,25 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
 
 
 def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.ndarray]:
-    """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix."""
+    """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix.
+
+    Zero-weight vertices leave theta unchanged, so only the subgraph induced
+    by the positive weights is solved (g itself when all are positive) and its
+    primal gets zero rows and columns for the rest; no positive weight gives
+    theta = 0 at X = E_00."""
+    keep = np.flatnonzero(np.asarray(g.weights) > 0)
+    primal = np.zeros((g.n + 1, g.n + 1))
+    primal[0, 0] = 1.0
+    if keep.size == 0:
+        return 0.0, primal
+    if keep.size < g.n:
+        pos = {int(v): k for k, v in enumerate(keep)}
+        edges = [(pos[i], pos[j]) for i, j in g.edges if i in pos and j in pos]
+        g = WeightedGraph(keep.size, edges, [g.weights[v] for v in keep])
     sol = solve_theta_problem(g, tol=tol)
-    return sol.value, sol.primal
+    rows = np.concatenate(([0], keep + 1))
+    primal[np.ix_(rows, rows)] = sol.primal
+    return sol.value, primal
 
 
 def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:

@@ -94,6 +94,21 @@ class TestTheta:
         assert doc["alpha"] == 3e7
         assert doc["sandwich_ok"] is True
 
+    def test_zero_weight_vertices_do_not_stall(self, tmp_path):
+        # Every start of the ladder stalls on the full graph; theta is that of
+        # the subgraph induced by the three positive-weight vertices.
+        g = WeightedGraph(
+            5,
+            [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)],
+            [0.0, 1.409491023015686, 0.06784347576144613, 0.0, 1.409491023015686],
+        )
+        path = _write_graph(tmp_path / "g.json", g)
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert abs(doc["theta"] - 1.409491023015686) <= 1e-9 * 1.409491023015686
+        assert doc["sandwich_ok"] is True
+
     def test_packing_non_convergence_is_solver_error(self, monkeypatch):
         monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", 1)
         code, out, err = run_cli(["theta", "--scenario", "mermin", "--json"])
@@ -306,6 +321,37 @@ class TestSelftest:
         )
         assert (code, out) == (1, "")
         assert err.startswith("input error:") and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "fault,reason",
+        [("nan-state", "non-finite"), ("scaled-state", "normalized"),
+         ("half-projector", "not idempotent"), ("parties", "has 3 parties")],
+    )
+    def test_invalid_candidate_is_input_error(self, tmp_path, fault, reason):
+        # The candidate is validated before any condition or Gram check,
+        # whatever the rank of its projectors.
+        if fault == "parties":
+            doc = realization_to_json_dict(reference_realization("mermin"))
+        else:
+            ancilla = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
+            doc = realization_to_json_dict(
+                tensor_padded_candidate(reference_realization("chsh"), ancilla)
+            )
+        if fault == "nan-state":
+            doc["state"][3] = [float("nan"), 0.0]
+        elif fault == "scaled-state":
+            doc["state"] = [[1.5 * re, 1.5 * im] for re, im in doc["state"]]
+        elif fault == "half-projector":
+            doc["projectors"][0][0][0] = [
+                [[0.5 * re, 0.5 * im] for re, im in row] for row in doc["projectors"][0][0][0]
+            ]
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            ["selftest", "--scenario", "chsh", "--candidate", str(path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and reason in err
 
     def test_missing_candidate_file(self, tmp_path):
         code, _, _ = run_cli(

@@ -358,6 +358,13 @@ class TestSerialization:
         value_b, _ = evaluate_witness(builtin_witness(name), back)
         assert abs(value_a - value_b) <= 1e-12
 
+    def test_jsonify_keeps_booleans(self):
+        from theta_selftest.scenarios import _jsonify
+
+        doc = _jsonify({"a": True, "b": np.bool_(False), "c": np.int64(1), "z": 1j})
+        expected = '{"a": true, "b": false, "c": 1, "z": [0.0, 1.0]}'
+        assert json.dumps(doc, sort_keys=True) == expected
+
     def test_malformed_documents_rejected(self):
         with pytest.raises(ValueError):
             realization_from_json_dict({"dims": [2, 2]})

@@ -23,9 +23,10 @@ from theta_selftest import (
     run_selftest,
     seven_dim_vectors,
 )
-from theta_selftest.scenarios import BellScenario, Event
+from theta_selftest.scenarios import BellScenario, Event, event_projectors, kron_all
 from theta_selftest.selftest import (
     SELFTEST_TOL,
+    _claim_residuals,
     candidate_is_rank_one,
     check_bipartite_conditions,
     check_projector_condition_C1,
@@ -47,6 +48,10 @@ def _structure(name):
     return wit, r, product_structure_from_realization(r, events)
 
 
+def _projected_state(r, e) -> np.ndarray:
+    return kron_all(event_projectors(r, e)) @ np.asarray(r.state, dtype=complex)
+
+
 def _eig_rank(m: np.ndarray, threshold: float) -> int:
     return int(np.sum(np.linalg.eigvalsh(m) > threshold))
 
@@ -54,18 +59,13 @@ def _eig_rank(m: np.ndarray, threshold: float) -> int:
 class TestProductStructure:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_reconstructs_projected_states(self, name):
-        from theta_selftest.scenarios import kron_all
-        from theta_selftest.scenarios import event_projectors
-
         wit, r, ps = _structure(name)
-        psi = np.asarray(r.state, dtype=complex)
         assert ps.party_count == wit.scenario.parties
         assert ps.dims == r.dims
         for i, (e, _) in enumerate(wit.terms):
-            target = kron_all(event_projectors(r, e)) @ psi
-            assert abs(ps.etas[i] - np.linalg.norm(target)) <= 1e-12
-            recon = ps.etas[i] * ps.product_vector(i)
-            assert np.linalg.norm(recon - target) <= 1e-10
+            target = _projected_state(r, e)
+            target = target / np.linalg.norm(target)
+            assert np.linalg.norm(ps.product_vector(i) - target) <= 1e-10
             assert abs(abs(ps.phases[i]) - 1.0) <= 1e-12
 
     def test_locals_are_unit_vectors(self):
@@ -75,8 +75,10 @@ class TestProductStructure:
                 assert abs(np.linalg.norm(k) - 1.0) <= 1e-12
 
     def test_mermin_etas_are_uniform(self):
-        _, _, ps = _structure("mermin")
-        assert np.abs(ps.etas - 0.5).max() <= 1e-12
+        # eta_i = |Pi_i psi| is 1/2 for each of the 16 GHZ events.
+        wit, r, _ = _structure("mermin")
+        etas = [np.linalg.norm(_projected_state(r, e)) for e, _ in wit.terms]
+        assert np.abs(np.array(etas) - 0.5).max() <= 1e-12
 
 
 class TestConditions:
@@ -295,6 +297,20 @@ class TestVerifyClaim:
             conditions=report.conditions,
         )
         assert not verify_selftest_claim(r, r, tampered, 1e-7)
+
+    @pytest.mark.parametrize("rank", ["rank-one", "general"])
+    def test_report_residuals_are_the_claim_residuals(self, rank):
+        wit, r, _ = _structure("chsh")
+        if rank == "rank-one":
+            cand = rotated_candidate(r, 0)
+        else:
+            cand = tensor_padded_candidate(r, np.array([0.8, 0.0, 0.0, 0.6], dtype=complex))
+        report = run_selftest(wit, r, cand)
+        _, state_res, vec_res = _claim_residuals(
+            r, cand, report.isometries, report.junk, report.junk_dims, report.events
+        )
+        assert report.state_residual == state_res
+        assert np.array_equal(report.vector_residuals, vec_res)
 
     def test_report_json_is_serializable(self):
         import json

@@ -105,6 +105,17 @@ class TestThetaValues:
         e4 = WeightedGraph(4, [], [1.0, 2.0, 0.5, 1.0])
         assert abs(lovasz_theta(e4)[0] - 4.5) <= 1e-7
 
+    def test_zero_weights_leave_theta_unchanged(self):
+        # C5 with one zero weight: theta of the remaining path P4, with a
+        # zero row and column for the dropped vertex in the primal.
+        val, primal = lovasz_theta(C5.with_weights([1.0, 1.0, 0.0, 1.0, 1.0]))
+        assert abs(val - 2.0) <= 1e-7
+        assert primal.shape == (6, 6)
+        assert not primal[3].any() and not primal[:, 3].any()
+        val, primal = lovasz_theta(C5.with_weights([0.0] * 5))
+        assert val == 0.0
+        assert np.array_equal(primal, np.diag([1.0, 0, 0, 0, 0, 0]))
+
     def test_weighted_scaling(self):
         w = 1.7
         val, _ = lovasz_theta(C5.with_weights([w] * 5))
