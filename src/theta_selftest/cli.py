@@ -22,6 +22,7 @@ import sys
 from .graphs import (
     ResourceLimitError,
     WeightedGraph,
+    canonical_json,
     fractional_packing,
     from_json_dict as graph_from_json_dict,
     independence_number,
@@ -76,7 +77,7 @@ def _positive(name: str, value: float) -> float:
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(canonical_json(obj))
 
 
 def _fmt(x: float) -> str:
@@ -253,7 +254,7 @@ def _export_payload(scenario: str, fmt: str) -> str:
     cert = _closed_form_certificate(scenario)
     if cert is not None:
         payload["certificate"] = certificate_to_json_dict(cert)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(payload)
 
 
 def cmd_export(args) -> int:

@@ -388,11 +388,18 @@ def _json_int(v) -> int:
     return operator.index(v)
 
 
+def _json_float(v) -> float:
+    """A real number from a JSON document; booleans and strings are rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def from_json_dict(d: dict) -> WeightedGraph:
     try:
         n = _json_int(d["n"])
         edges = tuple((_json_int(i), _json_int(j)) for i, j in d["edges"])
-        weights = tuple(float(w) for w in d.get("weights") or [1.0] * n)
+        weights = tuple(_json_float(w) for w in d.get("weights") or [1.0] * n)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return WeightedGraph(n, edges, weights)
@@ -408,5 +415,12 @@ def to_dot(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def canonical_json(obj) -> str:
+    """The canonical JSON text of `obj`: sorted keys, no whitespace, one
+    trailing newline.  Every JSON document the package writes uses it, so
+    repeated runs are byte-identical."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def graph_to_json(g: WeightedGraph) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(to_json_dict(g))

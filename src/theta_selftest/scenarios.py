@@ -13,7 +13,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _json_float, _json_int
 
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
@@ -205,8 +205,8 @@ class Realization:
     """Shared state plus per-party, per-setting, per-outcome projectors.
 
     `projectors[j][x][a]` acts on the party-j factor of dimension dims[j].
-    Rank-one realizations also carry the defining unit kets in `kets` with
-    the same nesting.  Arrays are complex.
+    Rank-one realizations may also carry their unit kets in `kets` (same
+    nesting), which the self-test never reads.  Arrays are complex.
     """
 
     dims: tuple[int, ...]
@@ -262,21 +262,42 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def apply_local(ops, t: np.ndarray, j: int) -> np.ndarray:
+    """Apply a local map to party axis j of the batch `t` (shape (batch,
+    d_1, ..., d_n)): `ops` is one (d', d_j) matrix for every batch entry or
+    a (batch, d', d_j) stack, one per entry."""
+    moved = np.moveaxis(t, j + 1, 1)
+    out = np.matmul(ops, moved.reshape(moved.shape[0], moved.shape[1], -1))
+    return np.moveaxis(out.reshape(out.shape[:2] + moved.shape[2:]), 1, j + 1)
+
+
+def event_vectors(r: Realization, events) -> np.ndarray:
+    """Rows psi, Pi_1 psi, ..., Pi_n psi of `r` on `events`: each party's
+    per-event projectors act on that party's axis of the state tensor."""
+    psi = np.asarray(r.state, dtype=complex)
+    dims = tuple(r.dims)
+    ops = [event_projectors(r, e) for e in events]
+    t = np.broadcast_to(psi.reshape(dims), (len(ops),) + dims)
+    for j in range(len(dims)):
+        t = apply_local(np.array([op[j] for op in ops], dtype=complex), t, j)
+    return np.vstack([psi, t.reshape(len(ops), -1)])
+
+
 def evaluate_witness(wit: BellWitness, r: Realization) -> tuple[float, np.ndarray]:
     """Witness value sum_i w_i p_i and the per-event behavior vector.
 
-    Validates the realization and checks exclusivity: tr(Pi_i Pi_j) <=
-    PROJECTOR_TOL for every edge of the exclusivity graph.
+    Validates the realization and checks exclusivity: tr(Pi_i Pi_j), a
+    product of one trace per party, <= PROJECTOR_TOL on every graph edge.
     """
     validate_realization(r)
     if len(r.dims) != wit.scenario.parties:
         raise ValueError("realization party count does not match the witness")
-    state = np.asarray(r.state, dtype=complex)
-    ops = [kron_all(event_projectors(r, e)) for e, _ in wit.terms]
-    behavior = np.array([np.real(np.vdot(state, op @ state)) for op in ops])
-    g = exclusivity_graph(wit)
-    for i, j in g.edges:
-        overlap = float(np.abs(np.trace(ops[i] @ ops[j])))
+    events = [e for e, _ in wit.terms]
+    vecs = event_vectors(r, events)
+    behavior = np.real(vecs[1:] @ vecs[0].conj())
+    for i, j in exclusivity_graph(wit).edges:
+        pairs = zip(event_projectors(r, events[i]), event_projectors(r, events[j]))
+        overlap = float(np.abs(np.prod([np.trace(p @ q) for p, q in pairs])))
         if overlap > PROJECTOR_TOL:
             raise ValueError(
                 f"events {i} and {j} are exclusive but tr(Pi_i Pi_j) = {overlap:.3e}"
@@ -463,7 +484,8 @@ def _jsonify(obj):
 
 
 def _from_c_pair(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
+    re, im = v
+    return complex(_json_float(re), _json_float(im))
 
 
 def witness_to_json_dict(wit: BellWitness) -> dict:
@@ -502,7 +524,7 @@ def realization_to_json_dict(r: Realization) -> dict:
 
 def realization_from_json_dict(d: dict) -> Realization:
     try:
-        dims = tuple(int(v) for v in d["dims"])
+        dims = tuple(_json_int(v) for v in d["dims"])
         state = np.array([_from_c_pair(v) for v in d["state"]])
         projectors = tuple(
             tuple(
@@ -526,5 +548,5 @@ def realization_from_json_dict(d: dict) -> Realization:
                 for party in d["kets"]
             )
         return Realization(dims, state, projectors, kets)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed realization document: {exc}") from exc

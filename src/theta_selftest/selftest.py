@@ -1,5 +1,8 @@
 """Constructive self-testing for realizations that saturate the graph bound.
 
+A realization is read through its state and projectors alone (never its
+`kets`); every product operator acts party by party on the state tensor.
+
 Pipeline (run_selftest): read the product structure off the validated
 rank-one reference realization, check the candidate's party count and
 witness labels and validate it, check the structural conditions the
@@ -28,7 +31,8 @@ from .scenarios import (
     Event,
     Realization,
     _jsonify,
-    event_projectors,
+    apply_local,
+    event_vectors,
     kron_all,
     validate_realization,
 )
@@ -98,39 +102,27 @@ def _rank_one_ket(p: np.ndarray) -> np.ndarray:
     return u[:, -1]
 
 
-def _event_vector(r: Realization, e: Event) -> np.ndarray:
-    """The projected state Pi_e psi of realization `r`."""
-    return kron_all(event_projectors(r, e)) @ np.asarray(r.state, dtype=complex)
-
-
 def product_structure_from_realization(
     r: Realization, events: tuple[Event, ...]
 ) -> ProductStructure:
     """Extract the product structure of a validated rank-one realization on
-    `events`."""
+    `events`, reading each local ket off its projector."""
     parties = len(r.dims)
     keys = tuple(
         tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
         for j in range(parties)
     )
-    locals_ = []
-    for j in range(parties):
-        kets = []
-        for x, a in keys[j]:
-            if r.kets is not None:
-                k = np.asarray(r.kets[j][x][a], dtype=complex)
-            else:
-                k = _rank_one_ket(r.projectors[j][x][a])
-            kets.append(_canonical_phase(k / np.linalg.norm(k)))
-        locals_.append(tuple(kets))
-    state = np.asarray(r.state, dtype=complex)
+    locals_ = tuple(
+        tuple(_canonical_phase(_rank_one_ket(r.projectors[j][x][a])) for x, a in keys[j])
+        for j in range(parties)
+    )
     event_locals = tuple(
         tuple(keys[j].index((e.settings[j], e.outcomes[j])) for j in range(parties))
         for e in events
     )
+    vecs = event_vectors(r, events)
     phases = np.zeros(len(events), dtype=complex)
-    for i, e in enumerate(events):
-        proj = _event_vector(r, e)
+    for i, proj in enumerate(vecs[1:]):
         eta = np.linalg.norm(proj)
         if eta < ETA_TOL:
             raise PreconditionError(f"event {i} has negligible probability")
@@ -140,14 +132,7 @@ def product_structure_from_realization(
             raise PreconditionError(f"event {i} vector is not a local product")
         phases[i] = phase / abs(phase)
     return ProductStructure(
-        parties,
-        tuple(r.dims),
-        keys,
-        tuple(tuple(party) for party in locals_),
-        event_locals,
-        phases,
-        state,
-        tuple(events),
+        parties, tuple(r.dims), keys, locals_, event_locals, phases, vecs[0], tuple(events)
     )
 
 
@@ -485,23 +470,19 @@ def _claim_residuals(
     onto the candidate: max |V_j^dagger V_j - 1|, |V (psi x junk) - psi'|,
     and |V (Pi_i psi x junk) - Pi'_i psi'| for every event, measured from
     the two realizations' states and projectors."""
-    big = kron_all(list(isometries))
-    dims = tuple(ref.dims)
-
-    def residual(ref_vec, cand_vec) -> float:
-        mapped = big @ interleave_with_junk(ref_vec, junk, dims, junk_dims)
-        return float(np.linalg.norm(mapped - cand_vec))
-
     isometry_dev = float(
         np.max([np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in isometries])
     )
-    state_res = residual(
-        np.asarray(ref.state, dtype=complex), np.asarray(cand.state, dtype=complex)
+    mapped = np.array(
+        [interleave_with_junk(v, junk, ref.dims, junk_dims) for v in event_vectors(ref, events)]
     )
-    vec_res = np.array(
-        [residual(_event_vector(ref, e), _event_vector(cand, e)) for e in events]
+    mapped = mapped.reshape((len(mapped),) + tuple(v.shape[1] for v in isometries))
+    for j, v in enumerate(isometries):
+        mapped = apply_local(v, mapped, j)
+    res = np.linalg.norm(
+        mapped.reshape(len(mapped), -1) - event_vectors(cand, events), axis=1
     )
-    return isometry_dev, state_res, vec_res
+    return isometry_dev, float(res[0]), res[1:]
 
 
 def _check_gram_match(
@@ -509,14 +490,11 @@ def _check_gram_match(
 ) -> None:
     """Compare the two realizations' Gram matrices of [psi, Pi_1 psi, ...,
     Pi_n psi], after ruling out candidate events of negligible probability."""
-    ref_vecs, cand_vecs = (
-        [np.asarray(r.state, dtype=complex)] + [_event_vector(r, e) for e in events]
-        for r in (ref, cand)
-    )
-    if any(np.linalg.norm(v) < ETA_TOL for v in cand_vecs[1:]):
+    ref_vecs, cand_vecs = event_vectors(ref, events), event_vectors(cand, events)
+    if (np.linalg.norm(cand_vecs[1:], axis=1) < ETA_TOL).any():
         raise PreconditionError("candidate event with negligible probability")
-    g_ref = np.array([[np.vdot(u, v) for v in ref_vecs] for u in ref_vecs])
-    g_cand = np.array([[np.vdot(u, v) for v in cand_vecs] for u in cand_vecs])
+    g_ref = ref_vecs.conj() @ ref_vecs.T
+    g_cand = cand_vecs.conj() @ cand_vecs.T
     dev = float(np.abs(g_ref - g_cand).max())
     if dev > tol:
         raise NotOptimizerError(
@@ -643,8 +621,9 @@ def _rank_one_core(
     return tuple(isometries[j] for j in range(ps.party_count))
 
 
-def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_mat):
-    """Block-decompose party j's candidate projector algebra.
+def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor):
+    """Block-decompose party j's candidate projector algebra; `state_tensor`
+    is the candidate state as a batch of one (shape (1, d_1, ..., d_n)).
 
     Returns (blocks, v_blocks): for each 2-dimensional invariant block, the
     projector onto it and the ideal-to-block isometry.  Verifies that the
@@ -671,21 +650,16 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_ma
     pw = np.asarray(cand.projectors[j][xw][aw], dtype=complex)
     dim = pu.shape[0]
 
-    def corner_leak(op, target):
-        w_eig, u_eig = np.linalg.eigh(op)
-        sel = np.abs(w_eig - target) <= EIGEN_TOL
-        if not sel.any():
-            return 0.0
-        p = u_eig[:, sel] @ u_eig[:, sel].conj().T
-        return float(np.linalg.norm(_apply_party(p, cand_state_mat, j)))
-
     for op, target, label in (
         (pu + pw, 2.0, "both-projector range"),
         (pu + pw, 0.0, "both-projector kernel"),
         (pu - pw, 1.0, "first-only range"),
         (pu - pw, -1.0, "second-only range"),
     ):
-        leak = corner_leak(op, target)
+        # The sector's orthonormal basis U: |(U U^dagger)_j psi| = |U^dagger_j psi|.
+        w_eig, u_eig = np.linalg.eigh(op)
+        u_sel = u_eig[:, np.abs(w_eig - target) <= EIGEN_TOL]
+        leak = np.linalg.norm(apply_local(u_sel.conj().T, state_tensor, j))
         if leak > SECTOR_TOL:
             raise NotOptimizerError(
                 f"party {j} corner sector ({label}) carries weight {leak:.3e}"
@@ -730,21 +704,13 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, cand_state_ma
     return blocks, v_blocks
 
 
-def _apply_party(op: np.ndarray, state_tensor: np.ndarray, j: int) -> np.ndarray:
-    moved = np.moveaxis(state_tensor, j, 0)
-    out = np.tensordot(op, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, j)
-
-
 def _general_isometries(ps: ProductStructure, cand: Realization):
     """General-rank extraction: block-decompose each party via the product of
     its two reference-selected candidate projectors, run the per-block
     rank-one construction, and assemble the junk state from the block
     components of the candidate state.  Returns (isometries, junk,
     junk_dims)."""
-    state_tensor = np.asarray(cand.state, dtype=complex).reshape(
-        tuple(int(d) for d in cand.dims)
-    )
+    state_tensor = np.asarray(cand.state, dtype=complex).reshape((1,) + tuple(cand.dims))
     party_blocks = []
     party_vs = []
     for j in range(ps.party_count):
@@ -756,14 +722,14 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
     junk = np.zeros(k_dims, dtype=complex)
     total_weight = 0.0
     for combo in itertools.product(*[range(k) for k in k_dims]):
-        comp = state_tensor
+        comp, image = state_tensor, ps.state.reshape((1,) + ps.dims)
         for j, idx in enumerate(combo):
-            comp = _apply_party(party_blocks[j][idx], comp, j)
-        comp = comp.reshape(-1)
+            comp = apply_local(party_blocks[j][idx], comp, j)
+            image = apply_local(party_vs[j][idx], image, j)
+        comp, image = comp.reshape(-1), image.reshape(-1)
         weight = np.linalg.norm(comp)
-        mapped = kron_all([party_vs[j][combo[j]] for j in range(ps.party_count)]) @ ps.state
-        mu = np.vdot(mapped, comp)
-        if np.linalg.norm(mu * mapped - comp) > SECTOR_TOL:
+        mu = np.vdot(image, comp)
+        if np.linalg.norm(mu * image - comp) > SECTOR_TOL:
             raise NotOptimizerError(
                 f"state component in block {combo} is not proportional to the mapped reference"
             )
@@ -801,7 +767,10 @@ def _rank_one_isometries(
         _canonical_phase(v)
         for v in _rank_one_core(ps, cand_ps, pivot, family, edges)
     )
-    z = np.vdot(kron_all(list(isometries)) @ ps.state, cand_ps.state)
+    image = ps.state.reshape((1,) + ps.dims)
+    for j, v in enumerate(isometries):
+        image = apply_local(v, image, j)
+    z = np.vdot(image.reshape(-1), cand_ps.state)
     z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
     return isometries, np.array([z]), (1,) * ps.party_count
 
@@ -819,21 +788,18 @@ _EXTRACTION = {
 
 def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> None:
     """Raise ValueError unless the candidate has the witness's party count,
-    naming the first witness label it lacks a projector for (or a ket for,
-    when it carries kets)."""
+    naming the first witness label it lacks a projector for."""
     parties = len(events[0].settings)
     if len(cand.dims) != parties:
         raise ValueError(f"candidate has {len(cand.dims)} parties, the witness {parties}")
+    table = cand.projectors
     for e in events:
         for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
-            for what, table in (("projector", cand.projectors), ("ket", cand.kets)):
-                if table is None:
-                    continue
-                if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
-                    raise ValueError(
-                        f"candidate has no {what} for witness label "
-                        f"(party {j}, setting {x}, outcome {a})"
-                    )
+            if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
+                raise ValueError(
+                    "candidate has no projector for witness label "
+                    f"(party {j}, setting {x}, outcome {a})"
+                )
 
 
 def run_selftest(

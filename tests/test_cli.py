@@ -7,9 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import perturbed_candidate, run_cli, tensor_padded_candidate
+from conftest import (
+    perturbed_candidate,
+    rotated_candidate,
+    run_cli,
+    tensor_padded_candidate,
+)
 
-from theta_selftest import WeightedGraph, graph_to_json, reference_realization
+from theta_selftest import Realization, WeightedGraph, graph_to_json, reference_realization
 from theta_selftest import cli, graphs
 from theta_selftest.graphs import complement
 from theta_selftest.scenarios import realization_to_json_dict
@@ -135,6 +140,7 @@ class TestTheta:
             '{"n": 2, "edges": [[0, 1]], "weights": [Infinity, 1.0]}',
             '{"n": 2, "edges": [[0, 1.7]]}',
             '{"n": true, "edges": []}',
+            '{"n": 2, "edges": [[0, 1]], "weights": [true, "2.5"]}',
         ):
             bad.write_text(text, encoding="utf-8")
             for command in ("theta", "uniqueness"):
@@ -234,6 +240,42 @@ class TestSelftest:
         path = _write_realization(tmp_path / "cand.json", r)
         code, out, _ = run_cli(["selftest", "--scenario", "chsh", "--candidate", path])
         assert code == 0 and "ACCEPT" in out
+
+    def test_candidate_kets_are_not_read(self, tmp_path):
+        # An optimizer's state and projectors with the kets of another
+        # rotation: the self-test judges the state and projectors alone.
+        ref = reference_realization("chsh")
+        cand = rotated_candidate(ref, 1)
+        mixed = Realization(
+            cand.dims, cand.state, cand.projectors, rotated_candidate(ref, 2).kets
+        )
+        path = _write_realization(tmp_path / "cand.json", mixed)
+        code, out, err = run_cli(["selftest", "--scenario", "chsh", "--candidate", path])
+        assert (code, err) == (0, "")
+        assert "ACCEPT" in out
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dims", [2.7, 2]), ("dims", ["2", 2]), ("dims", [True, 2]),
+         ("state", "0.7071067811865476"), ("projector", True)],
+    )
+    def test_non_number_in_candidate_is_input_error(self, tmp_path, field, value):
+        # Dims must be JSON integers and complex parts JSON numbers; a float
+        # dim, a boolean or a numeric string used to be read as a number.
+        doc = realization_to_json_dict(reference_realization("chsh"))
+        if field == "dims":
+            doc["dims"] = value
+        elif field == "state":
+            doc["state"][0][0] = value
+        else:
+            doc["projectors"][0][0][0][0][0][0] = value
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            ["selftest", "--scenario", "chsh", "--candidate", str(path)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: malformed realization document")
 
     def test_suboptimal_candidate_rejected(self, tmp_path):
         cand = perturbed_candidate(reference_realization("chsh"), angle=0.05)

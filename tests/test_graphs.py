@@ -288,12 +288,15 @@ class TestSerialization:
             from_json_dict({"edges": [[0, 1]]})
         with pytest.raises(ValueError):
             from_json_dict({"n": 2, "edges": [[0, 5]], "weights": [1, 1]})
-        # Vertex counts and indices must be integers, and not booleans.
+        # Vertex counts and indices must be integers and weights numbers, and
+        # neither may be a boolean or a string.
         for doc in (
             {"n": 2, "edges": [[0, 1.7]]},
             {"n": 2.0, "edges": []},
             {"n": True, "edges": []},
             {"n": 2, "edges": [[False, 1]]},
+            {"n": 2, "edges": [[0, 1]], "weights": [True, 2.5]},
+            {"n": 2, "edges": [[0, 1]], "weights": [1.0, "2.5"]},
         ):
             with pytest.raises(ValueError, match="malformed graph document"):
                 from_json_dict(doc)

@@ -94,6 +94,18 @@ def test_small_float_literals_are_named_constants(module):
     assert loose == []
 
 
+def test_selftest_reads_no_kets():
+    """A candidate is judged by its state and projectors alone: selftest.py
+    never reads a realization's optional `kets`."""
+    tree = ast.parse(Path(selftest.__file__).read_text(encoding="utf-8"))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "kets"
+    ]
+    assert reads == []
+
+
 def _flag_default(command: str, dest: str):
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")

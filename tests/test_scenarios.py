@@ -5,6 +5,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
+from conftest import padded_candidate, rotated_candidate, tensor_padded_candidate
 
 from theta_selftest import (
     BellWitness,
@@ -27,6 +28,7 @@ from theta_selftest.scenarios import (
     chsh_witness,
     correlator_to_probability_terms,
     event_projectors,
+    event_vectors,
     events_exclusive,
     kron_all,
     mermin_witness,
@@ -235,24 +237,35 @@ class TestReferenceRealizations:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_event_vectors_give_feasible_gram_matrix(self, name):
-        # {psi, Pi_i psi} is a feasible theta-primal point whose objective
-        # attains the certified bound.
+        # {psi, Pi_i psi}, each Pi_i applied party by party, equals the full
+        # Kronecker operator's image and is a feasible theta-primal point
+        # whose objective attains the certified bound, for the reference and
+        # for rotated, padded and ancilla-tensored copies of it.
         wit = builtin_witness(name)
+        events = [e for e, _ in wit.terms]
         r = reference_realization(name)
-        psi = np.asarray(r.state, dtype=complex)
-        vecs = [psi] + [
-            kron_all(event_projectors(r, e)) @ psi for e, _ in wit.terms
-        ]
-        x = np.real(np.array([[np.vdot(u, v) for v in vecs] for u in vecs]))
+        ancilla = np.zeros(2 ** len(r.dims), dtype=complex)
+        ancilla[0], ancilla[-1] = 0.8, 0.6
         g = exclusivity_graph(wit)
-        assert abs(x[0, 0] - 1.0) <= 1e-12
-        for i in range(g.n):
-            assert abs(x[0, i + 1] - x[i + 1, i + 1]) <= 1e-12
-        for i, j in g.edges:
-            assert abs(x[i + 1, j + 1]) <= 1e-10
-        assert float(np.linalg.eigvalsh(x).min()) >= -1e-10
-        objective = float(sum(w * x[i + 1, i + 1] for i, (_, w) in enumerate(wit.terms)))
-        assert objective >= CLOSED_FORM_THETA[name] - 1e-6
+        for cand in (
+            r,
+            rotated_candidate(r, 1),
+            padded_candidate(r, extra=2, seed=11),
+            tensor_padded_candidate(r, ancilla),
+        ):
+            psi = np.asarray(cand.state, dtype=complex)
+            oracle = [psi] + [kron_all(event_projectors(cand, e)) @ psi for e in events]
+            vecs = event_vectors(cand, events)
+            assert np.abs(vecs - np.array(oracle)).max() <= 1e-14
+            x = np.real(vecs.conj() @ vecs.T)
+            assert abs(x[0, 0] - 1.0) <= 1e-12
+            for i in range(g.n):
+                assert abs(x[0, i + 1] - x[i + 1, i + 1]) <= 1e-12
+            for i, j in g.edges:
+                assert abs(x[i + 1, j + 1]) <= 1e-10
+            assert float(np.linalg.eigvalsh(x).min()) >= -1e-10
+            objective = float(sum(w * x[i + 1, i + 1] for i, (_, w) in enumerate(wit.terms)))
+            assert objective >= CLOSED_FORM_THETA[name] - 1e-6
 
     def test_mermin_behavior_is_uniform(self):
         _, behavior = evaluate_witness(mermin_witness(), reference_realization("mermin"))
@@ -368,3 +381,16 @@ class TestSerialization:
     def test_malformed_documents_rejected(self):
         with pytest.raises(ValueError):
             realization_from_json_dict({"dims": [2, 2]})
+        # Dims are integers and complex numbers [re, im] pairs of numbers;
+        # JSON booleans and strings are neither.
+        good = realization_to_json_dict(reference_realization("chsh"))
+        for key, value in (
+            ("dims", [2.7, 2]),
+            ("dims", ["2", 2]),
+            ("dims", [True, 2]),
+            ("state", [["0.7071067811865476", 0.0]] + good["state"][1:]),
+            ("state", [[good["state"][0][0], False]] + good["state"][1:]),
+            ("state", [good["state"][0] + [99.0]] + good["state"][1:]),
+        ):
+            with pytest.raises(ValueError, match="malformed realization document"):
+                realization_from_json_dict({**good, key: value})
