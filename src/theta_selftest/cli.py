@@ -76,6 +76,14 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _unit_interval(name: str, value: float) -> float:
+    # Relative gaps and singular-value ratios lie below 1, so a tolerance of 1
+    # or more (or NaN) accepts anything.
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
 def _emit_json(obj) -> None:
     sys.stdout.write(canonical_json(obj))
 
@@ -100,7 +108,7 @@ def _input_graph(args) -> WeightedGraph:
 
 
 def cmd_theta(args) -> int:
-    solver_tol = _positive("solver_tol", args.solver_tol)
+    solver_tol = _unit_interval("solver_tol", args.solver_tol)
     g = _input_graph(args)
     # alpha* first: its clique enumeration is the step that can hit a limit.
     alpha_star = fractional_packing(g)
@@ -171,8 +179,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    solver_tol = _positive("solver_tol", args.solver_tol)
-    threshold = _positive("null_threshold", args.threshold)
+    solver_tol = _unit_interval("solver_tol", args.solver_tol)
+    threshold = _unit_interval("null_threshold", args.threshold)
     cert = None
     if args.scenario and not args.graph:
         cert = _closed_form_certificate(args.scenario)

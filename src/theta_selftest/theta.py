@@ -7,6 +7,8 @@ A dual point is its multiplier vector y = (t, lambda, one mu per edge of
 g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
 lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
+dual_nondegenerate decides primal uniqueness by one SVD, or by Fourier blocks
+when the vertex rotation fixes the graph and Z (Gatermann-Parrilo).
 """
 
 from __future__ import annotations
@@ -217,26 +219,86 @@ class UniquenessVerdict:
     residual: float
 
 
-def _nondegeneracy_system(g: WeightedGraph, z: np.ndarray) -> np.ndarray:
-    """The homogeneous system of dual_nondegenerate, one column per upper-triangle
-    entry (p, q) of M in row-major order."""
-    d = g.n + 1
+def _column_index(d: int) -> np.ndarray:
+    """col[p, q] = col[q, p]: the unknown of M_pq, upper triangle row-major."""
     col = np.empty((d, d), dtype=int)
     iu, ju = np.triu_indices(d)
     col[iu, ju] = col[ju, iu] = np.arange(iu.size)
+    return col
+
+
+def _system_entries(g: WeightedGraph, z: np.ndarray):
+    """Entries (rows, columns, values), no pair repeated, and shape of the
+    system of dual_nondegenerate, one column per upper-triangle M_pq."""
+    d = g.n + 1
+    col = _column_index(d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     head = d + len(edges)
-    s = np.zeros((head + d * d, iu.size))
-    v = np.arange(1, d)
-    s[0, col[0, 0]] = 1.0  # M_00 = 0
-    s[v, col[0, v]] = 1.0  # M_0i - M_ii = 0
-    s[v, col[v, v]] = -1.0
-    s[d + np.arange(len(edges)), col[edges[:, 0], edges[:, 1]]] = 1.0  # M_ij = 0
-    # M Z = 0, flattened row-major: (M Z)_ab = sum_c M_ac Z_cb, so row
-    # head + a*d + b takes Z_cb in column (a, c).  No (row, column) repeats.
-    a, b, c = np.ogrid[:d, :d, :d]
-    s[head + a * d + b, col[a, c]] = z[c, b]
+    v, ones = np.arange(1, d), np.ones(d - 1)
+    # Rows M_00 = 0, M_0i - M_ii = 0, M_ij = 0 (i ~ j), then M Z = 0 row-major:
+    # (M Z)_ab = sum_c M_ac Z_cb, so row head + a*d + b takes Z_cb in column (a, c).
+    a, b, c = (x.ravel() for x in np.indices((d, d, d)))
+    rows = np.concatenate(([0], v, v, d + np.arange(len(edges)), head + a * d + b))
+    cols = np.concatenate(([0], col[0, v], col[v, v], col[tuple(edges.T)], col[a, c]))
+    vals = np.concatenate(([1.0], ones, -ones, np.ones(len(edges)), z[c, b]))
+    return rows, cols, vals, (head + d * d, d * (d + 1) // 2)
+
+
+def _nondegeneracy_system(g: WeightedGraph, z: np.ndarray) -> np.ndarray:
+    """The system of dual_nondegenerate as a dense matrix."""
+    rows, cols, vals, shape = _system_entries(g, z)
+    s = np.zeros(shape)
+    s[rows, cols] = vals
     return s
+
+
+def _fourier_singular_values(g: WeightedGraph, z: np.ndarray) -> np.ndarray | None:
+    """Singular values of _nondegeneracy_system(g, z), or None unless the
+    vertex rotation v -> v+1 mod n maps g.edges onto itself and fixes z exactly.
+
+    The rotation then permutes rows and columns of the system S and leaves it
+    unchanged.  An orbit of length L carries the Fourier vectors of the f with
+    f L = 0 (mod n); in that basis S splits into the blocks f[R, C] =
+    sqrt(L_R / L_C) sum_{j < L_C} w^{fj} S[R_0, C_j], w = exp(2 pi i / n), one
+    row R_0 per row orbit.  Block n - f is block f conjugated.  Each block is
+    tall (the n + 3 row orbits of length n, rows v, (0, .), (., 0) and (v, w)
+    of M Z, outnumber the column orbits), so it has one value per column.
+    """
+    n, d = g.n, g.n + 1
+    p = np.concatenate(([0], np.roll(np.arange(1, d), -1)))  # handle 0 stays
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    key, turned = edges @ [d, 1], np.sort(p[edges], axis=1) @ [d, 1]
+    if not (np.array_equal(np.sort(turned), key) and (z[np.ix_(p, p)] == z).all()):
+        return None
+    moved = np.searchsorted(key, turned)  # g.edges is sorted
+    a, b = np.divmod(np.arange(d * d), d)
+    rows = np.concatenate((p, d + moved, d + moved.size + p[a] * d + p[b]))
+    iu, ju = np.triu_indices(d)
+
+    def orbits(perm):  # each orbit's members from its least one, and its length
+        powers = [np.arange(perm.size)]
+        for _ in range(n - 1):
+            powers.append(perm[powers[-1]])
+        powers = np.array(powers)
+        reps = np.flatnonzero(powers.min(axis=0) == powers[0])
+        return powers[:, reps], n // (powers[:, reps] == reps).sum(axis=0)
+
+    r_orbit, r_len = orbits(rows)
+    c_orbit, c_len = orbits(_column_index(d)[p[iu], p[ju]])
+    e_rows, e_cols, e_vals, shape = _system_entries(g, z)
+    rep = np.full(shape[0], -1)
+    rep[r_orbit[0]] = np.arange(r_len.size)
+    keep = rep[e_rows] >= 0
+    s = np.zeros((r_len.size, shape[1]))
+    s[rep[e_rows[keep]], e_cols[keep]] = e_vals[keep]
+    # rfft's sum over the period n is n / L_C orbit sums, conjugated: same values.
+    x = np.fft.rfft(s[:, c_orbit], axis=1)
+    sv = []
+    for f in range(n // 2 + 1):
+        r, c = f * r_len % n == 0, f * c_len % n == 0
+        block = x[r, f][:, c] * np.sqrt(np.outer(r_len[r], c_len[c])) / n
+        sv += [np.linalg.svd(block, compute_uv=False)] * (2 if 0 < 2 * f < n else 1)
+    return np.concatenate(sv)
 
 
 def dual_nondegenerate(
@@ -248,22 +310,20 @@ def dual_nondegenerate(
         M_00 = 0,  M_0i = M_ii,  M_ij = 0 (i ~ j),  M Z = 0,
     parameterized by the upper triangle of M, and counts its null space by
     singular-value thresholding (relative threshold).  Nondegenerate (hence
-    the primal optimizer is unique) iff the null space is trivial.
+    the primal optimizer is unique) iff the null space is trivial.  Its
+    singular values come from Fourier blocks when the vertex rotation fixes
+    g and Z (the chained certificates), else from one dense SVD.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
-    s = _nondegeneracy_system(g, z)
-    sv = np.linalg.svd(s, compute_uv=False)
-    smax = float(sv.max()) if sv.size else 0.0
-    if smax == 0.0:
-        dim = s.shape[1]
-        residual = 0.0
-    else:
-        dim = int(np.sum(sv <= threshold * smax))
-        residual = float(sv.min() / smax)
+    sv = _fourier_singular_values(g, z)
+    if sv is None:
+        sv = np.linalg.svd(_nondegeneracy_system(g, z), compute_uv=False)
+    smax = float(sv.max())  # at least 1, from the row M_00 = 0
+    dim = int(np.sum(sv <= threshold * smax))
     return UniquenessVerdict(
-        nondegenerate=(dim == 0), nullspace_dim=dim, residual=residual
+        nondegenerate=(dim == 0), nullspace_dim=dim, residual=float(sv.min() / smax)
     )
 
 

@@ -159,6 +159,23 @@ class TestTheta:
         code, _, err = run_cli(["theta", "--scenario", "chsh", "--solver-tol", "-1"])
         assert code == 1 and "input error" in err
 
+    @pytest.mark.parametrize("value", ["1", "1e300", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--scenario", "chsh", "--solver-tol"],
+            ["uniqueness", "--scenario", "mermin", "--json", "--solver-tol"],
+            ["uniqueness", "--scenario", "chsh", "--threshold"],
+        ],
+        ids=["theta-solver-tol", "uniqueness-solver-tol", "uniqueness-threshold"],
+    )
+    def test_tolerance_of_one_or_more_is_input_error(self, argv, value):
+        # A relative gap or singular-value ratio is below 1, so such a
+        # tolerance would accept the solver's starting point or any slack.
+        code, out, err = run_cli(argv + [value])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error") and "must lie in (0, 1)" in err
+
 
 class TestCertify:
     def test_chsh(self):
@@ -197,6 +214,24 @@ class TestUniqueness:
     def test_chained_closed_form(self):
         code, out, _ = run_cli(["uniqueness", "--scenario", "chained:3"])
         assert code == 0 and "NONDEGENERATE" in out
+
+    @pytest.mark.parametrize(
+        "n, residual",
+        [
+            (2, 0.021520022025407533),
+            (3, 0.010045849068428661),
+            (4, 0.005691154839265127),
+            (8, 0.0012709023207480856),
+            (16, 0.0002580770540885714),
+        ],
+    )
+    def test_chained_verdicts_pinned(self, n, residual):
+        # Residuals of one dense SVD of the whole system.
+        code, out, _ = run_cli(["uniqueness", "--scenario", f"chained:{n}", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["nondegenerate"], doc["nullspace_dim"]) == (True, 0)
+        assert abs(doc["residual"] - residual) <= 1e-10 * residual
 
     def test_chained_below_two_rejected(self):
         for bad in ("chained:0", "chained:1"):

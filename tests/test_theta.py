@@ -25,11 +25,14 @@ from theta_selftest import (
     solve_theta_problem,
     verify_dual_certificate,
 )
-from theta_selftest.scenarios import mermin_witness
+from theta_selftest import theta
+from theta_selftest.scenarios import builtin_witness, mermin_witness
 from theta_selftest.sdp import solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
+    NULL_THRESHOLD,
     ThetaDualCertificate,
+    _fourier_singular_values,
     _nondegeneracy_system,
     certificate_matrix,
     certificate_to_json_dict,
@@ -39,6 +42,28 @@ from theta_selftest.theta import (
 
 C5 = circulant(5, (1,))
 CHSH_GRAPH = circulant(8, (1, 4))
+
+
+def _dense_verdict(g: WeightedGraph, z: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Sorted singular values, null-space dimension and residual of one dense
+    SVD of the nondegeneracy system: the reference for every route."""
+    sv = np.sort(np.linalg.svd(_nondegeneracy_system(g, z), compute_uv=False))
+    return sv, int(np.sum(sv <= NULL_THRESHOLD * sv[-1])), float(sv[0] / sv[-1])
+
+
+@st.composite
+def _invariant_circulant_slacks(draw):
+    """circulant(n, offsets) with multipliers constant on each offset class,
+    so the rotation fixes Z exactly.  lambda = 1 (the weight) and mu = 0 make
+    Z's vertex block singular, and so degenerate systems, likely."""
+    n = draw(st.integers(3, 16))
+    offsets = sorted(draw(st.sets(st.integers(1, n // 2), min_size=1)))
+    g = circulant(n, offsets)
+    value = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+    mu = {l: draw(st.just(0.0) | value) for l in offsets}
+    by_edge = [mu[min(j - i, n - (j - i))] for i, j in g.edges]
+    lam = draw(st.just(1.0) | value)
+    return g, certificate_matrix(g, [draw(value), *[lam] * n, *by_edge])
 
 
 def _basis_e(dim: int, i: int, j: int) -> np.ndarray:
@@ -349,19 +374,22 @@ class TestUniqueness:
     def test_four_cycle_degenerate(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         z = certificate_matrix(g, [2.0] + [2.0] * 4 + [1.0] * 4)
+        assert _fourier_singular_values(g, z) is not None
         verdict = dual_nondegenerate(g, z)
         assert not verdict.nondegenerate
-        assert verdict.nullspace_dim >= 1
+        assert verdict.nullspace_dim == _dense_verdict(g, z)[1] == 1
 
     def test_identity_slack_forces_trivial_solution(self):
         # M I = 0 pins M = 0 outright, so the homogeneous system is trivial
         # regardless of the sparsity pattern.
+        assert _fourier_singular_values(CHSH_GRAPH, np.eye(9)) is not None
         verdict = dual_nondegenerate(CHSH_GRAPH, np.eye(9))
         assert verdict.nondegenerate
         assert verdict.nullspace_dim == 0
 
     def test_rank_deficient_slack_with_free_pattern_is_degenerate(self):
         # A slack annihilating the whole space leaves every pattern entry free.
+        assert _fourier_singular_values(CHSH_GRAPH, np.zeros((9, 9))) is not None
         verdict = dual_nondegenerate(CHSH_GRAPH, np.zeros((9, 9)))
         assert not verdict.nondegenerate
         assert verdict.nullspace_dim == 45 - 1 - 8 - 12
@@ -402,6 +430,52 @@ class TestUniqueness:
                 col = col + np.kron(eye[q], z[p])
             want[head:, col_of[(p, q)]] = col
         assert np.array_equal(_nondegeneracy_system(g, z), want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_invariant_circulant_slacks())
+    def test_fourier_blocks_match_dense_svd(self, point):
+        g, z = point
+        sv, dim, residual = _dense_verdict(g, z)
+        blocks = np.sort(_fourier_singular_values(g, z))
+        assert blocks.shape == sv.shape
+        assert np.abs(blocks - sv).max() <= 1e-12 * sv[-1]
+        verdict = dual_nondegenerate(g, z)
+        assert verdict.nullspace_dim == dim
+        if dim == 0:
+            assert abs(verdict.residual - residual) <= 1e-10 * residual
+        else:  # both residuals are rounding noise, so only their size agrees
+            assert verdict.residual <= NULL_THRESHOLD
+
+    @pytest.mark.parametrize("scenario", ["mermin", "as4", "chained:4 nudged", "path"])
+    def test_unrotatable_slack_takes_one_dense_svd(self, scenario):
+        if scenario == "chained:4 nudged":
+            cert = chained_dual_certificate(4)
+            g, y = cert.graph, cert.y.copy()
+            y[-1] += 1e-3
+        elif scenario == "path":  # Z is rotation-invariant, the edges are not
+            g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
+            y = [2.0] + [2.0] * 4 + [0.0] * 3
+        else:
+            g = exclusivity_graph(builtin_witness(scenario))
+            y = solve_theta_problem(g).dual_multipliers
+        z = certificate_matrix(g, y)
+        assert _fourier_singular_values(g, z) is None
+        _, dim, residual = _dense_verdict(g, z)
+        verdict = dual_nondegenerate(g, z)
+        assert (verdict.nullspace_dim, verdict.residual) == (dim, residual)
+
+    def test_chained_16_takes_no_large_svd(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(theta.np.linalg, "svd", recording)
+        cert = chained_dual_certificate(16)
+        assert dual_nondegenerate(cert.graph, cert.matrix).nondegenerate
+        assert shapes and max(rows for rows, _ in shapes) <= 200
 
     def test_nondegeneracy_implies_multi_start_agreement(self):
         # Re-solving from distinct strictly feasible starts recovers the same
