@@ -70,15 +70,10 @@ EXIT_REJECT = 3
 SANDWICH_SLACK = 1e-6  # allowed relative solver error in alpha <= theta <= alpha*
 
 
-def _positive(name: str, value: float) -> float:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
 def _unit_interval(name: str, value: float) -> float:
-    # Relative gaps and singular-value ratios lie below 1, so a tolerance of 1
-    # or more (or NaN) accepts anything.
+    # Relative gaps, singular-value ratios and the self-test's deviations of
+    # unit vectors are meant to be far below 1, so a tolerance of 1 or more
+    # (or NaN) accepts nearly anything.
     if not 0 < value < 1:
         raise ValueError(f"{name} must lie in (0, 1)")
     return value
@@ -213,7 +208,7 @@ def cmd_selftest(args) -> int:
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("THETA_SELFTEST_TOL", SELFTEST_TOL))
-    tol = _positive("selftest_tol", tol)
+    tol = _unit_interval("selftest_tol", tol)
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:

@@ -255,13 +255,6 @@ def event_projectors(r: Realization, e: Event) -> list[np.ndarray]:
     return [r.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(len(e.settings))]
 
 
-def kron_all(mats) -> np.ndarray:
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m))
-    return out
-
-
 def apply_local(ops, t: np.ndarray, j: int) -> np.ndarray:
     """Apply a local map to party axis j of the batch `t` (shape (batch,
     d_1, ..., d_n)): `ops` is one (d', d_j) matrix for every batch entry or

@@ -2,17 +2,20 @@
 
 A realization is read through its state and projectors alone (never its
 `kets`); every product operator acts party by party on the state tensor.
+Each realization's event table [psi, Pi_1 psi, ..., Pi_n psi] is built once
+per run, and every product ket is formed by one batched outer product per
+party, with no Kronecker products.
 
 Pipeline (run_selftest): read the product structure off the validated
-rank-one reference realization, check the candidate's party count and
-witness labels and validate it, check the structural conditions the
-extraction needs (A1-A4 bipartite, A5-A9 tripartite, and projector
-completeness C1 for a general-rank candidate), check once that the candidate
-reproduces the reference's Gram matrix of [psi, Pi_1 psi, ..., Pi_n psi],
-then build local isometries (and a junk state in the general-rank case)
-carrying the reference onto the candidate.  The claim residuals are measured
-by one function from the two realizations' states and projectors;
-verify_selftest_claim reruns it on a report.
+rank-one reference realization and its event table, check the candidate's
+party count and witness labels and validate it, check the structural
+conditions the extraction needs (A1-A4 bipartite, A5-A9 tripartite, and
+projector completeness C1 for a general-rank candidate), check once that the
+candidate's event table has the reference's Gram matrix, then build local
+isometries (and a junk state in the general-rank case) carrying the
+reference onto the candidate.  The claim residuals are measured by one
+function on the two event tables; verify_selftest_claim reruns it on tables
+it builds afresh from the states and projectors.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -33,7 +36,6 @@ from .scenarios import (
     _jsonify,
     apply_local,
     event_vectors,
-    kron_all,
     validate_realization,
 )
 
@@ -62,27 +64,31 @@ class NotOptimizerError(SelfTestError):
 class ProductStructure:
     """Per-event product decomposition of a rank-one realization.
 
+    `vectors` is the realization's event table (rows psi, Pi_1 psi, ...).
     Every normalized event vector Pi_i psi / |Pi_i psi| factorizes as
-    v_i = phase_i * (x-th local kets tensored over the parties), with unit
-    local kets in a canonical gauge.  local_keys[j] lists each party's (setting,
-    outcome) labels in sorted order; event_locals[i] gives each event's local
-    index per party.
+    products[i] = phases[i] * (tensor product over parties j of
+    locals_[j][event_locals[i, j]]), with unit local kets in a canonical
+    gauge.  local_keys[j] lists party j's (setting, outcome) labels in sorted
+    order, one per row of the (labels x d_j) matrix locals_[j].
     """
 
-    party_count: int
     dims: tuple[int, ...]
     local_keys: tuple[tuple[tuple[int, int], ...], ...]
-    locals_: tuple[tuple[np.ndarray, ...], ...]
-    event_locals: tuple[tuple[int, ...], ...]
+    locals_: tuple[np.ndarray, ...]
+    event_locals: np.ndarray
     phases: np.ndarray
-    state: np.ndarray
+    vectors: np.ndarray
+    products: np.ndarray
     events: tuple[Event, ...]
 
-    def product_vector(self, i: int) -> np.ndarray:
-        kets = [
-            self.locals_[j][self.event_locals[i][j]] for j in range(self.party_count)
-        ]
-        return self.phases[i] * kron_all(kets)
+
+def _product_kets(factors) -> np.ndarray:
+    """Row-wise tensor products: row i is factors[0][i] x factors[1][i] x ...,
+    formed by one batched outer product per party."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -103,36 +109,37 @@ def _rank_one_ket(p: np.ndarray) -> np.ndarray:
 
 
 def product_structure_from_realization(
-    r: Realization, events: tuple[Event, ...]
+    r: Realization, events: tuple[Event, ...], vectors: np.ndarray
 ) -> ProductStructure:
     """Extract the product structure of a validated rank-one realization on
-    `events`, reading each local ket off its projector."""
+    `events`, reading each local ket off its projector; `vectors` is the
+    realization's event table, event_vectors(r, events)."""
     parties = len(r.dims)
     keys = tuple(
         tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
         for j in range(parties)
     )
     locals_ = tuple(
-        tuple(_canonical_phase(_rank_one_ket(r.projectors[j][x][a])) for x, a in keys[j])
+        np.array([_canonical_phase(_rank_one_ket(r.projectors[j][x][a])) for x, a in keys[j]])
         for j in range(parties)
     )
-    event_locals = tuple(
-        tuple(keys[j].index((e.settings[j], e.outcomes[j])) for j in range(parties))
-        for e in events
+    event_locals = np.array(
+        [[keys[j].index((e.settings[j], e.outcomes[j])) for j in range(parties)]
+         for e in events]
     )
-    vecs = event_vectors(r, events)
+    kets = _product_kets([locals_[j][event_locals[:, j]] for j in range(parties)])
     phases = np.zeros(len(events), dtype=complex)
-    for i, proj in enumerate(vecs[1:]):
+    for i, (proj, u) in enumerate(zip(vectors[1:], kets)):
         eta = np.linalg.norm(proj)
         if eta < ETA_TOL:
             raise PreconditionError(f"event {i} has negligible probability")
-        u = kron_all([locals_[j][event_locals[i][j]] for j in range(parties)])
         phase = np.vdot(u, proj) / eta
         if np.linalg.norm(proj / eta - phase * u) > OVERLAP_TOL:
             raise PreconditionError(f"event {i} vector is not a local product")
         phases[i] = phase / abs(phase)
     return ProductStructure(
-        parties, tuple(r.dims), keys, locals_, event_locals, phases, vecs[0], tuple(events)
+        tuple(r.dims), keys, locals_, event_locals, phases, vectors,
+        phases[:, None] * kets, tuple(events),
     )
 
 
@@ -141,9 +148,6 @@ class ConditionReport:
     verdicts: dict[str, bool]
     reasons: dict[str, str]
     evidence: dict[str, object]
-
-    def all_true(self, keys) -> bool:
-        return all(self.verdicts.get(k, False) for k in keys)
 
     def failed(self, keys) -> list[str]:
         return [k for k in keys if not self.verdicts.get(k, False)]
@@ -231,8 +235,8 @@ def _orthogonal_pairing(kets):
 def _joint_span(ps: ProductStructure) -> tuple[int, float]:
     """Span dimension of the event vectors plus the state, and the state's
     residual outside the span of the event vectors."""
-    vs = [ps.product_vector(i) for i in range(len(ps.events))]
-    return _span_rank(vs + [ps.state]), _residual_outside_span(ps.state, vs)
+    psi = ps.vectors[0]
+    return _span_rank(np.vstack([ps.products, psi])), _residual_outside_span(psi, ps.products)
 
 
 def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, shown) -> None:
@@ -256,7 +260,7 @@ def _pairing_verdict(rep: ConditionReport, key: str, ps: ProductStructure) -> No
 def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
     """Verdicts for A1 (joint span), A2 with its B1-B4 sub-conditions, A3
     (qubit ideal spaces), and A4 (four local kets in orthogonal pairs)."""
-    if ps.party_count != 2:
+    if len(ps.dims) != 2:
         raise ValueError("bipartite conditions need a two-party structure")
     d_a, d_b = ps.dims
     rep = ConditionReport({}, {}, {})
@@ -268,7 +272,7 @@ def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
     if not verdicts["A1"]:
         reasons["A1"] = f"event vectors and state span {joint_rank} < {d_a * d_b} dims"
 
-    pairs = {(loc[0], loc[1]) for loc in ps.event_locals}
+    pairs = {(loc[0], loc[1]) for loc in ps.event_locals.tolist()}
     found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b)
     verdicts["A2"] = found is not None
     for key in ("B1", "B2", "B3", "B4"):
@@ -293,9 +297,8 @@ def _linked_edges(ps: ProductStructure):
     covering all three parties.  Returns {frozenset(x, x'): first triple}.
     """
     n = len(ps.events)
-    vs = np.array([ps.product_vector(i) for i in range(n)])
-    gram = vs.conj() @ vs.T
-    locs = ps.event_locals
+    gram = ps.products.conj() @ ps.products.T
+    locs = ps.event_locals.tolist()
     found: dict[frozenset, tuple[int, int, int]] = {}
 
     def shared(i, j):
@@ -324,7 +327,7 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
     A6 and A7 are searched jointly since A7 draws its index pairs from A6's
     chosen family.
     """
-    if ps.party_count != 3:
+    if len(ps.dims) != 3:
         raise ValueError("tripartite conditions need a three-party structure")
     d_a, d_b, d_c = ps.dims
     rep = ConditionReport({}, {}, {})
@@ -345,16 +348,13 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
             f"party span dims {party_ranks}, state residual {psi_res:.3e}"
         )
 
-    locs = ps.event_locals
+    locs = ps.event_locals.tolist()
     linked = _linked_edges(ps)
     rows_a: dict[int, list[tuple[int, int]]] = {}
     for loc in locs:
         rows_a.setdefault(loc[0], []).append((loc[1], loc[2]))
     for i_a in rows_a:
         rows_a[i_a] = sorted(set(rows_a[i_a]))
-
-    def bc_vector(pair):
-        return np.kron(ps.locals_[1][pair[0]], ps.locals_[2][pair[1]])
 
     # Each row keeps every index pair that co-occurs with its first-party
     # local.  A single row's products need not span the second/third factor
@@ -374,7 +374,9 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
         if not _connected(i_a_subset, edges):
             continue
         bc_pairs = sorted({p for ia in i_a_subset for p in rows_a[ia]})
-        if _span_rank([bc_vector(p) for p in bc_pairs]) < d_b * d_c:
+        idx = np.array(bc_pairs)
+        bc = _product_kets([ps.locals_[1][idx[:, 0]], ps.locals_[2][idx[:, 1]]])
+        if _span_rank(bc) < d_b * d_c:
             continue
         ev6 = {
             "I_A": i_a_subset,
@@ -421,7 +423,7 @@ def check_projector_condition_C1(r: Realization, ps: ProductStructure) -> bool:
     """For every orthogonal pair of reference local kets, the candidate's two
     projectors must sum to the identity.  `r` must carry the structure's
     parties and labels, as run_selftest checks first."""
-    for j in range(ps.party_count):
+    for j in range(len(ps.dims)):
         keys = ps.local_keys[j]
         eye = np.eye(r.dims[j])
         for p, q in itertools.combinations(range(len(keys)), 2):
@@ -459,38 +461,31 @@ def interleave_with_junk(
 
 
 def _claim_residuals(
-    ref: Realization,
-    cand: Realization,
+    ref_vecs: np.ndarray,
+    cand_vecs: np.ndarray,
+    dims: tuple[int, ...],
     isometries,
     junk: np.ndarray,
     junk_dims: tuple[int, ...],
-    events: tuple[Event, ...],
 ) -> tuple[float, float, np.ndarray]:
     """Residuals of the claim that V = V_1 x ... x V_n carries the reference
     onto the candidate: max |V_j^dagger V_j - 1|, |V (psi x junk) - psi'|,
-    and |V (Pi_i psi x junk) - Pi'_i psi'| for every event, measured from
-    the two realizations' states and projectors."""
+    and |V (Pi_i psi x junk) - Pi'_i psi'| for every event, measured on the
+    two realizations' event tables (the reference's parties have `dims`)."""
     isometry_dev = float(
         np.max([np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in isometries])
     )
-    mapped = np.array(
-        [interleave_with_junk(v, junk, ref.dims, junk_dims) for v in event_vectors(ref, events)]
-    )
+    mapped = np.array([interleave_with_junk(v, junk, dims, junk_dims) for v in ref_vecs])
     mapped = mapped.reshape((len(mapped),) + tuple(v.shape[1] for v in isometries))
     for j, v in enumerate(isometries):
         mapped = apply_local(v, mapped, j)
-    res = np.linalg.norm(
-        mapped.reshape(len(mapped), -1) - event_vectors(cand, events), axis=1
-    )
+    res = np.linalg.norm(mapped.reshape(len(mapped), -1) - cand_vecs, axis=1)
     return isometry_dev, float(res[0]), res[1:]
 
 
-def _check_gram_match(
-    ref: Realization, cand: Realization, events: tuple[Event, ...], tol: float
-) -> None:
-    """Compare the two realizations' Gram matrices of [psi, Pi_1 psi, ...,
+def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -> None:
+    """Compare the Gram matrices of two event tables [psi, Pi_1 psi, ...,
     Pi_n psi], after ruling out candidate events of negligible probability."""
-    ref_vecs, cand_vecs = event_vectors(ref, events), event_vectors(cand, events)
     if (np.linalg.norm(cand_vecs[1:], axis=1) < ETA_TOL).any():
         raise PreconditionError("candidate event with negligible probability")
     g_ref = ref_vecs.conj() @ ref_vecs.T
@@ -504,7 +499,7 @@ def _check_gram_match(
 
 def _unit_phase(z: complex, context: str) -> complex:
     if abs(abs(z) - 1.0) > PHASE_TOL:
-        raise NotOptimizerError(f"{context}: factor {z!r} is not unit modulus")
+        raise NotOptimizerError(f"{context}: factor modulus {abs(z):.9g} is not 1")
     return z / abs(z)
 
 
@@ -553,11 +548,12 @@ def _rank_one_core(
     them.  A joint map over two parties is split into V_j x V_k by walking
     the pair phases, which must factor as beta(i_j) gamma(i_k).
     """
-    rest = [j for j in range(ps.party_count) if j != pivot]
+    rest = [j for j in range(len(ps.dims)) if j != pivot]
     ref_kets, cand_kets = ps.locals_[pivot], cand_ps.locals_[pivot]
-
-    def rest_ket(s: ProductStructure, e: int) -> np.ndarray:
-        return kron_all([s.locals_[j][s.event_locals[e][j]] for j in rest])
+    ref_rest, cand_rest = (
+        _product_kets([s.locals_[j][s.event_locals[:, j]] for j in rest])
+        for s in (ps, cand_ps)
+    )
 
     def ratio(e: int) -> complex:
         return cand_ps.phases[e] / ps.phases[e]
@@ -577,18 +573,17 @@ def _rank_one_core(
         adj[q].append(p)
     alpha = _walk_phases(adj, family, edge_phase)
 
-    rows = [e for e, loc in enumerate(ps.event_locals) if loc[pivot] in alpha]
+    locs = ps.event_locals.tolist()
+    rows = [e for e, loc in enumerate(locs) if loc[pivot] in alpha]
     joint = _fit_local(
-        {e: rest_ket(ps, e) for e in rows},
-        {e: rest_ket(cand_ps, e) for e in rows},
-        {e: ratio(e) / alpha[ps.event_locals[e][pivot]] for e in rows},
+        ref_rest, cand_rest, {e: ratio(e) / alpha[locs[e][pivot]] for e in rows}
     )
 
     factors: dict[int, complex] = {}
     rest_phases: dict[tuple[int, ...], complex] = {}
-    for e, loc in enumerate(ps.event_locals):
-        target = rest_ket(cand_ps, e)
-        image = joint @ rest_ket(ps, e)
+    for e, loc in enumerate(locs):
+        target = cand_rest[e]
+        image = joint @ ref_rest[e]
         h = _unit_phase(np.vdot(target, image), f"event {e} joint factor")
         if np.linalg.norm(image - h * target) > PHASE_TOL:
             raise NotOptimizerError(
@@ -618,7 +613,7 @@ def _rank_one_core(
         for j in rest:
             split = {i: z for (k, i), z in phase.items() if k == j}
             isometries[j] = _fit_local(ps.locals_[j], cand_ps.locals_[j], split)
-    return tuple(isometries[j] for j in range(ps.party_count))
+    return tuple(isometries[j] for j in range(len(ps.dims)))
 
 
 def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor):
@@ -713,7 +708,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
     state_tensor = np.asarray(cand.state, dtype=complex).reshape((1,) + tuple(cand.dims))
     party_blocks = []
     party_vs = []
-    for j in range(ps.party_count):
+    for j in range(len(ps.dims)):
         blocks, v_blocks = _party_blocks(ps, cand, j, state_tensor)
         party_blocks.append(blocks)
         party_vs.append(v_blocks)
@@ -722,7 +717,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
     junk = np.zeros(k_dims, dtype=complex)
     total_weight = 0.0
     for combo in itertools.product(*[range(k) for k in k_dims]):
-        comp, image = state_tensor, ps.state.reshape((1,) + ps.dims)
+        comp, image = state_tensor, ps.vectors[0].reshape((1,) + ps.dims)
         for j, idx in enumerate(combo):
             comp = apply_local(party_blocks[j][idx], comp, j)
             image = apply_local(party_vs[j][idx], image, j)
@@ -757,22 +752,22 @@ def candidate_is_rank_one(cand: Realization) -> bool:
 
 
 def _rank_one_isometries(
-    ps: ProductStructure, cand: Realization, pivot: int, family, edges
+    ps: ProductStructure, cand: Realization, cand_vecs: np.ndarray, pivot: int, family, edges
 ):
     """Run the rank-one core on the pivot party's `family` and its `edges`; the
-    one-dimensional junk carries the global phase.  Returns (isometries,
-    junk, junk_dims)."""
-    cand_ps = product_structure_from_realization(cand, ps.events)
+    one-dimensional junk carries the global phase.  `cand_vecs` is the
+    candidate's event table.  Returns (isometries, junk, junk_dims)."""
+    cand_ps = product_structure_from_realization(cand, ps.events, cand_vecs)
     isometries = tuple(
         _canonical_phase(v)
         for v in _rank_one_core(ps, cand_ps, pivot, family, edges)
     )
-    image = ps.state.reshape((1,) + ps.dims)
+    image = ps.vectors[0].reshape((1,) + ps.dims)
     for j, v in enumerate(isometries):
         image = apply_local(v, image, j)
-    z = np.vdot(image.reshape(-1), cand_ps.state)
+    z = np.vdot(image.reshape(-1), cand_vecs[0])
     z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
-    return isometries, np.array([z]), (1,) * ps.party_count
+    return isometries, np.array([z]), (1,) * len(ps.dims)
 
 
 # Party count -> (condition checker, conditions the rank-one path needs,
@@ -812,12 +807,13 @@ def run_selftest(
     construction."""
     events = tuple(e for e, _ in witness.terms)
     validate_realization(ref)
-    ps = product_structure_from_realization(ref, events)
+    ref_vecs = event_vectors(ref, events)
+    ps = product_structure_from_realization(ref, events, ref_vecs)
     _check_candidate_labels(cand, events)
     validate_realization(cand)
-    if ps.party_count not in _EXTRACTION:
+    if len(ps.dims) not in _EXTRACTION:
         raise ValueError("self-testing supports two or three parties")
-    check, rank_one_needed, general_needed, pivot, family_keys = _EXTRACTION[ps.party_count]
+    check, rank_one_needed, general_needed, pivot, family_keys = _EXTRACTION[len(ps.dims)]
     rank_one = candidate_is_rank_one(cand)
     conditions = check(ps)
     failed = conditions.failed(rank_one_needed if rank_one else general_needed)
@@ -825,17 +821,18 @@ def run_selftest(
         raise PreconditionError(f"conditions {failed} fail for the reference")
     if not rank_one and not check_projector_condition_C1(cand, ps):
         raise PreconditionError("candidate projectors violate completeness (C1)")
-    _check_gram_match(ref, cand, events, tol)
+    cand_vecs = event_vectors(cand, events)
+    _check_gram_match(ref_vecs, cand_vecs, tol)
     if rank_one:
         condition, family_key, edges_key = family_keys
         evidence = conditions.evidence[condition]
         isometries, junk, junk_dims = _rank_one_isometries(
-            ps, cand, pivot, evidence[family_key], evidence[edges_key]
+            ps, cand, cand_vecs, pivot, evidence[family_key], evidence[edges_key]
         )
     else:
         isometries, junk, junk_dims = _general_isometries(ps, cand)
     _, state_res, vec_res = _claim_residuals(
-        ref, cand, isometries, junk, junk_dims, events
+        ref_vecs, cand_vecs, ref.dims, isometries, junk, junk_dims
     )
     return SelfTestReport(
         isometries, junk, junk_dims, state_res, vec_res, events, conditions
@@ -846,10 +843,12 @@ def verify_selftest_claim(
     ref: Realization, cand: Realization, report: SelfTestReport, tol: float
 ) -> bool:
     """Independently re-check isometry property, state residual, and the
-    measurement-action residual for every witness event, each within `tol`;
-    a NaN residual never verifies."""
+    measurement-action residual for every witness event, each within `tol`,
+    from event tables built afresh from the two realizations' states and
+    projectors; a NaN residual never verifies."""
+    ref_vecs, cand_vecs = event_vectors(ref, report.events), event_vectors(cand, report.events)
     isometry_dev, state_res, vec_res = _claim_residuals(
-        ref, cand, report.isometries, report.junk, report.junk_dims, report.events
+        ref_vecs, cand_vecs, ref.dims, report.isometries, report.junk, report.junk_dims
     )
     return bool(np.all(np.array([isometry_dev, state_res, *vec_res]) <= tol))
 

@@ -72,6 +72,15 @@ def random_graph(rng: np.random.Generator, max_n: int = 12) -> WeightedGraph:
     return WeightedGraph(n, edges, weights)
 
 
+def kron_all(mats) -> np.ndarray:
+    """Kronecker product of a list of vectors or matrices: an oracle for the
+    party-by-party products the package forms."""
+    out = np.asarray(mats[0])
+    for m in mats[1:]:
+        out = np.kron(out, np.asarray(m))
+    return out
+
+
 def _kets_to_projectors(kets):
     return tuple(
         tuple(tuple(np.outer(k, np.conj(k)) for k in setting) for setting in party)
@@ -79,48 +88,40 @@ def _kets_to_projectors(kets):
     )
 
 
+def embedded_candidate(r: Realization, ws) -> Realization:
+    """Carry the rank-one realization `r` through one local isometry per
+    party: kets w_j k, state (w_1 x ... x w_n) psi."""
+    kets = tuple(
+        tuple(tuple(w @ np.asarray(k, dtype=complex) for k in setting) for setting in party)
+        for w, party in zip(ws, r.kets)
+    )
+    return Realization(
+        tuple(w.shape[0] for w in ws),
+        kron_all(ws) @ np.asarray(r.state, dtype=complex),
+        _kets_to_projectors(kets),
+        kets,
+    )
+
+
 def rotated_candidate(r: Realization, seed: int) -> Realization:
     """Apply an independent random orthogonal rotation on each party."""
     rng = np.random.default_rng(seed)
-    qs = [np.linalg.qr(rng.normal(size=(d, d)))[0] for d in r.dims]
-    kets = tuple(
-        tuple(
-            tuple(qs[j] @ np.asarray(k, dtype=complex) for k in setting)
-            for setting in party
-        )
-        for j, party in enumerate(r.kets)
-    )
-    big = qs[0]
-    for q in qs[1:]:
-        big = np.kron(big, q)
-    return Realization(
-        r.dims, big @ np.asarray(r.state, dtype=complex), _kets_to_projectors(kets), kets
-    )
+    return embedded_candidate(r, [np.linalg.qr(rng.normal(size=(d, d)))[0] for d in r.dims])
 
 
 def padded_candidate(r: Realization, extra: int = 1, seed: int = 3) -> Realization:
     """Embed each party into a larger space through a random isometry."""
     rng = np.random.default_rng(seed)
-    ws = [
-        np.linalg.qr(rng.normal(size=(d + extra, d + extra)))[0][:, :d]
-        for d in r.dims
-    ]
-    kets = tuple(
-        tuple(
-            tuple(ws[j] @ np.asarray(k, dtype=complex) for k in setting)
-            for setting in party
-        )
-        for j, party in enumerate(r.kets)
+    return embedded_candidate(
+        r, [np.linalg.qr(rng.normal(size=(d + extra, d + extra)))[0][:, :d] for d in r.dims]
     )
-    big = ws[0]
-    for w in ws[1:]:
-        big = np.kron(big, w)
-    return Realization(
-        tuple(d + extra for d in r.dims),
-        big @ np.asarray(r.state, dtype=complex),
-        _kets_to_projectors(kets),
-        kets,
-    )
+
+
+def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """First `cols` columns of a Haar-random complex unitary of size `rows`."""
+    z = (rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))) / np.sqrt(2)
+    q, t = np.linalg.qr(z)
+    return (q * (np.diag(t) / np.abs(np.diag(t))))[:, :cols]
 
 
 def tensor_padded_candidate(r: Realization, ancilla: np.ndarray, k: int = 2) -> Realization:

@@ -342,6 +342,33 @@ class TestSelftest:
         code, _, _ = run_cli(["selftest", "--scenario", "chsh"])
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["1", "1e300", "inf", "nan"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_tolerance_outside_unit_interval_is_input_error(self, monkeypatch, source, value):
+        # Gram entries of unit vectors differ by at most 2, so a tolerance of
+        # 1 or more lets a candidate far from the optimizer past the Gram check.
+        argv = ["selftest", "--scenario", "chsh"]
+        if source == "flag":
+            monkeypatch.delenv("THETA_SELFTEST_TOL", raising=False)
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv("THETA_SELFTEST_TOL", value)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error") and "must lie in (0, 1)" in err
+
+    def test_non_unit_factor_names_its_modulus(self, tmp_path):
+        # At tol 0.5 the perturbed candidate passes the Gram check and is
+        # rejected by the phase propagation; the message carries a plain
+        # number, not numpy's repr.
+        cand = perturbed_candidate(reference_realization("chsh"), angle=0.05)
+        path = _write_realization(tmp_path / "bad.json", cand)
+        argv = ["selftest", "--scenario", "chsh", "--candidate", path, "--tol", "0.5"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert "factor modulus 0.99958342 is not 1" in err
+        assert "np." not in err
+
     @pytest.mark.parametrize("command", ["theta", "certify", "uniqueness"])
     def test_tolerance_variable_ignored_by_other_commands(self, monkeypatch, command):
         argv = [command, "--scenario", "chsh"]

@@ -96,12 +96,16 @@ def test_small_float_literals_are_named_constants(module):
 
 def test_selftest_reads_no_kets():
     """A candidate is judged by its state and projectors alone: selftest.py
-    never reads a realization's optional `kets`."""
+    never reads a realization's optional `kets`.  Its product kets come from
+    batched per-party products, so it names no `kron` or `kron_all` either."""
     tree = ast.parse(Path(selftest.__file__).read_text(encoding="utf-8"))
+    kron = {"kron", "kron_all"}
     reads = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "kets"
+        if (isinstance(node, ast.Attribute) and node.attr in kron | {"kets"})
+        or (isinstance(node, ast.Name) and node.id in kron)
+        or (isinstance(node, ast.alias) and node.name in kron)
     ]
     assert reads == []
 

@@ -5,7 +5,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import padded_candidate, rotated_candidate, tensor_padded_candidate
+from conftest import kron_all, padded_candidate, rotated_candidate, tensor_padded_candidate
 
 from theta_selftest import (
     BellWitness,
@@ -30,7 +30,6 @@ from theta_selftest.scenarios import (
     event_projectors,
     event_vectors,
     events_exclusive,
-    kron_all,
     mermin_witness,
     parse_scenario_name,
     realization_to_json_dict,

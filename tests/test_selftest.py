@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 from conftest import (
+    embedded_candidate,
+    haar_isometry,
+    kron_all,
     padded_candidate,
     perturbed_candidate,
     rotated_candidate,
     tensor_padded_candidate,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selftest import (
     BellWitness,
@@ -23,7 +28,8 @@ from theta_selftest import (
     run_selftest,
     seven_dim_vectors,
 )
-from theta_selftest.scenarios import BellScenario, Event, event_projectors, kron_all
+from theta_selftest import selftest
+from theta_selftest.scenarios import BellScenario, Event, event_projectors, event_vectors
 from theta_selftest.selftest import (
     SELFTEST_TOL,
     _claim_residuals,
@@ -45,7 +51,7 @@ def _structure(name):
     wit = builtin_witness(name)
     r = reference_realization(name)
     events = tuple(e for e, _ in wit.terms)
-    return wit, r, product_structure_from_realization(r, events)
+    return wit, r, product_structure_from_realization(r, events, event_vectors(r, events))
 
 
 def _projected_state(r, e) -> np.ndarray:
@@ -60,19 +66,33 @@ class TestProductStructure:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_reconstructs_projected_states(self, name):
         wit, r, ps = _structure(name)
-        assert ps.party_count == wit.scenario.parties
+        n = len(wit.terms)
         assert ps.dims == r.dims
+        assert ps.event_locals.shape == (n, wit.scenario.parties)
+        assert ps.products.shape == (n, int(np.prod(r.dims)))
+        assert np.array_equal(ps.vectors[0], np.asarray(r.state, dtype=complex))
         for i, (e, _) in enumerate(wit.terms):
             target = _projected_state(r, e)
+            assert np.linalg.norm(ps.vectors[1 + i] - target) <= 1e-12
             target = target / np.linalg.norm(target)
-            assert np.linalg.norm(ps.product_vector(i) - target) <= 1e-10
-            assert abs(abs(ps.phases[i]) - 1.0) <= 1e-12
+            assert np.linalg.norm(ps.products[i] - target) <= 1e-10
+        assert np.abs(np.abs(ps.phases) - 1.0).max() <= 1e-12
 
     def test_locals_are_unit_vectors(self):
-        _, _, ps = _structure("as4")
-        for party in ps.locals_:
-            for k in party:
-                assert abs(np.linalg.norm(k) - 1.0) <= 1e-12
+        for name in ALL_NAMES:
+            _, r, ps = _structure(name)
+            for keys, kets, d in zip(ps.local_keys, ps.locals_, r.dims):
+                assert kets.shape == (len(keys), d)
+                assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_products_are_phased_local_kets(self, name):
+        # Each product ket is its phase times the Kronecker product of the
+        # local kets its index row names.
+        _, _, ps = _structure(name)
+        for i, row in enumerate(ps.event_locals):
+            kets = [ps.locals_[j][k] for j, k in enumerate(row)]
+            assert np.abs(ps.products[i] - ps.phases[i] * kron_all(kets)).max() <= 1e-15
 
     def test_mermin_etas_are_uniform(self):
         # eta_i = |Pi_i psi| is 1/2 for each of the 16 GHZ events.
@@ -103,7 +123,7 @@ class TestConditions:
     def test_tripartite_verdicts(self):
         _, _, ps = _structure("mermin")
         rep = check_tripartite_conditions(ps)
-        assert rep.all_true(["A5", "A6", "A7", "A8", "A9"])
+        assert rep.failed(["A5", "A6", "A7", "A8", "A9"]) == []
         a5 = rep.evidence["A5"]
         assert a5["party_span_dims"] == (2, 2, 2)
         assert a5["joint_span_dim"] == 7
@@ -204,6 +224,27 @@ class TestRankOneExtraction:
         value, _ = evaluate_witness(wit, cand)
         ref_value, _ = evaluate_witness(wit, r)
         assert value < ref_value - 1e-4  # strictly suboptimal candidate
+
+
+class TestLocallyEquivalentCandidates:
+    # 30 draws per scenario, 180 in all: each party gets a complex Haar
+    # unitary (extra 0) or a Haar isometric embedding into 1 or 2 more
+    # dimensions, drawn per party (the third entry is unused by two parties).
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extras=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    )
+    def test_accepted_and_verified(self, name, seed, extras):
+        wit, r, _ = _structure(name)
+        rng = np.random.default_rng(seed)
+        ws = [haar_isometry(rng, d + k, d) for d, k in zip(r.dims, extras)]
+        cand = embedded_candidate(r, ws)
+        report = run_selftest(wit, r, cand)
+        assert verify_selftest_claim(r, cand, report, 1e-7)
+        assert report.state_residual <= 1e-8
+        assert report.vector_residuals.max() <= 1e-8
 
 
 class TestGeneralRankExtraction:
@@ -307,10 +348,37 @@ class TestVerifyClaim:
             cand = tensor_padded_candidate(r, np.array([0.8, 0.0, 0.0, 0.6], dtype=complex))
         report = run_selftest(wit, r, cand)
         _, state_res, vec_res = _claim_residuals(
-            r, cand, report.isometries, report.junk, report.junk_dims, report.events
+            event_vectors(r, report.events),
+            event_vectors(cand, report.events),
+            r.dims,
+            report.isometries,
+            report.junk,
+            report.junk_dims,
         )
         assert report.state_residual == state_res
         assert np.array_equal(report.vector_residuals, vec_res)
+
+    @pytest.mark.parametrize("rank", ["rank-one", "general"])
+    def test_each_event_table_is_built_once(self, monkeypatch, rank):
+        # run_selftest builds the reference's and the candidate's table once
+        # each; verify_selftest_claim builds its own two.
+        wit, r, _ = _structure("mermin")
+        if rank == "rank-one":
+            cand = rotated_candidate(r, 0)
+        else:
+            cand = tensor_padded_candidate(r, np.array([0.8] + [0.0] * 6 + [0.6], dtype=complex))
+        calls = []
+
+        def counted(realization, events):
+            calls.append("ref" if realization is r else "cand")
+            return event_vectors(realization, events)
+
+        monkeypatch.setattr(selftest, "event_vectors", counted)
+        report = run_selftest(wit, r, cand)
+        assert calls == ["ref", "cand"]
+        calls.clear()
+        assert verify_selftest_claim(r, cand, report, 1e-7)
+        assert calls == ["ref", "cand"]
 
     def test_report_json_is_serializable(self):
         import json
