@@ -55,7 +55,6 @@ from .theta import (
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
-    chsh_dual_certificate,
     dual_nondegenerate,
     lovasz_theta,
     solve_theta_problem,
@@ -132,18 +131,10 @@ def cmd_theta(args) -> int:
 
 
 def _closed_form_certificate(scenario: str):
-    """The closed-form certificate of a chsh or chained scenario, else None.
-
-    The chained witness's exclusivity graph is isomorphic to the circulant
-    graph but lists vertices in event order; the closed-form certificate is
-    written for the circulant labeling (cert.graph), so certification and
-    uniqueness run on that labeling.
-    """
+    """The closed-form certificate of a chsh or chained scenario, else None."""
     kind, n = parse_scenario_name(scenario)
-    if kind == "chsh":
-        return chsh_dual_certificate()
-    if kind == "chained":
-        return chained_dual_certificate(n)
+    if kind in ("chsh", "chained"):
+        return chained_dual_certificate(2 if kind == "chsh" else n)
     return None
 
 
@@ -151,12 +142,13 @@ def cmd_certify(args) -> int:
     cert = _closed_form_certificate(args.scenario)
     if cert is None:
         raise ValueError(f"no closed-form certificate for scenario '{args.scenario}'")
+    g = exclusivity_graph(builtin_witness(args.scenario))
     try:
-        verify_dual_certificate(cert.graph, cert)
+        verify_dual_certificate(g, cert)
         verified = True
     except (MalformedCertificateError, NotPsdError):
         verified = False
-    eig = min_eigenvalue(cert.matrix)
+    eig = min_eigenvalue(certificate_matrix(g, cert.y))
     if args.json:
         _emit_json(
             {
@@ -176,16 +168,13 @@ def cmd_certify(args) -> int:
 def cmd_uniqueness(args) -> int:
     solver_tol = _unit_interval("solver_tol", args.solver_tol)
     threshold = _unit_interval("null_threshold", args.threshold)
-    cert = None
-    if args.scenario and not args.graph:
-        cert = _closed_form_certificate(args.scenario)
+    g = _input_graph(args)
+    cert = _closed_form_certificate(args.scenario) if args.scenario else None
     if cert is None:
-        g = _input_graph(args)
-        sol = solve_theta_problem(g, tol=solver_tol)
-        z = certificate_matrix(g, sol.dual_multipliers)
+        y = solve_theta_problem(g, tol=solver_tol).dual_multipliers
     else:
-        g, z = cert.graph, cert.matrix
-    verdict = dual_nondegenerate(g, z, threshold=threshold)
+        y = cert.y
+    verdict = dual_nondegenerate(g, certificate_matrix(g, y), threshold=threshold)
     if args.json:
         _emit_json(
             {

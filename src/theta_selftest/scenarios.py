@@ -138,8 +138,11 @@ def chsh_witness() -> BellWitness:
 
 
 def chained_witness(N: int) -> BellWitness:
-    """4N unit-weight events: correlated pairs along the measurement chain,
-    anti-correlated pair closing it; classical bound 2N - 1."""
+    """4N unit-weight events listed around the Moebius ladder, so that the
+    exclusivity graph is circulant(4N, [1, 2N]): each of two laps walks the
+    measurement chain with correlated, alternating outcomes and closes it
+    with an anti-correlated event; event i + 2N flips event i's outcomes.
+    Classical bound 2N - 1."""
     if N < 2:
         raise ValueError("chained witnesses require N >= 2")
     setting_pairs = [(0, 0)]
@@ -147,11 +150,11 @@ def chained_witness(N: int) -> BellWitness:
         setting_pairs.append((m, m - 1))
         setting_pairs.append((m, m))
     terms: list[tuple[Event, float]] = []
-    for x, y in setting_pairs:
-        terms.append((Event((0, 0), (x, y)), 1.0))
-        terms.append((Event((1, 1), (x, y)), 1.0))
-    terms.append((Event((0, 1), (0, N - 1)), 1.0))
-    terms.append((Event((1, 0), (0, N - 1)), 1.0))
+    for lap in (0, 1):
+        for k, xy in enumerate(setting_pairs):
+            a = (k + lap) % 2
+            terms.append((Event((a, a), xy), 1.0))
+        terms.append((Event((lap, 1 - lap), (0, N - 1)), 1.0))
     scenario = BellScenario(2, (N, N), (2, 2))
     return BellWitness(scenario, tuple(terms), classical_bound=2.0 * N - 1.0)
 
@@ -417,10 +420,13 @@ def as4_realization() -> Realization:
     return _rank_one_realization((2, 2), psi, (alice, bob))
 
 
-_BUILTIN_WITNESSES = {
-    "chsh": chsh_witness,
-    "mermin": mermin_witness,
-    "as4": as4_witness,
+# The built-in scenarios: (witness builder, reference realization builder).
+# Only the chained builders take an argument, the N of 'chained:N'.
+_SCENARIOS = {
+    "chsh": (chsh_witness, chsh_realization),
+    "chained": (chained_witness, chained_realization),
+    "mermin": (mermin_witness, mermin_realization),
+    "as4": (as4_witness, as4_realization),
 }
 
 
@@ -433,27 +439,21 @@ def parse_scenario_name(name: str) -> tuple[str, int | None]:
         except ValueError as exc:
             raise ValueError(f"bad chained selector {name!r}") from exc
         return "chained", N
-    if key in _BUILTIN_WITNESSES:
+    if key in _SCENARIOS and key != "chained":
         return key, None
     raise ValueError(f"unknown scenario {name!r}")
 
 
 def builtin_witness(name: str) -> BellWitness:
     kind, N = parse_scenario_name(name)
-    if kind == "chained":
-        return chained_witness(N)
-    return _BUILTIN_WITNESSES[kind]()
+    build = _SCENARIOS[kind][0]
+    return build() if N is None else build(N)
 
 
 def reference_realization(name: str) -> Realization:
     kind, N = parse_scenario_name(name)
-    if kind == "chained":
-        return chained_realization(N)
-    return {
-        "chsh": chsh_realization,
-        "mermin": mermin_realization,
-        "as4": as4_realization,
-    }[kind]()
+    build = _SCENARIOS[kind][1]
+    return build() if N is None else build(N)
 
 
 def _jsonify(obj):

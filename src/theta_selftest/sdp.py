@@ -58,7 +58,6 @@ class SdpProblem:
 class SdpSolution:
     primal: np.ndarray
     dual_multipliers: np.ndarray
-    dual_slack: np.ndarray
     value: float
     dual_value: float
     gap: float
@@ -140,7 +139,7 @@ def solve_sdp(
         history.append((pobj, dobj, gap, pinf, dinf))
         if pinf <= tol and dinf <= tol and gap_rel <= tol:
             return SdpSolution(
-                primal=x, dual_multipliers=y, dual_slack=z, value=pobj,
+                primal=x, dual_multipliers=y, value=pobj,
                 dual_value=dobj, gap=abs(pobj - dobj), pinfeas=pinf, dinfeas=dinf,
                 iterations=it, history=tuple(history),
             )

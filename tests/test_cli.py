@@ -14,10 +14,20 @@ from conftest import (
     tensor_padded_candidate,
 )
 
-from theta_selftest import Realization, WeightedGraph, graph_to_json, reference_realization
+from theta_selftest import (
+    Realization,
+    WeightedGraph,
+    builtin_witness,
+    exclusivity_graph,
+    graph_to_json,
+    mobius_theta_closed_form,
+    reference_realization,
+    verify_dual_certificate,
+)
 from theta_selftest import cli, graphs
 from theta_selftest.graphs import complement
 from theta_selftest.scenarios import realization_to_json_dict
+from theta_selftest.theta import ThetaDualCertificate
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
@@ -194,6 +204,13 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["bound"] - 5.0 * (1.0 + cos(pi / 10.0))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["chsh"] + [f"chained:{n}" for n in range(2, 17)])
+    def test_certificate_is_written_for_the_witness_graph(self, name):
+        g = exclusivity_graph(builtin_witness(name))
+        cert = cli._closed_form_certificate(name)
+        assert cert.graph == g
+        assert verify_dual_certificate(g, cert) == cert.t
 
     def test_rejects_unsupported_scenarios(self):
         for bad in ("chained:0", "chained:1", "mermin", "as4", "nope"):
@@ -490,6 +507,21 @@ class TestExport:
         doc = json.loads(out)
         assert doc["graph"]["n"] == 26
         assert "certificate" not in doc
+
+    @pytest.mark.parametrize(
+        "name,n", [("chsh", 2), ("chained:2", 2), ("chained:3", 3), ("chained:5", 5),
+                   ("chained:8", 8)]
+    )
+    def test_certificate_fits_exported_graph(self, name, n):
+        code, out, _ = run_cli(["export", "--scenario", name, "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        g = graphs.from_json_dict(doc["graph"])
+        t, lam, mu = (doc["certificate"][k] for k in ("t", "lambda", "mu"))
+        assert set(mu) == {f"{i}-{j}" for i, j in g.edges}
+        y = [t, *lam, *(mu[f"{i}-{j}"] for i, j in g.edges)]
+        bound = verify_dual_certificate(g, ThetaDualCertificate(g, y))
+        assert abs(bound - mobius_theta_closed_form(n)) <= 1e-12 * bound
 
     def test_dot_payload(self):
         code, out, _ = run_cli(["export", "--scenario", "mermin", "--format", "dot"])

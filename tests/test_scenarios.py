@@ -16,6 +16,7 @@ from theta_selftest import (
     evaluate_witness,
     exclusivity_graph,
     lovasz_theta,
+    mobius_ladder,
     realization_from_json_dict,
     reference_realization,
 )
@@ -109,12 +110,17 @@ class TestBuiltinWitnesses:
         assert exclusivity_graph(wit) == circulant(8, (1, 4))
 
     def test_chained_structure(self):
-        for n in (2, 3, 5):
+        for n in range(2, 17):
             wit = chained_witness(n)
             assert len(wit.terms) == 4 * n
             assert wit.classical_bound == 2.0 * n - 1.0
-            g = exclusivity_graph(wit)
-            assert find_isomorphism(g, circulant(4 * n, (1, 2 * n))) is not None
+            assert all(w == 1.0 for _, w in wit.terms)
+            # Listed around the ladder: the graph is the circulant itself.
+            assert exclusivity_graph(wit) == mobius_ladder(n)
+            chain = [(0, 0)] + [(m, m - d) for m in range(1, n) for d in (1, 0)]
+            expected = {(a, xy) for xy in chain for a in ((0, 0), (1, 1))}
+            expected |= {((0, 1), (0, n - 1)), ((1, 0), (0, n - 1))}
+            assert {(e.outcomes, e.settings) for e, _ in wit.terms} == expected
         with pytest.raises(ValueError):
             chained_witness(1)
 

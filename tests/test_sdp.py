@@ -69,9 +69,9 @@ class TestSolver:
         pobj, dobj, gap, pinf, dinf = sol.history[-1]
         assert (pobj, dobj) == (sol.value, sol.dual_value)
         assert gap >= 0.0
-        # Dual slack satisfies its defining equation Z = sum y_i A_i - C.
+        # The multipliers alone give a dual feasible slack Z = sum y_i A_i - C.
         recon = np.einsum("k,kab->ab", sol.dual_multipliers, _trace_problem(c).constraints)
-        assert np.abs(recon - c - sol.dual_slack).max() <= 1e-8
+        assert min_eigenvalue(recon - c) >= -1e-8
 
     def test_primal_feasibility_of_optimizer(self):
         rng = np.random.default_rng(11)
