@@ -33,7 +33,9 @@ from .theta import (
     dual_nondegenerate,
     lovasz_theta,
     mermin_primal_matrix,
+    mermin_seven_dim_check,
     mobius_theta_closed_form,
+    seven_dim_vectors,
     solve_theta_problem,
     verify_dual_certificate,
 )
@@ -50,9 +52,7 @@ from .selftest import (
     NotOptimizerError,
     PreconditionError,
     SelfTestError,
-    mermin_seven_dim_check,
     run_selftest,
-    seven_dim_vectors,
 )
 
 __version__ = "1.0.0"

@@ -81,9 +81,6 @@ class WeightedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.neighbor_sets[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_sets[i])
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j in self.edges:
@@ -335,42 +332,6 @@ def fractional_packing_bounds(g: WeightedGraph) -> tuple[float, float]:
 def fractional_packing(g: WeightedGraph) -> float:
     """The upper end of `fractional_packing_bounds`, so alpha* <= it (and theta)."""
     return fractional_packing_bounds(g)[1]
-
-
-def find_isomorphism(g: WeightedGraph, h: WeightedGraph) -> tuple[int, ...] | None:
-    """Vertex bijection p with g.has_edge(i,j) == h.has_edge(p[i],p[j]), or None.
-
-    Ignores weights; compares adjacency structure only.
-    """
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return None
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return None
-    n = g.n
-    image = [-1] * n
-    used = [False] * n
-
-    def ok(v: int, t: int) -> bool:
-        if g.degree(v) != h.degree(t):
-            return False
-        return all(
-            g.has_edge(u, v) == h.has_edge(image[u], t) for u in range(v)
-        )
-
-    def dfs(v: int) -> bool:
-        if v == n:
-            return True
-        for t in range(n):
-            if not used[t] and ok(v, t):
-                image[v] = t
-                used[t] = True
-                if dfs(v + 1):
-                    return True
-                image[v] = -1
-                used[t] = False
-        return False
-
-    return tuple(image) if dfs(0) else None
 
 
 def to_json_dict(g: WeightedGraph) -> dict:

@@ -19,7 +19,7 @@ it builds afresh from the states and projectors.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
-reproducible bit for bit.
+reproducible bit for bit.  Fixed optimizer data lives in `theta`.
 """
 
 from __future__ import annotations
@@ -851,68 +851,6 @@ def verify_selftest_claim(
         ref_vecs, cand_vecs, ref.dims, report.isometries, report.junk, report.junk_dims
     )
     return bool(np.all(np.array([isometry_dev, state_res, *vec_res]) <= tol))
-
-
-# Seven-dimensional configuration reproducing the 16-event tripartite
-# optimizer's Gram matrix; entries are printed to three decimals, so the
-# reproduction is only accurate to a few parts in a thousand.
-_SEVEN_DIM_VECTORS = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.25, -0.113, -0.241, 0.284, 0.088, 0.166, -0.029),
-    (0.25, -0.110, -0.251, -0.120, 0.247, -0.021, -0.191),
-    (0.25, -0.292, 0.079, 0.151, 0.075, -0.051, -0.255),
-    (0.25, 0.182, -0.087, 0.003, 0.311, 0.215, 0.059),
-    (0.25, -0.226, 0.069, 0.104, -0.227, 0.262, -0.021),
-    (0.25, 0.223, -0.059, 0.300, 0.068, -0.075, 0.184),
-    (0.25, -0.004, -0.232, 0.130, -0.298, 0.001, 0.167),
-    (0.25, -0.247, 0.049, -0.152, 0.140, -0.278, 0.059),
-    (0.25, 0.251, -0.059, -0.252, 0.019, 0.091, -0.222),
-    (0.25, 0.0, -0.242, -0.274, -0.139, -0.186, 0.004),
-    (0.25, 0.069, 0.271, 0.019, -0.154, 0.062, -0.285),
-    (0.25, 0.044, 0.261, 0.167, 0.054, -0.291, -0.042),
-    (0.25, 0.069, 0.223, -0.178, -0.004, 0.312, 0.067),
-    (0.25, 0.045, 0.212, -0.030, 0.204, -0.042, 0.310),
-    (0.25, -0.182, 0.039, -0.200, -0.161, 0.035, 0.293),
-    (0.25, 0.291, -0.031, 0.046, -0.225, -0.199, -0.097),
-)
-
-
-def seven_dim_vectors() -> np.ndarray:
-    return np.array(_SEVEN_DIM_VECTORS)
-
-
-def mermin_seven_dim_check() -> float:
-    """Max deviation of the seven-dimensional configuration's Gram matrix
-    from the closed-form 16-event optimizer matrix.
-
-    The configuration lists its vectors in a different vertex order than the
-    witness's event list, so the orthogonality pattern is first aligned with
-    the exclusivity graph by a graph isomorphism; the optimizer matrix is a
-    function of the graph alone, making the comparison alignment-exact.
-    """
-    from .graphs import WeightedGraph, find_isomorphism
-    from .scenarios import exclusivity_graph, mermin_witness
-    from .theta import mermin_primal_matrix
-
-    vs = seven_dim_vectors()
-    g = vs @ vs.T
-    inner = g[1:, 1:]
-    pattern = WeightedGraph(
-        16,
-        [
-            (i, j)
-            for i in range(16)
-            for j in range(i + 1, 16)
-            if abs(inner[i, j]) < 0.06
-        ],
-    )
-    iso = find_isomorphism(pattern, exclusivity_graph(mermin_witness()))
-    if iso is None:
-        raise ValueError("configuration pattern does not match the witness graph")
-    inv = {iso[i]: i for i in range(16)}
-    perm = [0] + [1 + inv[k] for k in range(16)]
-    aligned = g[np.ix_(perm, perm)]
-    return float(np.abs(aligned - mermin_primal_matrix()).max())
 
 
 def condition_report_to_json_dict(rep: ConditionReport) -> dict:

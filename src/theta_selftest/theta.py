@@ -8,13 +8,15 @@ g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
 lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
 dual_nondegenerate decides primal uniqueness by one SVD, or by Fourier blocks
-when the vertex rotation fixes the graph and Z (Gatermann-Parrilo).
+when the vertex rotation fixes the graph and Z (Gatermann-Parrilo).  The
+closed-form CHSH and Mermin optimizers live here too, with the Mermin
+seven-dimensional configuration in witness order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import cos, pi, sqrt
+from dataclasses import dataclass, field, replace
+from math import cos, inf, pi, sqrt
 
 import numpy as np
 
@@ -75,7 +77,8 @@ def theta_start(
     2*dual_scale*max(w_i,1), mu = 0; positive definite by a Schur-complement
     argument since lambda_i >= 2 w_i and t exceeds sum lambda_i / 2.  This
     needs 0 < primal_scale <= 1 <= dual_scale, which every start of
-    _START_LADDER meets.
+    _START_LADDER meets.  A dual point that overflows (weights near the
+    float maximum) raises SolverError, as a stalled start would.
     """
     n = g.n
     s = primal_scale / (n + 1)
@@ -83,9 +86,12 @@ def theta_start(
     x[0, 0] = 1.0
     x[0, 1:] = x[1:, 0] = s
     wcap = np.maximum(np.asarray(g.weights), 1.0)
-    t = dual_scale * (float(wcap.sum()) + 1.0)
-    lam = 2.0 * dual_scale * wcap
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        t = dual_scale * (float(wcap.sum()) + 1.0)
+        lam = 2.0 * dual_scale * wcap
     y = np.concatenate(([t], lam, np.zeros(len(g.edges))))
+    if not np.isfinite(y).all():  # the primal start is still exactly feasible
+        raise SolverError("dual starting point overflows", 0.0, inf, inf)
     return x, y, certificate_matrix(g, y)
 
 
@@ -98,39 +104,49 @@ _START_LADDER: tuple[tuple[float, float], ...] = (
 
 
 def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolution:
-    """Solve the theta SDP from each start of _START_LADDER in turn until one
-    converges, which keeps the result deterministic; the last start's
-    SolverError propagates when none does."""
-    problem = theta_problem(g)
+    """Solve the theta SDP of g and return the solution on g.
+
+    Zero-weight vertices leave theta unchanged, so only the subgraph induced
+    by the positive weights is solved, from each start of _START_LADDER in
+    turn until one converges (deterministic; the last SolverError propagates
+    when none does).  The rest get zero primal rows and columns, lambda = 0
+    and mu = 0 on their edges, so certificate_matrix(g, y) is the subgraph's
+    slack bordered by zero rows.  No positive weight gives theta = 0 at E_00.
+    """
+    keep = np.flatnonzero(np.asarray(g.weights) > 0)
+    d = g.n + 1
+    primal = np.zeros((d, d))
+    primal[0, 0] = 1.0
+    y = np.zeros(d + len(g.edges))
+    if keep.size == 0:
+        return SdpSolution(primal, y, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    pos = np.full(g.n, -1)
+    pos[keep] = np.arange(keep.size)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
+    inner = (pos[edges] >= 0).all(axis=1)  # the subgraph's edges, in order
+    sub = WeightedGraph(keep.size, pos[edges[inner]], np.asarray(g.weights)[keep])
+    problem = theta_problem(sub)
     err: SolverError | None = None
     for scales in _START_LADDER:
         try:
-            return solve_sdp(problem, tol=tol, start=theta_start(g, *scales))
+            sol = solve_sdp(problem, tol=tol, start=theta_start(sub, *scales))
+            break
         except SolverError as exc:
             err = exc
-    raise err
+    else:
+        raise err
+    rows = np.concatenate(([0], keep + 1))
+    primal[np.ix_(rows, rows)] = sol.primal
+    y[rows] = sol.dual_multipliers[: keep.size + 1]  # t and lambda
+    y[d:][inner] = sol.dual_multipliers[keep.size + 1 :]  # mu
+    return replace(sol, primal=primal, dual_multipliers=y)
 
 
 def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.ndarray]:
-    """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix.
-
-    Zero-weight vertices leave theta unchanged, so only the subgraph induced
-    by the positive weights is solved (g itself when all are positive) and its
-    primal gets zero rows and columns for the rest; no positive weight gives
-    theta = 0 at X = E_00."""
-    keep = np.flatnonzero(np.asarray(g.weights) > 0)
-    primal = np.zeros((g.n + 1, g.n + 1))
-    primal[0, 0] = 1.0
-    if keep.size == 0:
-        return 0.0, primal
-    if keep.size < g.n:
-        pos = {int(v): k for k, v in enumerate(keep)}
-        edges = [(pos[i], pos[j]) for i, j in g.edges if i in pos and j in pos]
-        g = WeightedGraph(keep.size, edges, [g.weights[v] for v in keep])
+    """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix,
+    read off solve_theta_problem."""
     sol = solve_theta_problem(g, tol=tol)
-    rows = np.concatenate(([0], keep + 1))
-    primal[np.ix_(rows, rows)] = sol.primal
-    return sol.value, primal
+    return sol.value, sol.primal
 
 
 def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
@@ -351,6 +367,41 @@ def mermin_primal_matrix() -> np.ndarray:
     p[0, 1:] = p[1:, 0] = a
     p[1:, 1:] = a * np.eye(16) + b * complement(g).adjacency_matrix()
     return p
+
+
+# Seven-dimensional configuration whose Gram matrix is mermin_primal_matrix:
+# row 0 is the handle, row 1 + i event i of mermin_witness().  Entries are
+# printed to three decimals, so the match is good to a few parts in a thousand.
+_SEVEN_DIM_VECTORS = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.25, -0.113, -0.241, 0.284, 0.088, 0.166, -0.029),
+    (0.25, 0.0, -0.242, -0.274, -0.139, -0.186, 0.004),
+    (0.25, 0.044, 0.261, 0.167, 0.054, -0.291, -0.042),
+    (0.25, 0.069, 0.223, -0.178, -0.004, 0.312, 0.067),
+    (0.25, -0.110, -0.251, -0.120, 0.247, -0.021, -0.191),
+    (0.25, -0.004, -0.232, 0.130, -0.298, 0.001, 0.167),
+    (0.25, 0.045, 0.212, -0.030, 0.204, -0.042, 0.310),
+    (0.25, 0.069, 0.271, 0.019, -0.154, 0.062, -0.285),
+    (0.25, -0.292, 0.079, 0.151, 0.075, -0.051, -0.255),
+    (0.25, -0.182, 0.039, -0.200, -0.161, 0.035, 0.293),
+    (0.25, 0.223, -0.059, 0.300, 0.068, -0.075, 0.184),
+    (0.25, 0.251, -0.059, -0.252, 0.019, 0.091, -0.222),
+    (0.25, 0.291, -0.031, 0.046, -0.225, -0.199, -0.097),
+    (0.25, 0.182, -0.087, 0.003, 0.311, 0.215, 0.059),
+    (0.25, -0.226, 0.069, 0.104, -0.227, 0.262, -0.021),
+    (0.25, -0.247, 0.049, -0.152, 0.140, -0.278, 0.059),
+)
+
+
+def seven_dim_vectors() -> np.ndarray:
+    return np.array(_SEVEN_DIM_VECTORS)
+
+
+def mermin_seven_dim_check() -> float:
+    """Max deviation of the seven-dimensional configuration's Gram matrix
+    from the closed-form 16-event optimizer matrix."""
+    v = seven_dim_vectors()
+    return float(np.abs(v @ v.T - mermin_primal_matrix()).max())
 
 
 def certificate_to_json_dict(cert: ThetaDualCertificate) -> dict:

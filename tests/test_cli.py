@@ -40,6 +40,14 @@ def _write_realization(path, r) -> str:
     return str(path)
 
 
+# Every start of the theta ladder stalls on this whole graph.
+ZERO_WEIGHT_GRAPH = WeightedGraph(
+    5,
+    [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)],
+    [0.0, 1.409491023015686, 0.06784347576144613, 0.0, 1.409491023015686],
+)
+
+
 class TestTheta:
     def test_chsh_text(self):
         code, out, err = run_cli(["theta", "--scenario", "chsh"])
@@ -112,12 +120,7 @@ class TestTheta:
     def test_zero_weight_vertices_do_not_stall(self, tmp_path):
         # Every start of the ladder stalls on the full graph; theta is that of
         # the subgraph induced by the three positive-weight vertices.
-        g = WeightedGraph(
-            5,
-            [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)],
-            [0.0, 1.409491023015686, 0.06784347576144613, 0.0, 1.409491023015686],
-        )
-        path = _write_graph(tmp_path / "g.json", g)
+        path = _write_graph(tmp_path / "g.json", ZERO_WEIGHT_GRAPH)
         code, out, err = run_cli(["theta", "--graph", path, "--json"])
         assert (code, err) == (0, "")
         doc = json.loads(out)
@@ -275,6 +278,24 @@ class TestUniqueness:
         path1 = _write_graph(tmp_path / "k1.json", WeightedGraph(1, []))
         code, _, _ = run_cli(["uniqueness", "--graph", path1])
         assert code == 0
+
+    def test_zero_weight_vertices_do_not_stall(self, tmp_path):
+        # The positive-weight subgraph is solved and its multipliers lifted;
+        # the two zero-weight vertices' primal rows are left free.
+        path = _write_graph(tmp_path / "g.json", ZERO_WEIGHT_GRAPH)
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["nondegenerate"] is False
+
+    @pytest.mark.parametrize(
+        "command,n", [("theta", 1), ("uniqueness", 1), ("uniqueness", 2)]
+    )
+    def test_overflowing_start_is_solver_error(self, tmp_path, command, n):
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(n, [], [1e308] * n))
+        code, out, err = run_cli([command, "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: dual starting point overflows")
+        assert err.count("\n") == 1
 
 
 class TestSelftest:

@@ -20,7 +20,7 @@ from theta_selftest import (
     realization_from_json_dict,
     reference_realization,
 )
-from theta_selftest.graphs import complement, find_isomorphism
+from theta_selftest.graphs import complement
 from theta_selftest.scenarios import (
     BellScenario,
     Event,
@@ -130,14 +130,18 @@ class TestBuiltinWitnesses:
         assert wit.classical_bound == 3.0
         assert wit.affine == (2.0, -4.0)
         # The complement is the Shrikhande graph: the Cayley graph of
-        # Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.
+        # Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.  Event i
+        # maps to the group element p[i], written 4a + b.
         shrikhande = WeightedGraph(16, tuple(
             (4 * a + b, 4 * ((a + c) % 4) + (b + d) % 4)
             for a in range(4) for b in range(4) for c, d in ((1, 0), (0, 1), (1, 1))
         ))
+        p = (0, 2, 8, 10, 1, 3, 9, 11, 12, 14, 4, 6, 7, 5, 15, 13)
         g = exclusivity_graph(wit)
         assert g.weights == (1.0,) * 16
-        assert find_isomorphism(complement(g), shrikhande) is not None
+        mapped = WeightedGraph(16, [(p[i], p[j]) for i, j in complement(g).edges])
+        assert len(shrikhande.edges) == 48
+        assert mapped.edges == shrikhande.edges
 
     def test_as4_structure(self):
         wit = as4_witness()

@@ -22,6 +22,7 @@ from theta_selftest import (
     builtin_witness,
     chsh_primal_matrix,
     evaluate_witness,
+    exclusivity_graph,
     mermin_primal_matrix,
     mermin_seven_dim_check,
     reference_realization,
@@ -29,7 +30,13 @@ from theta_selftest import (
     seven_dim_vectors,
 )
 from theta_selftest import selftest
-from theta_selftest.scenarios import BellScenario, Event, event_projectors, event_vectors
+from theta_selftest.scenarios import (
+    BellScenario,
+    Event,
+    event_projectors,
+    event_vectors,
+    mermin_witness,
+)
 from theta_selftest.selftest import (
     SELFTEST_TOL,
     _claim_residuals,
@@ -447,6 +454,15 @@ class TestSevenDimensionalConfiguration:
 
     def test_matches_sixteen_event_optimizer(self):
         assert mermin_seven_dim_check() <= 5e-3
+
+    def test_rows_follow_the_witness_events(self):
+        # Row 1 + i is event i: the near-orthogonal pairs are the exclusive ones.
+        v = seven_dim_vectors()
+        gram = (v @ v.T)[1:, 1:]
+        i, j = np.triu_indices(16, 1)
+        near = np.abs(gram[i, j]) < 0.06
+        pattern = set(zip(i[near].tolist(), j[near].tolist()))
+        assert pattern == set(exclusivity_graph(mermin_witness()).edges)
 
 
 class TestOptimizerRanks:

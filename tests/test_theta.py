@@ -21,6 +21,7 @@ from theta_selftest import (
     exclusivity_graph,
     lovasz_theta,
     mermin_primal_matrix,
+    min_eigenvalue,
     mobius_theta_closed_form,
     solve_theta_problem,
     verify_dual_certificate,
@@ -141,6 +142,17 @@ class TestThetaValues:
         assert val == 0.0
         assert np.array_equal(primal, np.diag([1.0, 0, 0, 0, 0, 0]))
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs())
+    def test_lifted_multipliers_certify_theta(self, g):
+        # Zero-weight vertices get zero multipliers, so Z is the positive
+        # subgraph's slack bordered by zero rows, PSD with the same t.
+        y = solve_theta_problem(g).dual_multipliers
+        z = certificate_matrix(g, y)
+        assert min_eigenvalue(z) >= -1e-8 * max(1.0, y[0])
+        assert not z[1 + np.flatnonzero(np.asarray(g.weights) == 0.0)].any()
+        _assert_theta_close(y[0], lovasz_theta(g)[0])
+
     def test_weighted_scaling(self):
         w = 1.7
         val, _ = lovasz_theta(C5.with_weights([w] * 5))
@@ -157,6 +169,44 @@ class TestThetaValues:
             assert abs(lovasz_theta(g)[0] - mobius_theta_closed_form(n)) <= 1e-7
         with pytest.raises(ValueError):
             mobius_theta_closed_form(1)
+
+
+def _assert_theta_close(value: float, expected: float) -> None:
+    assert abs(value - expected) <= 1e-7 * max(1.0, abs(expected))
+
+
+def _disjoint_union(g: WeightedGraph, h: WeightedGraph, join: bool) -> WeightedGraph:
+    """g and h side by side, with every g-h pair adjacent when join is set."""
+    edges = list(g.edges) + [(g.n + i, g.n + j) for i, j in h.edges]
+    if join:
+        edges += [(i, g.n + j) for i in range(g.n) for j in range(h.n)]
+    return WeightedGraph(g.n + h.n, edges, g.weights + h.weights)
+
+
+class TestMetamorphic:
+    """theta is invariant under relabelling, adds over disjoint unions and
+    takes the maximum over joins."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs(), st.data())
+    def test_relabelling(self, g, data):
+        p = data.draw(st.permutations(range(g.n)))
+        weights = np.zeros(g.n)
+        weights[p] = g.weights  # vertex v becomes p[v]
+        h = WeightedGraph(g.n, [(p[i], p[j]) for i, j in g.edges], weights)
+        _assert_theta_close(lovasz_theta(h)[0], lovasz_theta(g)[0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs(), weighted_graphs())
+    def test_disjoint_union_adds(self, g, h):
+        expected = lovasz_theta(g)[0] + lovasz_theta(h)[0]
+        _assert_theta_close(lovasz_theta(_disjoint_union(g, h, False))[0], expected)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs(), weighted_graphs())
+    def test_join_takes_the_maximum(self, g, h):
+        expected = max(lovasz_theta(g)[0], lovasz_theta(h)[0])
+        _assert_theta_close(lovasz_theta(_disjoint_union(g, h, True))[0], expected)
 
 
 class TestPrimalMatrices:
