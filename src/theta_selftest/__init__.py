@@ -28,7 +28,6 @@ from .theta import (
     MalformedCertificateError,
     NotPsdError,
     chained_dual_certificate,
-    chsh_dual_certificate,
     chsh_primal_matrix,
     dual_nondegenerate,
     lovasz_theta,
@@ -70,7 +69,6 @@ __all__ = [
     "WeightedGraph",
     "builtin_witness",
     "chained_dual_certificate",
-    "chsh_dual_certificate",
     "chsh_primal_matrix",
     "circulant",
     "circulant_eigenvalues",

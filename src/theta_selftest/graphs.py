@@ -23,6 +23,9 @@ Edge = tuple[int, int]
 
 
 PACKING_TOL = 1e-10  # relative width of the certified alpha* enclosure
+# Largest accepted vertex weight: the solvers form squared norms of weight
+# vectors, which must stay finite (the float maximum is about 1.8e308).
+MAX_WEIGHT = 1e150
 _PACKING_MAX_ITER = 100
 _CLIQUE_LIMIT = 100_000
 
@@ -66,8 +69,10 @@ class WeightedGraph:
         w = tuple(float(x) for x in w)
         if len(w) != self.n:
             raise ValueError("weight vector length must equal vertex count")
-        if not all(0.0 <= x < float("inf") for x in w):
-            raise ValueError("weights must be finite and nonnegative")
+        if not all(0.0 <= x <= MAX_WEIGHT for x in w):
+            raise ValueError(
+                f"weights must be finite, nonnegative and at most {MAX_WEIGHT:g}"
+            )
         object.__setattr__(self, "weights", w)
 
     @cached_property

@@ -120,23 +120,6 @@ def correlator_to_probability_terms(
     return terms, -1.0
 
 
-def chsh_witness() -> BellWitness:
-    """Eight unit-weight two-party events; exclusivity graph Ci_8(1,4)."""
-    raw = [
-        ((0, 0), (0, 0)),
-        ((1, 1), (0, 1)),
-        ((1, 0), (1, 1)),
-        ((0, 0), (1, 0)),
-        ((1, 1), (0, 0)),
-        ((0, 0), (0, 1)),
-        ((0, 1), (1, 1)),
-        ((1, 1), (1, 0)),
-    ]
-    scenario = BellScenario(2, (2, 2), (2, 2))
-    terms = tuple((Event(a, x), 1.0) for a, x in raw)
-    return BellWitness(scenario, terms, classical_bound=3.0)
-
-
 def chained_witness(N: int) -> BellWitness:
     """4N unit-weight events listed around the Moebius ladder, so that the
     exclusivity graph is circulant(4N, [1, 2N]): each of two laps walks the
@@ -321,22 +304,6 @@ def _rank_one_realization(
     return Realization(dims, state / np.linalg.norm(state), projectors, kets)
 
 
-def chsh_realization() -> Realization:
-    """Two-qubit maximally entangled state with the standard tilted bases."""
-    a = 1.0 / sqrt(2.0)
-    c, d = cos(pi / 8.0), sin(pi / 8.0)
-    alice = (
-        ((1.0, 0.0), (0.0, -1.0)),  # setting 0: outcomes 0, 1
-        ((a, a), (a, -a)),  # setting 1
-    )
-    bob = (
-        ((c, d), (d, -c)),
-        ((c, -d), (-d, -c)),
-    )
-    psi = np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0)
-    return _rank_one_realization((2, 2), psi, (alice, bob))
-
-
 def chained_realization(N: int) -> Realization:
     """Maximally entangled state; party kets at evenly interleaved angles."""
     if N < 2:
@@ -423,7 +390,7 @@ def as4_realization() -> Realization:
 # The built-in scenarios: (witness builder, reference realization builder).
 # Only the chained builders take an argument, the N of 'chained:N'.
 _SCENARIOS = {
-    "chsh": (chsh_witness, chsh_realization),
+    "chsh": (lambda: chained_witness(2), lambda: chained_realization(2)),
     "chained": (chained_witness, chained_realization),
     "mermin": (mermin_witness, mermin_realization),
     "as4": (as4_witness, as4_realization),

@@ -166,22 +166,18 @@ def _residual_outside_span(v: np.ndarray, vectors) -> float:
     return float(np.linalg.norm(m @ coeff - v))
 
 
+def _adjacency(nodes, edges) -> dict:
+    adj: dict = {v: [] for v in nodes}
+    for p, q in edges:
+        adj[p].append(q)
+        adj[q].append(p)
+    return adj
+
+
 def _connected(nodes, edges) -> bool:
     nodes = list(nodes)
-    if not nodes:
-        return False
-    adj = {v: set() for v in nodes}
-    for p, q in edges:
-        adj[p].add(q)
-        adj[q].add(p)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)
+    reached = _walk_phases(_adjacency(nodes, edges), nodes[:1], lambda p, q, a: a)
+    return bool(nodes) and len(reached) == len(nodes)
 
 
 def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int):
@@ -567,11 +563,7 @@ def _rank_one_core(
         num = np.vdot(ref_kets[p], ref_kets[q])
         return alpha_p * _unit_phase(num / den, f"party-{pivot} edge ({p},{q})")
 
-    adj: dict = {p: [] for p in family}
-    for p, q in edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    alpha = _walk_phases(adj, family, edge_phase)
+    alpha = _walk_phases(_adjacency(family, edges), family, edge_phase)
 
     locs = ps.event_locals.tolist()
     rows = [e for e, loc in enumerate(locs) if loc[pivot] in alpha]
@@ -600,10 +592,8 @@ def _rank_one_core(
     if len(rest) == 1:
         isometries[rest[0]] = joint
     else:
-        pair_adj: dict = {}
-        for ib, ic in sorted(rest_phases):
-            pair_adj.setdefault((rest[0], ib), []).append((rest[1], ic))
-            pair_adj.setdefault((rest[1], ic), []).append((rest[0], ib))
+        links = [((rest[0], ib), (rest[1], ic)) for ib, ic in sorted(rest_phases)]
+        pair_adj = _adjacency(sorted({v for link in links for v in link}), links)
 
         def pair_phase(p, q, phase_p):
             pair = (p[1], q[1]) if p[0] == rest[0] else (q[1], p[1])

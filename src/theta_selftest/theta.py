@@ -16,7 +16,7 @@ seven-dimensional configuration in witness order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import cos, inf, pi, sqrt
+from math import cos, pi, sqrt
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def theta_start(
     2*dual_scale*max(w_i,1), mu = 0; positive definite by a Schur-complement
     argument since lambda_i >= 2 w_i and t exceeds sum lambda_i / 2.  This
     needs 0 < primal_scale <= 1 <= dual_scale, which every start of
-    _START_LADDER meets.  A dual point that overflows (weights near the
-    float maximum) raises SolverError, as a stalled start would.
+    _START_LADDER meets.
     """
     n = g.n
     s = primal_scale / (n + 1)
@@ -86,12 +85,9 @@ def theta_start(
     x[0, 0] = 1.0
     x[0, 1:] = x[1:, 0] = s
     wcap = np.maximum(np.asarray(g.weights), 1.0)
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        t = dual_scale * (float(wcap.sum()) + 1.0)
-        lam = 2.0 * dual_scale * wcap
+    t = dual_scale * (float(wcap.sum()) + 1.0)
+    lam = 2.0 * dual_scale * wcap
     y = np.concatenate(([t], lam, np.zeros(len(g.edges))))
-    if not np.isfinite(y).all():  # the primal start is still exactly feasible
-        raise SolverError("dual starting point overflows", 0.0, inf, inf)
     return x, y, certificate_matrix(g, y)
 
 
@@ -184,12 +180,6 @@ class ThetaDualCertificate:
     @property
     def t(self) -> float:
         return float(self.y[0])
-
-
-def chsh_dual_certificate() -> ThetaDualCertificate:
-    """The 9x9 dual optimal certificate for circulant(8, [1, 4]), t = 2 + sqrt(2):
-    the chained certificate at N = 2."""
-    return chained_dual_certificate(2)
 
 
 def chained_dual_certificate(N: int) -> ThetaDualCertificate:

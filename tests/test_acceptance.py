@@ -19,7 +19,6 @@ from theta_selftest import (
     SelfTestError,
     builtin_witness,
     chained_dual_certificate,
-    chsh_dual_certificate,
     chsh_primal_matrix,
     circulant,
     circulant_eigenvalues,
@@ -61,7 +60,7 @@ def test_criterion_1_chsh_theta_value_and_primal():
 
 def test_criterion_2_chsh_dual_certificate_and_uniqueness():
     g = circulant(8, (1, 4))
-    cert = chsh_dual_certificate()
+    cert = chained_dual_certificate(2)
     bound = verify_dual_certificate(g, cert)
     assert abs(bound - (2.0 + sqrt(2.0))) <= 1e-12
     eig = min_eigenvalue(cert.matrix)

@@ -52,6 +52,7 @@ class TestWeightedGraph:
             (2, [], [1.0, -0.5]),
             (2, [], [1.0, float("nan")]),
             (2, [], [float("inf"), 1.0]),
+            (2, [], [1.0, 1.0000001 * graphs.MAX_WEIGHT]),
         ],
     )
     def test_invalid_inputs(self, n, edges, weights):

@@ -25,8 +25,8 @@ from theta_selftest.scenarios import (
     BellScenario,
     Event,
     as4_witness,
+    chained_realization,
     chained_witness,
-    chsh_witness,
     correlator_to_probability_terms,
     event_projectors,
     event_vectors,
@@ -103,11 +103,19 @@ class TestWitnessValidation:
 
 class TestBuiltinWitnesses:
     def test_chsh_structure(self):
-        wit = chsh_witness()
+        wit = builtin_witness("chsh")
         assert len(wit.terms) == 8
         assert wit.classical_bound == 3.0
         assert all(w == 1.0 for _, w in wit.terms)
         assert exclusivity_graph(wit) == circulant(8, (1, 4))
+
+    def test_chsh_is_chained_at_two(self):
+        assert builtin_witness("chsh") == chained_witness(2)
+        r, c = reference_realization("chsh"), chained_realization(2)
+        assert r.dims == c.dims
+        assert np.array_equal(r.state, c.state)
+        assert np.array_equal(np.array(r.projectors), np.array(c.projectors))
+        assert np.array_equal(np.array(r.kets), np.array(c.kets))
 
     def test_chained_structure(self):
         for n in range(2, 17):
@@ -281,7 +289,7 @@ class TestReferenceRealizations:
         assert np.abs(behavior - 0.25).max() <= 1e-12
 
     def test_chsh_behavior_is_uniform(self):
-        _, behavior = evaluate_witness(chsh_witness(), reference_realization("chsh"))
+        _, behavior = evaluate_witness(builtin_witness("chsh"), reference_realization("chsh"))
         assert np.abs(behavior - (2.0 + sqrt(2.0)) / 8.0).max() <= 1e-12
 
     def test_kets_define_projectors(self):
@@ -338,7 +346,7 @@ class TestRealizationValidation:
         # Exclusive events share a setting with differing outcomes at some
         # party, so their joint projectors are orthogonal in any valid
         # realization; the trace check in evaluate_witness enforces this.
-        wit = chsh_witness()
+        wit = builtin_witness("chsh")
         r = reference_realization("chsh")
         g = exclusivity_graph(wit)
         ops = [

@@ -14,7 +14,6 @@ from theta_selftest import (
     NotPsdError,
     WeightedGraph,
     chained_dual_certificate,
-    chsh_dual_certificate,
     chsh_primal_matrix,
     circulant,
     dual_nondegenerate,
@@ -184,8 +183,8 @@ def _disjoint_union(g: WeightedGraph, h: WeightedGraph, join: bool) -> WeightedG
 
 
 class TestMetamorphic:
-    """theta is invariant under relabelling, adds over disjoint unions and
-    takes the maximum over joins."""
+    """theta is invariant under relabelling, homogeneous in the weights, adds
+    over disjoint unions and takes the maximum over joins."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), st.data())
@@ -195,6 +194,12 @@ class TestMetamorphic:
         weights[p] = g.weights  # vertex v becomes p[v]
         h = WeightedGraph(g.n, [(p[i], p[j]) for i, j in g.edges], weights)
         _assert_theta_close(lovasz_theta(h)[0], lovasz_theta(g)[0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs(), st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
+    def test_homogeneous_in_the_weights(self, g, s):
+        scaled = g.with_weights([s * w for w in g.weights])
+        _assert_theta_close(lovasz_theta(scaled)[0], s * lovasz_theta(g)[0])
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), weighted_graphs())
@@ -266,7 +271,7 @@ def _dual_points(draw):
 
 class TestCertificates:
     def test_chsh_certificate_verifies(self):
-        cert = chsh_dual_certificate()
+        cert = chained_dual_certificate(2)
         t = verify_dual_certificate(CHSH_GRAPH, cert)
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-12
 
@@ -280,7 +285,6 @@ class TestCertificates:
         cert = chained_dual_certificate(2)
         assert np.abs(cert.y - y).max() <= 1e-14
         assert np.abs(cert.matrix - _slack_oracle(CHSH_GRAPH, y)).max() <= 1e-14
-        assert np.array_equal(chsh_dual_certificate().y, cert.y)
 
     def test_chained_bound_values(self):
         for n in (2, 3, 4, 6):
@@ -299,7 +303,7 @@ class TestCertificates:
 
     def test_certificate_complements_primal(self):
         # Optimal pair: Z X = 0 for the closed-form certificate and optimizer.
-        z = chsh_dual_certificate().matrix
+        z = chained_dual_certificate(2).matrix
         x = chsh_primal_matrix()
         assert np.abs(z @ x).max() <= 1e-12
 
@@ -319,19 +323,19 @@ class TestCertificates:
 
     def test_structural_mismatch_raises(self):
         # A multiplier vector that does not fit the graph has no slack matrix.
-        y = chsh_dual_certificate().y
+        y = chained_dual_certificate(2).y
         with pytest.raises(MalformedCertificateError, match="length"):
             ThetaDualCertificate(CHSH_GRAPH, y[:-1])
         with pytest.raises(MalformedCertificateError, match="length"):
             certificate_matrix(CHSH_GRAPH, y.reshape(1, -1))
         with pytest.raises(MalformedCertificateError, match="length"):
-            verify_dual_certificate(C5, chsh_dual_certificate())
+            verify_dual_certificate(C5, chained_dual_certificate(2))
 
     def test_nan_entry_raises(self):
         # Non-finite t, lambda or mu entries.
         for index in (0, 1, -1):
             for value in (np.nan, np.inf, -np.inf):
-                y = np.array(chsh_dual_certificate().y)
+                y = np.array(chained_dual_certificate(2).y)
                 y[index] = value
                 with pytest.raises(MalformedCertificateError, match="non-finite"):
                     ThetaDualCertificate(CHSH_GRAPH, y)
@@ -340,7 +344,7 @@ class TestCertificates:
 
     def test_mu_on_non_edge_is_malformed(self):
         # A mu for the non-edge (0, 2) of Ci_8(1, 4) has no slot in y.
-        y = np.append(chsh_dual_certificate().y, 0.0)
+        y = np.append(chained_dual_certificate(2).y, 0.0)
         with pytest.raises(MalformedCertificateError, match="length"):
             ThetaDualCertificate(CHSH_GRAPH, y)
 
@@ -363,7 +367,7 @@ class TestCertificates:
         object.__setattr__(bad, "matrix", np.eye(6))
         with pytest.raises(NotPsdError):
             verify_dual_certificate(C5, bad)
-        good = chsh_dual_certificate()
+        good = chained_dual_certificate(2)
         object.__setattr__(good, "matrix", -np.eye(9))
         assert verify_dual_certificate(CHSH_GRAPH, good) == good.t
 
@@ -399,7 +403,7 @@ class TestCertificates:
 
 class TestUniqueness:
     def test_chsh_nondegenerate(self):
-        verdict = dual_nondegenerate(CHSH_GRAPH, chsh_dual_certificate().matrix)
+        verdict = dual_nondegenerate(CHSH_GRAPH, chained_dual_certificate(2).matrix)
         assert verdict.nondegenerate
         assert verdict.nullspace_dim == 0
         assert verdict.residual > 0
@@ -530,7 +534,7 @@ class TestUniqueness:
     def test_nondegeneracy_implies_multi_start_agreement(self):
         # Re-solving from distinct strictly feasible starts recovers the same
         # primal matrix entrywise whenever the dual certificate is nondegenerate.
-        assert dual_nondegenerate(CHSH_GRAPH, chsh_dual_certificate().matrix).nondegenerate
+        assert dual_nondegenerate(CHSH_GRAPH, chained_dual_certificate(2).matrix).nondegenerate
         problem = theta_problem(CHSH_GRAPH)
         primals = [
             solve_sdp(problem, start=theta_start(CHSH_GRAPH, *s)).primal
@@ -544,7 +548,7 @@ class TestCertificateSerialization:
     def test_json_roundtrip(self):
         # The document carries y: t, lambda and mu keyed by edge rebuild the
         # certificate, and its matrix is the certificate's.
-        cert = chsh_dual_certificate()
+        cert = chained_dual_certificate(2)
         d = json.loads(json.dumps(certificate_to_json_dict(cert)))
         mu = [d["mu"][f"{i}-{j}"] for i, j in CHSH_GRAPH.edges]
         back = ThetaDualCertificate(CHSH_GRAPH, [d["t"], *d["lambda"], *mu])
