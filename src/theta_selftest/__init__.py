@@ -19,11 +19,9 @@ from .graphs import (
     circulant,
     fractional_packing,
     from_json_dict as graph_from_json_dict,
-    graph_to_json,
     independence_number,
-    mobius_ladder,
 )
-from .sdp import SolverError, circulant_eigenvalues, min_eigenvalue
+from .sdp import SolverError, min_eigenvalue
 from .theta import (
     MalformedCertificateError,
     NotPsdError,
@@ -33,7 +31,6 @@ from .theta import (
     lovasz_theta,
     mermin_primal_matrix,
     mermin_seven_dim_check,
-    mobius_theta_closed_form,
     seven_dim_vectors,
     solve_theta_problem,
     verify_dual_certificate,
@@ -71,20 +68,16 @@ __all__ = [
     "chained_dual_certificate",
     "chsh_primal_matrix",
     "circulant",
-    "circulant_eigenvalues",
     "dual_nondegenerate",
     "evaluate_witness",
     "exclusivity_graph",
     "fractional_packing",
     "graph_from_json_dict",
-    "graph_to_json",
     "independence_number",
     "lovasz_theta",
     "mermin_primal_matrix",
     "mermin_seven_dim_check",
     "min_eigenvalue",
-    "mobius_ladder",
-    "mobius_theta_closed_form",
     "realization_from_json_dict",
     "reference_realization",
     "run_selftest",

@@ -6,17 +6,15 @@ Exit codes are a stable contract: 0 success, 1 input error, 2 solver or
 certification failure, 3 self-test rejection.  Human-readable output prints
 six significant digits; JSON output carries full double precision and is
 emitted in canonical form (sorted keys, no whitespace) so repeated runs are
-byte-identical.  The only environment variable honored is
-THETA_SELFTEST_TOL, the default acceptance tolerance of `selftest`; the
-other tolerance flags default to the constants of the modules that own
-them (sdp.SOLVER_TOL, theta.NULL_THRESHOLD).
+byte-identical.  No environment variable is read: each tolerance flag
+defaults to the constant of the module that owns it (sdp.SOLVER_TOL,
+theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .graphs import (
@@ -194,10 +192,7 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("THETA_SELFTEST_TOL", SELFTEST_TOL))
-    tol = _unit_interval("selftest_tol", tol)
+    tol = _unit_interval("selftest_tol", args.tol)
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:
@@ -299,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the extraction pipeline on a candidate")
     add_common(p)
     p.add_argument("--candidate", help="path to a candidate realization JSON file")
-    p.add_argument("--tol", type=float, default=None, help="acceptance tolerance")
+    p.add_argument("--tol", type=float, default=SELFTEST_TOL, help="acceptance tolerance")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="emit witness and reference realization JSON")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,18 +55,16 @@ class WeightedGraph:
 
     n: int
     edges: tuple[Edge, ...]
-    weights: tuple[float, ...] = field(default=())
+    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one vertex")
         object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
-        w = (
-            tuple(self.weights)
-            if len(self.weights)
-            else tuple(1.0 for _ in range(self.n))
-        )
-        w = tuple(float(x) for x in w)
+        if self.weights is None:
+            w = (1.0,) * self.n
+        else:
+            w = tuple(float(x) for x in self.weights)
         if len(w) != self.n:
             raise ValueError("weight vector length must equal vertex count")
         if not all(0.0 <= x <= MAX_WEIGHT for x in w):
@@ -92,9 +90,6 @@ class WeightedGraph:
             a[i, j] = a[j, i] = 1.0
         return a
 
-    def with_weights(self, weights) -> "WeightedGraph":
-        return WeightedGraph(self.n, self.edges, tuple(float(x) for x in weights))
-
 
 def circulant(n: int, offsets) -> WeightedGraph:
     """Circulant graph: vertex i adjacent to (i +/- l) mod n for each offset l."""
@@ -109,13 +104,6 @@ def circulant(n: int, offsets) -> WeightedGraph:
         raise ValueError(f"offsets must lie in [1, {n // 2}]")
     edges = {tuple(sorted((i, (i + l) % n))) for i in range(n) for l in offs}
     return WeightedGraph(n, tuple(edges))
-
-
-def mobius_ladder(N: int) -> WeightedGraph:
-    """The 4N-vertex graph circulant(4N, [1, 2N])."""
-    if N < 2:
-        raise ValueError("mobius_ladder requires N >= 2")
-    return circulant(4 * N, [1, 2 * N])
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:
@@ -365,7 +353,9 @@ def from_json_dict(d: dict) -> WeightedGraph:
     try:
         n = _json_int(d["n"])
         edges = tuple((_json_int(i), _json_int(j)) for i, j in d["edges"])
-        weights = tuple(_json_float(w) for w in d.get("weights") or [1.0] * n)
+        weights = (
+            tuple(_json_float(w) for w in d["weights"]) if "weights" in d else None
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return WeightedGraph(n, edges, weights)
@@ -386,7 +376,3 @@ def canonical_json(obj) -> str:
     trailing newline.  Every JSON document the package writes uses it, so
     repeated runs are byte-identical."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def graph_to_json(g: WeightedGraph) -> str:
-    return canonical_json(to_json_dict(g))

@@ -1,5 +1,5 @@
 """Bell witnesses as weighted sums of event probabilities, their exclusivity
-graphs, correlator-to-probability conversion, and reference realizations.
+graphs, and reference realizations.
 
 Events are p[a|x] with per-party outcome labels a and setting labels x.
 Realizations carry a shared state and per-party, per-setting, per-outcome
@@ -98,26 +98,6 @@ def exclusivity_graph(wit: BellWitness) -> WeightedGraph:
         if events_exclusive(events[i], events[j])
     )
     return WeightedGraph(n, edges, tuple(w for _, w in wit.terms))
-
-
-def correlator_to_probability_terms(
-    sign: int, settings: tuple[int, int], outcome_labels: tuple[int, int] = (1, -1)
-) -> tuple[list[tuple[Event, float]], float]:
-    """Expand +-<A_x B_y> for binary observables into event terms plus offset.
-
-    <A B> = 2 P(equal outcomes) - 1 and -<A B> = 2 P(different outcomes) - 1.
-    `outcome_labels` maps the +1 and -1 observable outcomes (in that order) to
-    scenario outcome labels.  Returns ([(event, weight), ...], offset).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if len(set(outcome_labels)) != 2:
-        raise ValueError("binary observables need two distinct outcome labels")
-    x, y = settings
-    up, dn = outcome_labels
-    pairs = [(up, up), (dn, dn)] if sign == 1 else [(up, dn), (dn, up)]
-    terms = [(Event((a, b), (x, y)), 2.0) for a, b in pairs]
-    return terms, -1.0
 
 
 def chained_witness(N: int) -> BellWitness:

@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point SDP solver and spectral utilities.
+"""Dense primal-dual interior-point SDP solver and the minimum eigenvalue.
 
 Problems are the standard pair
     primal:  max <C, X>   s.t.  <A_i, X> = b_i,  X >= 0
@@ -9,7 +9,7 @@ matrices.  Sizes here are tiny (dimension <= ~70), so everything is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +59,7 @@ class SdpSolution:
     primal: np.ndarray
     dual_multipliers: np.ndarray
     value: float
-    dual_value: float
-    gap: float
-    pinfeas: float
-    dinfeas: float
     iterations: int
-    # (primal objective, dual objective, gap, pinfeas, dinfeas) per iterate
-    history: tuple[tuple[float, float, float, float, float], ...] = field(default=())
 
 
 def _restore_cone(s: np.ndarray) -> np.ndarray:
@@ -98,29 +92,22 @@ def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
 
 def solve_sdp(
     problem: SdpProblem,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray],
     tol: float = SOLVER_TOL,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SdpSolution:
     """Solve the primal/dual pair to duality gap and feasibility residuals <= tol.
 
-    `start` optionally supplies (X0, y0, Z0) with X0, Z0 strictly positive
-    definite; the default is an identity start.  Deterministic for fixed inputs.
+    `start` supplies (X0, y0, Z0) with X0, Z0 strictly positive definite.
+    Deterministic for fixed inputs.
     """
     c, a_stack, b = problem.objective, problem.constraints, problem.b
-    d, m = len(c), len(b)
+    d = len(c)
 
-    if start is None:
-        scale = max(1.0, float(np.abs(c).max()), float(np.abs(b).max()))
-        x = np.eye(d)
-        y = np.zeros(m)
-        z = scale * np.eye(d)
-    else:
-        x, y, z = (np.array(v, dtype=float) for v in start)
-        x, z = sym(x), sym(z)
+    x, y, z = (np.array(v, dtype=float) for v in start)
+    x, z = sym(x), sym(z)
 
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
-    history: list[tuple[float, float, float, float, float]] = []
     merits: list[float] = []
 
     def residuals(x, y, z):
@@ -136,13 +123,8 @@ def solve_sdp(
         pinf = float(np.linalg.norm(rp)) / bnorm
         dinf = float(np.linalg.norm(rd)) / cnorm
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        history.append((pobj, dobj, gap, pinf, dinf))
         if pinf <= tol and dinf <= tol and gap_rel <= tol:
-            return SdpSolution(
-                primal=x, dual_multipliers=y, value=pobj,
-                dual_value=dobj, gap=abs(pobj - dobj), pinfeas=pinf, dinfeas=dinf,
-                iterations=it, history=tuple(history),
-            )
+            return SdpSolution(primal=x, dual_multipliers=y, value=pobj, iterations=it)
         # Bail out once progress flatlines: without strict complementarity the
         # attainable gap bottoms out near sqrt(machine eps) and iterating
         # further cannot help.
@@ -206,19 +188,3 @@ def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric (or Hermitian) matrix."""
     return float(np.linalg.eigvalsh(sym(np.asarray(m))).min())
 
-
-def circulant_eigenvalues(first_row) -> np.ndarray:
-    """Eigenvalues of the symmetric circulant with the given first row.
-
-    Requires c_j = c_{n-j} so the spectrum is real; returns
-    lambda_j = sum_k c_k cos(2 pi j k / n) in index order j = 0..n-1.
-    """
-    c = np.asarray(first_row, dtype=float)
-    n = c.shape[0]
-    if n < 1:
-        raise ValueError("row must be nonempty")
-    if not np.allclose(c[1:], c[1:][::-1], rtol=0.0, atol=1e-12):
-        raise ValueError("row must satisfy c_j = c_{n-j} for a real spectrum")
-    j = np.arange(n)
-    k = np.arange(n)
-    return (c[None, :] * np.cos(2.0 * np.pi * np.outer(j, k) / n)).sum(axis=1)

@@ -115,7 +115,7 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     primal[0, 0] = 1.0
     y = np.zeros(d + len(g.edges))
     if keep.size == 0:
-        return SdpSolution(primal, y, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        return SdpSolution(primal, y, 0.0, 0)
     pos = np.full(g.n, -1)
     pos[keep] = np.arange(keep.size)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
@@ -194,13 +194,6 @@ def chained_dual_certificate(N: int) -> ThetaDualCertificate:
     e = np.asarray(g.edges)
     mus = np.where(e[:, 1] - e[:, 0] == 2 * N, 2.0 * f, 2.0 * l)  # antipodal, cycle
     return ThetaDualCertificate(g, np.concatenate(([N / l], np.full(n, 2.0), mus)))
-
-
-def mobius_theta_closed_form(N: int) -> float:
-    """N (1 + cos(pi / 2N)), the theta number of circulant(4N, [1, 2N])."""
-    if N < 2:
-        raise ValueError("closed form requires N >= 2")
-    return N * (1.0 + cos(pi / (2 * N)))
 
 
 def verify_dual_certificate(

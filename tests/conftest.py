@@ -60,6 +60,11 @@ def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
     return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
 
 
+def reweight(g: WeightedGraph, weights) -> WeightedGraph:
+    """g with its vertex weights replaced."""
+    return WeightedGraph(g.n, g.edges, weights)
+
+
 def random_graph(rng: np.random.Generator, max_n: int = 12) -> WeightedGraph:
     n = int(rng.integers(1, max_n + 1))
     edges = [

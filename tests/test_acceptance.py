@@ -21,19 +21,15 @@ from theta_selftest import (
     chained_dual_certificate,
     chsh_primal_matrix,
     circulant,
-    circulant_eigenvalues,
     dual_nondegenerate,
     evaluate_witness,
     exclusivity_graph,
     fractional_packing,
-    graph_to_json,
     independence_number,
     lovasz_theta,
     mermin_primal_matrix,
     mermin_seven_dim_check,
     min_eigenvalue,
-    mobius_ladder,
-    mobius_theta_closed_form,
     reference_realization,
     run_selftest,
     seven_dim_vectors,
@@ -71,15 +67,17 @@ def test_criterion_2_chsh_dual_certificate_and_uniqueness():
 
 def test_criterion_3_chained_family_bounds_and_certificates():
     for n in range(2, 9):
-        sol = solve_theta_problem(mobius_ladder(n))
+        sol = solve_theta_problem(circulant(4 * n, (1, 2 * n)))
         assert abs(sol.value - n * (1.0 + cos(pi / (2 * n)))) <= 1e-6
     for n in range(2, 17):
         cert = chained_dual_certificate(n)
         assert min_eigenvalue(cert.matrix) >= -1e-9
-        bound = verify_dual_certificate(mobius_ladder(n), cert)
-        assert abs(bound - mobius_theta_closed_form(n)) <= 1e-12
+        bound = verify_dual_certificate(circulant(4 * n, (1, 2 * n)), cert)
+        assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         assert abs(cert.t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
-        eigs = circulant_eigenvalues(cert.matrix[1, 1:])
+        # Z's vertex block is a symmetric circulant: its spectrum is the
+        # real part of the DFT of its first row, in frequency order.
+        eigs = np.fft.fft(cert.matrix[1, 1:]).real
         assert abs(eigs[2 * n]) <= 1e-12
         assert abs(eigs[2 * n - 1]) <= 1e-12
 
@@ -180,9 +178,11 @@ def test_criterion_7_oracle_equivalence_and_sandwich():
 
 def test_criterion_8_cli_determinism(tmp_path):
     from theta_selftest import WeightedGraph
+    from theta_selftest.graphs import canonical_json, to_json_dict
 
     path = tmp_path / "g.json"
-    path.write_text(graph_to_json(WeightedGraph(5, [(0, 1), (2, 3)])), "utf-8")
+    g = WeightedGraph(5, [(0, 1), (2, 3)])
+    path.write_text(canonical_json(to_json_dict(g)), "utf-8")
     commands = [
         ["theta", "--scenario", "chsh", "--json"],
         ["theta", "--graph", str(path), "--json"],

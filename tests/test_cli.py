@@ -19,8 +19,6 @@ from theta_selftest import (
     WeightedGraph,
     builtin_witness,
     exclusivity_graph,
-    graph_to_json,
-    mobius_theta_closed_form,
     reference_realization,
     verify_dual_certificate,
 )
@@ -31,7 +29,7 @@ from theta_selftest.theta import ThetaDualCertificate
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
-    path.write_text(graph_to_json(g), encoding="utf-8")
+    path.write_text(graphs.canonical_json(graphs.to_json_dict(g)), encoding="utf-8")
     return str(path)
 
 
@@ -156,6 +154,13 @@ class TestTheta:
             '{"n": 2, "edges": [[0, 1.7]]}',
             '{"n": true, "edges": []}',
             '{"n": 2, "edges": [[0, 1]], "weights": [true, "2.5"]}',
+            # Weights may be omitted, but when present must be n numbers.
+            '{"n": 2, "edges": [[0, 1]], "weights": false}',
+            '{"n": 2, "edges": [[0, 1]], "weights": 0}',
+            '{"n": 2, "edges": [[0, 1]], "weights": ""}',
+            '{"n": 2, "edges": [[0, 1]], "weights": {}}',
+            '{"n": 2, "edges": [[0, 1]], "weights": []}',
+            '{"n": 2, "edges": [[0, 1]], "weights": null}',
         ):
             bad.write_text(text, encoding="utf-8")
             for command in ("theta", "uniqueness"):
@@ -390,29 +395,24 @@ class TestSelftest:
         assert "precondition" in err and "A4" in err
 
     def test_tolerance_sources(self, monkeypatch):
-        monkeypatch.setenv("THETA_SELFTEST_TOL", "1e-20")
-        code, _, _ = run_cli(["selftest", "--scenario", "chsh"])
+        # --tol is the only source: THETA_SELFTEST_TOL in the environment
+        # changes nothing, whatever its value.
+        monkeypatch.delenv("THETA_SELFTEST_TOL", raising=False)
+        argv = ["selftest", "--scenario", "chsh"]
+        default = run_cli(argv)
+        assert default[0] == 0  # selftest.SELFTEST_TOL
+        code, _, _ = run_cli(argv + ["--tol", "1e-20"])
         assert code == 3  # residuals cannot beat 1e-20
-        code, _, _ = run_cli(["selftest", "--scenario", "chsh", "--tol", "1e-7"])
-        assert code == 0  # flag outranks the environment
-        monkeypatch.setenv("THETA_SELFTEST_TOL", "not-a-number")
-        code, _, err = run_cli(["selftest", "--scenario", "chsh"])
-        assert code == 1
-        monkeypatch.delenv("THETA_SELFTEST_TOL")
-        code, _, _ = run_cli(["selftest", "--scenario", "chsh"])
-        assert code == 0
+        for value in ("1e-20", "not-a-number"):
+            monkeypatch.setenv("THETA_SELFTEST_TOL", value)
+            assert run_cli(argv) == default
 
     @pytest.mark.parametrize("value", ["1", "1e300", "inf", "nan"])
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_tolerance_outside_unit_interval_is_input_error(self, monkeypatch, source, value):
+    @pytest.mark.parametrize("source", ["flag"])  # --tol is the only source
+    def test_tolerance_outside_unit_interval_is_input_error(self, source, value):
         # Gram entries of unit vectors differ by at most 2, so a tolerance of
         # 1 or more lets a candidate far from the optimizer past the Gram check.
-        argv = ["selftest", "--scenario", "chsh"]
-        if source == "flag":
-            monkeypatch.delenv("THETA_SELFTEST_TOL", raising=False)
-            argv += ["--tol", value]
-        else:
-            monkeypatch.setenv("THETA_SELFTEST_TOL", value)
+        argv = ["selftest", "--scenario", "chsh", "--tol", value]
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith("input error") and "must lie in (0, 1)" in err
@@ -564,7 +564,7 @@ class TestExport:
         assert set(mu) == {f"{i}-{j}" for i, j in g.edges}
         y = [t, *lam, *(mu[f"{i}-{j}"] for i, j in g.edges)]
         bound = verify_dual_certificate(g, ThetaDualCertificate(g, y))
-        assert abs(bound - mobius_theta_closed_form(n)) <= 1e-12 * bound
+        assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12 * bound
 
     def test_dot_payload(self):
         code, out, _ = run_cli(["export", "--scenario", "mermin", "--format", "dot"])

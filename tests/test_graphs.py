@@ -10,6 +10,7 @@ from conftest import (
     brute_force_independence,
     brute_force_maximal_cliques,
     random_graph,
+    reweight,
     weighted_graphs,
 )
 from theta_selftest import graphs
@@ -17,15 +18,14 @@ from theta_selftest.graphs import (
     PACKING_TOL,
     ResourceLimitError,
     WeightedGraph,
+    canonical_json,
     circulant,
     complement,
     fractional_packing,
     fractional_packing_bounds,
     from_json_dict,
-    graph_to_json,
     independence_number,
     maximal_cliques,
-    mobius_ladder,
     to_dot,
     to_json_dict,
 )
@@ -76,12 +76,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             circulant(8, (1, 5))
 
-    def test_mobius_ladder_is_circulant(self):
-        for n in (2, 3, 5):
-            assert mobius_ladder(n) == circulant(4 * n, (1, 2 * n))
-        with pytest.raises(ValueError):
-            mobius_ladder(1)
-
     def test_complement_involution(self):
         g = random_graph(np.random.default_rng(5), max_n=9)
         cc = complement(complement(g))
@@ -116,7 +110,7 @@ class TestIndependence:
         rng = np.random.default_rng(int(np.log10(scale)))
         for _ in range(20):
             g = random_graph(rng, max_n=10)
-            g = g.with_weights([scale * w for w in g.weights])
+            g = reweight(g, [scale * w for w in g.weights])
             assert independence_number(g) == brute_force_independence(g)
         g = WeightedGraph(2, [(0, 1)], [3e7, 3e7])
         assert independence_number(g) == (3e7, (0,))
@@ -218,13 +212,13 @@ class TestPackingLP:
         "g, value",
         [
             (WeightedGraph(3, [(0, 1)], [0.0, 0.0, 0.0]), 0.0),
-            (complement(WeightedGraph(4, [])).with_weights([0.0] * 4), 0.0),
+            (reweight(complement(WeightedGraph(4, [])), [0.0] * 4), 0.0),
             (WeightedGraph(3, [(0, 1), (1, 2)], [1.5, 0.0, 0.5]), 2.0),
             (WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [0.0, 1.0, 0.0, 1.0]), 2.0),
             (WeightedGraph(1, [], [0.7]), 0.7),
             (WeightedGraph(5, [], [0.3, 0.0, 2.0, 1.0, 0.25]), 3.55),
             (
-                complement(WeightedGraph(6, [])).with_weights([0.5, 2.0, 1.0, 0.0, 1.5, 0.2]),
+                reweight(complement(WeightedGraph(6, [])), [0.5, 2.0, 1.0, 0.0, 1.5, 0.2]),
                 2.0,
             ),
             (exclusivity_graph(builtin_witness("mermin")), 4.0),
@@ -282,10 +276,16 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match="malformed graph document"):
                 from_json_dict(doc)
+        # Weights may be omitted (unit weights), but when present they must
+        # be an array of n numbers.
+        assert from_json_dict({"n": 2, "edges": []}).weights == (1.0, 1.0)
+        for weights in (False, 0, "", {}, [], None):
+            with pytest.raises(ValueError):
+                from_json_dict({"n": 2, "edges": [[0, 1]], "weights": weights})
 
     def test_graph_to_json_deterministic(self):
         g = circulant(6, (1, 3))
-        assert graph_to_json(g) == graph_to_json(g)
+        assert canonical_json(to_json_dict(g)) == canonical_json(to_json_dict(g))
 
     def test_dot_output(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 2.0, 1.0])

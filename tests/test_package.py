@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import circulant, cli, graph_to_json, sdp, selftest, theta
+from theta_selftest import circulant, cli, graphs, sdp, selftest, theta
 
 
 def test_every_exported_name_resolves():
@@ -25,13 +25,12 @@ def test_every_exported_name_resolves():
 _EXPORTED = {
     # tests/test_acceptance.py
     "SelfTestError", "builtin_witness", "chained_dual_certificate",
-    "chsh_primal_matrix", "circulant", "circulant_eigenvalues",
-    "dual_nondegenerate", "evaluate_witness", "exclusivity_graph",
-    "fractional_packing", "graph_to_json", "independence_number",
-    "lovasz_theta", "mermin_primal_matrix", "mermin_seven_dim_check",
-    "min_eigenvalue", "mobius_ladder", "mobius_theta_closed_form",
-    "reference_realization", "run_selftest", "seven_dim_vectors",
-    "solve_theta_problem", "verify_dual_certificate",
+    "chsh_primal_matrix", "circulant", "dual_nondegenerate",
+    "evaluate_witness", "exclusivity_graph", "fractional_packing",
+    "independence_number", "lovasz_theta", "mermin_primal_matrix",
+    "mermin_seven_dim_check", "min_eigenvalue", "reference_realization",
+    "run_selftest", "seven_dim_vectors", "solve_theta_problem",
+    "verify_dual_certificate",
     # errors
     "SolverError", "ResourceLimitError", "MalformedCertificateError",
     "NotPsdError", "PreconditionError", "NotOptimizerError",
@@ -43,7 +42,7 @@ _EXPORTED = {
 
 
 def test_exported_names_are_exactly_the_used_surface():
-    assert len(_EXPORTED) == 34
+    assert len(_EXPORTED) == 30
     assert set(theta_selftest.__all__) == _EXPORTED
 
 
@@ -72,8 +71,8 @@ def test_small_float_literals_are_named_constants(module):
 
     ``sdp`` and ``graphs`` are exempt: their small literals are internal
     epsilons of one algorithm each (the solver's step length and cone nudge,
-    the circulant-spectrum symmetry check, the branch-and-bound comparison
-    slack), not verdicts a caller reads or sets.
+    the branch-and-bound comparison slack), not verdicts a caller reads or
+    sets.
     """
     path = Path(theta_selftest.__file__).with_name(f"{module}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -121,6 +120,7 @@ def test_each_default_has_a_single_source():
     assert _flag_default("theta", "solver_tol") is sdp.SOLVER_TOL
     assert _flag_default("uniqueness", "solver_tol") is sdp.SOLVER_TOL
     assert _flag_default("uniqueness", "threshold") is theta.NULL_THRESHOLD
+    assert _flag_default("selftest", "tol") is selftest.SELFTEST_TOL
     tol = inspect.signature(selftest.run_selftest).parameters["tol"].default
     assert tol is selftest.SELFTEST_TOL
 
@@ -165,7 +165,8 @@ def test_commands_other_than_theta_load_no_scipy():
 def test_no_command_loads_scipy(tmp_path):
     """The package depends on numpy alone: alpha* comes from its own LP solver."""
     graph = tmp_path / "c5.json"
-    graph.write_text(graph_to_json(circulant(5, (1,))), encoding="utf-8")
+    doc = graphs.canonical_json(graphs.to_json_dict(circulant(5, (1,))))
+    graph.write_text(doc, encoding="utf-8")
     commands = [
         ["theta", "--scenario", "chsh"],
         ["theta", "--graph", str(graph), "--json"],

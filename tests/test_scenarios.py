@@ -16,7 +16,6 @@ from theta_selftest import (
     evaluate_witness,
     exclusivity_graph,
     lovasz_theta,
-    mobius_ladder,
     realization_from_json_dict,
     reference_realization,
 )
@@ -27,7 +26,6 @@ from theta_selftest.scenarios import (
     as4_witness,
     chained_realization,
     chained_witness,
-    correlator_to_probability_terms,
     event_projectors,
     event_vectors,
     events_exclusive,
@@ -124,7 +122,7 @@ class TestBuiltinWitnesses:
             assert wit.classical_bound == 2.0 * n - 1.0
             assert all(w == 1.0 for _, w in wit.terms)
             # Listed around the ladder: the graph is the circulant itself.
-            assert exclusivity_graph(wit) == mobius_ladder(n)
+            assert exclusivity_graph(wit) == circulant(4 * n, (1, 2 * n))
             chain = [(0, 0)] + [(m, m - d) for m in range(1, n) for d in (1, 0)]
             expected = {(a, xy) for xy in chain for a in ((0, 0), (1, 1))}
             expected |= {((0, 1), (0, n - 1)), ((1, 0), (0, n - 1))}
@@ -172,30 +170,14 @@ class TestBuiltinWitnesses:
             builtin_witness("chained:1")
 
 
+def _correlator_terms(sign: int, xy: tuple[int, int]):
+    """+-<A_x B_y> = 2 P(same outcomes) - 1 (sign +1) or 2 P(different
+    outcomes) - 1 (sign -1), outcomes labelled 0 and 1: (terms, offset)."""
+    pairs = [(0, 0), (1, 1)] if sign == 1 else [(0, 1), (1, 0)]
+    return [(Event(a, xy), 2.0) for a in pairs], -1.0
+
+
 class TestCorrelatorExpansion:
-    def test_correlated_and_anticorrelated_terms(self):
-        terms, offset = correlator_to_probability_terms(1, (1, 2))
-        assert offset == -1.0
-        assert [(e.outcomes, e.settings, w) for e, w in terms] == [
-            ((1, 1), (1, 2), 2.0),
-            ((-1, -1), (1, 2), 2.0),
-        ]
-        terms, _ = correlator_to_probability_terms(-1, (1, 2), outcome_labels=(0, 1))
-        assert [(e.outcomes, w) for e, w in terms] == [((0, 1), 2.0), ((1, 0), 2.0)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            correlator_to_probability_terms(2, (0, 0))
-        with pytest.raises(ValueError):
-            correlator_to_probability_terms(1, (0, 0), outcome_labels=(1, 1))
-
-    def test_completeness_sums_to_constant(self):
-        plus, off1 = correlator_to_probability_terms(1, (0, 1), outcome_labels=(0, 1))
-        minus, off2 = correlator_to_probability_terms(-1, (0, 1), outcome_labels=(0, 1))
-        events = {e.outcomes for e, _ in plus + minus}
-        assert events == {(0, 0), (1, 1), (0, 1), (1, 0)}
-        assert off1 + off2 == -2.0  # 2 * (sum of all four) - 2 = 0
-
     def test_expansion_reproduces_chained_witness(self):
         for n in (2, 3):
             wit = chained_witness(n)
@@ -205,10 +187,10 @@ class TestCorrelatorExpansion:
             expanded: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
             total_offset = 0.0
             for xy in setting_pairs:
-                terms, off = correlator_to_probability_terms(1, xy, (0, 1))
+                terms, off = _correlator_terms(1, xy)
                 expanded += [(e.outcomes, e.settings) for e, _ in terms]
                 total_offset += off
-            terms, off = correlator_to_probability_terms(-1, (0, n - 1), (0, 1))
+            terms, off = _correlator_terms(-1, (0, n - 1))
             expanded += [(e.outcomes, e.settings) for e, _ in terms]
             total_offset += off
             assert sorted(expanded) == sorted(
@@ -224,7 +206,7 @@ class TestCorrelatorExpansion:
             a_obs = r.projectors[0][x][0] - r.projectors[0][x][1]
             b_obs = r.projectors[1][y][0] - r.projectors[1][y][1]
             corr = float(np.real(np.vdot(psi, kron_all([a_obs, b_obs]) @ psi)))
-            terms, offset = correlator_to_probability_terms(1, (x, y), (0, 1))
+            terms, offset = _correlator_terms(1, (x, y))
             prob_form = offset
             for e, w in terms:
                 op = kron_all(event_projectors(r, e))

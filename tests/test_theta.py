@@ -5,7 +5,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_graph, weighted_graphs
+from conftest import random_graph, reweight, weighted_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from theta_selftest import (
     lovasz_theta,
     mermin_primal_matrix,
     min_eigenvalue,
-    mobius_theta_closed_form,
     solve_theta_problem,
     verify_dual_certificate,
 )
@@ -133,11 +132,11 @@ class TestThetaValues:
     def test_zero_weights_leave_theta_unchanged(self):
         # C5 with one zero weight: theta of the remaining path P4, with a
         # zero row and column for the dropped vertex in the primal.
-        val, primal = lovasz_theta(C5.with_weights([1.0, 1.0, 0.0, 1.0, 1.0]))
+        val, primal = lovasz_theta(reweight(C5, [1.0, 1.0, 0.0, 1.0, 1.0]))
         assert abs(val - 2.0) <= 1e-7
         assert primal.shape == (6, 6)
         assert not primal[3].any() and not primal[:, 3].any()
-        val, primal = lovasz_theta(C5.with_weights([0.0] * 5))
+        val, primal = lovasz_theta(reweight(C5, [0.0] * 5))
         assert val == 0.0
         assert np.array_equal(primal, np.diag([1.0, 0, 0, 0, 0, 0]))
 
@@ -154,7 +153,7 @@ class TestThetaValues:
 
     def test_weighted_scaling(self):
         w = 1.7
-        val, _ = lovasz_theta(C5.with_weights([w] * 5))
+        val, _ = lovasz_theta(reweight(C5, [w] * 5))
         assert abs(val - w * sqrt(5.0)) <= 1e-6
 
     def test_perfect_graph_weighted(self):
@@ -165,9 +164,7 @@ class TestThetaValues:
     def test_mobius_family_matches_closed_form(self):
         for n in (2, 3, 5):
             g = circulant(4 * n, (1, 2 * n))
-            assert abs(lovasz_theta(g)[0] - mobius_theta_closed_form(n)) <= 1e-7
-        with pytest.raises(ValueError):
-            mobius_theta_closed_form(1)
+            assert abs(lovasz_theta(g)[0] - n * (1.0 + cos(pi / (2 * n)))) <= 1e-7
 
 
 def _assert_theta_close(value: float, expected: float) -> None:
@@ -198,7 +195,7 @@ class TestMetamorphic:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
     def test_homogeneous_in_the_weights(self, g, s):
-        scaled = g.with_weights([s * w for w in g.weights])
+        scaled = reweight(g, [s * w for w in g.weights])
         _assert_theta_close(lovasz_theta(scaled)[0], s * lovasz_theta(g)[0])
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -297,9 +294,7 @@ class TestCertificates:
 
     def test_chained_bound_equals_closed_form_to_machine_precision(self):
         for n in range(2, 65):
-            assert abs(
-                chained_dual_certificate(n).t - mobius_theta_closed_form(n)
-            ) <= 1e-12
+            assert abs(chained_dual_certificate(n).t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
 
     def test_certificate_complements_primal(self):
         # Optimal pair: Z X = 0 for the closed-form certificate and optimizer.
