@@ -6,9 +6,12 @@ Exit codes are a stable contract: 0 success, 1 input error, 2 solver or
 certification failure, 3 self-test rejection.  Human-readable output prints
 six significant digits; JSON output carries full double precision and is
 emitted in canonical form (sorted keys, no whitespace) so repeated runs are
-byte-identical.  No environment variable is read: each tolerance flag
-defaults to the constant of the module that owns it (sdp.SOLVER_TOL,
-theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).
+byte-identical.  The command line still reads no environment variable: each
+tolerance flag defaults to the constant of the module that owns it
+(sdp.SOLVER_TOL, theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  `main` runs
+in-process and leaves the environment alone; the process entry point,
+`__main__.main`, sets OPENBLAS_NUM_THREADS=1 before numpy loads when the
+user has not set it and the command cannot reach the SDP solver.
 """
 
 from __future__ import annotations

@@ -57,6 +57,15 @@ def test_version_has_a_single_source():
     assert version == {"attr": "theta_selftest.__version__"}
 
 
+def test_console_script_is_the_module_entry_point():
+    # `theta-selftest` and `python -m theta_selftest` both run __main__.main,
+    # which picks the BLAS thread count before numpy loads.
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert config["project"]["scripts"] == {"theta-selftest": "theta_selftest.__main__:main"}
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from theta_selftest import *", namespace)
