@@ -8,6 +8,7 @@ projectors; reference realizations are rank one and also carry the kets.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
@@ -378,29 +379,30 @@ _SCENARIOS = {
 
 
 def parse_scenario_name(name: str) -> tuple[str, int | None]:
-    """Normalize a scenario selector: 'chsh', 'mermin', 'as4', 'chained:N'."""
+    """Normalize a scenario selector: 'chsh', 'mermin', 'as4', or 'chained:'
+    followed by ASCII digits, case and surrounding blanks aside."""
     key = name.strip().lower()
     if key.startswith("chained:"):
-        try:
-            N = int(key.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"bad chained selector {name!r}") from exc
-        return "chained", N
+        if not re.fullmatch(r"chained:[0-9]+", key):
+            raise ValueError(f"bad chained selector {name!r}")
+        return "chained", int(key[len("chained:"):])
     if key in _SCENARIOS and key != "chained":
         return key, None
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def builtin_witness(name: str) -> BellWitness:
+def _build(name: str, which: int):
     kind, N = parse_scenario_name(name)
-    build = _SCENARIOS[kind][0]
+    build = _SCENARIOS[kind][which]
     return build() if N is None else build(N)
+
+
+def builtin_witness(name: str) -> BellWitness:
+    return _build(name, 0)
 
 
 def reference_realization(name: str) -> Realization:
-    kind, N = parse_scenario_name(name)
-    build = _SCENARIOS[kind][1]
-    return build() if N is None else build(N)
+    return _build(name, 1)
 
 
 def _jsonify(obj):
@@ -462,31 +464,27 @@ def realization_to_json_dict(r: Realization) -> dict:
     return d
 
 
+def _complex_entries(v, depth: int):
+    """`depth` levels of nested lists of [re, im] pairs, as complex numbers."""
+    return [_complex_entries(u, depth - 1) for u in v] if depth else _from_c_pair(v)
+
+
 def realization_from_json_dict(d: dict) -> Realization:
-    try:
-        dims = tuple(_json_int(v) for v in d["dims"])
-        state = np.array([_from_c_pair(v) for v in d["state"]])
-        projectors = tuple(
+    def tree(per_party, depth: int):
+        # party -> setting -> outcome -> ket (depth 1) or projector (depth 2)
+        return tuple(
             tuple(
-                tuple(
-                    np.array([[_from_c_pair(v) for v in row] for row in p])
-                    for p in setting
-                )
+                tuple(np.array(_complex_entries(m, depth)) for m in setting)
                 for setting in party
             )
-            for party in d["projectors"]
+            for party in per_party
         )
-        kets = None
-        if "kets" in d:
-            kets = tuple(
-                tuple(
-                    tuple(
-                        np.array([_from_c_pair(v) for v in k]) for k in setting
-                    )
-                    for setting in party
-                )
-                for party in d["kets"]
-            )
+
+    try:
+        dims = tuple(_json_int(v) for v in d["dims"])
+        state = np.array(_complex_entries(d["state"], 1))
+        projectors = tree(d["projectors"], 2)
+        kets = tree(d["kets"], 1) if "kets" in d else None
         return Realization(dims, state, projectors, kets)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed realization document: {exc}") from exc

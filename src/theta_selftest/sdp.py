@@ -4,7 +4,9 @@ Problems are the standard pair
     primal:  max <C, X>   s.t.  <A_i, X> = b_i,  X >= 0
     dual:    min b.y      s.t.  Z = sum_i y_i A_i - C >= 0
 solved by an HKM-direction predictor-corrector method on dense symmetric
-matrices.  Sizes here are tiny (dimension <= ~70), so everything is dense.
+matrices.  `solve_sdp` takes the problem as three arrays: C, the stack of
+the A_i and b.  Their one producer, `theta.theta_problem`, fixes the shapes.
+Sizes here are tiny (dimension <= ~70), so everything is dense.
 """
 
 from __future__ import annotations
@@ -32,26 +34,6 @@ class SolverError(RuntimeError):
 
 def sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """Objective C (d x d), constraint stack A (m x d x d) and right-hand
-    sides b (m), as float arrays; C and every A_i must be symmetric."""
-
-    objective: np.ndarray
-    constraints: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        d, m = len(self.objective), len(self.b)
-        if (
-            m == 0
-            or self.objective.shape != (d, d)
-            or self.constraints.shape != (m, d, d)
-            or self.b.shape != (m,)
-        ):
-            raise ValueError("need C of d x d, A of m x d x d and b of m >= 1 entries")
 
 
 @dataclass(frozen=True)
@@ -91,16 +73,19 @@ def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
 
 
 def solve_sdp(
-    problem: SdpProblem,
+    c: np.ndarray,
+    a_stack: np.ndarray,
+    b: np.ndarray,
     start: tuple[np.ndarray, np.ndarray, np.ndarray],
     tol: float = SOLVER_TOL,
 ) -> SdpSolution:
     """Solve the primal/dual pair to duality gap and feasibility residuals <= tol.
 
-    `start` supplies (X0, y0, Z0) with X0, Z0 strictly positive definite.
-    Deterministic for fixed inputs.
+    `c` is the d x d objective C, `a_stack` the m x d x d stack of the A_i
+    and `b` the m right-hand sides, as float arrays with C and every A_i
+    symmetric.  `start` supplies (X0, y0, Z0) with X0, Z0 strictly positive
+    definite.  Deterministic for fixed inputs.
     """
-    c, a_stack, b = problem.objective, problem.constraints, problem.b
     d = len(c)
 
     x, y, z = (np.array(v, dtype=float) for v in start)

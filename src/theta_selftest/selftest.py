@@ -447,13 +447,13 @@ class SelfTestReport:
 
 
 def interleave_with_junk(
-    vec: np.ndarray, junk: np.ndarray, dims: tuple[int, ...], junk_dims: tuple[int, ...]
+    vecs: np.ndarray, junk: np.ndarray, dims: tuple[int, ...], junk_dims: tuple[int, ...]
 ) -> np.ndarray:
-    """Order (H_1 x K_1) x (H_2 x K_2) ... from vec on (x H_j), junk on (x K_j)."""
+    """Order (H_1 x K_1) x (H_2 x K_2) ... from each row of vecs on (x H_j), junk on (x K_j)."""
     parties = len(dims)
-    full = np.outer(vec, junk).reshape(tuple(dims) + tuple(junk_dims))
-    perm = [axis for j in range(parties) for axis in (j, parties + j)]
-    return full.transpose(perm).reshape(-1)
+    full = (vecs[:, :, None] * junk).reshape((len(vecs),) + tuple(dims) + tuple(junk_dims))
+    perm = [0] + [1 + axis for j in range(parties) for axis in (j, parties + j)]
+    return full.transpose(perm).reshape(len(vecs), -1)
 
 
 def _claim_residuals(
@@ -471,7 +471,7 @@ def _claim_residuals(
     isometry_dev = float(
         np.max([np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in isometries])
     )
-    mapped = np.array([interleave_with_junk(v, junk, dims, junk_dims) for v in ref_vecs])
+    mapped = interleave_with_junk(ref_vecs, junk, dims, junk_dims)
     mapped = mapped.reshape((len(mapped),) + tuple(v.shape[1] for v in isometries))
     for j, v in enumerate(isometries):
         mapped = apply_local(v, mapped, j)

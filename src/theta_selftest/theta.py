@@ -22,14 +22,7 @@ import numpy as np
 
 from .graphs import WeightedGraph, circulant, complement
 from .scenarios import exclusivity_graph, mermin_witness
-from .sdp import (
-    SOLVER_TOL,
-    SdpProblem,
-    SdpSolution,
-    SolverError,
-    min_eigenvalue,
-    solve_sdp,
-)
+from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative singular value counted as null in uniqueness
@@ -47,9 +40,10 @@ class NotPsdError(CertificateError):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
-def theta_problem(g: WeightedGraph) -> SdpProblem:
-    """Assemble the theta SDP; constraint order: normalization, one
-    diagonal-border row per vertex, one zero per edge (sorted)."""
+def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the theta SDP as solve_sdp's (C, A stack, b); constraint
+    order: normalization, one diagonal-border row per vertex, one zero per
+    edge (sorted)."""
     d = g.n + 1
     v = np.arange(1, d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
@@ -64,7 +58,7 @@ def theta_problem(g: WeightedGraph) -> SdpProblem:
     a[rows, edges[:, 1], edges[:, 0]] = 0.5
     b = np.zeros(len(a))
     b[0] = 1.0
-    return SdpProblem(c, a, b)
+    return c, a, b
 
 
 def theta_start(
@@ -121,11 +115,11 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
     inner = (pos[edges] >= 0).all(axis=1)  # the subgraph's edges, in order
     sub = WeightedGraph(keep.size, pos[edges[inner]], np.asarray(g.weights)[keep])
-    problem = theta_problem(sub)
+    c, a, b = theta_problem(sub)
     err: SolverError | None = None
     for scales in _START_LADDER:
         try:
-            sol = solve_sdp(problem, tol=tol, start=theta_start(sub, *scales))
+            sol = solve_sdp(c, a, b, tol=tol, start=theta_start(sub, *scales))
             break
         except SolverError as exc:
             err = exc

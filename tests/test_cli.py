@@ -40,6 +40,9 @@ def _write_realization(path, r) -> str:
 
 C5_EDGES = [[i, (i + 1) % 5] for i in range(5)]
 
+# Selectors int() would read as a number: N must be ASCII digits only.
+_BAD_CHAINED = ("chained:1_6", "chained:+3", "chained: 3", "chained:\u0663", "chained:")
+
 # Every start of the theta ladder stalls on this whole graph.
 ZERO_WEIGHT_GRAPH = WeightedGraph(
     5,
@@ -223,10 +226,10 @@ class TestCertify:
         assert verify_dual_certificate(g, cert) == cert.t
 
     def test_rejects_unsupported_scenarios(self):
-        for bad in ("chained:0", "chained:1", "mermin", "as4", "nope"):
+        for bad in ("chained:0", "chained:1", "mermin", "as4", "nope", *_BAD_CHAINED):
             code, out, err = run_cli(["certify", "--scenario", bad])
             assert (code, out) == (1, ""), bad
-            assert err.startswith("input error"), bad
+            assert err.startswith("input error:") and err.count("\n") == 1, bad
 
 
 class TestUniqueness:
@@ -261,10 +264,10 @@ class TestUniqueness:
         assert abs(doc["residual"] - residual) <= 1e-10 * residual
 
     def test_chained_below_two_rejected(self):
-        for bad in ("chained:0", "chained:1"):
+        for bad in ("chained:0", "chained:1", *_BAD_CHAINED):
             code, out, err = run_cli(["uniqueness", "--scenario", bad])
             assert (code, out) == (1, ""), bad
-            assert err.startswith("input error"), bad
+            assert err.startswith("input error:") and err.count("\n") == 1, bad
 
     def test_mermin_solver_route(self):
         code, out, _ = run_cli(["uniqueness", "--scenario", "mermin", "--json"])

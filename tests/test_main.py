@@ -1,10 +1,11 @@
 """The process entry point: which commands start BLAS with one thread.
 
 `theta_selftest.__main__.main` sets ``OPENBLAS_NUM_THREADS=1`` (unless the
-user set it) for every command that cannot reach the SDP solver.  That is
-safe only if those commands print the same at any thread count, and if the
-predicate never puts a solver run on one thread: the solver's last digits,
-and as4's uniqueness verdict, change with the thread count.
+user set it) for a whitelist of command lines that cannot reach the SDP
+solver.  That is safe only if those commands print the same at any thread
+count, and if the predicate never puts a solver run on one thread: the
+solver's last digits, and as4's uniqueness verdict, change with the thread
+count.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 
 from theta_selftest import cli, graphs, sdp, theta
 from theta_selftest.__main__ import runs_solver
+from theta_selftest.scenarios import parse_scenario_name
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -129,6 +131,36 @@ def test_every_solver_run_is_predicted(tmp_path, monkeypatch):
     assert reached[("theta", "--scenario", "chsh")]
     assert reached[("uniqueness", "--scenario", "chsh", "--scenario", "mermin")]
     assert not reached[("uniqueness", "--scenario", "chsh", "--json")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniqueness", "--scenario=chained:4", "--json"],
+        ["uniqueness", "--json", "--scenario", "chsh"],
+        ["uniqueness", "--sc", "chained:4"],
+        ["uniqueness", "--scenario", "chained:4", "--json", "--json"],
+        ["uniqueness", "--scenario"],
+    ],
+    ids=" ".join,
+)
+def test_other_uniqueness_spellings_keep_the_default(argv):
+    # Only the exact spellings start one thread; the rest cost CPU, not output.
+    assert runs_solver(argv)
+
+
+def test_whitelist_and_parser_name_the_same_selectors():
+    # A selector starts one thread exactly when the parser reads it as chsh or
+    # chained:N and it is spelled as the parser normalizes it.
+    for selector in ("chsh", "chained:0", "chained:16", "chained:016", "chained:1_6",
+                     "chained:+3", "chained: 3", "chained:\u0663", "chained:", "chained:x",
+                     "CHSH", " chsh", "Chained:4", "mermin", "as4"):
+        try:
+            kind, _ = parse_scenario_name(selector)
+        except ValueError:
+            kind = None
+        canonical = kind in ("chsh", "chained") and selector == selector.strip().lower()
+        assert runs_solver(["uniqueness", "--scenario", selector]) is not canonical, selector
 
 
 def _bench_gen():

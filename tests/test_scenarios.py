@@ -163,7 +163,10 @@ class TestBuiltinWitnesses:
         assert parse_scenario_name("chsh") == ("chsh", None)
         assert parse_scenario_name(" CHAINED:7 ") == ("chained", 7)
         assert parse_scenario_name("AS4") == ("as4", None)
-        for bad in ("chained:x", "nope"):
+        assert parse_scenario_name("chained:016") == ("chained", 16)
+        # int() reads all of these as numbers; the selector takes ASCII digits.
+        for bad in ("chained:x", "nope", "chained:1_6", "chained:+3", "chained: 3",
+                    "chained:-3", "chained:\u0663", "chained:", "chained:3 4"):
             with pytest.raises(ValueError):
                 parse_scenario_name(bad)
         with pytest.raises(ValueError):

@@ -4,48 +4,28 @@ import numpy as np
 import pytest
 
 from theta_selftest import sdp
-from theta_selftest.sdp import (
-    SdpProblem,
-    SolverError,
-    min_eigenvalue,
-    solve_sdp,
-)
+from theta_selftest.sdp import SolverError, min_eigenvalue, solve_sdp
 
 
-def _trace_problem(c: np.ndarray) -> SdpProblem:
-    """max <C, X> over the spectraplex (tr X = 1), whose value is lambda_max(C)."""
+def _trace_problem(c: np.ndarray):
+    """max <C, X> over the spectraplex (tr X = 1), whose value is lambda_max(C),
+    as solve_sdp's (C, A stack, b)."""
     d = c.shape[0]
-    return SdpProblem(c, np.eye(d)[None], np.array([1.0]))
+    return c, np.eye(d)[None], np.array([1.0])
 
 
-def _solve(problem: SdpProblem, **kwargs):
+def _solve(problem, **kwargs):
     """solve_sdp from the identity start X = I, y = 0, Z = s I, with s the
     largest of 1, |C| and |b|."""
-    c, b = problem.objective, problem.b
+    c, _, b = problem
     s = max(1.0, float(np.abs(c).max()), float(np.abs(b).max()))
     start = (np.eye(len(c)), np.zeros(len(b)), s * np.eye(len(c)))
-    return solve_sdp(problem, start, **kwargs)
-
-
-class TestProblemValidation:
-    def test_rejects_non_square_objective(self):
-        with pytest.raises(ValueError):
-            SdpProblem(np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros(1))
-
-    def test_rejects_mismatched_constraint(self):
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), np.eye(3)[None], np.array([1.0]))
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), np.eye(2)[None], np.array([1.0, 0.0]))
-
-    def test_rejects_empty_constraints(self):
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), np.zeros((0, 2, 2)), np.zeros(0))
+    return solve_sdp(*problem, start, **kwargs)
 
 
 class TestSolver:
     def test_scalar_equality(self):
-        sol = _solve(SdpProblem(np.eye(1), np.eye(1)[None], np.array([3.0])))
+        sol = _solve((np.eye(1), np.eye(1)[None], np.array([3.0])))
         assert abs(sol.value - 3.0) <= 1e-8
         assert abs(sol.primal[0, 0] - 3.0) <= 1e-8
 
@@ -76,7 +56,7 @@ class TestSolver:
         dual_value = sol.dual_multipliers[0]
         assert abs(sol.value - dual_value) <= 1e-10 * (1 + abs(sol.value) + abs(dual_value))
         # The multipliers alone give a dual feasible slack Z = sum y_i A_i - C.
-        recon = np.einsum("k,kab->ab", sol.dual_multipliers, _trace_problem(c).constraints)
+        recon = np.einsum("k,kab->ab", sol.dual_multipliers, _trace_problem(c)[1])
         assert min_eigenvalue(recon - c) >= -1e-8
 
     def test_primal_feasibility_of_optimizer(self):
@@ -85,7 +65,7 @@ class TestSolver:
         c = (m + m.T) / 2.0
         a1 = np.diag([1.0, 1.0, 0.0, 0.0])
         a2 = np.diag([0.0, 0.0, 1.0, 1.0])
-        sol = _solve(SdpProblem(c, np.stack([a1, a2]), np.array([0.5, 0.5])))
+        sol = _solve((c, np.stack([a1, a2]), np.array([0.5, 0.5])))
         assert abs(np.sum(a1 * sol.primal) - 0.5) <= 1e-8
         assert abs(np.sum(a2 * sol.primal) - 0.5) <= 1e-8
         assert min_eigenvalue(sol.primal) >= -1e-9
@@ -102,7 +82,7 @@ class TestSolver:
     def test_custom_start_accepted(self):
         c = np.diag([1.0, 2.0])
         start = (0.5 * np.eye(2), np.array([5.0]), 3.0 * np.eye(2))
-        sol = solve_sdp(_trace_problem(c), start=start)
+        sol = solve_sdp(*_trace_problem(c), start=start)
         assert abs(sol.value - 2.0) <= 1e-8
 
     def test_deterministic_across_runs(self):

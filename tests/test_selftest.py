@@ -419,13 +419,13 @@ class TestInterleave:
     def test_single_party(self):
         vec = np.array([1.0, 0.0])
         junk = np.array([0.0, 1.0])
-        out = interleave_with_junk(vec, junk, (2,), (2,))
+        out = interleave_with_junk(vec[None], junk, (2,), (2,))[0]
         assert np.array_equal(out, [0.0, 1.0, 0.0, 0.0])
 
     def test_trivial_junk_is_identity(self):
         rng = np.random.default_rng(0)
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        out = interleave_with_junk(vec, np.array([1.0 + 0j]), (2, 3), (1, 1))
+        out = interleave_with_junk(vec[None], np.array([1.0 + 0j]), (2, 3), (1, 1))[0]
         assert np.abs(out - vec).max() == 0.0
 
     def test_two_party_ordering(self):
@@ -434,10 +434,20 @@ class TestInterleave:
         vec[0b10] = 1.0  # a=1, b=0
         junk = np.zeros(4)
         junk[0b01] = 1.0  # j=0, k=1
-        out = interleave_with_junk(vec, junk, (2, 2), (2, 2))
+        out = interleave_with_junk(vec[None], junk, (2, 2), (2, 2))[0]
         want = np.zeros(16)
         want[0b1001] = 1.0
         assert np.array_equal(out, want)
+
+
+    def test_each_row_is_interleaved(self):
+        rng = np.random.default_rng(1)
+        vecs = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        junk = rng.normal(size=8) + 1j * rng.normal(size=8)
+        out = interleave_with_junk(vecs, junk, (2, 3), (4, 2))
+        for vec, row in zip(vecs, out):
+            want = np.einsum("ab,jk->ajbk", vec.reshape(2, 3), junk.reshape(4, 2))
+            assert np.abs(row - want.reshape(-1)).max() <= 1e-15
 
 
 class TestSevenDimensionalConfiguration:

@@ -77,15 +77,15 @@ def _basis_e(dim: int, i: int, j: int) -> np.ndarray:
 class TestProblemAssembly:
     def test_constraint_count_and_dim(self):
         g = WeightedGraph(4, [(0, 1), (2, 3)], [1.0, 2.0, 1.0, 1.0])
-        p = theta_problem(g)
-        assert p.objective.shape == (5, 5)
-        assert p.constraints.shape == (1 + 4 + 2, 5, 5)
-        assert np.array_equal(p.b, [1.0] + [0.0] * (4 + 2))
+        c, a, b = theta_problem(g)
+        assert c.shape == (5, 5)
+        assert a.shape == (1 + 4 + 2, 5, 5)
+        assert np.array_equal(b, [1.0] + [0.0] * (4 + 2))
 
     def test_objective_holds_weights(self):
         g = WeightedGraph(3, [(0, 1)], [2.0, 0.5, 1.0])
-        p = theta_problem(g)
-        assert np.array_equal(p.objective, np.diag([0.0, 2.0, 0.5, 1.0]))
+        c, _, _ = theta_problem(g)
+        assert np.array_equal(c, np.diag([0.0, 2.0, 0.5, 1.0]))
 
     @pytest.mark.parametrize(
         "g",
@@ -105,18 +105,18 @@ class TestProblemAssembly:
         mats += [_basis_e(d, i + 1, i + 1) - _basis_e(d, 0, i + 1) for i in range(g.n)]
         mats += [_basis_e(d, i + 1, j + 1) for i, j in g.edges]
         want = np.stack([(m + m.T) / 2.0 for m in mats])
-        assert np.array_equal(theta_problem(g).constraints, want)
+        assert np.array_equal(theta_problem(g)[1], want)
 
     def test_start_is_strictly_feasible(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [2.0, 1.0, 0.5, 1.0])
-        p = theta_problem(g)
+        c, a, b = theta_problem(g)
         for scales in _START_LADDER:
             x, y, z = theta_start(g, *scales)
             assert float(np.linalg.eigvalsh(x).min()) > 0
             assert float(np.linalg.eigvalsh(z).min()) > 0
-            assert np.abs(np.einsum("kab,ab->k", p.constraints, x) - p.b).max() <= 1e-12
+            assert np.abs(np.einsum("kab,ab->k", a, x) - b).max() <= 1e-12
             # Z matches its structural definition sum_i y_i A_i - C.
-            recon = np.einsum("k,kab->ab", y, p.constraints) - p.objective
+            recon = np.einsum("k,kab->ab", y, a) - c
             assert np.abs(recon - z).max() <= 1e-12
 
 
@@ -241,8 +241,8 @@ def _multipliers(g: WeightedGraph, t: float, lam, mu=None) -> np.ndarray:
 
 def _slack_oracle(g: WeightedGraph, y: np.ndarray) -> np.ndarray:
     """sum_i y_i A_i - C straight from theta_problem's dense stack."""
-    p = theta_problem(g)
-    return np.tensordot(y, p.constraints, axes=1) - p.objective
+    c, a, _ = theta_problem(g)
+    return np.tensordot(y, a, axes=1) - c
 
 
 @st.composite
@@ -532,7 +532,7 @@ class TestUniqueness:
         assert dual_nondegenerate(CHSH_GRAPH, chained_dual_certificate(2).matrix).nondegenerate
         problem = theta_problem(CHSH_GRAPH)
         primals = [
-            solve_sdp(problem, start=theta_start(CHSH_GRAPH, *s)).primal
+            solve_sdp(*problem, start=theta_start(CHSH_GRAPH, *s)).primal
             for s in _START_LADDER
         ]
         for p in primals[1:]:
