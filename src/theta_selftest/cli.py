@@ -9,9 +9,9 @@ emitted in canonical form (sorted keys, no whitespace) so repeated runs are
 byte-identical.  The command line still reads no environment variable: each
 tolerance flag defaults to the constant of the module that owns it
 (sdp.SOLVER_TOL, theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  `main` runs
-in-process and leaves the environment alone; the process entry point,
-`__main__.main`, sets OPENBLAS_NUM_THREADS=1 before numpy loads when the
-user has not set it and the command cannot reach the SDP solver.
+in-process and leaves the environment and the BLAS thread count alone; the
+process entry point, `__main__.main`, starts BLAS with one thread and gives
+the solver kernels OpenBLAS's default count back while they run.
 """
 
 from __future__ import annotations

@@ -701,7 +701,10 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
     for j in range(len(ps.dims)):
         blocks, v_blocks = _party_blocks(ps, cand, j, state_tensor)
         party_blocks.append(blocks)
-        party_vs.append(v_blocks)
+        # Column m * k + b of party j's isometry is column m of its block-b
+        # map.  The block maps take the isometry's phase gauge before the
+        # junk is read off against them, so the junk absorbs the phases.
+        party_vs.append(_canonical_phase(np.stack(v_blocks, axis=-1)))
     k_dims = tuple(len(b) for b in party_blocks)
 
     junk = np.zeros(k_dims, dtype=complex)
@@ -710,7 +713,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
         comp, image = state_tensor, ps.vectors[0].reshape((1,) + ps.dims)
         for j, idx in enumerate(combo):
             comp = apply_local(party_blocks[j][idx], comp, j)
-            image = apply_local(party_vs[j][idx], image, j)
+            image = apply_local(party_vs[j][..., idx], image, j)
         comp, image = comp.reshape(-1), image.reshape(-1)
         weight = np.linalg.norm(comp)
         mu = np.vdot(image, comp)
@@ -724,11 +727,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
         raise NotOptimizerError(
             f"block components carry total weight {total_weight:.6f} != 1"
         )
-    # Column m * k + b of party j's isometry is column m of its block-b map.
-    isometries = tuple(
-        _canonical_phase(np.stack(vs, axis=-1).reshape(vs[0].shape[0], -1))
-        for vs in party_vs
-    )
+    isometries = tuple(vs.reshape(vs.shape[0], -1) for vs in party_vs)
     return isometries, junk.reshape(-1), k_dims
 
 

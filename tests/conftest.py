@@ -149,6 +149,16 @@ def tensor_padded_candidate(r: Realization, ancilla: np.ndarray, k: int = 2) -> 
     return Realization(tuple(d * k for d in r.dims), state, projs, None)
 
 
+def conjugated_candidate(r: Realization, us) -> Realization:
+    """Conjugate each party of the realization `r`, of any rank, by its own
+    unitary: projectors u P u^dagger, state (u_1 x ... x u_n) psi."""
+    projs = tuple(
+        tuple(tuple(u @ np.asarray(p) @ u.conj().T for p in setting) for setting in party)
+        for u, party in zip(us, r.projectors)
+    )
+    return Realization(r.dims, kron_all(us) @ np.asarray(r.state), projs, None)
+
+
 def perturbed_candidate(r: Realization, angle: float = 0.05) -> Realization:
     """Rotate the first party's first measurement basis by `angle`."""
     c, s = np.cos(angle), np.sin(angle)

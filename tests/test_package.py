@@ -59,7 +59,8 @@ def test_version_has_a_single_source():
 
 def test_console_script_is_the_module_entry_point():
     # `theta-selftest` and `python -m theta_selftest` both run __main__.main,
-    # which picks the BLAS thread count before numpy loads.
+    # which starts BLAS with one thread before numpy loads and ends the
+    # process with a hard exit.
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     config = tomllib.loads(pyproject.read_text(encoding="utf-8"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    conjugated_candidate,
     embedded_candidate,
     haar_isometry,
     kron_all,
@@ -306,6 +307,24 @@ class TestGeneralRankExtraction:
         assert not candidate_is_rank_one(cand)
         with pytest.raises(NotOptimizerError, match="Gram mismatch"):
             run_selftest(wit, r, cand)
+
+    # Each party of an ancilla-padded candidate conjugated by a complex Haar
+    # unitary: the phase gauge of the assembled isometries must reach the junk.
+    @pytest.mark.parametrize(
+        "name,ancilla",
+        [("chsh", [0.8, 0.0, 0.0, 0.6]), ("mermin", [0.8] + [0.0] * 6 + [0.6])],
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_haar_rotated_ancilla_candidate_accepted(self, name, ancilla, seed):
+        wit, r, _ = _structure(name)
+        padded = tensor_padded_candidate(r, np.array(ancilla, dtype=complex), k=2)
+        rng = np.random.default_rng(seed)
+        cand = conjugated_candidate(padded, [haar_isometry(rng, d, d) for d in padded.dims])
+        report = run_selftest(wit, r, cand)
+        assert verify_selftest_claim(r, cand, report, 1e-7)
+        assert report.state_residual <= 1e-8
+        assert report.vector_residuals.max() <= 1e-8
 
     def test_precondition_failure_names_condition(self):
         wit, r, _ = _structure("chained:3")
