@@ -9,9 +9,8 @@ emitted in canonical form (sorted keys, no whitespace) so repeated runs are
 byte-identical.  The command line still reads no environment variable: each
 tolerance flag defaults to the constant of the module that owns it
 (sdp.SOLVER_TOL, theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  `main` runs
-in-process and leaves the environment and the BLAS thread count alone; the
-process entry point, `__main__.main`, starts BLAS with one thread and gives
-the solver kernels OpenBLAS's default count back while they run.
+in-process and leaves the environment alone; the process entry point,
+`__main__.main`, only sets OpenBLAS's idle timeout before it runs `main`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sdp import SolverError, default_blas_threads
+from .sdp import SolverError
 
 Edge = tuple[int, int]
 
@@ -252,7 +252,6 @@ def _face_projection(a, w, x, s, y, z) -> tuple[np.ndarray, np.ndarray]:
     return xp, yp
 
 
-@default_blas_threads()
 def fractional_packing_bounds(g: WeightedGraph) -> tuple[float, float]:
     """Certified enclosure lo <= alpha* <= hi of the clique LP
     max w.x  s.t.  sum of x over each maximal clique <= 1,  x >= 0,

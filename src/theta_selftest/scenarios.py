@@ -19,6 +19,9 @@ from .graphs import WeightedGraph, _json_float, _json_int
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
 POLE_TOL = 1e-14  # Bloch directions this close to -z use the fixed south-pole ket
+# Largest N a `chained:N` selector names: theta's dense constraint stack holds
+# (10N + 1)(4N + 1)^2 doubles, and theta on chained:64 peaks at 1.7 GB.
+MAX_CHAINED_N = 64
 
 
 @dataclass(frozen=True)
@@ -380,12 +383,16 @@ _SCENARIOS = {
 
 def parse_scenario_name(name: str) -> tuple[str, int | None]:
     """Normalize a scenario selector: 'chsh', 'mermin', 'as4', or 'chained:'
-    followed by ASCII digits, case and surrounding blanks aside."""
+    followed by ASCII digits naming at most MAX_CHAINED_N, case and
+    surrounding blanks aside."""
     key = name.strip().lower()
     if key.startswith("chained:"):
         if not re.fullmatch(r"chained:[0-9]+", key):
             raise ValueError(f"bad chained selector {name!r}")
-        return "chained", int(key[len("chained:"):])
+        n = int(key[len("chained:"):])
+        if n > MAX_CHAINED_N:
+            raise ValueError(f"chained selector {name!r} exceeds N = {MAX_CHAINED_N}")
+        return "chained", n
     if key in _SCENARIOS and key != "chained":
         return key, None
     raise ValueError(f"unknown scenario {name!r}")

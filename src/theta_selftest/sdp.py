@@ -7,46 +7,16 @@ solved by an HKM-direction predictor-corrector method on dense symmetric
 matrices.  `solve_sdp` takes the problem as three arrays: C, the stack of
 the A_i and b.  Their one producer, `theta.theta_problem`, fixes the shapes.
 Sizes here are tiny (dimension <= ~70), so everything is dense.
-
-`default_blas_threads` runs the solver, and the other kernels whose rounding
-depends on OpenBLAS's thread count, at OpenBLAS's default count in a process
-that `__main__.main` started with one thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 SOLVER_TOL = 1e-9  # default bound on the relative gap and both infeasibilities
 _MAX_ITER = 200
-
-# Set by `__main__.main` when it started the OpenBLAS bundled with numpy at
-# one thread: the library's path and the thread count OpenBLAS would have
-# chosen.  None, as for in-process callers, leaves the thread count alone.
-blas_default: tuple[str, int] | None = None
-
-
-@contextlib.contextmanager
-def default_blas_threads():
-    """Run the block, or the decorated function, at `blas_default`'s thread
-    count, then return OpenBLAS to one thread.  Scope the kernels whose
-    rounding depends on the thread count, so that they print the digits they
-    print at OpenBLAS's default; the rest of a command runs on one thread."""
-    if blas_default is None:
-        yield
-        return
-    path, threads = blas_default
-    set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(threads)
-    try:
-        yield
-    finally:
-        set_threads(1)
 
 
 class SolverError(RuntimeError):
@@ -102,7 +72,6 @@ def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
     return min(1.0, -1.0 / lam)
 
 
-@default_blas_threads()
 def solve_sdp(
     c: np.ndarray,
     a_stack: np.ndarray,

@@ -57,7 +57,9 @@ class PreconditionError(SelfTestError):
 
 
 class NotOptimizerError(SelfTestError):
-    """The candidate does not reproduce the unique optimizer."""
+    """The candidate does not match the reference realization: its event Gram
+    matrix deviates from the reference's, or no local isometry carries the
+    reference's events onto its own."""
 
 
 @dataclass(frozen=True)
@@ -489,7 +491,8 @@ def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -
     dev = float(np.abs(g_ref - g_cand).max())
     if dev > tol:
         raise NotOptimizerError(
-            f"Gram mismatch: candidate deviates from the unique optimizer by {dev:.3e}"
+            f"Gram mismatch: candidate's event Gram matrix deviates from the "
+            f"reference's by {dev:.3e}"
         )
 
 

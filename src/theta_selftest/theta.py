@@ -22,14 +22,7 @@ import numpy as np
 
 from .graphs import WeightedGraph, circulant, complement
 from .scenarios import exclusivity_graph, mermin_witness
-from .sdp import (
-    SOLVER_TOL,
-    SdpSolution,
-    SolverError,
-    default_blas_threads,
-    min_eigenvalue,
-    solve_sdp,
-)
+from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative singular value counted as null in uniqueness
@@ -319,8 +312,7 @@ def dual_nondegenerate(
         raise ValueError("slack matrix dimension mismatch")
     sv = _fourier_singular_values(g, z)
     if sv is None:
-        with default_blas_threads():
-            sv = np.linalg.svd(_nondegeneracy_system(g, z), compute_uv=False)
+        sv = np.linalg.svd(_nondegeneracy_system(g, z), compute_uv=False)
     smax = float(sv.max())  # at least 1, from the row M_00 = 0
     dim = int(np.sum(sv <= threshold * smax))
     return UniquenessVerdict(

@@ -24,7 +24,7 @@ from theta_selftest import (
 )
 from theta_selftest import cli, graphs
 from theta_selftest.graphs import complement
-from theta_selftest.scenarios import realization_to_json_dict
+from theta_selftest.scenarios import MAX_CHAINED_N, realization_to_json_dict
 from theta_selftest.theta import ThetaDualCertificate
 
 
@@ -226,7 +226,8 @@ class TestCertify:
         assert verify_dual_certificate(g, cert) == cert.t
 
     def test_rejects_unsupported_scenarios(self):
-        for bad in ("chained:0", "chained:1", "mermin", "as4", "nope", *_BAD_CHAINED):
+        for bad in ("chained:0", "chained:1", f"chained:{MAX_CHAINED_N + 1}", "mermin", "as4",
+                    "nope", *_BAD_CHAINED):
             code, out, err = run_cli(["certify", "--scenario", bad])
             assert (code, out) == (1, ""), bad
             assert err.startswith("input error:") and err.count("\n") == 1, bad

@@ -59,7 +59,7 @@ def test_version_has_a_single_source():
 
 def test_console_script_is_the_module_entry_point():
     # `theta-selftest` and `python -m theta_selftest` both run __main__.main,
-    # which starts BLAS with one thread before numpy loads and ends the
+    # which sets OpenBLAS's idle timeout before numpy loads and ends the
     # process with a hard exit.
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -21,6 +21,7 @@ from theta_selftest import (
 )
 from theta_selftest.graphs import complement
 from theta_selftest.scenarios import (
+    MAX_CHAINED_N,
     BellScenario,
     Event,
     as4_witness,
@@ -164,11 +165,14 @@ class TestBuiltinWitnesses:
         assert parse_scenario_name(" CHAINED:7 ") == ("chained", 7)
         assert parse_scenario_name("AS4") == ("as4", None)
         assert parse_scenario_name("chained:016") == ("chained", 16)
+        assert parse_scenario_name(f"chained:{MAX_CHAINED_N}") == ("chained", 64)
         # int() reads all of these as numbers; the selector takes ASCII digits.
         for bad in ("chained:x", "nope", "chained:1_6", "chained:+3", "chained: 3",
                     "chained:-3", "chained:\u0663", "chained:", "chained:3 4"):
             with pytest.raises(ValueError):
                 parse_scenario_name(bad)
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_scenario_name(f"chained:{MAX_CHAINED_N + 1}")
         with pytest.raises(ValueError):
             builtin_witness("chained:1")
 
