@@ -72,9 +72,16 @@ def _prints_what_cli_main_prints(argv: list[str]) -> bool:
 def test_module_prints_what_cli_main_prints_at_the_default_thread_count(workload, tmp_path):
     commands = _solver_commands(workload, tmp_path)
     assert commands
-    if workload == "scenarios-cli":
-        commands.append(["uniqueness", "--scenario"])  # a usage error: exit code 1
     assert [argv for argv in commands if not _prints_what_cli_main_prints(argv)] == []
+
+
+@pytest.mark.parametrize("argv", [["uniqueness", "--scenario"]], ids=" ".join)
+def test_other_uniqueness_spellings_keep_the_default(argv):
+    # A usage error leaves through os._exit with exit code 1, as cli.main does.
+    procs = [_python("-m", "theta_selftest", *argv), _python("-c", _CLI_MAIN, *argv)]
+    module, reference = ((p.communicate(), p.returncode) for p in procs)
+    assert module == reference
+    assert module[1] == 1
 
 
 # --- a user's thread count: output does not depend on it --------------------
