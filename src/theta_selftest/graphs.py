@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,29 +49,32 @@ def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected graph with nonnegative vertex weights (default all ones)."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: tuple[Edge, ...]
-    weights: tuple[float, ...] | None = None
+    weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class WeightedGraph(_GraphFields):
+    """Undirected graph with nonnegative vertex weights (default all ones)."""
+
+    # No __slots__: the cached neighbor_sets lives in the instance __dict__.
+
+    def __new__(cls, n: int, edges, weights=None):
+        if n < 1:
             raise ValueError("need at least one vertex")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
-        if self.weights is None:
-            w = (1.0,) * self.n
+        edges = _canonical_edges(n, edges)
+        if weights is None:
+            w = (1.0,) * n
         else:
-            w = tuple(float(x) for x in self.weights)
-        if len(w) != self.n:
+            w = tuple(float(x) for x in weights)
+        if len(w) != n:
             raise ValueError("weight vector length must equal vertex count")
         if not all(0.0 <= x <= MAX_WEIGHT for x in w):
             raise ValueError(
                 f"weights must be finite, nonnegative and at most {MAX_WEIGHT:g}"
             )
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, n, edges, w)
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -356,7 +359,7 @@ def from_json_dict(d: dict) -> WeightedGraph:
         weights = (
             tuple(_json_float(w) for w in d["weights"]) if "weights" in d else None
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return WeightedGraph(n, edges, weights)
 

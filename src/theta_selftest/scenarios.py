@@ -9,8 +9,8 @@ projectors; reference realizations are rank one and also carry the kets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,33 +24,39 @@ POLE_TOL = 1e-14  # Bloch directions this close to -z use the fixed south-pole k
 MAX_CHAINED_N = 64
 
 
-@dataclass(frozen=True)
-class BellScenario:
+class _ScenarioFields(NamedTuple):
     parties: int
     settings: tuple[int, ...]  # per-party setting count
     outcomes: tuple[int, ...]  # per-party outcome count
 
-    def __post_init__(self) -> None:
-        if self.parties < 1 or len(self.settings) != self.parties or len(
-            self.outcomes
-        ) != self.parties:
+
+class BellScenario(_ScenarioFields):
+    __slots__ = ()
+
+    def __new__(cls, parties: int, settings, outcomes):
+        if parties < 1 or len(settings) != parties or len(outcomes) != parties:
             raise ValueError("per-party counts must match the party count")
-        if any(k < 1 for k in self.settings) or any(k < 1 for k in self.outcomes):
+        if any(k < 1 for k in settings) or any(k < 1 for k in outcomes):
             raise ValueError("counts must be >= 1")
+        return super().__new__(cls, parties, settings, outcomes)
 
 
-@dataclass(frozen=True)
-class Event:
-    """Joint event: outcome labels and setting labels, one per party."""
-
+class _EventFields(NamedTuple):
     outcomes: tuple[int, ...]
     settings: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(int(a) for a in self.outcomes))
-        object.__setattr__(self, "settings", tuple(int(x) for x in self.settings))
-        if len(self.outcomes) != len(self.settings):
+
+class Event(_EventFields):
+    """Joint event: outcome labels and setting labels, one per party."""
+
+    __slots__ = ()
+
+    def __new__(cls, outcomes, settings):
+        outcomes = tuple(int(a) for a in outcomes)
+        settings = tuple(int(x) for x in settings)
+        if len(outcomes) != len(settings):
             raise ValueError("outcome and setting tuples must have equal length")
+        return super().__new__(cls, outcomes, settings)
 
 
 def events_exclusive(e1: Event, e2: Event) -> bool:
@@ -61,47 +67,51 @@ def events_exclusive(e1: Event, e2: Event) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BellWitness:
+class _WitnessFields(NamedTuple):
+    scenario: BellScenario
+    terms: tuple[tuple[Event, float], ...]
+    classical_bound: float
+    affine: tuple[float, float] | None = None
+
+
+class BellWitness(_WitnessFields):
     """Positive combination sum_i w_i p(event_i) with a classical bound.
 
     `affine` optionally records (gain, offset) mapping the probability sum P
     to a correlator-form expectation gain*P + offset.
     """
 
-    scenario: BellScenario
-    terms: tuple[tuple[Event, float], ...]
-    classical_bound: float
-    affine: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        events = [e for e, _ in self.terms]
+    def __new__(cls, scenario: BellScenario, terms, classical_bound: float, affine=None):
+        events = [e for e, _ in terms]
         if len(set(events)) != len(events):
             raise ValueError("witness events must be distinct")
-        for e, w in self.terms:
+        for e, w in terms:
             if w <= 0:
                 raise ValueError("weights must be strictly positive")
-            if len(e.outcomes) != self.scenario.parties:
+            if len(e.outcomes) != scenario.parties:
                 raise ValueError("event arity does not match the scenario")
-            for j in range(self.scenario.parties):
+            for j in range(scenario.parties):
                 if not (
-                    0 <= e.settings[j] < self.scenario.settings[j]
-                    and 0 <= e.outcomes[j] < self.scenario.outcomes[j]
+                    0 <= e.settings[j] < scenario.settings[j]
+                    and 0 <= e.outcomes[j] < scenario.outcomes[j]
                 ):
                     raise ValueError(f"event {e} outside scenario label ranges")
+        return super().__new__(cls, scenario, terms, classical_bound, affine)
 
 
 def exclusivity_graph(wit: BellWitness) -> WeightedGraph:
-    """One vertex per term (with its weight); edges join exclusive events."""
-    events = [e for e, _ in wit.terms]
-    n = len(events)
-    edges = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if events_exclusive(events[i], events[j])
+    """One vertex per term (with its weight); edges join exclusive events,
+    events_exclusive evaluated on all pairs at once."""
+    shape = (len(wit.terms), wit.scenario.parties)
+    x = np.array([e.settings for e, _ in wit.terms], dtype=int).reshape(shape)
+    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int).reshape(shape)
+    exclusive = ((x[:, None] == x) & (a[:, None] != a)).any(axis=2)
+    i, j = np.nonzero(np.triu(exclusive, 1))
+    return WeightedGraph(
+        len(wit.terms), tuple(zip(i.tolist(), j.tolist())), tuple(w for _, w in wit.terms)
     )
-    return WeightedGraph(n, edges, tuple(w for _, w in wit.terms))
 
 
 def chained_witness(N: int) -> BellWitness:
@@ -170,8 +180,7 @@ def as4_witness() -> BellWitness:
     return BellWitness(scenario, tuple(terms), classical_bound=10.0)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """Shared state plus per-party, per-setting, per-outcome projectors.
 
     `projectors[j][x][a]` acts on the party-j factor of dimension dims[j].

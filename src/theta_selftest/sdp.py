@@ -11,7 +11,7 @@ Sizes here are tiny (dimension <= ~70), so everything is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-@dataclass(frozen=True)
-class SdpSolution:
+class SdpSolution(NamedTuple):
     primal: np.ndarray
     dual_multipliers: np.ndarray
     value: float

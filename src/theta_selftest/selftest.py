@@ -25,7 +25,7 @@ reproducible bit for bit.  Fixed optimizer data lives in `theta`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class NotOptimizerError(SelfTestError):
     reference's events onto its own."""
 
 
-@dataclass(frozen=True)
-class ProductStructure:
+class ProductStructure(NamedTuple):
     """Per-event product decomposition of a rank-one realization.
 
     `vectors` is the realization's event table (rows psi, Pi_1 psi, ...).
@@ -145,8 +144,7 @@ def product_structure_from_realization(
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     verdicts: dict[str, bool]
     reasons: dict[str, str]
     evidence: dict[str, object]
@@ -434,8 +432,7 @@ def check_projector_condition_C1(r: Realization, ps: ProductStructure) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     """Extraction output: per-party isometries from ideal (x junk index) space
     into the candidate space, the junk state, and claim residuals."""
 

@@ -15,8 +15,8 @@ seven-dimensional configuration in witness order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import cos, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     primal[np.ix_(rows, rows)] = sol.primal
     y[rows] = sol.dual_multipliers[: keep.size + 1]  # t and lambda
     y[d:][inner] = sol.dual_multipliers[keep.size + 1 :]  # mu
-    return replace(sol, primal=primal, dual_multipliers=y)
+    return sol._replace(primal=primal, dual_multipliers=y)
 
 
 def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.ndarray]:
@@ -158,18 +158,20 @@ def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True, eq=False)
 class ThetaDualCertificate:
     """Dual point of theta_problem(graph): multipliers y in its constraint
-    order, and the slack matrix certificate_matrix(graph, y)."""
+    order, and the slack matrix certificate_matrix(graph, y).  Read-only."""
 
-    graph: WeightedGraph
-    y: np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("graph", "y", "matrix")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "matrix", certificate_matrix(self.graph, self.y))
+    def __init__(self, graph: WeightedGraph, y) -> None:
+        y = np.asarray(y, dtype=float)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "matrix", certificate_matrix(graph, y))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def t(self) -> float:
@@ -205,8 +207,7 @@ def verify_dual_certificate(
     return cert.t
 
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
+class UniquenessVerdict(NamedTuple):
     nondegenerate: bool
     nullspace_dim: int
     residual: float
@@ -220,20 +221,31 @@ def _column_index(d: int) -> np.ndarray:
     return col
 
 
+def _head_entries(g: WeightedGraph, col: np.ndarray):
+    """Entries (rows, columns, values) of the linear rows of dual_nondegenerate's
+    system: M_00 = 0, M_0i - M_ii = 0, then M_ij = 0 (i ~ j) from row n + 1 on."""
+    d = g.n + 1
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    v, ones = np.arange(1, d), np.ones(d - 1)
+    rows = np.concatenate(([0], v, v, d + np.arange(len(edges))))
+    cols = np.concatenate(([0], col[0, v], col[v, v], col[tuple(edges.T)]))
+    vals = np.concatenate(([1.0], ones, -ones, np.ones(len(edges))))
+    return rows, cols, vals
+
+
 def _system_entries(g: WeightedGraph, z: np.ndarray):
     """Entries (rows, columns, values), no pair repeated, and shape of the
     system of dual_nondegenerate, one column per upper-triangle M_pq."""
     d = g.n + 1
     col = _column_index(d)
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    head = d + len(edges)
-    v, ones = np.arange(1, d), np.ones(d - 1)
-    # Rows M_00 = 0, M_0i - M_ii = 0, M_ij = 0 (i ~ j), then M Z = 0 row-major:
-    # (M Z)_ab = sum_c M_ac Z_cb, so row head + a*d + b takes Z_cb in column (a, c).
+    rows, cols, vals = _head_entries(g, col)
+    head = d + len(g.edges)
+    # Then M Z = 0 row-major: (M Z)_ab = sum_c M_ac Z_cb, so row head + a*d + b
+    # takes Z_cb in column (a, c).
     a, b, c = (x.ravel() for x in np.indices((d, d, d)))
-    rows = np.concatenate(([0], v, v, d + np.arange(len(edges)), head + a * d + b))
-    cols = np.concatenate(([0], col[0, v], col[v, v], col[tuple(edges.T)], col[a, c]))
-    vals = np.concatenate(([1.0], ones, -ones, np.ones(len(edges)), z[c, b]))
+    rows = np.concatenate((rows, head + a * d + b))
+    cols = np.concatenate((cols, col[a, c]))
+    vals = np.concatenate((vals, z[c, b]))
     return rows, cols, vals, (head + d * d, d * (d + 1) // 2)
 
 
@@ -256,6 +268,12 @@ def _fourier_singular_values(g: WeightedGraph, z: np.ndarray) -> np.ndarray | No
     row R_0 per row orbit.  Block n - f is block f conjugated.  Each block is
     tall (the n + 3 row orbits of length n, rows v, (0, .), (., 0) and (v, w)
     of M Z, outnumber the column orbits), so it has one value per column.
+
+    Only the rows R_0 are written, each the least of its orbit: the linear
+    rows that lead their orbit and the M Z rows (a, b) with a in {0, 1}.  So
+    the d^3 entries of the whole system are never formed, and the orbits come
+    from a running minimum over the powers of each permutation, not from a
+    table of all of them.
     """
     n, d = g.n, g.n + 1
     p = np.concatenate(([0], np.roll(np.arange(1, d), -1)))  # handle 0 stays
@@ -264,26 +282,33 @@ def _fourier_singular_values(g: WeightedGraph, z: np.ndarray) -> np.ndarray | No
     if not (np.array_equal(np.sort(turned), key) and (z[np.ix_(p, p)] == z).all()):
         return None
     moved = np.searchsorted(key, turned)  # g.edges is sorted
-    a, b = np.divmod(np.arange(d * d), d)
-    rows = np.concatenate((p, d + moved, d + moved.size + p[a] * d + p[b]))
+    head = d + moved.size
+    ab = np.arange(d * d)  # the M Z rows, row-major
+    col = _column_index(d)
     iu, ju = np.triu_indices(d)
 
     def orbits(perm):  # each orbit's members from its least one, and its length
-        powers = [np.arange(perm.size)]
+        start = np.arange(perm.size)
+        least, power = start.copy(), start
+        for _ in range(n - 1):  # the rotation has order n
+            power = perm[power]
+            np.minimum(least, power, out=least)
+        members = [np.flatnonzero(least == start)]
         for _ in range(n - 1):
-            powers.append(perm[powers[-1]])
-        powers = np.array(powers)
-        reps = np.flatnonzero(powers.min(axis=0) == powers[0])
-        return powers[:, reps], n // (powers[:, reps] == reps).sum(axis=0)
+            members.append(perm[members[-1]])
+        members = np.array(members)
+        return members, n // (members == members[0]).sum(axis=0)
 
-    r_orbit, r_len = orbits(rows)
-    c_orbit, c_len = orbits(_column_index(d)[p[iu], p[ju]])
-    e_rows, e_cols, e_vals, shape = _system_entries(g, z)
-    rep = np.full(shape[0], -1)
-    rep[r_orbit[0]] = np.arange(r_len.size)
-    keep = rep[e_rows] >= 0
-    s = np.zeros((r_len.size, shape[1]))
-    s[rep[e_rows[keep]], e_cols[keep]] = e_vals[keep]
+    r_orbit, r_len = orbits(np.concatenate((p, d + moved, head + p[ab // d] * d + p[ab % d])))
+    c_orbit, c_len = orbits(col[p[iu], p[ju]])
+    reps = r_orbit[0]
+    s = np.zeros((reps.size, iu.size))
+    h_rows, h_cols, h_vals = _head_entries(g, col)
+    kept = np.isin(h_rows, reps)
+    s[np.searchsorted(reps, h_rows[kept]), h_cols[kept]] = h_vals[kept]
+    k = np.flatnonzero(reps >= head)
+    a, b = np.divmod(reps[k] - head, d)
+    s[k[:, None], col[a]] = z[:, b].T  # row (a, b) of M Z takes Z_cb in column (a, c)
     # rfft's sum over the period n is n / L_C orbit sums, conjugated: same values.
     x = np.fft.rfft(s[:, c_orbit], axis=1)
     sv = []
@@ -305,7 +330,9 @@ def dual_nondegenerate(
     singular-value thresholding (relative threshold).  Nondegenerate (hence
     the primal optimizer is unique) iff the null space is trivial.  Its
     singular values come from Fourier blocks when the vertex rotation fixes
-    g and Z (the chained certificates), else from one dense SVD.
+    g and Z (the chained certificates), which never form the whole system,
+    else from one dense SVD of it: (d + |E| + d^2) x d(d + 1)/2 doubles for
+    d = n + 1, so memory grows as d^4 on this route.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):

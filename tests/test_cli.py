@@ -264,6 +264,24 @@ class TestUniqueness:
         assert (doc["nondegenerate"], doc["nullspace_dim"]) == (True, 0)
         assert abs(doc["residual"] - residual) <= 1e-10 * residual
 
+    @pytest.mark.parametrize(
+        "n, stdout",
+        [
+            (2, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.02152002202540758}'),
+            (3, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.010045849068428687}'),
+            (4, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.00569115483926514}'),
+            (7, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0017120480643772601}'),
+            (8, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0012709023207480889}'),
+            (16, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0002580770540885753}'),
+            (32, '{"nondegenerate":true,"nullspace_dim":0,"residual":4.578277798954416e-05}'),
+        ],
+    )
+    def test_chained_json_bytes_pinned(self, n, stdout):
+        # The Fourier route's exact output, odd and even N: its blocks must
+        # be built from the same entries however the system is assembled.
+        code, out, err = run_cli(["uniqueness", "--scenario", f"chained:{n}", "--json"])
+        assert (code, out, err) == (0, stdout + "\n", "")
+
     def test_chained_below_two_rejected(self):
         for bad in ("chained:0", "chained:1", *_BAD_CHAINED):
             code, out, err = run_cli(["uniqueness", "--scenario", bad])

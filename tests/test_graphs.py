@@ -283,6 +283,16 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 from_json_dict({"n": 2, "edges": [[0, 1]], "weights": weights})
 
+    def test_edge_that_is_not_a_pair_is_malformed(self):
+        for edge in ([0, 1, 2], [0]):
+            with pytest.raises(ValueError, match="^malformed graph document: "):
+                from_json_dict({"n": 2, "edges": [edge]})
+        # The graph's own checks keep their messages.
+        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+            from_json_dict({"n": 2, "edges": [[1, 1]]})
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            from_json_dict({"n": 2, "edges": [[0, 1], [1, 0]]})
+
     def test_graph_to_json_deterministic(self):
         g = circulant(6, (1, 3))
         assert canonical_json(to_json_dict(g)) == canonical_json(to_json_dict(g))

@@ -183,3 +183,16 @@ def test_no_command_loads_scipy(tmp_path):
         *_NON_THETA_COMMANDS,
     ]
     assert _scipy_modules_after(commands) == set()
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The records are NamedTuples, so importing the command line does not
+    pay for the dataclasses module; numpy, argparse and json do not load it
+    either."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, theta_selftest.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -78,6 +78,20 @@ class TestEventAlgebra:
         assert g.n == 1 and g.edges == ()
 
 
+    @pytest.mark.parametrize("name", [*ALL_NAMES, "chained:7"])
+    def test_graph_edges_are_the_pairwise_rule(self, name):
+        # events_exclusive is the definition; the graph applies it to all
+        # pairs at once and must list the same edges in the same order.
+        events = [e for e, _ in builtin_witness(name).terms]
+        want = tuple(
+            (i, j)
+            for i in range(len(events))
+            for j in range(i + 1, len(events))
+            if events_exclusive(events[i], events[j])
+        )
+        assert exclusivity_graph(builtin_witness(name)).edges == want
+
+
 class TestWitnessValidation:
     def test_duplicate_events_rejected(self):
         sc = BellScenario(2, (1, 1), (2, 2))
@@ -92,8 +106,11 @@ class TestWitnessValidation:
 
     def test_label_ranges_enforced(self):
         sc = BellScenario(2, (1, 1), (2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             BellWitness(sc, ((Event((0, 2), (0, 0)), 1.0),), 1.0)
+        assert str(err.value) == (
+            "event Event(outcomes=(0, 2), settings=(0, 0)) outside scenario label ranges"
+        )
         with pytest.raises(ValueError):
             BellWitness(sc, ((Event((0, 0), (0, 1)), 1.0),), 1.0)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Theta SDP assembly, closed-form certificates, and uniqueness tests."""
 
 import json
+import tracemalloc
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -525,6 +526,18 @@ class TestUniqueness:
         cert = chained_dual_certificate(16)
         assert dual_nondegenerate(cert.graph, cert.matrix).nondegenerate
         assert shapes and max(rows for rows, _ in shapes) <= 200
+
+    def test_chained_32_stays_within_40_mb(self):
+        # The Fourier route writes only the representative rows: the whole
+        # system's d^3 entries (d = 129) would take about 115 MB here.
+        cert = chained_dual_certificate(32)
+        tracemalloc.start()
+        try:
+            assert dual_nondegenerate(cert.graph, cert.matrix).nondegenerate
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
     def test_nondegeneracy_implies_multi_start_agreement(self):
         # Re-solving from distinct strictly feasible starts recovers the same
