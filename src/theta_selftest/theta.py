@@ -7,10 +7,10 @@ A dual point is its multiplier vector y = (t, lambda, one mu per edge of
 g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
 lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
-dual_nondegenerate decides primal uniqueness by one SVD, or by Fourier blocks
-when the vertex rotation fixes the graph and Z (Gatermann-Parrilo).  The
-closed-form CHSH and Mermin optimizers live here too, with the Mermin
-seven-dimensional configuration in witness order.
+dual_nondegenerate decides primal uniqueness by one SVD of the constraints
+restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  The closed-form
+CHSH and Mermin optimizers live here too, with the Mermin seven-dimensional
+configuration in witness order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .scenarios import exclusivity_graph, mermin_witness
 from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
-NULL_THRESHOLD = 1e-8  # relative singular value counted as null in uniqueness
+NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null in uniqueness
 
 
 class CertificateError(Exception):
@@ -213,134 +213,38 @@ class UniquenessVerdict(NamedTuple):
     residual: float
 
 
-def _column_index(d: int) -> np.ndarray:
-    """col[p, q] = col[q, p]: the unknown of M_pq, upper triangle row-major."""
-    col = np.empty((d, d), dtype=int)
-    iu, ju = np.triu_indices(d)
-    col[iu, ju] = col[ju, iu] = np.arange(iu.size)
-    return col
-
-
-def _head_entries(g: WeightedGraph, col: np.ndarray):
-    """Entries (rows, columns, values) of the linear rows of dual_nondegenerate's
-    system: M_00 = 0, M_0i - M_ii = 0, then M_ij = 0 (i ~ j) from row n + 1 on."""
-    d = g.n + 1
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    v, ones = np.arange(1, d), np.ones(d - 1)
-    rows = np.concatenate(([0], v, v, d + np.arange(len(edges))))
-    cols = np.concatenate(([0], col[0, v], col[v, v], col[tuple(edges.T)]))
-    vals = np.concatenate(([1.0], ones, -ones, np.ones(len(edges))))
-    return rows, cols, vals
-
-
-def _system_entries(g: WeightedGraph, z: np.ndarray):
-    """Entries (rows, columns, values), no pair repeated, and shape of the
-    system of dual_nondegenerate, one column per upper-triangle M_pq."""
-    d = g.n + 1
-    col = _column_index(d)
-    rows, cols, vals = _head_entries(g, col)
-    head = d + len(g.edges)
-    # Then M Z = 0 row-major: (M Z)_ab = sum_c M_ac Z_cb, so row head + a*d + b
-    # takes Z_cb in column (a, c).
-    a, b, c = (x.ravel() for x in np.indices((d, d, d)))
-    rows = np.concatenate((rows, head + a * d + b))
-    cols = np.concatenate((cols, col[a, c]))
-    vals = np.concatenate((vals, z[c, b]))
-    return rows, cols, vals, (head + d * d, d * (d + 1) // 2)
-
-
-def _nondegeneracy_system(g: WeightedGraph, z: np.ndarray) -> np.ndarray:
-    """The system of dual_nondegenerate as a dense matrix."""
-    rows, cols, vals, shape = _system_entries(g, z)
-    s = np.zeros(shape)
-    s[rows, cols] = vals
-    return s
-
-
-def _fourier_singular_values(g: WeightedGraph, z: np.ndarray) -> np.ndarray | None:
-    """Singular values of _nondegeneracy_system(g, z), or None unless the
-    vertex rotation v -> v+1 mod n maps g.edges onto itself and fixes z exactly.
-
-    The rotation then permutes rows and columns of the system S and leaves it
-    unchanged.  An orbit of length L carries the Fourier vectors of the f with
-    f L = 0 (mod n); in that basis S splits into the blocks f[R, C] =
-    sqrt(L_R / L_C) sum_{j < L_C} w^{fj} S[R_0, C_j], w = exp(2 pi i / n), one
-    row R_0 per row orbit.  Block n - f is block f conjugated.  Each block is
-    tall (the n + 3 row orbits of length n, rows v, (0, .), (., 0) and (v, w)
-    of M Z, outnumber the column orbits), so it has one value per column.
-
-    Only the rows R_0 are written, each the least of its orbit: the linear
-    rows that lead their orbit and the M Z rows (a, b) with a in {0, 1}.  So
-    the d^3 entries of the whole system are never formed, and the orbits come
-    from a running minimum over the powers of each permutation, not from a
-    table of all of them.
-    """
-    n, d = g.n, g.n + 1
-    p = np.concatenate(([0], np.roll(np.arange(1, d), -1)))  # handle 0 stays
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    key, turned = edges @ [d, 1], np.sort(p[edges], axis=1) @ [d, 1]
-    if not (np.array_equal(np.sort(turned), key) and (z[np.ix_(p, p)] == z).all()):
-        return None
-    moved = np.searchsorted(key, turned)  # g.edges is sorted
-    head = d + moved.size
-    ab = np.arange(d * d)  # the M Z rows, row-major
-    col = _column_index(d)
-    iu, ju = np.triu_indices(d)
-
-    def orbits(perm):  # each orbit's members from its least one, and its length
-        start = np.arange(perm.size)
-        least, power = start.copy(), start
-        for _ in range(n - 1):  # the rotation has order n
-            power = perm[power]
-            np.minimum(least, power, out=least)
-        members = [np.flatnonzero(least == start)]
-        for _ in range(n - 1):
-            members.append(perm[members[-1]])
-        members = np.array(members)
-        return members, n // (members == members[0]).sum(axis=0)
-
-    r_orbit, r_len = orbits(np.concatenate((p, d + moved, head + p[ab // d] * d + p[ab % d])))
-    c_orbit, c_len = orbits(col[p[iu], p[ju]])
-    reps = r_orbit[0]
-    s = np.zeros((reps.size, iu.size))
-    h_rows, h_cols, h_vals = _head_entries(g, col)
-    kept = np.isin(h_rows, reps)
-    s[np.searchsorted(reps, h_rows[kept]), h_cols[kept]] = h_vals[kept]
-    k = np.flatnonzero(reps >= head)
-    a, b = np.divmod(reps[k] - head, d)
-    s[k[:, None], col[a]] = z[:, b].T  # row (a, b) of M Z takes Z_cb in column (a, c)
-    # rfft's sum over the period n is n / L_C orbit sums, conjugated: same values.
-    x = np.fft.rfft(s[:, c_orbit], axis=1)
-    sv = []
-    for f in range(n // 2 + 1):
-        r, c = f * r_len % n == 0, f * c_len % n == 0
-        block = x[r, f][:, c] * np.sqrt(np.outer(r_len[r], c_len[c])) / n
-        sv += [np.linalg.svd(block, compute_uv=False)] * (2 if 0 < 2 * f < n else 1)
-    return np.concatenate(sv)
-
-
 def dual_nondegenerate(
     g: WeightedGraph, z: np.ndarray, threshold: float = NULL_THRESHOLD
 ) -> UniquenessVerdict:
-    """Decide dual nondegeneracy of an optimal slack Z.
+    """Decide dual nondegeneracy of an optimal slack Z on its kernel.
 
-    Builds the homogeneous system over symmetric M:
-        M_00 = 0,  M_0i = M_ii,  M_ij = 0 (i ~ j),  M Z = 0,
-    parameterized by the upper triangle of M, and counts its null space by
-    singular-value thresholding (relative threshold).  Nondegenerate (hence
-    the primal optimizer is unique) iff the null space is trivial.  Its
-    singular values come from Fourier blocks when the vertex rotation fixes
-    g and Z (the chained certificates), which never form the whole system,
-    else from one dense SVD of it: (d + |E| + d^2) x d(d + 1)/2 doubles for
-    d = n + 1, so memory grows as d^4 on this route.
+    Every primal optimizer differs from another by a symmetric M with
+    M Z = 0, so M = Q S Q^T for Q spanning ker Z: the eigenvectors of Z with
+    |lambda| <= threshold * max(1, max |lambda|), k of them.  S runs over an
+    orthonormal basis of symmetric k x k matrices, and the rows are
+    theta_problem's 1 + n + |E| constraints at Q S Q^T, each a bilinear form
+    a^T M b (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997).  The
+    singular values of that map, padded with zeros up to its k(k + 1)/2
+    unknowns, are counted as null at most threshold times the largest.
+    Nondegenerate (hence the primal optimizer is unique) iff none is.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
-    sv = _fourier_singular_values(g, z)
-    if sv is None:
-        sv = np.linalg.svd(_nondegeneracy_system(g, z), compute_uv=False)
-    smax = float(sv.max())  # at least 1, from the row M_00 = 0
+    lam, vecs = np.linalg.eigh(z)
+    q = vecs[:, np.abs(lam) <= threshold * max(1.0, float(np.abs(lam).max()))]
+    k = q.shape[1]
+    if k == 0:
+        return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    # Row r is a_r^T S b_r: M_00, M_ii - M_0i and M_ij (i ~ j) at Q S Q^T.
+    a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))
+    b = np.concatenate((q[:1], q[1:], q[edges[:, 1]]))
+    iu, ju = np.triu_indices(k)  # S_pp and (S_pq + S_qp) / sqrt 2
+    rows = (a[:, iu] * b[:, ju] + a[:, ju] * b[:, iu]) * np.where(iu == ju, 0.5, sqrt(0.5))
+    sv = np.linalg.svd(rows, compute_uv=False)
+    sv = np.pad(sv, (0, iu.size - sv.size))
+    smax = float(sv[0])  # positive: S = I gives a nonzero row for k >= 1
     dim = int(np.sum(sv <= threshold * smax))
     return UniquenessVerdict(
         nondegenerate=(dim == 0), nullspace_dim=dim, residual=float(sv.min() / smax)

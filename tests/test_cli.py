@@ -249,15 +249,15 @@ class TestUniqueness:
     @pytest.mark.parametrize(
         "n, residual",
         [
-            (2, 0.021520022025407533),
-            (3, 0.010045849068428661),
-            (4, 0.005691154839265127),
-            (8, 0.0012709023207480856),
-            (16, 0.0002580770540885714),
+            (2, 0.17873364994635035),
+            (3, 0.11961923923673162),
+            (4, 0.09031809783816652),
+            (8, 0.04597224401463358),
+            (16, 0.023286960946902326),
         ],
     )
     def test_chained_verdicts_pinned(self, n, residual):
-        # Residuals of one dense SVD of the whole system.
+        # Smallest over largest singular value of the map on ker Z.
         code, out, _ = run_cli(["uniqueness", "--scenario", f"chained:{n}", "--json"])
         assert code == 0
         doc = json.loads(out)
@@ -267,18 +267,17 @@ class TestUniqueness:
     @pytest.mark.parametrize(
         "n, stdout",
         [
-            (2, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.02152002202540758}'),
-            (3, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.010045849068428687}'),
-            (4, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.00569115483926514}'),
-            (7, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0017120480643772601}'),
-            (8, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0012709023207480889}'),
-            (16, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.0002580770540885753}'),
-            (32, '{"nondegenerate":true,"nullspace_dim":0,"residual":4.578277798954416e-05}'),
+            (2, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.17873364994635035}'),
+            (3, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.11961923923673162}'),
+            (4, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.09031809783816652}'),
+            (7, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.052372476505257705}'),
+            (8, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.04597224401463358}'),
+            (16, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.023286960946902326}'),
+            (32, '{"nondegenerate":true,"nullspace_dim":0,"residual":0.01173274616471727}'),
         ],
     )
     def test_chained_json_bytes_pinned(self, n, stdout):
-        # The Fourier route's exact output, odd and even N: its blocks must
-        # be built from the same entries however the system is assembled.
+        # The exact output, odd and even N.
         code, out, err = run_cli(["uniqueness", "--scenario", f"chained:{n}", "--json"])
         assert (code, out, err) == (0, stdout + "\n", "")
 
@@ -342,9 +341,10 @@ class TestUniqueness:
         code, out, err = run_cli(["theta", "--graph", path, "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["sandwich_ok"] is True
-        # The verdict at this scale is not pinned: it depends on the weight scale.
-        _, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
-        assert err == "" and "nondegenerate" in json.loads(out)
+        # C5's optimizer is unique at every weight scale.
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["nondegenerate"] is True
 
 
 class TestSelftest:
