@@ -13,8 +13,8 @@ command line reads and the errors they raise; every other name lives in its
 submodule (`graphs`, `sdp`, `theta`, `scenarios`, `selftest`).
 
 The names are loaded on first use (PEP 562 `__getattr__`), so `import
-theta_selftest` loads no numpy: `python -m theta_selftest` can still choose
-how many threads BLAS starts before numpy loads it (see `__main__`).
+theta_selftest` loads no numpy: `python -m theta_selftest` can still set
+OpenBLAS's idle timeout before numpy loads it (see `__main__`).
 """
 
 import importlib

@@ -7,10 +7,13 @@ certification failure, 3 self-test rejection.  Human-readable output prints
 six significant digits; JSON output carries full double precision and is
 emitted in canonical form (sorted keys, no whitespace) so repeated runs are
 byte-identical.  The command line still reads no environment variable: each
-tolerance flag defaults to the constant of the module that owns it
-(sdp.SOLVER_TOL, theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  `main` runs
-in-process and leaves the environment alone; the process entry point,
-`__main__.main`, only sets OpenBLAS's idle timeout before it runs `main`.
+tolerance comes from the constant of the module that owns it.  `--solver-tol`
+and `--threshold` default to sdp.SOLVER_TOL and theta.NULL_THRESHOLD; an
+omitted `--tol` is read from selftest.SELFTEST_TOL when `selftest` runs.
+Only `cmd_selftest` loads the self-test layer, so the other commands never
+import (or, without cached bytecode, compile) it.  `main` runs in-process
+and leaves the environment alone; the process entry point, `__main__.main`,
+only sets OpenBLAS's idle timeout before it runs `main`.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ from .scenarios import (
     witness_to_json_dict,
 )
 from .sdp import SOLVER_TOL, SolverError, min_eigenvalue
-from .selftest import (
-    SELFTEST_TOL,
-    PreconditionError,
-    SelfTestError,
-    run_selftest,
-    selftest_report_to_json_dict,
-    verify_selftest_claim,
-)
 from .theta import (
     NULL_THRESHOLD,
     MalformedCertificateError,
@@ -194,7 +189,16 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    tol = _unit_interval("selftest_tol", args.tol)
+    # The one command that loads the self-test layer.  It calls the layer's
+    # functions as globals of this module, bound on its first run; a name
+    # already bound (a test's patch, the benchmark's spans) is kept.
+    from . import selftest
+
+    for name in ("run_selftest", "verify_selftest_claim", "selftest_report_to_json_dict"):
+        globals().setdefault(name, getattr(selftest, name))
+    tol = _unit_interval(
+        "selftest_tol", selftest.SELFTEST_TOL if args.tol is None else args.tol
+    )
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:
@@ -202,8 +206,15 @@ def cmd_selftest(args) -> int:
             cand = realization_from_json_dict(json.load(fh))
     else:
         cand = ref
-    report = run_selftest(witness, ref, cand, tol=tol)
-    verified = verify_selftest_claim(ref, cand, report, tol)
+    try:
+        report = run_selftest(witness, ref, cand, tol=tol)
+        verified = verify_selftest_claim(ref, cand, report, tol)
+    except selftest.PreconditionError as exc:
+        print(f"self-test rejected (failed precondition): {exc}", file=sys.stderr)
+        return EXIT_REJECT
+    except selftest.SelfTestError as exc:
+        print(f"self-test rejected: {exc}", file=sys.stderr)
+        return EXIT_REJECT
     if args.json:
         payload = selftest_report_to_json_dict(report)
         payload["verified"] = verified
@@ -296,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the extraction pipeline on a candidate")
     add_common(p)
     p.add_argument("--candidate", help="path to a candidate realization JSON file")
-    p.add_argument("--tol", type=float, default=SELFTEST_TOL, help="acceptance tolerance")
+    p.add_argument("--tol", type=float, help="acceptance tolerance")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="emit witness and reference realization JSON")
@@ -323,12 +334,6 @@ def main(argv=None) -> int:
     except (SolverError, ResourceLimitError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except PreconditionError as exc:
-        print(f"self-test rejected (failed precondition): {exc}", file=sys.stderr)
-        return EXIT_REJECT
-    except SelfTestError as exc:
-        print(f"self-test rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECT
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,7 +6,8 @@ Problems are the standard pair
 solved by an HKM-direction predictor-corrector method on dense symmetric
 matrices.  `solve_sdp` takes the problem as three arrays: C, the stack of
 the A_i and b.  Their one producer, `theta.theta_problem`, fixes the shapes.
-Sizes here are tiny (dimension <= ~70), so everything is dense.
+The built-in scenarios reach dimension 4N + 1 = 257 (chained:64), small
+enough that everything is dense.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from theta_selftest import (
     reference_realization,
     verify_dual_certificate,
 )
-from theta_selftest import cli, graphs
+from theta_selftest import cli, graphs, selftest
 from theta_selftest.graphs import complement
 from theta_selftest.scenarios import MAX_CHAINED_N, realization_to_json_dict
 from theta_selftest.theta import ThetaDualCertificate
@@ -544,6 +544,23 @@ class TestSelftest:
             ["selftest", "--scenario", "chsh", "--candidate", str(tmp_path / "x.json")]
         )
         assert code == 1
+
+    def test_first_run_binds_the_layer_and_later_patches_hold(self, monkeypatch):
+        # cmd_selftest binds the self-test functions in cli on its first run
+        # and never rebinds them, so a patch made afterwards is what runs.
+        argv = ["selftest", "--scenario", "chsh"]
+        assert run_cli(argv)[0] == 0
+        for name in ("run_selftest", "verify_selftest_claim", "selftest_report_to_json_dict"):
+            assert getattr(cli, name) is getattr(selftest, name)
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(args)
+            return selftest.run_selftest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_selftest", patched)
+        assert run_cli(argv)[0] == 0
+        assert len(calls) == 1
 
 
 class TestScenario:

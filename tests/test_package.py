@@ -125,36 +125,55 @@ def _flag_default(command: str, dest: str):
     return sub.choices[command].get_default(dest)
 
 
-def test_each_default_has_a_single_source():
+def test_each_default_has_a_single_source(monkeypatch):
     # Identity, not equality: each default is the owning module's constant.
     assert _flag_default("theta", "solver_tol") is sdp.SOLVER_TOL
     assert _flag_default("uniqueness", "solver_tol") is sdp.SOLVER_TOL
     assert _flag_default("uniqueness", "threshold") is theta.NULL_THRESHOLD
-    assert _flag_default("selftest", "tol") is selftest.SELFTEST_TOL
+    # The self-test layer loads only when `selftest` runs, so an omitted
+    # --tol is read from its constant then, and cli keeps no copy of it.
+    seen = []
+
+    def recording(witness, ref, cand, tol):
+        seen.append(tol)
+        return selftest.run_selftest(witness, ref, cand, tol=tol)
+
+    monkeypatch.setattr(cli, "run_selftest", recording, raising=False)
+    assert cli.main(["selftest", "--scenario", "chsh"]) == 0
+    assert len(seen) == 1 and seen[0] is selftest.SELFTEST_TOL
+    assert _flag_default("selftest", "tol") is None
+    copies = [name for name, value in vars(cli).items()
+              if type(value) is float and value == selftest.SELFTEST_TOL]
+    assert copies == []
     tol = inspect.signature(selftest.run_selftest).parameters["tol"].default
     assert tol is selftest.SELFTEST_TOL
 
 
-_SCIPY_PROBE = """
+_MODULES_PROBE = """
 import contextlib, io, sys
 import theta_selftest
 from theta_selftest import cli
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+    print(" ".join(sorted(sys.modules)))
 """
 
 
-def _scipy_modules_after(commands: list[list[str]]) -> set[str]:
-    # A fresh interpreter: this pytest process has loaded scipy already.
+def _modules_after(commands: list[list[str]]) -> list[set[str]]:
+    """The modules loaded after each of `commands`, run in turn in one fresh
+    interpreter (this pytest process has loaded scipy and selftest already)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE.format(commands=commands)],
+        [sys.executable, "-c", _MODULES_PROBE.format(commands=commands)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return [set(line.split()) for line in proc.stdout.splitlines()]
+
+
+def _scipy_modules_after(commands: list[list[str]]) -> set[str]:
+    return {m for m in _modules_after(commands)[-1] if m == "scipy" or m.startswith("scipy.")}
 
 
 # The five commands that never reach the alpha* LP.
@@ -183,6 +202,21 @@ def test_no_command_loads_scipy(tmp_path):
         *_NON_THETA_COMMANDS,
     ]
     assert _scipy_modules_after(commands) == set()
+
+
+def test_only_selftest_loads_the_selftest_layer():
+    """The other commands never import selftest.py, so without cached
+    bytecode they do not compile it either."""
+    commands = [
+        ["theta", "--scenario", "chsh"],
+        ["certify", "--scenario", "chsh"],
+        ["uniqueness", "--scenario", "chained:3"],
+        ["scenario", "--scenario", "chsh"],
+        ["export", "--scenario", "chsh", "--format", "dot"],
+        ["selftest", "--scenario", "chsh"],
+    ]
+    loaded = ["theta_selftest.selftest" in modules for modules in _modules_after(commands)]
+    assert loaded == [False] * 5 + [True]
 
 
 def test_cli_import_loads_no_dataclasses():
