@@ -7,15 +7,19 @@ per run, and every product ket is formed by one batched outer product per
 party, with no Kronecker products.
 
 Pipeline (run_selftest): read the product structure off the validated
-rank-one reference realization and its event table, check the candidate's
-party count and witness labels and validate it, check the structural
-conditions the extraction needs (A1-A4 bipartite, A5-A9 tripartite, and
-projector completeness C1 for a general-rank candidate), check once that the
-candidate's event table has the reference's Gram matrix, then build local
-isometries (and a junk state in the general-rank case) carrying the
-reference onto the candidate.  The claim residuals are measured by one
-function on the two event tables; verify_selftest_claim reruns it on tables
-it builds afresh from the states and projectors.
+rank-one qubit reference realization and its event table, check the
+candidate's party count and witness labels and validate it, check the
+structural conditions the extraction needs (A1-A3 bipartite, A5-A8
+tripartite, plus the pairing condition A4/A9 and projector completeness C1
+for a candidate that is not rank one), check once that the candidate's event
+table has the reference's Gram matrix, then build local isometries and a junk
+state carrying the reference onto the candidate.  There is one extraction
+route for every rank: each party's candidate projector algebra splits into
+two-dimensional blocks, one per junk index (a single block for a rank-one
+candidate, whose junk is a global phase).  Its acceptance gates read the
+caller's `tol`.  The claim residuals are measured by one function on the two
+event tables; verify_selftest_claim reruns it on tables it builds afresh from
+the states and projectors.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -42,10 +46,9 @@ from .scenarios import (
 SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
 OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one/product tests
 ETA_TOL = 1e-10  # events with smaller norm are treated as degenerate
-SECTOR_TOL = 1e-8  # leakage bound for annihilating sectors (general rank)
-PHASE_TOL = 1e-6  # unit-modulus checks on propagated phase factors
-EIGEN_TOL = 1e-7  # eigenvalue match selecting a corner sector (general rank)
-TRACE_SLACK = 1e-6  # slack on the summed block dimensions (general rank)
+SECTOR_TOL = 1e-8  # eigenvalue cut selecting the intermediate-overlap blocks
+EIGEN_TOL = 1e-7  # eigenvalue match selecting a corner sector
+TRACE_SLACK = 1e-6  # slack on the summed block dimensions
 
 
 class SelfTestError(Exception):
@@ -166,17 +169,16 @@ def _residual_outside_span(v: np.ndarray, vectors) -> float:
     return float(np.linalg.norm(m @ coeff - v))
 
 
-def _adjacency(nodes, edges) -> dict:
-    adj: dict = {v: [] for v in nodes}
-    for p, q in edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    return adj
-
-
 def _connected(nodes, edges) -> bool:
+    """Whether the distinct `nodes` are nonempty and `edges` join them all."""
     nodes = list(nodes)
-    reached = _walk_phases(_adjacency(nodes, edges), nodes[:1], lambda p, q, a: a)
+    reached, grew = set(nodes[:1]), True
+    while grew:
+        grew = False
+        for p, q in edges:
+            if (p in reached) != (q in reached):
+                reached |= {p, q}
+                grew = True
     return bool(nodes) and len(reached) == len(nodes)
 
 
@@ -254,8 +256,9 @@ def _pairing_verdict(rep: ConditionReport, key: str, ps: ProductStructure) -> No
 
 
 def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
-    """Verdicts for A1 (joint span), A2 with its B1-B4 sub-conditions, A3
-    (qubit ideal spaces), and A4 (four local kets in orthogonal pairs)."""
+    """Verdicts for A1 (joint span), A2 (a spanning index family with a
+    connected overlap graph), A3 (qubit ideal spaces), and A4 (four local
+    kets in orthogonal pairs)."""
     if len(ps.dims) != 2:
         raise ValueError("bipartite conditions need a two-party structure")
     d_a, d_b = ps.dims
@@ -271,14 +274,12 @@ def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
     pairs = {(loc[0], loc[1]) for loc in ps.event_locals.tolist()}
     found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b)
     verdicts["A2"] = found is not None
-    for key in ("B1", "B2", "B3", "B4"):
-        verdicts[key] = found is not None
     if found is not None:
         evidence["A2"] = found
     else:
-        msg = "no index family of the required sizes spans both sides with a connected overlap graph"
-        for key in ("A2", "B1", "B2", "B3", "B4"):
-            reasons[key] = msg
+        reasons["A2"] = (
+            "no index family of the required sizes spans both sides with a connected overlap graph"
+        )
 
     _ideal_dims_verdict(rep, "A3", ps, f"{d_a} x {d_b}")
     _pairing_verdict(rep, "A4", ps)
@@ -493,127 +494,16 @@ def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -
         )
 
 
-def _unit_phase(z: complex, context: str) -> complex:
-    if abs(abs(z) - 1.0) > PHASE_TOL:
-        raise NotOptimizerError(f"{context}: factor modulus {abs(z):.9g} is not 1")
-    return z / abs(z)
-
-
-def _fit_local(ref_kets, cand_kets, factors: dict) -> np.ndarray:
-    """Least-squares local map carrying ref_kets[k] to factors[k] * cand_kets[k]."""
-    keys = sorted(factors)
-    stack = np.column_stack([ref_kets[k] for k in keys])
-    target = np.column_stack([factors[k] * cand_kets[k] for k in keys])
-    return np.linalg.lstsq(stack.T, target.T, rcond=None)[0].T
-
-
-def _walk_phases(adj: dict, roots, step) -> dict:
-    """Breadth-first unit phases over the graph `adj`.
-
-    Each unvisited root gets phase 1; a neighbour q of p gets
-    step(p, q, phase[p]), and a revisit must agree within PHASE_TOL.
-    """
-    phase: dict = {}
-    for root in roots:
-        if root in phase:
-            continue
-        phase[root] = 1.0 + 0.0j
-        queue = [root]
-        while queue:
-            p = queue.pop(0)
-            for q in adj[p]:
-                val = step(p, q, phase[p])
-                if q not in phase:
-                    phase[q] = val
-                    queue.append(q)
-                elif abs(phase[q] - val) > PHASE_TOL:
-                    raise NotOptimizerError(f"phase cycle closure fails at {p}, {q}")
-    return phase
-
-
-def _rank_one_core(
-    ps: ProductStructure, cand_ps: ProductStructure, pivot: int, family, edges
-) -> tuple[np.ndarray, ...]:
-    """Rank-one isometries for any party count.
-
-    Walk unit phases over the pivot party's connected `family` of locals (the
-    inner-product ratio across each edge is forced to be unit modulus when
-    both realizations share the Gram matrix), fit the remaining parties'
-    joint map from the events whose pivot local lies in the family, read the
-    per-event pivot factors off that map and fit the pivot isometry from
-    them.  A joint map over two parties is split into V_j x V_k by walking
-    the pair phases, which must factor as beta(i_j) gamma(i_k).
-    """
-    rest = [j for j in range(len(ps.dims)) if j != pivot]
-    ref_kets, cand_kets = ps.locals_[pivot], cand_ps.locals_[pivot]
-    ref_rest, cand_rest = (
-        _product_kets([s.locals_[j][s.event_locals[:, j]] for j in rest])
-        for s in (ps, cand_ps)
-    )
-
-    def ratio(e: int) -> complex:
-        return cand_ps.phases[e] / ps.phases[e]
-
-    def edge_phase(p, q, alpha_p):
-        den = np.vdot(cand_kets[p], cand_kets[q])
-        if abs(den) <= OVERLAP_TOL:
-            raise NotOptimizerError(
-                f"candidate party-{pivot} kets {p},{q} are orthogonal where the reference's are not"
-            )
-        num = np.vdot(ref_kets[p], ref_kets[q])
-        return alpha_p * _unit_phase(num / den, f"party-{pivot} edge ({p},{q})")
-
-    alpha = _walk_phases(_adjacency(family, edges), family, edge_phase)
-
-    locs = ps.event_locals.tolist()
-    rows = [e for e, loc in enumerate(locs) if loc[pivot] in alpha]
-    joint = _fit_local(
-        ref_rest, cand_rest, {e: ratio(e) / alpha[locs[e][pivot]] for e in rows}
-    )
-
-    factors: dict[int, complex] = {}
-    rest_phases: dict[tuple[int, ...], complex] = {}
-    for e, loc in enumerate(locs):
-        target = cand_rest[e]
-        image = joint @ ref_rest[e]
-        h = _unit_phase(np.vdot(target, image), f"event {e} joint factor")
-        if np.linalg.norm(image - h * target) > PHASE_TOL:
-            raise NotOptimizerError(
-                f"event {e} is not carried onto the candidate's product line"
-            )
-        rest_phases[tuple(loc[j] for j in rest)] = h
-        g = _unit_phase(ratio(e) / h, f"event {e} party-{pivot} factor")
-        if abs(factors.setdefault(loc[pivot], g) - g) > PHASE_TOL:
-            raise NotOptimizerError(
-                f"inconsistent party-{pivot} factors for local {loc[pivot]}"
-            )
-    isometries = {pivot: _fit_local(ref_kets, cand_kets, factors)}
-
-    if len(rest) == 1:
-        isometries[rest[0]] = joint
-    else:
-        links = [((rest[0], ib), (rest[1], ic)) for ib, ic in sorted(rest_phases)]
-        pair_adj = _adjacency(sorted({v for link in links for v in link}), links)
-
-        def pair_phase(p, q, phase_p):
-            pair = (p[1], q[1]) if p[0] == rest[0] else (q[1], p[1])
-            return rest_phases[pair] / phase_p
-
-        phase = _walk_phases(pair_adj, sorted(pair_adj), pair_phase)
-        for j in rest:
-            split = {i: z for (k, i), z in phase.items() if k == j}
-            isometries[j] = _fit_local(ps.locals_[j], cand_ps.locals_[j], split)
-    return tuple(isometries[j] for j in range(len(ps.dims)))
-
-
-def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor):
+def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor, tol: float):
     """Block-decompose party j's candidate projector algebra; `state_tensor`
     is the candidate state as a batch of one (shape (1, d_1, ..., d_n)).
 
     Returns (blocks, v_blocks): for each 2-dimensional invariant block, the
-    projector onto it and the ideal-to-block isometry.  Verifies that the
-    four corner sectors (joint eigenspaces where the two reference-selected
-    projectors act as 0 or 1) annihilate the candidate state.
+    projector onto it and the ideal-to-block isometry.  Verifies within `tol`
+    that the four corner sectors (joint eigenspaces where the two
+    reference-selected projectors act as 0 or 1) annihilate the candidate
+    state, that each block has the reference overlap and commutes with every
+    local projector.
     """
     keys = ps.local_keys[j]
     kets = ps.locals_[j]
@@ -645,7 +535,7 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor)
         w_eig, u_eig = np.linalg.eigh(op)
         u_sel = u_eig[:, np.abs(w_eig - target) <= EIGEN_TOL]
         leak = np.linalg.norm(apply_local(u_sel.conj().T, state_tensor, j))
-        if leak > SECTOR_TOL:
+        if leak > tol:
             raise NotOptimizerError(
                 f"party {j} corner sector ({label}) carries weight {leak:.3e}"
             )
@@ -664,7 +554,7 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor)
     all_projs = [np.asarray(cand.projectors[j][x][a], dtype=complex) for x, a in keys]
     for k in sel:
         lam = w_eig[k]
-        if abs(np.sqrt(lam) - abs(c)) > PHASE_TOL:
+        if abs(np.sqrt(lam) - abs(c)) > tol:
             raise NotOptimizerError(
                 f"party {j} block overlap sqrt({lam:.6f}) != |{abs(c):.6f}|"
             )
@@ -675,7 +565,7 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor)
         g_vec = g_vec / np.linalg.norm(g_vec)
         bar = np.outer(e_vec, e_vec.conj()) + np.outer(g_vec, g_vec.conj())
         for p in all_projs:
-            if np.abs(bar @ p - p @ bar).max() > SECTOR_TOL:
+            if np.abs(bar @ p - p @ bar).max() > tol:
                 raise NotOptimizerError(
                     f"party {j} block projector fails to commute with a local projector"
                 )
@@ -689,17 +579,17 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor)
     return blocks, v_blocks
 
 
-def _general_isometries(ps: ProductStructure, cand: Realization):
-    """General-rank extraction: block-decompose each party via the product of
-    its two reference-selected candidate projectors, run the per-block
-    rank-one construction, and assemble the junk state from the block
-    components of the candidate state.  Returns (isometries, junk,
-    junk_dims)."""
+def _general_isometries(ps: ProductStructure, cand: Realization, tol: float):
+    """Extraction for a candidate of any rank: block-decompose each party via
+    the product of its two reference-selected candidate projectors, run the
+    per-block qubit construction, and assemble the junk state from the block
+    components of the candidate state, each gate within `tol`.  Returns
+    (isometries, junk, junk_dims)."""
     state_tensor = np.asarray(cand.state, dtype=complex).reshape((1,) + tuple(cand.dims))
     party_blocks = []
     party_vs = []
     for j in range(len(ps.dims)):
-        blocks, v_blocks = _party_blocks(ps, cand, j, state_tensor)
+        blocks, v_blocks = _party_blocks(ps, cand, j, state_tensor, tol)
         party_blocks.append(blocks)
         # Column m * k + b of party j's isometry is column m of its block-b
         # map.  The block maps take the isometry's phase gauge before the
@@ -717,13 +607,13 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
         comp, image = comp.reshape(-1), image.reshape(-1)
         weight = np.linalg.norm(comp)
         mu = np.vdot(image, comp)
-        if np.linalg.norm(mu * image - comp) > SECTOR_TOL:
+        if np.linalg.norm(mu * image - comp) > tol:
             raise NotOptimizerError(
                 f"state component in block {combo} is not proportional to the mapped reference"
             )
         junk[combo] = mu
         total_weight += weight**2
-    if abs(total_weight - 1.0) > SECTOR_TOL:
+    if abs(total_weight - 1.0) > tol:
         raise NotOptimizerError(
             f"block components carry total weight {total_weight:.6f} != 1"
         )
@@ -740,33 +630,11 @@ def candidate_is_rank_one(cand: Realization) -> bool:
     return True
 
 
-def _rank_one_isometries(
-    ps: ProductStructure, cand: Realization, cand_vecs: np.ndarray, pivot: int, family, edges
-):
-    """Run the rank-one core on the pivot party's `family` and its `edges`; the
-    one-dimensional junk carries the global phase.  `cand_vecs` is the
-    candidate's event table.  Returns (isometries, junk, junk_dims)."""
-    cand_ps = product_structure_from_realization(cand, ps.events, cand_vecs)
-    isometries = tuple(
-        _canonical_phase(v)
-        for v in _rank_one_core(ps, cand_ps, pivot, family, edges)
-    )
-    image = ps.vectors[0].reshape((1,) + ps.dims)
-    for j, v in enumerate(isometries):
-        image = apply_local(v, image, j)
-    z = np.vdot(image.reshape(-1), cand_vecs[0])
-    z = z / abs(z) if abs(z) > OVERLAP_TOL else 1.0 + 0.0j
-    return isometries, np.array([z]), (1,) * len(ps.dims)
-
-
-# Party count -> (condition checker, conditions the rank-one path needs,
-# conditions the general-rank path needs, rank-one pivot party, and the
-# condition whose evidence names the pivot family and its edges).
+# Party count -> (condition checker, conditions every candidate needs, and
+# the pairing condition a candidate that is not rank one needs as well).
 _EXTRACTION = {
-    2: (check_bipartite_conditions, ("A1", "A2"), ("A1", "A2", "A3", "A4"),
-        1, ("A2", "I_B", "edges")),
-    3: (check_tripartite_conditions, ("A5", "A6", "A7"),
-        ("A5", "A6", "A7", "A8", "A9"), 0, ("A6", "I_A", "G_A_edges")),
+    2: (check_bipartite_conditions, ("A1", "A2", "A3"), "A4"),
+    3: (check_tripartite_conditions, ("A5", "A6", "A7", "A8"), "A9"),
 }
 
 
@@ -789,11 +657,11 @@ def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> Non
 def run_selftest(
     witness, ref: Realization, cand: Realization, tol: float = SELFTEST_TOL
 ) -> SelfTestReport:
-    """Validate `cand`, check the reference's conditions (and projector
-    completeness C1 for a general-rank candidate) and the candidate's Gram
-    matrix, then extract isometries onto `cand`: by the rank-one core when
-    every candidate projector is rank one, else by the general-rank block
-    construction."""
+    """Validate `cand`, check the reference's conditions (with the pairing
+    condition and projector completeness C1 when some candidate projector is
+    not rank one) and the candidate's Gram matrix, then extract isometries
+    and junk onto `cand` by the block construction, whose gates read `tol`.
+    The reference must be rank one on qubit ideal spaces (A3/A8)."""
     events = tuple(e for e, _ in witness.terms)
     validate_realization(ref)
     ref_vecs = event_vectors(ref, events)
@@ -802,24 +670,17 @@ def run_selftest(
     validate_realization(cand)
     if len(ps.dims) not in _EXTRACTION:
         raise ValueError("self-testing supports two or three parties")
-    check, rank_one_needed, general_needed, pivot, family_keys = _EXTRACTION[len(ps.dims)]
+    check, needed, pairing = _EXTRACTION[len(ps.dims)]
     rank_one = candidate_is_rank_one(cand)
     conditions = check(ps)
-    failed = conditions.failed(rank_one_needed if rank_one else general_needed)
+    failed = conditions.failed(needed if rank_one else needed + (pairing,))
     if failed:
         raise PreconditionError(f"conditions {failed} fail for the reference")
     if not rank_one and not check_projector_condition_C1(cand, ps):
         raise PreconditionError("candidate projectors violate completeness (C1)")
     cand_vecs = event_vectors(cand, events)
     _check_gram_match(ref_vecs, cand_vecs, tol)
-    if rank_one:
-        condition, family_key, edges_key = family_keys
-        evidence = conditions.evidence[condition]
-        isometries, junk, junk_dims = _rank_one_isometries(
-            ps, cand, cand_vecs, pivot, evidence[family_key], evidence[edges_key]
-        )
-    else:
-        isometries, junk, junk_dims = _general_isometries(ps, cand)
+    isometries, junk, junk_dims = _general_isometries(ps, cand, tol)
     _, state_res, vec_res = _claim_residuals(
         ref_vecs, cand_vecs, ref.dims, isometries, junk, junk_dims
     )

@@ -439,16 +439,16 @@ class TestSelftest:
         assert (code, out) == (1, "")
         assert err.startswith("input error") and "must lie in (0, 1)" in err
 
-    def test_non_unit_factor_names_its_modulus(self, tmp_path):
-        # At tol 0.5 the perturbed candidate passes the Gram check and is
-        # rejected by the phase propagation; the message carries a plain
-        # number, not numpy's repr.
+    def test_block_overlap_mismatch_names_its_numbers(self, tmp_path):
+        # At tol 0.03 the perturbed candidate passes the Gram check (it is
+        # 2.2e-2 off) and is rejected by the block-overlap gate (3.4e-2 off);
+        # the message carries plain numbers, not numpy's repr.
         cand = perturbed_candidate(reference_realization("chsh"), angle=0.05)
         path = _write_realization(tmp_path / "bad.json", cand)
-        argv = ["selftest", "--scenario", "chsh", "--candidate", path, "--tol", "0.5"]
+        argv = ["selftest", "--scenario", "chsh", "--candidate", path, "--tol", "0.03"]
         code, out, err = run_cli(argv)
         assert (code, out) == (3, "")
-        assert "factor modulus 1.01624314 is not 1" in err
+        assert "party 0 block overlap sqrt(0.549917) != |0.707107|" in err
         assert "np." not in err
 
     @pytest.mark.parametrize("command", ["theta", "certify", "uniqueness"])

@@ -1,5 +1,7 @@
 """Product structure, structural conditions, and isometry extraction tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -58,8 +60,12 @@ ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
 def _structure(name):
     wit = builtin_witness(name)
     r = reference_realization(name)
+    return wit, r, _structure_of(r, wit)
+
+
+def _structure_of(r, wit):
     events = tuple(e for e, _ in wit.terms)
-    return wit, r, product_structure_from_realization(r, events, event_vectors(r, events))
+    return product_structure_from_realization(r, events, event_vectors(r, events))
 
 
 def _projected_state(r, e) -> np.ndarray:
@@ -110,8 +116,6 @@ class TestProductStructure:
 
 
 class TestConditions:
-    BIPARTITE_KEYS = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"]
-
     @pytest.mark.parametrize(
         "name,a4", [("chsh", True), ("chained:2", True), ("chained:3", False),
                     ("chained:4", False), ("as4", False)]
@@ -119,7 +123,8 @@ class TestConditions:
     def test_bipartite_verdicts(self, name, a4):
         _, _, ps = _structure(name)
         rep = check_bipartite_conditions(ps)
-        for key in ("A1", "A2", "A3", "B1", "B2", "B3", "B4"):
+        assert sorted(rep.verdicts) == ["A1", "A2", "A3", "A4"]
+        for key in ("A1", "A2", "A3"):
             assert rep.verdicts[key], key
         assert rep.verdicts["A4"] == a4
         if not a4:
@@ -218,13 +223,46 @@ class TestRankOneExtraction:
         with pytest.raises(NotOptimizerError, match="Gram mismatch"):
             run_selftest(wit, r, cand)
 
-    def test_candidate_within_default_tolerance_accepted(self):
-        # A 4e-8 rotation moves the Gram matrix by 1.7e-8: inside the 1e-7
-        # acceptance tolerance that run_selftest and the CLI share.
-        wit, r, _ = _structure("chsh")
+    @pytest.mark.parametrize("rank", ["rank-one", "general"])
+    @pytest.mark.parametrize("name", ["chsh", "mermin"])
+    def test_candidate_within_default_tolerance_accepted(self, name, rank):
+        # A 4e-8 rotation moves the Gram matrix by 1.7e-8 (chsh) and 5e-9
+        # (mermin): inside the 1e-7 acceptance tolerance that run_selftest and
+        # the CLI share, whose value the extraction's gates follow for every
+        # rank; outside a 1e-9 one.
+        wit, r, _ = _structure(name)
         cand = perturbed_candidate(r, angle=4e-8)
+        if rank == "general":
+            ancilla = np.zeros(2 ** len(r.dims), dtype=complex)
+            ancilla[[0, -1]] = 0.8, 0.6
+            cand = tensor_padded_candidate(cand, ancilla, k=2)
         report = run_selftest(wit, r, cand)
         assert verify_selftest_claim(r, cand, report, SELFTEST_TOL)
+        with pytest.raises(NotOptimizerError, match="Gram mismatch"):
+            run_selftest(wit, r, cand, tol=1e-9)
+
+    def test_qutrit_reference_fails_A3(self):
+        # Two qutrits measured in the computational and Fourier bases on the
+        # maximally entangled state, one event per nonzero probability (24):
+        # it satisfies A1 and A2, but the block construction needs qubits.
+        omega = np.exp(2j * np.pi / 3)
+        bases = (np.eye(3, dtype=complex),
+                 np.array([[omega ** (a * k) for k in range(3)] for a in range(3)]) / np.sqrt(3))
+        party_kets = tuple(tuple(b) for b in bases)
+        party_projs = tuple(tuple(np.outer(k, k.conj()) for k in b) for b in party_kets)
+        state = np.eye(3, dtype=complex).reshape(-1) / np.sqrt(3)
+        r = Realization((3, 3), state, (party_projs, party_projs), (party_kets, party_kets))
+        events = []
+        for x, y, a, b in itertools.product(range(2), range(2), range(3), range(3)):
+            amp = np.vdot(np.kron(bases[x][a], bases[y][b]), state)
+            if abs(amp) > 1e-9:
+                events.append((Event(outcomes=(a, b), settings=(x, y)), 1.0))
+        assert len(events) == 24
+        wit = BellWitness(BellScenario(2, (2, 2), (3, 3)), tuple(events), 2.0)
+        conditions = check_bipartite_conditions(_structure_of(r, wit))
+        assert conditions.failed(["A1", "A2", "A3"]) == ["A3"]
+        with pytest.raises(PreconditionError, match="A3"):
+            run_selftest(wit, r, r)
 
     def test_witness_value_drop_of_rejected_candidate(self):
         wit, r, _ = _structure("chsh")
