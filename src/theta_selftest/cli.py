@@ -277,16 +277,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_scenario(p):
+        p.add_argument("--scenario", required=True,
+                       help="built-in scenario name (chsh, chained:N, mermin, as4)")
+
     def add_common(p, graph_input=False):
         if graph_input:
             p.add_argument("--scenario", help="built-in scenario name")
             p.add_argument("--graph", help="path to a graph JSON file")
         else:
-            p.add_argument(
-                "--scenario",
-                required=True,
-                help="built-in scenario name (chsh, chained:N, mermin, as4)",
-            )
+            add_scenario(p)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
     p = sub.add_parser("theta", help="independence number, theta, fractional packing")
@@ -311,11 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="emit witness and reference realization JSON")
-    add_common(p)
+    add_scenario(p)
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("export", help="write graph/witness/certificate artifacts")
-    add_common(p)
+    add_scenario(p)
     p.add_argument("--format", required=True, choices=("json", "dot"))
     p.add_argument("--path", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_export)

@@ -13,13 +13,15 @@ structural conditions the extraction needs (A1-A3 bipartite, A5-A8
 tripartite, plus the pairing condition A4/A9 and projector completeness C1
 for a candidate that is not rank one), check once that the candidate's event
 table has the reference's Gram matrix, then build local isometries and a junk
-state carrying the reference onto the candidate.  There is one extraction
-route for every rank: each party's candidate projector algebra splits into
-two-dimensional blocks, one per junk index (a single block for a rank-one
-candidate, whose junk is a global phase).  Its acceptance gates read the
-caller's `tol`.  The claim residuals are measured by one function on the two
-event tables; verify_selftest_claim reruns it on tables it builds afresh from
-the states and projectors.
+state.  There is one extraction route for every rank: each party's candidate
+projector algebra splits into two-dimensional blocks, one per junk index (a
+single block for a rank-one candidate, whose junk is a global phase), and the
+junk is the least-squares one for the assembled isometries.  There is one
+acceptance test: the claim residuals (isometry deviation, state residual and
+every event residual) must all lie within the caller's `tol`.  They certify
+the candidate on its state's support, which is all a self-test claims.  One
+function measures them on the two event tables; verify_selftest_claim reruns
+it on tables it builds afresh from the states and projectors.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -47,8 +49,6 @@ SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residua
 OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one/product tests
 ETA_TOL = 1e-10  # events with smaller norm are treated as degenerate
 SECTOR_TOL = 1e-8  # eigenvalue cut selecting the intermediate-overlap blocks
-EIGEN_TOL = 1e-7  # eigenvalue match selecting a corner sector
-TRACE_SLACK = 1e-6  # slack on the summed block dimensions
 
 
 class SelfTestError(Exception):
@@ -61,8 +61,9 @@ class PreconditionError(SelfTestError):
 
 class NotOptimizerError(SelfTestError):
     """The candidate does not match the reference realization: its event Gram
-    matrix deviates from the reference's, or no local isometry carries the
-    reference's events onto its own."""
+    matrix deviates from the reference's, a party has no intermediate-overlap
+    block, or a claim residual of the extracted isometries and junk exceeds
+    the tolerance (the message names which residual and its value)."""
 
 
 class ProductStructure(NamedTuple):
@@ -494,16 +495,15 @@ def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -
         )
 
 
-def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor, tol: float):
-    """Block-decompose party j's candidate projector algebra; `state_tensor`
-    is the candidate state as a batch of one (shape (1, d_1, ..., d_n)).
-
-    Returns (blocks, v_blocks): for each 2-dimensional invariant block, the
-    projector onto it and the ideal-to-block isometry.  Verifies within `tol`
-    that the four corner sectors (joint eigenspaces where the two
-    reference-selected projectors act as 0 or 1) annihilate the candidate
-    state, that each block has the reference overlap and commutes with every
-    local projector.
+def _party_blocks(ps: ProductStructure, cand: Realization, j: int) -> list[np.ndarray]:
+    """Block-decompose party j's candidate projector algebra along the
+    candidate projectors P_u, P_w of two reference kets u, w with
+    intermediate overlap c = <u, w>.  Each eigenvector e of P_u P_w P_u with
+    eigenvalue strictly between 0 and 1 spans, with P_w e, a two-dimensional
+    block.  Returns one ideal-to-block map per block: it sends u to e, and the
+    unit part of w orthogonal to u to c/|c| times the unit part of P_w e
+    orthogonal to e.  Nothing here compares a block with the reference:
+    run_selftest judges the assembled maps by the claim residuals alone.
     """
     keys = ps.local_keys[j]
     kets = ps.locals_[j]
@@ -523,101 +523,45 @@ def _party_blocks(ps: ProductStructure, cand: Realization, j: int, state_tensor,
     xw, aw = keys[w_idx]
     pu = np.asarray(cand.projectors[j][xu][au], dtype=complex)
     pw = np.asarray(cand.projectors[j][xw][aw], dtype=complex)
-    dim = pu.shape[0]
-
-    for op, target, label in (
-        (pu + pw, 2.0, "both-projector range"),
-        (pu + pw, 0.0, "both-projector kernel"),
-        (pu - pw, 1.0, "first-only range"),
-        (pu - pw, -1.0, "second-only range"),
-    ):
-        # The sector's orthonormal basis U: |(U U^dagger)_j psi| = |U^dagger_j psi|.
-        w_eig, u_eig = np.linalg.eigh(op)
-        u_sel = u_eig[:, np.abs(w_eig - target) <= EIGEN_TOL]
-        leak = np.linalg.norm(apply_local(u_sel.conj().T, state_tensor, j))
-        if leak > tol:
-            raise NotOptimizerError(
-                f"party {j} corner sector ({label}) carries weight {leak:.3e}"
-            )
-
-    t_mat = pu @ pw @ pu
-    w_eig, u_eig = np.linalg.eigh(t_mat)
+    w_eig, u_eig = np.linalg.eigh(pu @ pw @ pu)
     sel = np.flatnonzero((w_eig > SECTOR_TOL) & (w_eig < 1.0 - SECTOR_TOL))
     if sel.size == 0:
         raise NotOptimizerError(f"party {j} has no intermediate-overlap blocks")
-    blocks = []
-    v_blocks = []
     a_u = kets[u_idx]
     a_w_gs = kets[w_idx] - c * a_u
     a_w_gs = a_w_gs / np.linalg.norm(a_w_gs)
     b_ref = np.column_stack([a_u, a_w_gs])
-    all_projs = [np.asarray(cand.projectors[j][x][a], dtype=complex) for x, a in keys]
+    v_blocks = []
     for k in sel:
-        lam = w_eig[k]
-        if abs(np.sqrt(lam) - abs(c)) > tol:
-            raise NotOptimizerError(
-                f"party {j} block overlap sqrt({lam:.6f}) != |{abs(c):.6f}|"
-            )
         e_vec = _canonical_phase(u_eig[:, k])
         f_vec = pw @ e_vec
         f_vec = f_vec / np.linalg.norm(f_vec)
         g_vec = f_vec - np.vdot(e_vec, f_vec) * e_vec
         g_vec = g_vec / np.linalg.norm(g_vec)
-        bar = np.outer(e_vec, e_vec.conj()) + np.outer(g_vec, g_vec.conj())
-        for p in all_projs:
-            if np.abs(bar @ p - p @ bar).max() > tol:
-                raise NotOptimizerError(
-                    f"party {j} block projector fails to commute with a local projector"
-                )
-        blocks.append(bar)
-        v_blocks.append(
-            np.column_stack([e_vec, (c / abs(c)) * g_vec]) @ b_ref.conj().T
-        )
-    total = sum(np.trace(b).real for b in blocks)
-    if total > dim + TRACE_SLACK:
-        raise NotOptimizerError(f"party {j} block dimensions exceed the space")
-    return blocks, v_blocks
+        v_blocks.append(np.column_stack([e_vec, (c / abs(c)) * g_vec]) @ b_ref.conj().T)
+    return v_blocks
 
 
-def _general_isometries(ps: ProductStructure, cand: Realization, tol: float):
-    """Extraction for a candidate of any rank: block-decompose each party via
-    the product of its two reference-selected candidate projectors, run the
-    per-block qubit construction, and assemble the junk state from the block
-    components of the candidate state, each gate within `tol`.  Returns
-    (isometries, junk, junk_dims)."""
-    state_tensor = np.asarray(cand.state, dtype=complex).reshape((1,) + tuple(cand.dims))
-    party_blocks = []
-    party_vs = []
-    for j in range(len(ps.dims)):
-        blocks, v_blocks = _party_blocks(ps, cand, j, state_tensor, tol)
-        party_blocks.append(blocks)
-        # Column m * k + b of party j's isometry is column m of its block-b
-        # map.  The block maps take the isometry's phase gauge before the
-        # junk is read off against them, so the junk absorbs the phases.
-        party_vs.append(_canonical_phase(np.stack(v_blocks, axis=-1)))
-    k_dims = tuple(len(b) for b in party_blocks)
-
-    junk = np.zeros(k_dims, dtype=complex)
-    total_weight = 0.0
-    for combo in itertools.product(*[range(k) for k in k_dims]):
-        comp, image = state_tensor, ps.vectors[0].reshape((1,) + ps.dims)
-        for j, idx in enumerate(combo):
-            comp = apply_local(party_blocks[j][idx], comp, j)
-            image = apply_local(party_vs[j][..., idx], image, j)
-        comp, image = comp.reshape(-1), image.reshape(-1)
-        weight = np.linalg.norm(comp)
-        mu = np.vdot(image, comp)
-        if np.linalg.norm(mu * image - comp) > tol:
-            raise NotOptimizerError(
-                f"state component in block {combo} is not proportional to the mapped reference"
-            )
-        junk[combo] = mu
-        total_weight += weight**2
-    if abs(total_weight - 1.0) > tol:
-        raise NotOptimizerError(
-            f"block components carry total weight {total_weight:.6f} != 1"
-        )
+def _general_isometries(ps: ProductStructure, cand: Realization):
+    """Extraction for a candidate of any rank: one isometry per party from
+    its block maps, and the least-squares junk (psi^dagger x 1) V^dagger psi'
+    for them.  Returns (isometries, junk, junk_dims)."""
+    parties = len(ps.dims)
+    # Column m * k + b of party j's isometry is column m of its block-b map.
+    # The block maps take the isometry's phase gauge before the junk is read
+    # off against them, so the junk absorbs the phases.
+    party_vs = [
+        _canonical_phase(np.stack(_party_blocks(ps, cand, j), axis=-1)) for j in range(parties)
+    ]
+    k_dims = tuple(vs.shape[-1] for vs in party_vs)
     isometries = tuple(vs.reshape(vs.shape[0], -1) for vs in party_vs)
+    # V^dagger psi' on (x (H_j x K_j)), then contract every H_j with psi.
+    pulled = np.asarray(cand.state, dtype=complex).reshape((1,) + tuple(cand.dims))
+    for j, v in enumerate(isometries):
+        pulled = apply_local(v.conj().T, pulled, j)
+    pulled = pulled.reshape([d for pair in zip(ps.dims, k_dims) for d in pair])
+    ref = ps.vectors[0].reshape(ps.dims).conj()
+    junk = np.tensordot(ref, pulled, axes=(list(range(parties)), list(range(0, 2 * parties, 2))))
     return isometries, junk.reshape(-1), k_dims
 
 
@@ -660,8 +604,10 @@ def run_selftest(
     """Validate `cand`, check the reference's conditions (with the pairing
     condition and projector completeness C1 when some candidate projector is
     not rank one) and the candidate's Gram matrix, then extract isometries
-    and junk onto `cand` by the block construction, whose gates read `tol`.
-    The reference must be rank one on qubit ideal spaces (A3/A8)."""
+    and junk onto `cand` by the block construction.  The candidate is
+    accepted exactly when the claim residuals are all within `tol`; a NaN
+    residual never is.  The reference must be rank one on qubit ideal spaces
+    (A3/A8)."""
     events = tuple(e for e, _ in witness.terms)
     validate_realization(ref)
     ref_vecs = event_vectors(ref, events)
@@ -680,10 +626,16 @@ def run_selftest(
         raise PreconditionError("candidate projectors violate completeness (C1)")
     cand_vecs = event_vectors(cand, events)
     _check_gram_match(ref_vecs, cand_vecs, tol)
-    isometries, junk, junk_dims = _general_isometries(ps, cand, tol)
-    _, state_res, vec_res = _claim_residuals(
+    isometries, junk, junk_dims = _general_isometries(ps, cand)
+    isometry_dev, state_res, vec_res = _claim_residuals(
         ref_vecs, cand_vecs, ref.dims, isometries, junk, junk_dims
     )
+    residuals = np.array([isometry_dev, state_res, *vec_res])
+    if not np.all(residuals <= tol):
+        # The first residual that is NaN or above tol names the rejection.
+        k = int(np.argmin(residuals <= tol))
+        name = ["isometry deviation", "state residual"][k] if k < 2 else f"event {k - 2} residual"
+        raise NotOptimizerError(f"{name} {float(residuals[k])} exceeds the tolerance {tol}")
     return SelfTestReport(
         isometries, junk, junk_dims, state_res, vec_res, events, conditions
     )

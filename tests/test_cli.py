@@ -439,16 +439,18 @@ class TestSelftest:
         assert (code, out) == (1, "")
         assert err.startswith("input error") and "must lie in (0, 1)" in err
 
-    def test_block_overlap_mismatch_names_its_numbers(self, tmp_path):
+    def test_residual_rejection_names_its_numbers(self, tmp_path):
         # At tol 0.03 the perturbed candidate passes the Gram check (it is
-        # 2.2e-2 off) and is rejected by the block-overlap gate (3.4e-2 off);
-        # the message carries plain numbers, not numpy's repr.
+        # 2.2e-2 off) and is rejected by its claim residuals: the state
+        # residual is 0.049979.  The message names the residual with plain
+        # numbers, not numpy's repr.
         cand = perturbed_candidate(reference_realization("chsh"), angle=0.05)
         path = _write_realization(tmp_path / "bad.json", cand)
         argv = ["selftest", "--scenario", "chsh", "--candidate", path, "--tol", "0.03"]
         code, out, err = run_cli(argv)
         assert (code, out) == (3, "")
-        assert "party 0 block overlap sqrt(0.549917) != |0.707107|" in err
+        assert "state residual 0.049979" in err
+        assert err.endswith(" exceeds the tolerance 0.03\n")
         assert "np." not in err
 
     @pytest.mark.parametrize("command", ["theta", "certify", "uniqueness"])
@@ -576,6 +578,15 @@ class TestScenario:
     def test_unknown_scenario(self):
         code, _, _ = run_cli(["scenario", "--scenario", "bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["scenario", "export"])
+    def test_json_flag_is_not_an_option(self, command):
+        # Both commands print JSON (or follow --format) without it.
+        argv = [command, "--scenario", "chsh", "--json"]
+        if command == "export":
+            argv += ["--format", "json"]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (1, "")
 
 
 class TestExport:

@@ -190,13 +190,25 @@ class TestRankOneExtraction:
         assert np.abs(report.junk - [1.0]).max() <= 1e-12
         assert verify_selftest_claim(r, r, report, 1e-7)
 
-    def test_nan_candidate_never_verifies(self):
+    def test_nan_candidate_never_verifies(self, monkeypatch):
         # The claim check runs on its own inputs: a NaN residual must fail it.
+        # run_selftest refuses the NaN state as input, and its acceptance
+        # test refuses a NaN residual wherever it sits.
         wit, r, _ = _structure("chsh")
         report = run_selftest(wit, r, r)
         state = np.full_like(np.asarray(r.state, dtype=complex), np.nan)
         cand = Realization(r.dims, state, r.projectors, r.kets)
         assert not verify_selftest_claim(r, cand, report, 1e-7)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_selftest(wit, r, cand)
+        for k, name in enumerate(["isometry deviation", "state residual", "event 0 residual"]):
+            res = np.zeros(10)
+            res[k] = np.nan
+            monkeypatch.setattr(
+                selftest, "_claim_residuals", lambda *args, res=res: (res[0], res[1], res[2:])
+            )
+            with pytest.raises(NotOptimizerError, match=f"{name} nan exceeds the tolerance 1e-07"):
+                run_selftest(wit, r, r)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -228,7 +240,7 @@ class TestRankOneExtraction:
     def test_candidate_within_default_tolerance_accepted(self, name, rank):
         # A 4e-8 rotation moves the Gram matrix by 1.7e-8 (chsh) and 5e-9
         # (mermin): inside the 1e-7 acceptance tolerance that run_selftest and
-        # the CLI share, whose value the extraction's gates follow for every
+        # the CLI share, for the Gram match and the claim residuals of every
         # rank; outside a 1e-9 one.
         wit, r, _ = _structure(name)
         cand = perturbed_candidate(r, angle=4e-8)
@@ -363,6 +375,34 @@ class TestGeneralRankExtraction:
         assert verify_selftest_claim(r, cand, report, 1e-7)
         assert report.state_residual <= 1e-8
         assert report.vector_residuals.max() <= 1e-8
+
+    def test_candidate_differing_off_the_state_support_accepted(self):
+        # chsh with a qubit register on each party, jointly in |00>: every
+        # projector is P x |0><0| + P' x |1><1|, where P' = P except that
+        # party 0's setting-1 projectors are rotated by 0.4 rad.  The state
+        # never sees P', and a self-test certifies nothing there.
+        wit, r, _ = _structure("chsh")
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.array([[c, -s], [s, c]], dtype=complex)
+        on0, on1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        projs = tuple(
+            tuple(
+                tuple(
+                    np.kron(p, on0) + np.kron(rot @ p @ rot.T if (j, x) == (0, 1) else p, on1)
+                    for p in setting
+                )
+                for x, setting in enumerate(party)
+            )
+            for j, party in enumerate(r.projectors)
+        )
+        padded = tensor_padded_candidate(r, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        cand = Realization(padded.dims, padded.state, projs, None)
+        assert not candidate_is_rank_one(cand)
+        report = run_selftest(wit, r, cand)
+        assert report.junk_dims == (2, 2)
+        assert verify_selftest_claim(r, cand, report, 1e-7)
+        assert report.state_residual <= 1e-15
+        assert report.vector_residuals.max() <= 1e-15
 
     def test_precondition_failure_names_condition(self):
         wit, r, _ = _structure("chained:3")
