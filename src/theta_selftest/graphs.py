@@ -31,7 +31,8 @@ _CLIQUE_LIMIT = 100_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a combinatorial search exceeds its configured size limit."""
+    """Raised when a combinatorial search or the theta SDP's constraint
+    stack exceeds its size limit."""
 
 
 def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:

@@ -59,14 +59,6 @@ class Event(_EventFields):
         return super().__new__(cls, outcomes, settings)
 
 
-def events_exclusive(e1: Event, e2: Event) -> bool:
-    """Some party keeps its setting but changes its outcome."""
-    return any(
-        x == y and a != b
-        for a, b, x, y in zip(e1.outcomes, e2.outcomes, e1.settings, e2.settings)
-    )
-
-
 class _WitnessFields(NamedTuple):
     scenario: BellScenario
     terms: tuple[tuple[Event, float], ...]
@@ -102,8 +94,9 @@ class BellWitness(_WitnessFields):
 
 
 def exclusivity_graph(wit: BellWitness) -> WeightedGraph:
-    """One vertex per term (with its weight); edges join exclusive events,
-    events_exclusive evaluated on all pairs at once."""
+    """One vertex per term (with its weight); edges join exclusive events:
+    pairs in which some party keeps its setting but changes its outcome,
+    tested on all pairs at once."""
     shape = (len(wit.terms), wit.scenario.parties)
     x = np.array([e.settings for e, _ in wit.terms], dtype=int).reshape(shape)
     a = np.array([e.outcomes for e, _ in wit.terms], dtype=int).reshape(shape)

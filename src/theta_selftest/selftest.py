@@ -1,27 +1,27 @@
 """Constructive self-testing for realizations that saturate the graph bound.
 
-A realization is read through its state and projectors alone (never its
-`kets`); every product operator acts party by party on the state tensor.
-Each realization's event table [psi, Pi_1 psi, ..., Pi_n psi] is built once
-per run, and every product ket is formed by one batched outer product per
-party, with no Kronecker products.
+The reference is read as local kets: each party's rank-one projectors give
+unit kets, and every event's projector is the one onto the tensor product of
+the kets its labels name.  The structural conditions, completeness C1 and the block
+construction read those kets and the reference state alone.  The claim is
+checked on event tables [psi, Pi_1 psi, ..., Pi_n psi], built once per run
+from each realization's state and projectors (never its `kets`).
 
-Pipeline (run_selftest): read the product structure off the validated
-rank-one qubit reference realization and its event table, check the
-candidate's party count and witness labels and validate it, check the
-structural conditions the extraction needs (A1-A3 bipartite, A5-A8
-tripartite, plus the pairing condition A4/A9 and projector completeness C1
-for a candidate that is not rank one), check once that the candidate's event
-table has the reference's Gram matrix, then build local isometries and a junk
-state.  There is one extraction route for every rank: each party's candidate
-projector algebra splits into two-dimensional blocks, one per junk index (a
-single block for a rank-one candidate, whose junk is a global phase), and the
-junk is the least-squares one for the assembled isometries.  There is one
-acceptance test: the claim residuals (isometry deviation, state residual and
-every event residual) must all lie within the caller's `tol`.  They certify
-the candidate on its state's support, which is all a self-test claims.  One
-function measures them on the two event tables; verify_selftest_claim reruns
-it on tables it builds afresh from the states and projectors.
+Pipeline (run_selftest): read the local kets off the validated rank-one qubit
+reference, check the candidate's party count and witness labels and validate
+it, check the conditions the extraction needs (A1-A3 bipartite, A5-A8
+tripartite, plus the pairing condition A4/A9 and C1 for a candidate that is
+not rank one), check once that the candidate's event table has the
+reference's Gram matrix, then build local isometries and a junk state.  One
+extraction route serves every rank: each party's candidate projector algebra
+splits into two-dimensional blocks, one per junk index (a single block for a
+rank-one candidate, whose junk is a global phase), and the junk is the
+least-squares one for the assembled isometries.  One acceptance test: the
+claim residuals (isometry deviation, state residual and every event residual)
+must all lie within the caller's `tol`.  They certify the candidate on its
+state's support, which is all a self-test claims.  verify_selftest_claim
+reruns the one function that measures them, on tables the same event_vectors
+rebuilds: it catches a report altered after the run, not a fault in either.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -46,7 +46,7 @@ from .scenarios import (
 )
 
 SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
-OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one/product tests
+OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one tests
 ETA_TOL = 1e-10  # events with smaller norm are treated as degenerate
 SECTOR_TOL = 1e-8  # eigenvalue cut selecting the intermediate-overlap blocks
 
@@ -67,24 +67,21 @@ class NotOptimizerError(SelfTestError):
 
 
 class ProductStructure(NamedTuple):
-    """Per-event product decomposition of a rank-one realization.
+    """The local kets of a rank-one realization on a witness's events.
 
-    `vectors` is the realization's event table (rows psi, Pi_1 psi, ...).
-    Every normalized event vector Pi_i psi / |Pi_i psi| factorizes as
-    products[i] = phases[i] * (tensor product over parties j of
-    locals_[j][event_locals[i, j]]), with unit local kets in a canonical
-    gauge.  local_keys[j] lists party j's (setting, outcome) labels in sorted
-    order, one per row of the (labels x d_j) matrix locals_[j].
+    local_keys[j] lists party j's (setting, outcome) labels in sorted order,
+    one per row of the (labels x d_j) matrix locals_[j] of unit kets in a
+    canonical gauge.  products[i] is the tensor product of the kets that row
+    i of event_locals names, and event i's projector is the one onto it, so
+    Pi_i psi = <products[i], state> products[i].
     """
 
     dims: tuple[int, ...]
     local_keys: tuple[tuple[tuple[int, int], ...], ...]
     locals_: tuple[np.ndarray, ...]
     event_locals: np.ndarray
-    phases: np.ndarray
-    vectors: np.ndarray
+    state: np.ndarray
     products: np.ndarray
-    events: tuple[Event, ...]
 
 
 def _product_kets(factors) -> np.ndarray:
@@ -114,11 +111,11 @@ def _rank_one_ket(p: np.ndarray) -> np.ndarray:
 
 
 def product_structure_from_realization(
-    r: Realization, events: tuple[Event, ...], vectors: np.ndarray
+    r: Realization, events: tuple[Event, ...]
 ) -> ProductStructure:
     """Extract the product structure of a validated rank-one realization on
-    `events`, reading each local ket off its projector; `vectors` is the
-    realization's event table, event_vectors(r, events)."""
+    `events`, reading each local ket off its projector; every event needs a
+    probability amplitude |<products[i], state>| of at least ETA_TOL."""
     parties = len(r.dims)
     keys = tuple(
         tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
@@ -132,20 +129,12 @@ def product_structure_from_realization(
         [[keys[j].index((e.settings[j], e.outcomes[j])) for j in range(parties)]
          for e in events]
     )
-    kets = _product_kets([locals_[j][event_locals[:, j]] for j in range(parties)])
-    phases = np.zeros(len(events), dtype=complex)
-    for i, (proj, u) in enumerate(zip(vectors[1:], kets)):
-        eta = np.linalg.norm(proj)
-        if eta < ETA_TOL:
-            raise PreconditionError(f"event {i} has negligible probability")
-        phase = np.vdot(u, proj) / eta
-        if np.linalg.norm(proj / eta - phase * u) > OVERLAP_TOL:
-            raise PreconditionError(f"event {i} vector is not a local product")
-        phases[i] = phase / abs(phase)
-    return ProductStructure(
-        tuple(r.dims), keys, locals_, event_locals, phases, vectors,
-        phases[:, None] * kets, tuple(events),
-    )
+    products = _product_kets([locals_[j][event_locals[:, j]] for j in range(parties)])
+    state = np.asarray(r.state, dtype=complex)
+    negligible = np.flatnonzero(np.abs(products.conj() @ state) < ETA_TOL)
+    if negligible.size:
+        raise PreconditionError(f"event {negligible[0]} has negligible probability")
+    return ProductStructure(tuple(r.dims), keys, locals_, event_locals, state, products)
 
 
 class ConditionReport(NamedTuple):
@@ -234,8 +223,8 @@ def _orthogonal_pairing(kets):
 def _joint_span(ps: ProductStructure) -> tuple[int, float]:
     """Span dimension of the event vectors plus the state, and the state's
     residual outside the span of the event vectors."""
-    psi = ps.vectors[0]
-    return _span_rank(np.vstack([ps.products, psi])), _residual_outside_span(psi, ps.products)
+    rank = _span_rank(np.vstack([ps.products, ps.state]))
+    return rank, _residual_outside_span(ps.state, ps.products)
 
 
 def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, shown) -> None:
@@ -294,7 +283,7 @@ def _linked_edges(ps: ProductStructure):
     nonzero and each pair shares exactly one component, the shared positions
     covering all three parties.  Returns {frozenset(x, x'): first triple}.
     """
-    n = len(ps.events)
+    n = len(ps.products)
     gram = ps.products.conj() @ ps.products.T
     locs = ps.event_locals.tolist()
     found: dict[frozenset, tuple[int, int, int]] = {}
@@ -359,8 +348,8 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
     # (they can satisfy linear relations); what the construction needs is
     # that the union over the chosen rows spans, with sign propagation along
     # the connected linked-triple graph gluing the rows together.
-    a6_first = None
-    a6a7 = None
+    # ev6 is the family on which A7 succeeded, or else the first that passed A6.
+    ev6 = ev7 = None
     for i_a_subset in itertools.combinations(sorted(rows_a), d_a):
         if _span_rank([ps.locals_[0][i] for i in i_a_subset]) < d_a:
             continue
@@ -376,41 +365,28 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
         bc = _product_kets([ps.locals_[1][idx[:, 0]], ps.locals_[2][idx[:, 1]]])
         if _span_rank(bc) < d_b * d_c:
             continue
-        ev6 = {
-            "I_A": i_a_subset,
-            "I_BC": {ia: tuple(rows_a[ia]) for ia in i_a_subset},
-            "G_A_edges": tuple(edges),
-            "linked_triples": {e: linked[frozenset(e)] for e in edges},
-        }
-        if a6_first is None:
-            a6_first = ev6
-        found = _a2_search(
-            {(ic, ib) for ib, ic in bc_pairs},
-            ps.locals_[2],
-            ps.locals_[1],
-            d_c,
-            d_b,
-        )
-        if found is not None:
-            a6a7 = (ev6, found)
+        cb_pairs = {(ic, ib) for ib, ic in bc_pairs}
+        ev7 = _a2_search(cb_pairs, ps.locals_[2], ps.locals_[1], d_c, d_b)
+        if ev6 is None or ev7 is not None:
+            ev6 = {
+                "I_A": i_a_subset,
+                "I_BC": {ia: tuple(rows_a[ia]) for ia in i_a_subset},
+                "G_A_edges": tuple(edges),
+                "linked_triples": {e: linked[frozenset(e)] for e in edges},
+            }
+        if ev7 is not None:
             break
 
-    if a6a7 is not None:
-        ev6, ev7 = a6a7
-        verdicts["A6"] = True
-        verdicts["A7"] = True
-        evidence["A6"] = ev6
-        evidence["A7"] = {"I_B": ev7["I_B"], "I_C": ev7["I_A"], "G_B_edges": ev7["edges"]}
-    elif a6_first is not None:
-        verdicts["A6"] = True
-        verdicts["A7"] = False
-        evidence["A6"] = a6_first
-        reasons["A7"] = "no spanning index family on the second/third factors"
-    else:
-        verdicts["A6"] = False
-        verdicts["A7"] = False
+    verdicts["A6"], verdicts["A7"] = ev6 is not None, ev7 is not None
+    if ev6 is None:
         reasons["A6"] = "no spanning first-party family with a connected linked-triple graph"
         reasons["A7"] = "searched only after A6"
+    else:
+        evidence["A6"] = ev6
+    if ev7 is not None:
+        evidence["A7"] = {"I_B": ev7["I_B"], "I_C": ev7["I_A"], "G_B_edges": ev7["edges"]}
+    elif ev6 is not None:
+        reasons["A7"] = "no spanning index family on the second/third factors"
 
     _ideal_dims_verdict(rep, "A8", ps, ps.dims)
     _pairing_verdict(rep, "A9", ps)
@@ -560,7 +536,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
     for j, v in enumerate(isometries):
         pulled = apply_local(v.conj().T, pulled, j)
     pulled = pulled.reshape([d for pair in zip(ps.dims, k_dims) for d in pair])
-    ref = ps.vectors[0].reshape(ps.dims).conj()
+    ref = ps.state.reshape(ps.dims).conj()
     junk = np.tensordot(ref, pulled, axes=(list(range(parties)), list(range(0, 2 * parties, 2))))
     return isometries, junk.reshape(-1), k_dims
 
@@ -610,8 +586,7 @@ def run_selftest(
     (A3/A8)."""
     events = tuple(e for e, _ in witness.terms)
     validate_realization(ref)
-    ref_vecs = event_vectors(ref, events)
-    ps = product_structure_from_realization(ref, events, ref_vecs)
+    ps = product_structure_from_realization(ref, events)
     _check_candidate_labels(cand, events)
     validate_realization(cand)
     if len(ps.dims) not in _EXTRACTION:
@@ -624,7 +599,7 @@ def run_selftest(
         raise PreconditionError(f"conditions {failed} fail for the reference")
     if not rank_one and not check_projector_condition_C1(cand, ps):
         raise PreconditionError("candidate projectors violate completeness (C1)")
-    cand_vecs = event_vectors(cand, events)
+    ref_vecs, cand_vecs = event_vectors(ref, events), event_vectors(cand, events)
     _check_gram_match(ref_vecs, cand_vecs, tol)
     isometries, junk, junk_dims = _general_isometries(ps, cand)
     isometry_dev, state_res, vec_res = _claim_residuals(
@@ -644,10 +619,11 @@ def run_selftest(
 def verify_selftest_claim(
     ref: Realization, cand: Realization, report: SelfTestReport, tol: float
 ) -> bool:
-    """Independently re-check isometry property, state residual, and the
-    measurement-action residual for every witness event, each within `tol`,
-    from event tables built afresh from the two realizations' states and
-    projectors; a NaN residual never verifies."""
+    """Re-check a report's claim residuals (isometry deviation, state residual
+    and every event residual), each within `tol`; a NaN residual never
+    verifies.  The same event_vectors and _claim_residuals that run_selftest
+    used rebuild the tables and measure them, so this catches a report
+    altered after the run, not a fault in either function."""
     ref_vecs, cand_vecs = event_vectors(ref, report.events), event_vectors(cand, report.events)
     isometry_dev, state_res, vec_res = _claim_residuals(
         ref_vecs, cand_vecs, ref.dims, report.isometries, report.junk, report.junk_dims

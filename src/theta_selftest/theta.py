@@ -20,12 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import WeightedGraph, circulant, complement
-from .scenarios import exclusivity_graph, mermin_witness
+from .graphs import ResourceLimitError, WeightedGraph, circulant, complement
+from .scenarios import MAX_CHAINED_N, exclusivity_graph, mermin_witness
 from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null in uniqueness
+# Most doubles theta_problem's constraint stack may hold: chained:N's
+# (10N + 1)(4N + 1)^2 at N = MAX_CHAINED_N, 339 MB.
+_MAX_STACK = (10 * MAX_CHAINED_N + 1) * (4 * MAX_CHAINED_N + 1) ** 2
 
 
 class CertificateError(Exception):
@@ -43,8 +46,15 @@ class NotPsdError(CertificateError):
 def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the theta SDP as solve_sdp's (C, A stack, b); constraint
     order: normalization, one diagonal-border row per vertex, one zero per
-    edge (sorted)."""
+    edge (sorted).  Raises ResourceLimitError, before allocating, when the
+    stack would hold more than _MAX_STACK doubles."""
     d = g.n + 1
+    size = (d + len(g.edges)) * d * d
+    if size > _MAX_STACK:
+        raise ResourceLimitError(
+            f"the theta SDP on {g.n} vertices and {len(g.edges)} edges needs a constraint "
+            f"stack of {size} doubles, more than chained:{MAX_CHAINED_N}'s {_MAX_STACK}"
+        )
     v = np.arange(1, d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     rows = d + np.arange(len(edges))

@@ -246,6 +246,15 @@ class TestUniqueness:
         code, out, _ = run_cli(["uniqueness", "--scenario", "chained:3"])
         assert code == 0 and "NONDEGENERATE" in out
 
+    def test_oversized_theta_problem_is_solver_error(self, tmp_path):
+        # 2000 isolated vertices: the theta SDP's constraint stack would take
+        # 59.7 GiB, so it is refused before it is built.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2000, []))
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the theta SDP on 2000 vertices")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "n, residual",
         [

@@ -29,7 +29,6 @@ from theta_selftest.scenarios import (
     chained_witness,
     event_projectors,
     event_vectors,
-    events_exclusive,
     mermin_witness,
     parse_scenario_name,
     realization_to_json_dict,
@@ -47,6 +46,15 @@ CLOSED_FORM_THETA = {
     "mermin": 4.0,
     "as4": 7.0 + 5.0 * sqrt(6.0) / 3.0,
 }
+
+
+def events_exclusive(e1: Event, e2: Event) -> bool:
+    """The exclusivity rule, pair by pair: some party keeps its setting but
+    changes its outcome.  The oracle that exclusivity_graph is checked on."""
+    return any(
+        x == y and a != b
+        for a, b, x, y in zip(e1.outcomes, e2.outcomes, e1.settings, e2.settings)
+    )
 
 
 class TestEventAlgebra:

@@ -64,8 +64,7 @@ def _structure(name):
 
 
 def _structure_of(r, wit):
-    events = tuple(e for e, _ in wit.terms)
-    return product_structure_from_realization(r, events, event_vectors(r, events))
+    return product_structure_from_realization(r, tuple(e for e, _ in wit.terms))
 
 
 def _projected_state(r, e) -> np.ndarray:
@@ -79,18 +78,17 @@ def _eig_rank(m: np.ndarray, threshold: float) -> int:
 class TestProductStructure:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_reconstructs_projected_states(self, name):
+        # Each product ket is the normalized projected state up to a phase.
         wit, r, ps = _structure(name)
         n = len(wit.terms)
         assert ps.dims == r.dims
         assert ps.event_locals.shape == (n, wit.scenario.parties)
         assert ps.products.shape == (n, int(np.prod(r.dims)))
-        assert np.array_equal(ps.vectors[0], np.asarray(r.state, dtype=complex))
+        assert np.array_equal(ps.state, np.asarray(r.state, dtype=complex))
         for i, (e, _) in enumerate(wit.terms):
             target = _projected_state(r, e)
-            assert np.linalg.norm(ps.vectors[1 + i] - target) <= 1e-12
             target = target / np.linalg.norm(target)
-            assert np.linalg.norm(ps.products[i] - target) <= 1e-10
-        assert np.abs(np.abs(ps.phases) - 1.0).max() <= 1e-12
+            assert abs(abs(np.vdot(ps.products[i], target)) - 1.0) <= 1e-12
 
     def test_locals_are_unit_vectors(self):
         for name in ALL_NAMES:
@@ -101,12 +99,21 @@ class TestProductStructure:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_products_are_phased_local_kets(self, name):
-        # Each product ket is its phase times the Kronecker product of the
-        # local kets its index row names.
+        # Each product ket is the Kronecker product of the local kets its
+        # index row names, each in the canonical phase gauge.
         _, _, ps = _structure(name)
         for i, row in enumerate(ps.event_locals):
             kets = [ps.locals_[j][k] for j, k in enumerate(row)]
-            assert np.abs(ps.products[i] - ps.phases[i] * kron_all(kets)).max() <= 1e-15
+            assert np.abs(ps.products[i] - kron_all(kets)).max() <= 1e-15
+
+    def test_negligible_event_refused(self):
+        # On |00> the first chsh event of zero probability is event 4,
+        # outcomes (1, 1) at settings (0, 0).
+        wit = builtin_witness("chsh")
+        r = reference_realization("chsh")
+        r = r._replace(state=np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        with pytest.raises(PreconditionError, match="^event 4 has negligible probability$"):
+            run_selftest(wit, r, r)
 
     def test_mermin_etas_are_uniform(self):
         # eta_i = |Pi_i psi| is 1/2 for each of the 16 GHZ events.
@@ -149,6 +156,26 @@ class TestConditions:
         a7 = rep.evidence["A7"]
         assert len(a7["I_B"]) == 2
         assert all(len(v) == 2 for v in a7["I_C"].values())
+
+    @pytest.mark.parametrize("name", ["chsh", "chained:3", "chained:8", "mermin", "as4"])
+    def test_invariant_under_local_unitaries(self, name):
+        # 20 draws per scenario from a fixed generator: Haar-random local
+        # unitaries on the reference leave every verdict, reason and piece of
+        # evidence unchanged, the state residual's rounding aside.
+        wit, r, ps = _structure(name)
+        check = check_bipartite_conditions if len(r.dims) == 2 else check_tripartite_conditions
+
+        def report(ps):
+            d = condition_report_to_json_dict(check(ps))
+            for key in ("A1", "A5"):
+                d["evidence"].get(key, {}).pop("state_residual", None)
+            return d
+
+        want = report(ps)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            us = [haar_isometry(rng, d, d) for d in r.dims]
+            assert report(_structure_of(embedded_candidate(r, us), wit)) == want
 
     def test_party_count_guards(self):
         _, _, ps2 = _structure("chsh")

@@ -26,7 +26,8 @@ from theta_selftest import (
     verify_dual_certificate,
 )
 from theta_selftest import theta
-from theta_selftest.scenarios import builtin_witness, mermin_witness
+from theta_selftest.graphs import ResourceLimitError, complement
+from theta_selftest.scenarios import MAX_CHAINED_N, builtin_witness, mermin_witness
 from theta_selftest.sdp import SolverError, solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
@@ -132,6 +133,25 @@ class TestProblemAssembly:
         mats += [_basis_e(d, i + 1, j + 1) for i, j in g.edges]
         want = np.stack([(m + m.T) / 2.0 for m in mats])
         assert np.array_equal(theta_problem(g)[1], want)
+
+    def test_stack_bound_is_the_largest_chained_stack(self):
+        g = exclusivity_graph(builtin_witness(f"chained:{MAX_CHAINED_N}"))
+        assert (g.n + 1 + len(g.edges)) * (g.n + 1) ** 2 == theta._MAX_STACK
+
+    @pytest.mark.parametrize(
+        "g", [WeightedGraph(2000, []), complement(WeightedGraph(120, []))],
+        ids=["edgeless-2000", "complete-120"],
+    )
+    def test_oversized_problem_refused_before_allocating(self, g):
+        # The stacks would take 59.7 GiB and 850 MB; the refusal allocates
+        # next to nothing.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="theta SDP on"):
+                theta_problem(g)
+            assert tracemalloc.get_traced_memory()[1] <= 1e6
+        finally:
+            tracemalloc.stop()
 
     def test_start_is_strictly_feasible(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [2.0, 1.0, 0.5, 1.0])
