@@ -11,9 +11,11 @@ tolerance comes from the constant of the module that owns it.  `--solver-tol`
 and `--threshold` default to sdp.SOLVER_TOL and theta.NULL_THRESHOLD; an
 omitted `--tol` is read from selftest.SELFTEST_TOL when `selftest` runs.
 Only `cmd_selftest` loads the self-test layer, so the other commands never
-import (or, without cached bytecode, compile) it.  `main` runs in-process
-and leaves the environment alone; the process entry point, `__main__.main`,
-only sets OpenBLAS's idle timeout before it runs `main`.
+import (or, without cached bytecode, compile) it; `run_selftest` raises on
+every rejection, so each report it prints is an ACCEPT (`"verified":true`).
+`main` runs in-process and leaves the environment alone; the process entry
+point, `__main__.main`, only sets OpenBLAS's idle timeout before it runs
+`main`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .theta import (
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
+    check_theta_size,
     dual_nondegenerate,
     lovasz_theta,
     solve_theta_problem,
@@ -99,7 +102,8 @@ def _input_graph(args) -> WeightedGraph:
 def cmd_theta(args) -> int:
     solver_tol = _unit_interval("solver_tol", args.solver_tol)
     g = _input_graph(args)
-    # alpha* first: its clique enumeration is the step that can hit a limit.
+    # The limits first: theta's size, then alpha*'s clique enumeration.
+    check_theta_size(g)
     alpha_star = fractional_packing(g)
     alpha, _ = independence_number(g)
     theta, _ = lovasz_theta(g, tol=solver_tol)
@@ -194,7 +198,7 @@ def cmd_selftest(args) -> int:
     # already bound (a test's patch, the benchmark's spans) is kept.
     from . import selftest
 
-    for name in ("run_selftest", "verify_selftest_claim", "selftest_report_to_json_dict"):
+    for name in ("run_selftest", "selftest_report_to_json_dict"):
         globals().setdefault(name, getattr(selftest, name))
     tol = _unit_interval(
         "selftest_tol", selftest.SELFTEST_TOL if args.tol is None else args.tol
@@ -208,7 +212,6 @@ def cmd_selftest(args) -> int:
         cand = ref
     try:
         report = run_selftest(witness, ref, cand, tol=tol)
-        verified = verify_selftest_claim(ref, cand, report, tol)
     except selftest.PreconditionError as exc:
         print(f"self-test rejected (failed precondition): {exc}", file=sys.stderr)
         return EXIT_REJECT
@@ -216,16 +219,14 @@ def cmd_selftest(args) -> int:
         print(f"self-test rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
     if args.json:
-        payload = selftest_report_to_json_dict(report)
-        payload["verified"] = verified
-        _emit_json(payload)
+        _emit_json({**selftest_report_to_json_dict(report), "verified": True})
     else:
         print(f"conditions: {report.conditions.verdicts}")
         print(f"junk dimensions = {report.junk_dims}")
         print(f"state residual  = {_fmt(report.state_residual)}")
         print(f"max vector residual = {_fmt(float(report.vector_residuals.max()))}")
-        print("self-test: " + ("ACCEPT" if verified else "REJECT"))
-    return EXIT_OK if verified else EXIT_REJECT
+        print("self-test: ACCEPT")
+    return EXIT_OK
 
 
 def cmd_scenario(args) -> int:

@@ -18,10 +18,9 @@ splits into two-dimensional blocks, one per junk index (a single block for a
 rank-one candidate, whose junk is a global phase), and the junk is the
 least-squares one for the assembled isometries.  One acceptance test: the
 claim residuals (isometry deviation, state residual and every event residual)
-must all lie within the caller's `tol`.  They certify the candidate on its
-state's support, which is all a self-test claims.  verify_selftest_claim
-reruns the one function that measures them, on tables the same event_vectors
-rebuilds: it catches a report altered after the run, not a fault in either.
+must all lie within the caller's `tol`, so every report run_selftest returns
+is an accepted claim.  They certify the candidate on its state's support,
+which is all a self-test claims.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
@@ -184,14 +183,11 @@ def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int):
     for i_b_subset in itertools.combinations(sorted(rows), d_b):
         if _span_rank([b_vectors[i] for i in i_b_subset]) < d_b:
             continue
-        options = []
-        for ib in i_b_subset:
-            opts = [
-                s
-                for s in itertools.combinations(rows[ib], d_a)
-                if _span_rank([a_vectors[i] for i in s]) == d_a
-            ]
-            options.append(opts)
+        options = [
+            [s for s in itertools.combinations(rows[ib], d_a)
+             if _span_rank([a_vectors[i] for i in s]) == d_a]
+            for ib in i_b_subset
+        ]
         if any(not o for o in options):
             continue
         for assignment in itertools.product(*options):
@@ -542,12 +538,10 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
 
 
 def candidate_is_rank_one(cand: Realization) -> bool:
-    for party in cand.projectors:
-        for setting in party:
-            for p in setting:
-                if abs(np.trace(np.asarray(p)).real - 1.0) > OVERLAP_TOL:
-                    return False
-    return True
+    return not any(
+        abs(np.trace(np.asarray(p)).real - 1.0) > OVERLAP_TOL
+        for party in cand.projectors for setting in party for p in setting
+    )
 
 
 # Party count -> (condition checker, conditions every candidate needs, and
@@ -614,21 +608,6 @@ def run_selftest(
     return SelfTestReport(
         isometries, junk, junk_dims, state_res, vec_res, events, conditions
     )
-
-
-def verify_selftest_claim(
-    ref: Realization, cand: Realization, report: SelfTestReport, tol: float
-) -> bool:
-    """Re-check a report's claim residuals (isometry deviation, state residual
-    and every event residual), each within `tol`; a NaN residual never
-    verifies.  The same event_vectors and _claim_residuals that run_selftest
-    used rebuild the tables and measure them, so this catches a report
-    altered after the run, not a fault in either function."""
-    ref_vecs, cand_vecs = event_vectors(ref, report.events), event_vectors(cand, report.events)
-    isometry_dev, state_res, vec_res = _claim_residuals(
-        ref_vecs, cand_vecs, ref.dims, report.isometries, report.junk, report.junk_dims
-    )
-    return bool(np.all(np.array([isometry_dev, state_res, *vec_res]) <= tol))
 
 
 def condition_report_to_json_dict(rep: ConditionReport) -> dict:

@@ -43,18 +43,30 @@ class NotPsdError(CertificateError):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
+def _check_stack(n: int, edges: int) -> None:
+    """Refuse a theta SDP on n vertices and `edges` edges beyond _MAX_STACK doubles."""
+    size = (n + 1 + edges) * (n + 1) ** 2
+    if size > _MAX_STACK:
+        raise ResourceLimitError(
+            f"the theta SDP on {n} vertices and {edges} edges needs a constraint "
+            f"stack of {size} doubles, more than chained:{MAX_CHAINED_N}'s {_MAX_STACK}"
+        )
+
+
+def check_theta_size(g: WeightedGraph) -> None:
+    """_check_stack on the positive-weight subgraph solve_theta_problem solves."""
+    pos = np.asarray(g.weights) > 0
+    inner = pos[np.asarray(g.edges, dtype=int).reshape(-1, 2)].all(axis=1)
+    _check_stack(int(pos.sum()), int(inner.sum()))
+
+
 def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the theta SDP as solve_sdp's (C, A stack, b); constraint
     order: normalization, one diagonal-border row per vertex, one zero per
     edge (sorted).  Raises ResourceLimitError, before allocating, when the
     stack would hold more than _MAX_STACK doubles."""
+    _check_stack(g.n, len(g.edges))
     d = g.n + 1
-    size = (d + len(g.edges)) * d * d
-    if size > _MAX_STACK:
-        raise ResourceLimitError(
-            f"the theta SDP on {g.n} vertices and {len(g.edges)} edges needs a constraint "
-            f"stack of {size} doubles, more than chained:{MAX_CHAINED_N}'s {_MAX_STACK}"
-        )
     v = np.arange(1, d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     rows = d + np.arange(len(edges))
@@ -236,7 +248,8 @@ def dual_nondegenerate(
     a^T M b (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997).  The
     singular values of that map, padded with zeros up to its k(k + 1)/2
     unknowns, are counted as null at most threshold times the largest.
-    Nondegenerate (hence the primal optimizer is unique) iff none is.
+    Nondegenerate (hence the primal optimizer is unique) iff none is.  A map
+    of more than _MAX_STACK doubles is refused (ResourceLimitError) unbuilt.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
@@ -246,6 +259,12 @@ def dual_nondegenerate(
     k = q.shape[1]
     if k == 0:
         return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
+    size = (1 + g.n + len(g.edges)) * (k * (k + 1) // 2)
+    if size > _MAX_STACK:
+        raise ResourceLimitError(
+            f"the uniqueness map on a {k}-dimensional kernel of Z needs {size} "
+            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
+        )
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     # Row r is a_r^T S b_r: M_00, M_ii - M_0i and M_ij (i ~ j) at Q S Q^T.
     a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))

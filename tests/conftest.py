@@ -86,6 +86,32 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def dense_claim_residuals(ref: Realization, cand: Realization, report):
+    """The self-testing claim's residuals for a report, from dense operators:
+    max |V_j^H V_j - 1|, |V (psi x junk) - psi'| and |V (Pi_i psi x junk) -
+    Pi'_i psi'| per event, with V = V_1 x ... x V_n and each Pi_i formed by
+    np.kron.  An oracle for the package's party-by-party residuals."""
+    isometry_dev = max(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
+                       for v in report.isometries)
+    big_v = kron_all(report.isometries)
+    parties = len(ref.dims)
+    # (H_1 x ... x H_n) x (K_1 x ... x K_n) reordered to (H_1 x K_1) x ...
+    perm = [a for j in range(parties) for a in (j, parties + j)]
+
+    def carried(vec):
+        outer = np.multiply.outer(vec.reshape(ref.dims), report.junk.reshape(report.junk_dims))
+        return big_v @ outer.transpose(perm).reshape(-1)
+
+    def projected(r, e):
+        ops = [r.projectors[j][x][a] for j, (x, a) in enumerate(zip(e.settings, e.outcomes))]
+        return kron_all(ops) @ np.asarray(r.state, dtype=complex)
+
+    psi, psi_c = np.asarray(ref.state, dtype=complex), np.asarray(cand.state, dtype=complex)
+    events = [np.linalg.norm(carried(projected(ref, e)) - projected(cand, e))
+              for e in report.events]
+    return float(isometry_dev), float(np.linalg.norm(carried(psi) - psi_c)), np.array(events)
+
+
 def _kets_to_projectors(kets):
     return tuple(
         tuple(tuple(np.outer(k, np.conj(k)) for k in setting) for setting in party)

@@ -27,7 +27,6 @@ EXERCISED = (
     "theta.nondegenerate_s",
     "theta.certify_s",
     "selftest.run_s",
-    "selftest.verify_s",
     "scenarios.build_s",
 )
 

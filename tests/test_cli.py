@@ -94,6 +94,17 @@ class TestTheta:
         assert abs(doc["theta"] - 4.0) <= 1e-7
         assert abs(doc["alpha_star"] - 4.0) <= 1e-9
 
+    def test_oversized_theta_problem_refused_before_alpha(self, tmp_path, monkeypatch):
+        # 2000 isolated vertices: theta's size refusal comes before alpha*
+        # and alpha, which would take minutes on this graph.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2000, []))
+        for name in ("fractional_packing", "independence_number"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the theta SDP on 2000 vertices and 0 edges")
+        assert err.count("\n") == 1
+
     def test_clique_limit_is_solver_error(self, tmp_path, monkeypatch):
         # The cocktail-party graph K_{2x5} has 2^5 maximal cliques; the same
         # path serves K_{2x17}, whose 2^17 exceed the default limit.  The
@@ -254,6 +265,21 @@ class TestUniqueness:
         assert (code, out) == (2, "")
         assert err.startswith("solver error: the theta SDP on 2000 vertices")
         assert err.count("\n") == 1
+
+    def test_oversized_kernel_map_is_solver_error(self, tmp_path):
+        # 438 zero-weight isolated vertices: no SDP is solved, Z = 0, and the
+        # map on its 439-dimensional kernel is refused before it is built.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(438, [], [0.0] * 438))
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the uniqueness map on a 439-dimensional kernel")
+        assert err.count("\n") == 1
+
+    def test_zero_weight_kernel_below_the_bound(self, tmp_path):
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(3, [(0, 1)], [0.0] * 3))
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, err) == (2, "")
+        assert out == '{"nondegenerate":false,"nullspace_dim":5,"residual":0.0}\n'
 
     @pytest.mark.parametrize(
         "n, residual",
@@ -561,7 +587,7 @@ class TestSelftest:
         # and never rebinds them, so a patch made afterwards is what runs.
         argv = ["selftest", "--scenario", "chsh"]
         assert run_cli(argv)[0] == 0
-        for name in ("run_selftest", "verify_selftest_claim", "selftest_report_to_json_dict"):
+        for name in ("run_selftest", "selftest_report_to_json_dict"):
             assert getattr(cli, name) is getattr(selftest, name)
         calls = []
 

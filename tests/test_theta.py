@@ -153,6 +153,20 @@ class TestProblemAssembly:
         finally:
             tracemalloc.stop()
 
+    def test_theta_size_is_checked_on_the_positive_subgraph(self):
+        # solve_theta_problem builds the SDP on the positive-weight vertices
+        # only: 10 of 2000 need a small stack, all 2000 the 59.7 GiB one.
+        weights = np.zeros(2000)
+        weights[:10] = 1.0
+        tracemalloc.start()
+        try:
+            theta.check_theta_size(WeightedGraph(2000, [], weights))
+            with pytest.raises(ResourceLimitError, match="theta SDP on 2000 vertices and 0"):
+                theta.check_theta_size(WeightedGraph(2000, []))
+            assert tracemalloc.get_traced_memory()[1] <= 1e6
+        finally:
+            tracemalloc.stop()
+
     def test_start_is_strictly_feasible(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [2.0, 1.0, 0.5, 1.0])
         c, a, b = theta_problem(g)
@@ -472,6 +486,20 @@ class TestUniqueness:
         verdict = dual_nondegenerate(g, z)
         assert not verdict.nondegenerate
         assert verdict.nullspace_dim == _dense_dim(g, z) == 1
+
+    def test_oversized_kernel_map_refused_before_allocating(self):
+        # All-zero weights give Z = 0, so ker Z is everything: on 438 isolated
+        # vertices the map would hold 439 * 439 * 440 / 2 doubles (339 MB),
+        # just over the stack bound.  Only the eigendecomposition is built.
+        g = WeightedGraph(438, [], np.zeros(438))
+        z = certificate_matrix(g, np.zeros(439))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="kernel of Z needs 42398620 doubles"):
+                dual_nondegenerate(g, z)
+            assert tracemalloc.get_traced_memory()[1] <= 2e7
+        finally:
+            tracemalloc.stop()
 
     def test_identity_slack_forces_trivial_solution(self):
         # M I = 0 pins M = 0 outright: ker Z is trivial, so there is no map
