@@ -1,5 +1,9 @@
 """Vertex-weighted graphs: generators, exact independence number, fractional packing.
 
+The exact independence number alpha is a branch and bound run once per
+connected component, so a disjoint union costs the sum of its parts, not
+their product.
+
 The fractional packing number alpha* (the clique LP) is solved in-package by
 a small interior-point method and enclosed in [lo, hi], whose ends are the
 values of a primal and a dual point repaired to exact feasibility, widened
@@ -140,32 +144,50 @@ def _greedy_clique_cover_bound(g: WeightedGraph, candidates: list[int]) -> float
     return sum(entry[1] for entry in cliques)
 
 
-def _greedy_stable_value(g: WeightedGraph) -> float:
+def _greedy_stable_value(g: WeightedGraph, vertices) -> float:
     taken: list[int] = []
     banned: set[int] = set()
-    for v in sorted(range(g.n), key=lambda u: -g.weights[u]):
+    for v in sorted(vertices, key=lambda u: -g.weights[u]):
         if v not in banned:
             taken.append(v)
             banned.update(g.neighbor_sets[v])
     return sum(g.weights[v] for v in sorted(taken))
 
 
+def _components(g: WeightedGraph) -> list[list[int]]:
+    """The connected components, each sorted, in order of their least vertex."""
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for root in range(g.n):
+        if root not in seen:
+            component, stack = {root}, [root]
+            while stack:
+                reached = g.neighbor_sets[stack.pop()] - component
+                component |= reached
+                stack.extend(reached)
+            seen |= component
+            out.append(sorted(component))
+    return out
+
+
 def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
     """Exact maximum weight of a stable set, with the lexicographically
     smallest witness among optima.
 
-    Branch and bound: depth-first search in increasing vertex order,
-    include-branch first (so stable sets are visited in lexicographic
-    order and the first strict improvement is the lex-smallest optimum),
-    pruned by a greedy clique-cover bound.
+    Branch and bound, once per connected component: depth-first search in
+    increasing vertex order, include-branch first (so stable sets are
+    visited in lexicographic order and the first strict improvement is the
+    lex-smallest optimum), pruned by a greedy clique-cover bound.  No
+    include decision depends on another component, so the union of the
+    components' witnesses is the whole graph's lex-smallest optimum.
     """
-    # Start just below the greedy value so the DFS still visits (and records)
-    # the lex-smallest optimum instead of keeping the greedy witness.  Both
-    # slacks are relative: an absolute one is lost in rounding at large weights.
-    greedy = _greedy_stable_value(g)
-    scale = max(1.0, greedy)
-    best_value, tie = greedy - 1e-9 * scale, 1e-12 * scale
-    best_set: tuple[int, ...] | None = None
+    # Each search starts just below its component's greedy value, so the DFS
+    # still visits (and records) the lex-smallest optimum instead of keeping
+    # the greedy witness.  Both slacks are relative to the whole graph's
+    # greedy value: an absolute one is lost in rounding at large weights.
+    scale = max(1.0, _greedy_stable_value(g, range(g.n)))
+    tie = 1e-12 * scale
+    witness: list[int] = []
 
     def dfs(candidates: list[int], current: list[int], value: float) -> None:
         nonlocal best_value, best_set
@@ -184,9 +206,14 @@ def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
         current.pop()
         dfs(rest, current, value)
 
-    dfs(list(range(g.n)), [], 0.0)
-    assert best_set is not None
-    return sum(g.weights[v] for v in best_set), best_set
+    for component in _components(g):
+        best_value = _greedy_stable_value(g, component) - 1e-9 * scale
+        best_set: tuple[int, ...] | None = None
+        dfs(component, [], 0.0)
+        assert best_set is not None
+        witness.extend(best_set)
+    best = tuple(sorted(witness))
+    return sum(g.weights[v] for v in best), best
 
 
 def maximal_cliques(g: WeightedGraph) -> list[tuple[int, ...]]:

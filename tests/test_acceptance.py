@@ -15,23 +15,22 @@ from conftest import (
     tensor_padded_candidate,
 )
 
-from theta_selftest import (
-    SelfTestError,
+from theta_selftest.graphs import circulant, fractional_packing, independence_number
+from theta_selftest.scenarios import (
     builtin_witness,
-    chained_dual_certificate,
-    chsh_primal_matrix,
-    circulant,
-    dual_nondegenerate,
     evaluate_witness,
     exclusivity_graph,
-    fractional_packing,
-    independence_number,
+    reference_realization,
+)
+from theta_selftest.sdp import min_eigenvalue
+from theta_selftest.selftest import SelfTestError, run_selftest
+from theta_selftest.theta import (
+    chained_dual_certificate,
+    chsh_primal_matrix,
+    dual_nondegenerate,
     lovasz_theta,
     mermin_primal_matrix,
     mermin_seven_dim_check,
-    min_eigenvalue,
-    reference_realization,
-    run_selftest,
     seven_dim_vectors,
     solve_theta_problem,
     verify_dual_certificate,
@@ -177,8 +176,7 @@ def test_criterion_7_oracle_equivalence_and_sandwich():
 
 
 def test_criterion_8_cli_determinism(tmp_path):
-    from theta_selftest import WeightedGraph
-    from theta_selftest.graphs import canonical_json, to_json_dict
+    from theta_selftest.graphs import WeightedGraph, canonical_json, to_json_dict
 
     path = tmp_path / "g.json"
     g = WeightedGraph(5, [(0, 1), (2, 3)])

@@ -14,18 +14,17 @@ from conftest import (
     tensor_padded_candidate,
 )
 
-from theta_selftest import (
+from theta_selftest import cli, graphs, selftest
+from theta_selftest.graphs import WeightedGraph, complement
+from theta_selftest.scenarios import (
+    MAX_CHAINED_N,
     Realization,
-    WeightedGraph,
     builtin_witness,
     exclusivity_graph,
+    realization_to_json_dict,
     reference_realization,
-    verify_dual_certificate,
 )
-from theta_selftest import cli, graphs, selftest
-from theta_selftest.graphs import complement
-from theta_selftest.scenarios import MAX_CHAINED_N, realization_to_json_dict
-from theta_selftest.theta import ThetaDualCertificate
+from theta_selftest.theta import ThetaDualCertificate, verify_dual_certificate
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
@@ -183,7 +182,7 @@ class TestTheta:
                 assert err.startswith("input error"), (command, text)
 
     def test_unachievable_tolerance_is_solver_failure(self, tmp_path):
-        from theta_selftest import circulant
+        from theta_selftest.graphs import circulant
 
         path = _write_graph(tmp_path / "c5.json", circulant(5, (1,)))
         code, _, err = run_cli(["theta", "--graph", path, "--solver-tol", "1e-30"])

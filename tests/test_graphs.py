@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,39 @@ class TestIndependence:
         value, witness = independence_number(g)
         assert value == 2.5
         assert witness == (1, 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(weighted_graphs(), weighted_graphs())
+    def test_disjoint_union_adds(self, g1, g2):
+        # alpha is additive over a disjoint union, so the parts' brute-force
+        # values are the union's; its witness is the parts' own, the second
+        # relabelled after the first.
+        shifted = tuple((i + g1.n, j + g1.n) for i, j in g2.edges)
+        union = WeightedGraph(g1.n + g2.n, g1.edges + shifted, g1.weights + g2.weights)
+        (a1, w1), (a2, w2) = independence_number(g1), independence_number(g2)
+        value, witness = independence_number(union)
+        assert witness == w1 + tuple(v + g1.n for v in w2)
+        assert not any(u in witness and v in witness for u, v in union.edges)
+        assert a1 == pytest.approx(brute_force_independence(g1)[0], abs=1e-9)
+        assert a2 == pytest.approx(brute_force_independence(g2)[0], abs=1e-9)
+        assert value == pytest.approx(a1 + a2, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "g, alpha, size",
+        [
+            (WeightedGraph(60, [(5 * k + i, 5 * k + (i + 1) % 5)
+                                for k in range(12) for i in range(5)]), 24.0, 24),
+            (WeightedGraph(2000, []), 2000.0, 2000),
+            (WeightedGraph(2000, [], [0.0] * 2000), 0.0, 2000),
+        ],
+        ids=["12-C5", "2000-isolated", "2000-isolated-zero-weight"],
+    )
+    def test_disjoint_unions_are_fast(self, g, alpha, size):
+        # One search per component: exponential only in the largest one.
+        start = time.perf_counter()
+        value, witness = independence_number(g)
+        assert time.perf_counter() - start < 2.0
+        assert (value, len(witness)) == (alpha, size)
 
 
 class TestCliquesAndPacking:

@@ -138,15 +138,12 @@ def test_main_sets_only_the_idle_timeout(user):
     assert json.loads(out) == expected
 
 
-# --- lazy import -------------------------------------------------------------
+# --- package import ----------------------------------------------------------
 
 _LAZY_PROBE = """
 import sys
 import theta_selftest
 assert "numpy" not in sys.modules, "import theta_selftest loaded numpy"
-for name in theta_selftest.__all__:
-    obj = getattr(theta_selftest, name)
-    assert getattr(sys.modules[obj.__module__], obj.__name__) is obj, name
 print("ok")
 """
 

@@ -1,8 +1,9 @@
-"""The package's public namespace, its tolerance policy and its import footprint."""
+"""The package's metadata, its tolerance policy and its import footprint."""
 
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,40 +11,9 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import circulant, cli, graphs, sdp, selftest, theta
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in theta_selftest.__all__ if not hasattr(theta_selftest, name)]
-    assert missing == []
-    assert len(set(theta_selftest.__all__)) == len(theta_selftest.__all__)
-
-
-# What the command line and the README examples use, and nothing else: the
-# names tests/test_acceptance.py imports, the errors they raise, their input
-# types, and the readers of the documents the command line reads.
-_EXPORTED = {
-    # tests/test_acceptance.py
-    "SelfTestError", "builtin_witness", "chained_dual_certificate",
-    "chsh_primal_matrix", "circulant", "dual_nondegenerate",
-    "evaluate_witness", "exclusivity_graph", "fractional_packing",
-    "independence_number", "lovasz_theta", "mermin_primal_matrix",
-    "mermin_seven_dim_check", "min_eigenvalue", "reference_realization",
-    "run_selftest", "seven_dim_vectors", "solve_theta_problem",
-    "verify_dual_certificate",
-    # errors
-    "SolverError", "ResourceLimitError", "MalformedCertificateError",
-    "NotPsdError", "PreconditionError", "NotOptimizerError",
-    # input types
-    "WeightedGraph", "Realization", "BellWitness",
-    # document readers
-    "graph_from_json_dict", "realization_from_json_dict",
-}
-
-
-def test_exported_names_are_exactly_the_used_surface():
-    assert len(_EXPORTED) == 30
-    assert set(theta_selftest.__all__) == _EXPORTED
+from theta_selftest import cli, graphs, sdp, selftest, theta
+from theta_selftest.graphs import circulant
+from theta_selftest.scenarios import reference_realization
 
 
 def test_version_has_a_single_source():
@@ -67,10 +37,14 @@ def test_console_script_is_the_module_entry_point():
     assert config["project"]["scripts"] == {"theta-selftest": "theta_selftest.__main__:main"}
 
 
-def test_star_import():
-    namespace: dict = {}
-    exec("from theta_selftest import *", namespace)
-    assert set(theta_selftest.__all__) <= set(namespace)
+def test_readme_python_examples_run():
+    """Each Python example of the README runs as written (imports included),
+    with the chsh reference as the `candidate` it leaves to the reader."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        exec(block, {"candidate": reference_realization("chsh")})
 
 
 @pytest.mark.parametrize("module", ["cli", "theta", "scenarios", "selftest"])

@@ -7,34 +7,30 @@ import numpy as np
 import pytest
 from conftest import kron_all, padded_candidate, rotated_candidate, tensor_padded_candidate
 
-from theta_selftest import (
-    BellWitness,
-    Realization,
-    WeightedGraph,
-    builtin_witness,
-    circulant,
-    evaluate_witness,
-    exclusivity_graph,
-    lovasz_theta,
-    realization_from_json_dict,
-    reference_realization,
-)
-from theta_selftest.graphs import complement
+from theta_selftest.graphs import WeightedGraph, circulant, complement
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     BellScenario,
+    BellWitness,
     Event,
+    Realization,
     as4_witness,
+    builtin_witness,
     chained_realization,
     chained_witness,
+    evaluate_witness,
     event_projectors,
     event_vectors,
+    exclusivity_graph,
     mermin_witness,
     parse_scenario_name,
+    realization_from_json_dict,
     realization_to_json_dict,
+    reference_realization,
     validate_realization,
     witness_to_json_dict,
 )
+from theta_selftest.theta import lovasz_theta
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
 

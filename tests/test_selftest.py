@@ -20,32 +20,25 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selftest import (
-    BellWitness,
-    NotOptimizerError,
-    PreconditionError,
-    Realization,
-    builtin_witness,
-    chsh_primal_matrix,
-    evaluate_witness,
-    exclusivity_graph,
-    mermin_primal_matrix,
-    mermin_seven_dim_check,
-    reference_realization,
-    run_selftest,
-    seven_dim_vectors,
-)
 from theta_selftest import selftest
 from theta_selftest.scenarios import (
     BellScenario,
+    BellWitness,
     Event,
+    Realization,
+    builtin_witness,
+    evaluate_witness,
     event_projectors,
     event_vectors,
+    exclusivity_graph,
     mermin_witness,
     realization_to_json_dict,
+    reference_realization,
 )
 from theta_selftest.selftest import (
     SELFTEST_TOL,
+    NotOptimizerError,
+    PreconditionError,
     _claim_residuals,
     candidate_is_rank_one,
     check_bipartite_conditions,
@@ -54,7 +47,14 @@ from theta_selftest.selftest import (
     condition_report_to_json_dict,
     interleave_with_junk,
     product_structure_from_realization,
+    run_selftest,
     selftest_report_to_json_dict,
+)
+from theta_selftest.theta import (
+    chsh_primal_matrix,
+    mermin_primal_matrix,
+    mermin_seven_dim_check,
+    seven_dim_vectors,
 )
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]

@@ -10,33 +10,32 @@ from conftest import random_graph, reweight, weighted_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selftest import (
-    MalformedCertificateError,
-    NotPsdError,
-    WeightedGraph,
-    chained_dual_certificate,
-    chsh_primal_matrix,
-    circulant,
-    dual_nondegenerate,
-    exclusivity_graph,
-    lovasz_theta,
-    mermin_primal_matrix,
-    min_eigenvalue,
-    solve_theta_problem,
-    verify_dual_certificate,
-)
 from theta_selftest import theta
-from theta_selftest.graphs import ResourceLimitError, complement
-from theta_selftest.scenarios import MAX_CHAINED_N, builtin_witness, mermin_witness
-from theta_selftest.sdp import SolverError, solve_sdp
+from theta_selftest.graphs import ResourceLimitError, WeightedGraph, circulant, complement
+from theta_selftest.scenarios import (
+    MAX_CHAINED_N,
+    builtin_witness,
+    exclusivity_graph,
+    mermin_witness,
+)
+from theta_selftest.sdp import SolverError, min_eigenvalue, solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
     NULL_THRESHOLD,
+    MalformedCertificateError,
+    NotPsdError,
     ThetaDualCertificate,
     certificate_matrix,
     certificate_to_json_dict,
+    chained_dual_certificate,
+    chsh_primal_matrix,
+    dual_nondegenerate,
+    lovasz_theta,
+    mermin_primal_matrix,
+    solve_theta_problem,
     theta_problem,
     theta_start,
+    verify_dual_certificate,
 )
 
 C5 = circulant(5, (1,))
