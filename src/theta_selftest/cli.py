@@ -8,8 +8,8 @@ six significant digits; JSON output carries full double precision and is
 emitted in canonical form (sorted keys, no whitespace) so repeated runs are
 byte-identical.  The command line still reads no environment variable: each
 tolerance comes from the constant of the module that owns it.  `--solver-tol`
-and `--threshold` default to sdp.SOLVER_TOL and theta.NULL_THRESHOLD; an
-omitted `--tol` is read from selftest.SELFTEST_TOL when `selftest` runs.
+defaults to sdp.SOLVER_TOL, the uniqueness cut is theta.NULL_THRESHOLD, and
+an omitted `--tol` is read from selftest.SELFTEST_TOL when `selftest` runs.
 Only `cmd_selftest` loads the self-test layer, so the other commands never
 import (or, without cached bytecode, compile) it; `run_selftest` raises on
 every rejection, so each report it prints is an ACCEPT (`"verified":true`).
@@ -46,7 +46,6 @@ from .scenarios import (
 )
 from .sdp import SOLVER_TOL, SolverError, min_eigenvalue
 from .theta import (
-    NULL_THRESHOLD,
     MalformedCertificateError,
     NotPsdError,
     certificate_matrix,
@@ -54,7 +53,7 @@ from .theta import (
     chained_dual_certificate,
     check_theta_size,
     dual_nondegenerate,
-    lovasz_theta,
+    positive_subgraph,
     solve_theta_problem,
     verify_dual_certificate,
 )
@@ -101,12 +100,15 @@ def _input_graph(args) -> WeightedGraph:
 
 def cmd_theta(args) -> int:
     solver_tol = _unit_interval("solver_tol", args.solver_tol)
-    g = _input_graph(args)
-    # The limits first: theta's size, then alpha*'s clique enumeration.
-    check_theta_size(g)
-    alpha_star = fractional_packing(g)
-    alpha, _ = independence_number(g)
-    theta, _ = lovasz_theta(g, tol=solver_tol)
+    # All three on the positive-weight subgraph; with no positive weight each is 0.
+    sub = positive_subgraph(_input_graph(args))[0]
+    alpha = theta = alpha_star = 0.0
+    if sub is not None:
+        # The limits first: theta's size, then alpha*'s clique enumeration.
+        check_theta_size(sub)
+        alpha_star = fractional_packing(sub)
+        alpha, _ = independence_number(sub)
+        theta = solve_theta_problem(sub, tol=solver_tol).value
     slack = SANDWICH_SLACK * max(1.0, abs(theta))
     sandwich_ok = alpha <= theta + slack and theta <= alpha_star + slack
     if args.json:
@@ -130,7 +132,7 @@ def cmd_theta(args) -> int:
 
 
 def _closed_form_certificate(scenario: str):
-    """The closed-form certificate of a chsh or chained scenario, else None."""
+    """The closed-form multipliers y of a chsh or chained scenario, else None."""
     kind, n = parse_scenario_name(scenario)
     if kind in ("chsh", "chained"):
         return chained_dual_certificate(2 if kind == "chsh" else n)
@@ -138,27 +140,28 @@ def _closed_form_certificate(scenario: str):
 
 
 def cmd_certify(args) -> int:
-    cert = _closed_form_certificate(args.scenario)
-    if cert is None:
+    y = _closed_form_certificate(args.scenario)
+    if y is None:
         raise ValueError(f"no closed-form certificate for scenario '{args.scenario}'")
     g = exclusivity_graph(builtin_witness(args.scenario))
     try:
-        verify_dual_certificate(g, cert)
+        verify_dual_certificate(g, y)
         verified = True
     except (MalformedCertificateError, NotPsdError):
         verified = False
-    eig = min_eigenvalue(certificate_matrix(g, cert.y))
+    eig = min_eigenvalue(certificate_matrix(g, y))
+    bound = float(y[0])
     if args.json:
         _emit_json(
             {
-                "bound": cert.t,
+                "bound": bound,
                 "min_eigenvalue": eig,
                 "verified": verified,
-                "certificate": certificate_to_json_dict(cert),
+                "certificate": certificate_to_json_dict(g, y),
             }
         )
     else:
-        print(f"certified bound  = {_fmt(cert.t)}")
+        print(f"certified bound  = {_fmt(bound)}")
         print(f"min eigenvalue   = {_fmt(eig)}")
         print("verification     : " + ("PASS" if verified else "FAIL"))
     return EXIT_OK if verified else EXIT_SOLVER
@@ -166,14 +169,11 @@ def cmd_certify(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     solver_tol = _unit_interval("solver_tol", args.solver_tol)
-    threshold = _unit_interval("null_threshold", args.threshold)
     g = _input_graph(args)
-    cert = _closed_form_certificate(args.scenario) if args.scenario else None
-    if cert is None:
+    y = _closed_form_certificate(args.scenario) if args.scenario else None
+    if y is None:
         y = solve_theta_problem(g, tol=solver_tol).dual_multipliers
-    else:
-        y = cert.y
-    verdict = dual_nondegenerate(g, certificate_matrix(g, y), threshold=threshold)
+    verdict = dual_nondegenerate(g, certificate_matrix(g, y))
     if args.json:
         _emit_json(
             {
@@ -252,9 +252,9 @@ def _export_payload(scenario: str, fmt: str) -> str:
         "graph": graph_to_json_dict(g),
         "witness": witness_to_json_dict(witness),
     }
-    cert = _closed_form_certificate(scenario)
-    if cert is not None:
-        payload["certificate"] = certificate_to_json_dict(cert)
+    y = _closed_form_certificate(scenario)
+    if y is not None:
+        payload["certificate"] = certificate_to_json_dict(g, y)
     return canonical_json(payload)
 
 
@@ -302,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uniqueness", help="dual nondegeneracy of the optimizer")
     add_common(p, graph_input=True)
     p.add_argument("--solver-tol", type=float, default=SOLVER_TOL, dest="solver_tol")
-    p.add_argument("--threshold", type=float, default=NULL_THRESHOLD)
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser("selftest", help="run the extraction pipeline on a candidate")

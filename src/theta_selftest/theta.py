@@ -43,8 +43,9 @@ class NotPsdError(CertificateError):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
-def _check_stack(n: int, edges: int) -> None:
-    """Refuse a theta SDP on n vertices and `edges` edges beyond _MAX_STACK doubles."""
+def check_theta_size(g: WeightedGraph) -> None:
+    """Refuse the theta SDP of g beyond _MAX_STACK doubles (ResourceLimitError)."""
+    n, edges = g.n, len(g.edges)
     size = (n + 1 + edges) * (n + 1) ** 2
     if size > _MAX_STACK:
         raise ResourceLimitError(
@@ -53,11 +54,21 @@ def _check_stack(n: int, edges: int) -> None:
         )
 
 
-def check_theta_size(g: WeightedGraph) -> None:
-    """_check_stack on the positive-weight subgraph solve_theta_problem solves."""
-    pos = np.asarray(g.weights) > 0
-    inner = pos[np.asarray(g.edges, dtype=int).reshape(-1, 2)].all(axis=1)
-    _check_stack(int(pos.sum()), int(inner.sum()))
+def positive_subgraph(
+    g: WeightedGraph,
+) -> tuple[WeightedGraph | None, np.ndarray, np.ndarray]:
+    """The subgraph of g induced by its positive weights (None when there is
+    none), the indices in g of its vertices, and the mask of g.edges inside
+    it.  Zero-weight vertices change none of alpha, theta and alpha*."""
+    keep = np.flatnonzero(np.asarray(g.weights) > 0)
+    pos = np.full(g.n, -1)
+    pos[keep] = np.arange(keep.size)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
+    inner = (pos[edges] >= 0).all(axis=1)  # the subgraph's edges, in order
+    if keep.size == 0:
+        return None, keep, inner
+    sub = WeightedGraph(keep.size, pos[edges[inner]], np.asarray(g.weights)[keep])
+    return sub, keep, inner
 
 
 def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,7 +76,7 @@ def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     order: normalization, one diagonal-border row per vertex, one zero per
     edge (sorted).  Raises ResourceLimitError, before allocating, when the
     stack would hold more than _MAX_STACK doubles."""
-    _check_stack(g.n, len(g.edges))
+    check_theta_size(g)
     d = g.n + 1
     v = np.arange(1, d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
@@ -118,25 +129,19 @@ _START_LADDER: tuple[tuple[float, float], ...] = (
 def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolution:
     """Solve the theta SDP of g and return the solution on g.
 
-    Zero-weight vertices leave theta unchanged, so only the subgraph induced
-    by the positive weights is solved, from each start of _START_LADDER in
-    turn until one converges (deterministic; the last SolverError propagates
-    when none does).  The rest get zero primal rows and columns, lambda = 0
+    Zero-weight vertices leave theta unchanged, so only positive_subgraph(g)
+    is solved, from each start of _START_LADDER in turn until one converges
+    (deterministic; the last SolverError propagates when none does).  The rest get zero primal rows and columns, lambda = 0
     and mu = 0 on their edges, so certificate_matrix(g, y) is the subgraph's
     slack bordered by zero rows.  No positive weight gives theta = 0 at E_00.
     """
-    keep = np.flatnonzero(np.asarray(g.weights) > 0)
+    sub, keep, inner = positive_subgraph(g)
     d = g.n + 1
     primal = np.zeros((d, d))
     primal[0, 0] = 1.0
     y = np.zeros(d + len(g.edges))
-    if keep.size == 0:
+    if sub is None:
         return SdpSolution(primal, y, 0.0, 0)
-    pos = np.full(g.n, -1)
-    pos[keep] = np.arange(keep.size)
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
-    inner = (pos[edges] >= 0).all(axis=1)  # the subgraph's edges, in order
-    sub = WeightedGraph(keep.size, pos[edges[inner]], np.asarray(g.weights)[keep])
     c, a, b = theta_problem(sub)
     err: SolverError | None = None
     for scales in _START_LADDER:
@@ -152,13 +157,6 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     y[rows] = sol.dual_multipliers[: keep.size + 1]  # t and lambda
     y[d:][inner] = sol.dual_multipliers[keep.size + 1 :]  # mu
     return sol._replace(primal=primal, dual_multipliers=y)
-
-
-def lovasz_theta(g: WeightedGraph, tol: float = SOLVER_TOL) -> tuple[float, np.ndarray]:
-    """Theta number of (g, w) and the optimal (1+n)-dimensional primal matrix,
-    read off solve_theta_problem."""
-    sol = solve_theta_problem(g, tol=tol)
-    return sol.value, sol.primal
 
 
 def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
@@ -180,53 +178,30 @@ def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
     return z
 
 
-class ThetaDualCertificate:
-    """Dual point of theta_problem(graph): multipliers y in its constraint
-    order, and the slack matrix certificate_matrix(graph, y).  Read-only."""
-
-    __slots__ = ("graph", "y", "matrix")
-
-    def __init__(self, graph: WeightedGraph, y) -> None:
-        y = np.asarray(y, dtype=float)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "matrix", certificate_matrix(graph, y))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @property
-    def t(self) -> float:
-        return float(self.y[0])
-
-
-def chained_dual_certificate(N: int) -> ThetaDualCertificate:
-    """Dual optimal certificate for circulant(4N, [1, 2N]), t = N(1 + cos(pi/2N))."""
+def chained_dual_certificate(N: int) -> np.ndarray:
+    """Dual optimal multipliers y for circulant(4N, [1, 2N]), t = N(1 + cos(pi/2N))."""
     if N < 2:
         raise ValueError("chained certificates require N >= 2")
     k = cos(pi / (2 * N))
     f = (1.0 - k) / (1.0 + k)
     l = 1.0 / (1.0 + k)
     n = 4 * N
-    g = circulant(n, [1, 2 * N])
-    e = np.asarray(g.edges)
+    e = np.asarray(circulant(n, [1, 2 * N]).edges)
     mus = np.where(e[:, 1] - e[:, 0] == 2 * N, 2.0 * f, 2.0 * l)  # antipodal, cycle
-    return ThetaDualCertificate(g, np.concatenate(([N / l], np.full(n, 2.0), mus)))
+    return np.concatenate(([N / l], np.full(n, 2.0), mus))
 
 
-def verify_dual_certificate(
-    g: WeightedGraph, cert: ThetaDualCertificate, tol: float = CERT_TOL
-) -> float:
-    """Return the bound t that cert certifies for g.
+def verify_dual_certificate(g: WeightedGraph, y, tol: float = CERT_TOL) -> float:
+    """Return the bound t = y[0] that the multipliers y certify for g.
 
-    Z is rebuilt from (g, cert.y); cert.matrix is never read.  Any y of the
-    right length with Z >= 0 is dual feasible for theta_problem(g), so the
-    only check is that Z's minimum eigenvalue is at least -tol.
+    Any y of the right length with Z = certificate_matrix(g, y) >= 0 is dual
+    feasible for theta_problem(g), so the only check is that Z's minimum
+    eigenvalue is at least -tol.
     """
-    lam_min = min_eigenvalue(certificate_matrix(g, cert.y))
+    lam_min = min_eigenvalue(certificate_matrix(g, y))
     if not lam_min >= -tol:
         raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{tol:.1e}")
-    return cert.t
+    return float(y[0])
 
 
 class UniquenessVerdict(NamedTuple):
@@ -235,19 +210,17 @@ class UniquenessVerdict(NamedTuple):
     residual: float
 
 
-def dual_nondegenerate(
-    g: WeightedGraph, z: np.ndarray, threshold: float = NULL_THRESHOLD
-) -> UniquenessVerdict:
+def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     """Decide dual nondegeneracy of an optimal slack Z on its kernel.
 
     Every primal optimizer differs from another by a symmetric M with
     M Z = 0, so M = Q S Q^T for Q spanning ker Z: the eigenvectors of Z with
-    |lambda| <= threshold * max(1, max |lambda|), k of them.  S runs over an
-    orthonormal basis of symmetric k x k matrices, and the rows are
+    |lambda| <= NULL_THRESHOLD * max(1, max |lambda|), k of them.  S runs
+    over an orthonormal basis of symmetric k x k matrices, and the rows are
     theta_problem's 1 + n + |E| constraints at Q S Q^T, each a bilinear form
     a^T M b (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997).  The
     singular values of that map, padded with zeros up to its k(k + 1)/2
-    unknowns, are counted as null at most threshold times the largest.
+    unknowns, are counted as null at most NULL_THRESHOLD times the largest.
     Nondegenerate (hence the primal optimizer is unique) iff none is.  A map
     of more than _MAX_STACK doubles is refused (ResourceLimitError) unbuilt.
     """
@@ -255,7 +228,7 @@ def dual_nondegenerate(
     if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
     lam, vecs = np.linalg.eigh(z)
-    q = vecs[:, np.abs(lam) <= threshold * max(1.0, float(np.abs(lam).max()))]
+    q = vecs[:, np.abs(lam) <= NULL_THRESHOLD * max(1.0, float(np.abs(lam).max()))]
     k = q.shape[1]
     if k == 0:
         return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
@@ -274,7 +247,7 @@ def dual_nondegenerate(
     sv = np.linalg.svd(rows, compute_uv=False)
     sv = np.pad(sv, (0, iu.size - sv.size))
     smax = float(sv[0])  # positive: S = I gives a nonzero row for k >= 1
-    dim = int(np.sum(sv <= threshold * smax))
+    dim = int(np.sum(sv <= NULL_THRESHOLD * smax))
     return UniquenessVerdict(
         nondegenerate=(dim == 0), nullspace_dim=dim, residual=float(sv.min() / smax)
     )
@@ -341,11 +314,12 @@ def mermin_seven_dim_check() -> float:
     return float(np.abs(v @ v.T - mermin_primal_matrix()).max())
 
 
-def certificate_to_json_dict(cert: ThetaDualCertificate) -> dict:
-    g, y = cert.graph, cert.y.tolist()
+def certificate_to_json_dict(g: WeightedGraph, y) -> dict:
+    z = certificate_matrix(g, y)
+    y = np.asarray(y, dtype=float).tolist()
     return {
-        "t": cert.t,
+        "t": y[0],
         "lambda": y[1 : 1 + g.n],
         "mu": {f"{i}-{j}": v for (i, j), v in zip(g.edges, y[1 + g.n :])},
-        "matrix": cert.matrix.tolist(),
+        "matrix": z.tolist(),
     }

@@ -25,10 +25,10 @@ from theta_selftest.scenarios import (
 from theta_selftest.sdp import min_eigenvalue
 from theta_selftest.selftest import SelfTestError, run_selftest
 from theta_selftest.theta import (
+    certificate_matrix,
     chained_dual_certificate,
     chsh_primal_matrix,
     dual_nondegenerate,
-    lovasz_theta,
     mermin_primal_matrix,
     mermin_seven_dim_check,
     seven_dim_vectors,
@@ -48,19 +48,21 @@ CLOSED_FORM = {
 
 
 def test_criterion_1_chsh_theta_value_and_primal():
-    value, primal = lovasz_theta(circulant(8, (1, 4)))
+    sol = solve_theta_problem(circulant(8, (1, 4)))
+    value, primal = sol.value, sol.primal
     assert abs(value - (2.0 + sqrt(2.0))) <= 1e-6
     assert np.abs(primal - chsh_primal_matrix()).max() <= 1e-5
 
 
 def test_criterion_2_chsh_dual_certificate_and_uniqueness():
     g = circulant(8, (1, 4))
-    cert = chained_dual_certificate(2)
-    bound = verify_dual_certificate(g, cert)
+    y = chained_dual_certificate(2)
+    bound = verify_dual_certificate(g, y)
     assert abs(bound - (2.0 + sqrt(2.0))) <= 1e-12
-    eig = min_eigenvalue(cert.matrix)
+    z = certificate_matrix(g, y)
+    eig = min_eigenvalue(z)
     assert -1e-9 <= eig <= 1e-9
-    verdict = dual_nondegenerate(g, cert.matrix)
+    verdict = dual_nondegenerate(g, z)
     assert verdict.nondegenerate and verdict.nullspace_dim == 0
 
 
@@ -69,14 +71,16 @@ def test_criterion_3_chained_family_bounds_and_certificates():
         sol = solve_theta_problem(circulant(4 * n, (1, 2 * n)))
         assert abs(sol.value - n * (1.0 + cos(pi / (2 * n)))) <= 1e-6
     for n in range(2, 17):
-        cert = chained_dual_certificate(n)
-        assert min_eigenvalue(cert.matrix) >= -1e-9
-        bound = verify_dual_certificate(circulant(4 * n, (1, 2 * n)), cert)
+        g = circulant(4 * n, (1, 2 * n))
+        y = chained_dual_certificate(n)
+        z = certificate_matrix(g, y)
+        assert min_eigenvalue(z) >= -1e-9
+        bound = verify_dual_certificate(g, y)
         assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
-        assert abs(cert.t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
+        assert abs(y[0] - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         # Z's vertex block is a symmetric circulant: its spectrum is the
         # real part of the DFT of its first row, in frequency order.
-        eigs = np.fft.fft(cert.matrix[1, 1:]).real
+        eigs = np.fft.fft(z[1, 1:]).real
         assert abs(eigs[2 * n]) <= 1e-12
         assert abs(eigs[2 * n - 1]) <= 1e-12
 
@@ -86,7 +90,7 @@ def test_criterion_4_mermin_graph_invariants_and_configuration():
     g = exclusivity_graph(wit)
     alpha, _ = independence_number(g)
     assert alpha == 3.0
-    value, _ = lovasz_theta(g)
+    value = solve_theta_problem(g).value
     assert abs(value - 4.0) <= 1e-6
     assert abs(fractional_packing(g) - 4.0) <= 1e-9
     p = mermin_primal_matrix()
@@ -104,7 +108,7 @@ def test_criterion_5_as4_graph_invariants_and_realization():
     g = exclusivity_graph(wit)
     alpha, _ = independence_number(g)
     assert alpha == 10.0
-    value, _ = lovasz_theta(g)
+    value = solve_theta_problem(g).value
     assert abs(value - CLOSED_FORM["as4"]) <= 1e-5
     assert abs(fractional_packing(g) - 14.0) <= 1e-9
     witness_value, _ = evaluate_witness(wit, reference_realization("as4"))

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 from theta_selftest import cli, graphs, selftest
-from theta_selftest.graphs import WeightedGraph, complement
+from theta_selftest.graphs import WeightedGraph, circulant, complement
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     Realization,
@@ -24,7 +24,7 @@ from theta_selftest.scenarios import (
     realization_to_json_dict,
     reference_realization,
 )
-from theta_selftest.theta import ThetaDualCertificate, verify_dual_certificate
+from theta_selftest.theta import verify_dual_certificate
 
 
 def _write_graph(path, g: WeightedGraph) -> str:
@@ -115,7 +115,7 @@ class TestTheta:
         def no_theta(*args, **kwargs):
             raise AssertionError("theta solved before the clique limit tripped")
 
-        monkeypatch.setattr(cli, "lovasz_theta", no_theta)
+        monkeypatch.setattr(cli, "solve_theta_problem", no_theta)
         code, out, err = run_cli(["theta", "--graph", path, "--json"])
         assert (code, out) == (2, "")
         assert err == "solver error: more than 16 maximal cliques\n"
@@ -139,6 +139,19 @@ class TestTheta:
         doc = json.loads(out)
         assert abs(doc["theta"] - 1.409491023015686) <= 1e-9 * 1.409491023015686
         assert doc["sandwich_ok"] is True
+
+    def test_zero_weight_path_is_zero_without_a_search(self, tmp_path, monkeypatch):
+        # alpha, theta and alpha* are those of the positive-weight subgraph,
+        # empty here, so none of the three searches or solvers runs.
+        n = 2000
+        path = _write_graph(
+            tmp_path / "g.json", WeightedGraph(n, [(i, i + 1) for i in range(n - 1)], [0.0] * n)
+        )
+        for name in ("fractional_packing", "independence_number", "solve_theta_problem"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: pytest.fail(f"{name} ran"))
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, err) == (0, "")
+        assert out == '{"alpha":0.0,"alpha_star":0.0,"sandwich_ok":true,"theta":0.0}\n'
 
     def test_packing_non_convergence_is_solver_error(self, monkeypatch):
         monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", 1)
@@ -198,9 +211,8 @@ class TestTheta:
         [
             ["theta", "--scenario", "chsh", "--solver-tol"],
             ["uniqueness", "--scenario", "mermin", "--json", "--solver-tol"],
-            ["uniqueness", "--scenario", "chsh", "--threshold"],
         ],
-        ids=["theta-solver-tol", "uniqueness-solver-tol", "uniqueness-threshold"],
+        ids=["theta-solver-tol", "uniqueness-solver-tol"],
     )
     def test_tolerance_of_one_or_more_is_input_error(self, argv, value):
         # A relative gap or singular-value ratio is below 1, so such a
@@ -231,9 +243,10 @@ class TestCertify:
     @pytest.mark.parametrize("name", ["chsh"] + [f"chained:{n}" for n in range(2, 17)])
     def test_certificate_is_written_for_the_witness_graph(self, name):
         g = exclusivity_graph(builtin_witness(name))
-        cert = cli._closed_form_certificate(name)
-        assert cert.graph == g
-        assert verify_dual_certificate(g, cert) == cert.t
+        # chained_dual_certificate(N) writes y for circulant(4N, [1, 2N]).
+        assert g == circulant(g.n, (1, g.n // 2))
+        y = cli._closed_form_certificate(name)
+        assert verify_dual_certificate(g, y) == y[0]
 
     def test_rejects_unsupported_scenarios(self):
         for bad in ("chained:0", "chained:1", f"chained:{MAX_CHAINED_N + 1}", "mermin", "as4",
@@ -255,6 +268,12 @@ class TestUniqueness:
     def test_chained_closed_form(self):
         code, out, _ = run_cli(["uniqueness", "--scenario", "chained:3"])
         assert code == 0 and "NONDEGENERATE" in out
+
+    def test_threshold_option_is_gone(self):
+        # The null cut is theta.NULL_THRESHOLD; no option overrides it.
+        code, out, err = run_cli(["uniqueness", "--scenario", "chsh", "--threshold", "1e-8"])
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --threshold 1e-8" in err
 
     def test_oversized_theta_problem_is_solver_error(self, tmp_path):
         # 2000 isolated vertices: the theta SDP's constraint stack would take
@@ -647,7 +666,7 @@ class TestExport:
         t, lam, mu = (doc["certificate"][k] for k in ("t", "lambda", "mu"))
         assert set(mu) == {f"{i}-{j}" for i, j in g.edges}
         y = [t, *lam, *(mu[f"{i}-{j}"] for i, j in g.edges)]
-        bound = verify_dual_certificate(g, ThetaDualCertificate(g, y))
+        bound = verify_dual_certificate(g, y)
         assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12 * bound
 
     def test_dot_payload(self):

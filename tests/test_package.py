@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import cli, graphs, sdp, selftest, theta
+from theta_selftest import cli, graphs, sdp, selftest
 from theta_selftest.graphs import circulant
 from theta_selftest.scenarios import reference_realization
 
@@ -103,7 +103,6 @@ def test_each_default_has_a_single_source(monkeypatch):
     # Identity, not equality: each default is the owning module's constant.
     assert _flag_default("theta", "solver_tol") is sdp.SOLVER_TOL
     assert _flag_default("uniqueness", "solver_tol") is sdp.SOLVER_TOL
-    assert _flag_default("uniqueness", "threshold") is theta.NULL_THRESHOLD
     # The self-test layer loads only when `selftest` runs, so an omitted
     # --tol is read from its constant then, and cli keeps no copy of it.
     seen = []

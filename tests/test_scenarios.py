@@ -30,7 +30,7 @@ from theta_selftest.scenarios import (
     validate_realization,
     witness_to_json_dict,
 )
-from theta_selftest.theta import lovasz_theta
+from theta_selftest.theta import solve_theta_problem
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
 
@@ -259,7 +259,7 @@ class TestReferenceRealizations:
     def test_reference_value_matches_solver_theta(self, name):
         wit = builtin_witness(name)
         value, _ = evaluate_witness(wit, reference_realization(name))
-        theta, _ = lovasz_theta(exclusivity_graph(wit))
+        theta = solve_theta_problem(exclusivity_graph(wit)).value
         assert abs(value - theta) <= 1e-6
 
     @pytest.mark.parametrize("name", ALL_NAMES)

@@ -24,13 +24,11 @@ from theta_selftest.theta import (
     NULL_THRESHOLD,
     MalformedCertificateError,
     NotPsdError,
-    ThetaDualCertificate,
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
     chsh_primal_matrix,
     dual_nondegenerate,
-    lovasz_theta,
     mermin_primal_matrix,
     solve_theta_problem,
     theta_problem,
@@ -153,15 +151,17 @@ class TestProblemAssembly:
             tracemalloc.stop()
 
     def test_theta_size_is_checked_on_the_positive_subgraph(self):
-        # solve_theta_problem builds the SDP on the positive-weight vertices
-        # only: 10 of 2000 need a small stack, all 2000 the 59.7 GiB one.
+        # solve_theta_problem and `theta` check the size of the positive-weight
+        # subgraph they solve: 10 of 2000 vertices need a small stack, all
+        # 2000 the 59.7 GiB one.
         weights = np.zeros(2000)
         weights[:10] = 1.0
+        g = WeightedGraph(2000, [], weights)
         tracemalloc.start()
         try:
-            theta.check_theta_size(WeightedGraph(2000, [], weights))
+            theta.check_theta_size(theta.positive_subgraph(g)[0])
             with pytest.raises(ResourceLimitError, match="theta SDP on 2000 vertices and 0"):
-                theta.check_theta_size(WeightedGraph(2000, []))
+                theta.check_theta_size(g)
             assert tracemalloc.get_traced_memory()[1] <= 1e6
         finally:
             tracemalloc.stop()
@@ -182,20 +182,22 @@ class TestProblemAssembly:
 class TestThetaValues:
     def test_closed_form_families(self):
         # Pentagon: sqrt(5); complete graphs: max weight; empty graphs: total weight.
-        assert abs(lovasz_theta(C5)[0] - sqrt(5.0)) <= 1e-7
+        assert abs(solve_theta_problem(C5).value - sqrt(5.0)) <= 1e-7
         k3 = WeightedGraph(3, [(0, 1), (0, 2), (1, 2)])
-        assert abs(lovasz_theta(k3)[0] - 1.0) <= 1e-7
+        assert abs(solve_theta_problem(k3).value - 1.0) <= 1e-7
         e4 = WeightedGraph(4, [], [1.0, 2.0, 0.5, 1.0])
-        assert abs(lovasz_theta(e4)[0] - 4.5) <= 1e-7
+        assert abs(solve_theta_problem(e4).value - 4.5) <= 1e-7
 
     def test_zero_weights_leave_theta_unchanged(self):
         # C5 with one zero weight: theta of the remaining path P4, with a
         # zero row and column for the dropped vertex in the primal.
-        val, primal = lovasz_theta(reweight(C5, [1.0, 1.0, 0.0, 1.0, 1.0]))
+        sol = solve_theta_problem(reweight(C5, [1.0, 1.0, 0.0, 1.0, 1.0]))
+        val, primal = sol.value, sol.primal
         assert abs(val - 2.0) <= 1e-7
         assert primal.shape == (6, 6)
         assert not primal[3].any() and not primal[:, 3].any()
-        val, primal = lovasz_theta(reweight(C5, [0.0] * 5))
+        sol = solve_theta_problem(reweight(C5, [0.0] * 5))
+        val, primal = sol.value, sol.primal
         assert val == 0.0
         assert np.array_equal(primal, np.diag([1.0, 0, 0, 0, 0, 0]))
 
@@ -204,26 +206,39 @@ class TestThetaValues:
     def test_lifted_multipliers_certify_theta(self, g):
         # Zero-weight vertices get zero multipliers, so Z is the positive
         # subgraph's slack bordered by zero rows, PSD with the same t.
-        y = solve_theta_problem(g).dual_multipliers
+        #
+        # The derandomized draws depend on this body's source (the seed) and
+        # on the numeric literals of the src/ modules loaded when it runs
+        # (Hypothesis's local constants).  With the body that still called
+        # lovasz_theta, moving the paper tables (chsh_primal_matrix,
+        # mermin_primal_matrix, the seven-dimensional vectors) into tests/
+        # flipped the draws to defect (a)'s 5-vertex graph, on which every
+        # start of the ladder stalls, in a run of test_theta.py,
+        # test_acceptance.py and test_selftest.py, though not when this test
+        # ran alone.  This body passes that move, but any edit here or to a
+        # literal can draw (a) again, so the move (ROADMAP item 3) waits for
+        # the mend of (a) (item 7).
+        sol = solve_theta_problem(g)
+        y = sol.dual_multipliers
         z = certificate_matrix(g, y)
         assert min_eigenvalue(z) >= -1e-8 * max(1.0, y[0])
         assert not z[1 + np.flatnonzero(np.asarray(g.weights) == 0.0)].any()
-        _assert_theta_close(y[0], lovasz_theta(g)[0])
+        _assert_theta_close(y[0], sol.value)
 
     def test_weighted_scaling(self):
         w = 1.7
-        val, _ = lovasz_theta(reweight(C5, [w] * 5))
+        val = solve_theta_problem(reweight(C5, [w] * 5)).value
         assert abs(val - w * sqrt(5.0)) <= 1e-6
 
     def test_perfect_graph_weighted(self):
         # C4 is perfect: theta equals the weighted independence number.
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [2.0, 1.0, 1.0, 1.0])
-        assert abs(lovasz_theta(g)[0] - 3.0) <= 1e-7
+        assert abs(solve_theta_problem(g).value - 3.0) <= 1e-7
 
     def test_mobius_family_matches_closed_form(self):
         for n in (2, 3, 5):
             g = circulant(4 * n, (1, 2 * n))
-            assert abs(lovasz_theta(g)[0] - n * (1.0 + cos(pi / (2 * n)))) <= 1e-7
+            assert abs(solve_theta_problem(g).value - n * (1.0 + cos(pi / (2 * n)))) <= 1e-7
 
 
 def _assert_theta_close(value: float, expected: float) -> None:
@@ -249,25 +264,25 @@ class TestMetamorphic:
         weights = np.zeros(g.n)
         weights[p] = g.weights  # vertex v becomes p[v]
         h = WeightedGraph(g.n, [(p[i], p[j]) for i, j in g.edges], weights)
-        _assert_theta_close(lovasz_theta(h)[0], lovasz_theta(g)[0])
+        _assert_theta_close(solve_theta_problem(h).value, solve_theta_problem(g).value)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
     def test_homogeneous_in_the_weights(self, g, s):
         scaled = reweight(g, [s * w for w in g.weights])
-        _assert_theta_close(lovasz_theta(scaled)[0], s * lovasz_theta(g)[0])
+        _assert_theta_close(solve_theta_problem(scaled).value, s * solve_theta_problem(g).value)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), weighted_graphs())
     def test_disjoint_union_adds(self, g, h):
-        expected = lovasz_theta(g)[0] + lovasz_theta(h)[0]
-        _assert_theta_close(lovasz_theta(_disjoint_union(g, h, False))[0], expected)
+        expected = solve_theta_problem(g).value + solve_theta_problem(h).value
+        _assert_theta_close(solve_theta_problem(_disjoint_union(g, h, False)).value, expected)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), weighted_graphs())
     def test_join_takes_the_maximum(self, g, h):
-        expected = max(lovasz_theta(g)[0], lovasz_theta(h)[0])
-        _assert_theta_close(lovasz_theta(_disjoint_union(g, h, True))[0], expected)
+        expected = max(solve_theta_problem(g).value, solve_theta_problem(h).value)
+        _assert_theta_close(solve_theta_problem(_disjoint_union(g, h, True)).value, expected)
 
 
 class TestPrimalMatrices:
@@ -327,8 +342,7 @@ def _dual_points(draw):
 
 class TestCertificates:
     def test_chsh_certificate_verifies(self):
-        cert = chained_dual_certificate(2)
-        t = verify_dual_certificate(CHSH_GRAPH, cert)
+        t = verify_dual_certificate(CHSH_GRAPH, chained_dual_certificate(2))
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-12
 
     def test_chained_matches_chsh_at_n2(self):
@@ -339,25 +353,25 @@ class TestCertificates:
                       2.0 * (2.0 - sqrt(2.0)))
         y = _multipliers(CHSH_GRAPH, 2.0 + sqrt(2.0), 2.0, mu)
         cert = chained_dual_certificate(2)
-        assert np.abs(cert.y - y).max() <= 1e-14
-        assert np.abs(cert.matrix - _slack_oracle(CHSH_GRAPH, y)).max() <= 1e-14
+        assert np.abs(cert - y).max() <= 1e-14
+        z = certificate_matrix(CHSH_GRAPH, cert)
+        assert np.abs(z - _slack_oracle(CHSH_GRAPH, y)).max() <= 1e-14
 
     def test_chained_bound_values(self):
         for n in (2, 3, 4, 6):
-            cert = chained_dual_certificate(n)
             g = circulant(4 * n, (1, 2 * n))
-            t = verify_dual_certificate(g, cert)
+            t = verify_dual_certificate(g, chained_dual_certificate(n))
             assert abs(t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         with pytest.raises(ValueError):
             chained_dual_certificate(1)
 
     def test_chained_bound_equals_closed_form_to_machine_precision(self):
         for n in range(2, 65):
-            assert abs(chained_dual_certificate(n).t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
+            assert abs(chained_dual_certificate(n)[0] - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
 
     def test_certificate_complements_primal(self):
         # Optimal pair: Z X = 0 for the closed-form certificate and optimizer.
-        z = chained_dual_certificate(2).matrix
+        z = certificate_matrix(CHSH_GRAPH, chained_dual_certificate(2))
         x = chsh_primal_matrix()
         assert np.abs(z @ x).max() <= 1e-12
 
@@ -377,9 +391,9 @@ class TestCertificates:
 
     def test_structural_mismatch_raises(self):
         # A multiplier vector that does not fit the graph has no slack matrix.
-        y = chained_dual_certificate(2).y
+        y = chained_dual_certificate(2)
         with pytest.raises(MalformedCertificateError, match="length"):
-            ThetaDualCertificate(CHSH_GRAPH, y[:-1])
+            verify_dual_certificate(CHSH_GRAPH, y[:-1])
         with pytest.raises(MalformedCertificateError, match="length"):
             certificate_matrix(CHSH_GRAPH, y.reshape(1, -1))
         with pytest.raises(MalformedCertificateError, match="length"):
@@ -389,57 +403,42 @@ class TestCertificates:
         # Non-finite t, lambda or mu entries.
         for index in (0, 1, -1):
             for value in (np.nan, np.inf, -np.inf):
-                y = np.array(chained_dual_certificate(2).y)
+                y = chained_dual_certificate(2)
                 y[index] = value
                 with pytest.raises(MalformedCertificateError, match="non-finite"):
-                    ThetaDualCertificate(CHSH_GRAPH, y)
+                    verify_dual_certificate(CHSH_GRAPH, y)
                 with pytest.raises(MalformedCertificateError, match="non-finite"):
                     certificate_matrix(CHSH_GRAPH, y)
 
     def test_mu_on_non_edge_is_malformed(self):
         # A mu for the non-edge (0, 2) of Ci_8(1, 4) has no slot in y.
-        y = np.append(chained_dual_certificate(2).y, 0.0)
+        y = np.append(chained_dual_certificate(2), 0.0)
         with pytest.raises(MalformedCertificateError, match="length"):
-            ThetaDualCertificate(CHSH_GRAPH, y)
+            verify_dual_certificate(CHSH_GRAPH, y)
 
     def test_mu_on_non_edge_rejected(self):
         # A certificate written for a supergraph does not verify on the graph.
         sup = WeightedGraph(5, C5.edges + ((0, 2),))
-        cert = ThetaDualCertificate(sup, _multipliers(sup, 3.0, 2.0))
         with pytest.raises(MalformedCertificateError, match="length"):
-            verify_dual_certificate(C5, cert)
+            verify_dual_certificate(C5, _multipliers(sup, 3.0, 2.0))
 
     def test_negative_eigenvalue_raises(self):
-        cert = ThetaDualCertificate(C5, _multipliers(C5, 1.0, 2.0))
         with pytest.raises(NotPsdError):
-            verify_dual_certificate(C5, cert)
-
-    def test_stored_matrix_is_not_read(self):
-        # Verification rebuilds Z from y: a stale matrix can neither pass a
-        # bad certificate nor fail a good one.
-        bad = ThetaDualCertificate(C5, _multipliers(C5, 1.0, 2.0))
-        object.__setattr__(bad, "matrix", np.eye(6))
-        with pytest.raises(NotPsdError):
-            verify_dual_certificate(C5, bad)
-        good = chained_dual_certificate(2)
-        object.__setattr__(good, "matrix", -np.eye(9))
-        assert verify_dual_certificate(CHSH_GRAPH, good) == good.t
+            verify_dual_certificate(C5, _multipliers(C5, 1.0, 2.0))
 
     def test_multiplier_recovery_roundtrip(self):
         sol = solve_theta_problem(CHSH_GRAPH)
-        cert = ThetaDualCertificate(CHSH_GRAPH, sol.dual_multipliers)
-        t = verify_dual_certificate(CHSH_GRAPH, cert, tol=1e-6)
+        t = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers, tol=1e-6)
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-6
         with pytest.raises(MalformedCertificateError):
-            ThetaDualCertificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
+            verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
 
     def test_recovered_certificates_on_random_weighted_graphs(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
             g = random_graph(rng, max_n=8)
             sol = solve_theta_problem(g)
-            cert = ThetaDualCertificate(g, sol.dual_multipliers)
-            t = verify_dual_certificate(g, cert, tol=1e-6)
+            t = verify_dual_certificate(g, sol.dual_multipliers, tol=1e-6)
             assert abs(t - sol.value) <= 1e-6
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -447,9 +446,9 @@ class TestCertificates:
     def test_verified_bound_is_at_least_theta(self, point):
         # Any y whose Z is PSD is dual feasible, so no structural check is
         # needed for verify_dual_certificate's t to bound theta.
-        g, y, theta = point  # theta is lovasz_theta(g)[0]
+        g, y, theta = point  # theta is solve_theta_problem(g).value
         try:
-            t = verify_dual_certificate(g, ThetaDualCertificate(g, y))
+            t = verify_dual_certificate(g, y)
         except NotPsdError:
             return
         assert t >= theta - 1e-6 * max(1.0, t)
@@ -457,7 +456,8 @@ class TestCertificates:
 
 class TestUniqueness:
     def test_chsh_nondegenerate(self):
-        verdict = dual_nondegenerate(CHSH_GRAPH, chained_dual_certificate(2).matrix)
+        z = certificate_matrix(CHSH_GRAPH, chained_dual_certificate(2))
+        verdict = dual_nondegenerate(CHSH_GRAPH, z)
         assert verdict.nondegenerate
         assert verdict.nullspace_dim == 0
         assert verdict.residual > 0
@@ -465,7 +465,7 @@ class TestUniqueness:
     def test_chained_nondegenerate(self):
         for n in (3, 4):
             g = circulant(4 * n, (1, 2 * n))
-            z = chained_dual_certificate(n).matrix
+            z = certificate_matrix(g, chained_dual_certificate(n))
             assert dual_nondegenerate(g, z).nondegenerate
 
     def test_single_vertex_nondegenerate(self):
@@ -561,8 +561,7 @@ class TestUniqueness:
     @pytest.mark.parametrize("scenario", ["mermin", "as4", "chained:4 nudged", "path"])
     def test_unrotatable_slack_takes_one_dense_svd(self, scenario):
         if scenario == "chained:4 nudged":
-            cert = chained_dual_certificate(4)
-            g, y = cert.graph, cert.y.copy()
+            g, y = circulant(16, (1, 8)), chained_dual_certificate(4)
             y[-1] += 1e-3
         elif scenario == "path":  # Z is rotation-invariant, the edges are not
             g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -575,10 +574,10 @@ class TestUniqueness:
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e9])
     def test_chained_certificate_verdict_ignores_weight_scale(self, scale):
-        cert = chained_dual_certificate(4)
-        g = reweight(cert.graph, np.asarray(cert.graph.weights) * scale)
-        want = dual_nondegenerate(cert.graph, cert.matrix)
-        got = dual_nondegenerate(g, certificate_matrix(g, cert.y * scale))
+        g, y = circulant(16, (1, 8)), chained_dual_certificate(4)
+        want = dual_nondegenerate(g, certificate_matrix(g, y))
+        g = reweight(g, np.asarray(g.weights) * scale)
+        got = dual_nondegenerate(g, certificate_matrix(g, y * scale))
         assert got[:2] == want[:2] == (True, 0)
         assert abs(got.residual - want.residual) <= 1e-6 * want.residual
 
@@ -606,31 +605,35 @@ class TestUniqueness:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(theta.np.linalg, "svd", recording)
-        cert = chained_dual_certificate(16)
-        assert dual_nondegenerate(cert.graph, cert.matrix).nondegenerate
+        g = circulant(64, (1, 32))
+        z = certificate_matrix(g, chained_dual_certificate(16))
+        assert dual_nondegenerate(g, z).nondegenerate
         assert shapes and max(rows for rows, _ in shapes) <= 200
 
     @staticmethod
-    def _traced_peak(cert: ThetaDualCertificate) -> int:
+    def _traced_peak(n: int) -> int:
+        g = circulant(4 * n, (1, 2 * n))
+        z = certificate_matrix(g, chained_dual_certificate(n))
         tracemalloc.start()
         try:
-            assert dual_nondegenerate(cert.graph, cert.matrix).nondegenerate
+            assert dual_nondegenerate(g, z).nondegenerate
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_chained_32_stays_within_40_mb(self):
-        assert self._traced_peak(chained_dual_certificate(32)) <= 40e6
+        assert self._traced_peak(32) <= 40e6
 
     def test_chained_64_stays_within_10_mb(self):
         # ker Z is four-dimensional, so the map has 10 columns: the whole
         # system's d^3 entries alone (d = 257) would take about 136 MB.
-        assert self._traced_peak(chained_dual_certificate(64)) <= 10e6
+        assert self._traced_peak(64) <= 10e6
 
     def test_nondegeneracy_implies_multi_start_agreement(self):
         # Re-solving from distinct strictly feasible starts recovers the same
         # primal matrix entrywise whenever the dual certificate is nondegenerate.
-        assert dual_nondegenerate(CHSH_GRAPH, chained_dual_certificate(2).matrix).nondegenerate
+        z = certificate_matrix(CHSH_GRAPH, chained_dual_certificate(2))
+        assert dual_nondegenerate(CHSH_GRAPH, z).nondegenerate
         problem = theta_problem(CHSH_GRAPH)
         primals = [
             solve_sdp(*problem, start=theta_start(CHSH_GRAPH, *s)).primal
@@ -643,11 +646,10 @@ class TestUniqueness:
 class TestCertificateSerialization:
     def test_json_roundtrip(self):
         # The document carries y: t, lambda and mu keyed by edge rebuild the
-        # certificate, and its matrix is the certificate's.
-        cert = chained_dual_certificate(2)
-        d = json.loads(json.dumps(certificate_to_json_dict(cert)))
+        # multipliers, and its matrix is their slack Z.
+        y = chained_dual_certificate(2)
+        d = json.loads(json.dumps(certificate_to_json_dict(CHSH_GRAPH, y)))
         mu = [d["mu"][f"{i}-{j}"] for i, j in CHSH_GRAPH.edges]
-        back = ThetaDualCertificate(CHSH_GRAPH, [d["t"], *d["lambda"], *mu])
-        assert np.array_equal(back.y, cert.y)
+        assert np.array_equal([d["t"], *d["lambda"], *mu], y)
         assert len(d["mu"]) == len(CHSH_GRAPH.edges)
-        assert np.array_equal(np.asarray(d["matrix"]), cert.matrix)
+        assert np.array_equal(np.asarray(d["matrix"]), certificate_matrix(CHSH_GRAPH, y))
