@@ -2,20 +2,20 @@
 
 Subcommands: theta, certify, uniqueness, selftest, scenario, export.
 
-Exit codes are a stable contract: 0 success, 1 input error, 2 solver or
-certification failure, 3 self-test rejection.  Human-readable output prints
-six significant digits; JSON output carries full double precision and is
-emitted in canonical form (sorted keys, no whitespace) so repeated runs are
-byte-identical.  The command line still reads no environment variable: each
-tolerance comes from the constant of the module that owns it.  `--solver-tol`
-defaults to sdp.SOLVER_TOL, the uniqueness cut is theta.NULL_THRESHOLD, and
-an omitted `--tol` is read from selftest.SELFTEST_TOL when `selftest` runs.
-Only `cmd_selftest` loads the self-test layer, so the other commands never
-import (or, without cached bytecode, compile) it; `run_selftest` raises on
-every rejection, so each report it prints is an ACCEPT (`"verified":true`).
-`main` runs in-process and leaves the environment alone; the process entry
-point, `__main__.main`, only sets OpenBLAS's idle timeout before it runs
-`main`.
+Exit codes are a stable contract: 0 success, 1 input error, 2 solver,
+certification or out-of-memory failure, 3 self-test rejection.
+Human-readable output prints six significant digits; JSON output carries
+full double precision and is emitted in canonical form (sorted keys, no
+whitespace) so repeated runs are byte-identical.  The command line still
+reads no environment variable: each tolerance comes from the constant of the
+module that owns it.  `--solver-tol` defaults to sdp.SOLVER_TOL, the
+uniqueness cut is theta.NULL_THRESHOLD, and an omitted `--tol` is read from
+selftest.SELFTEST_TOL when `selftest` runs.  Only `cmd_selftest` loads the
+self-test layer, so the other commands never import (or, without cached
+bytecode, compile) it; `run_selftest` raises on every rejection, so each
+report it prints is an ACCEPT (`"verified":true`).  `main` runs in-process
+and leaves the environment alone; the process entry point, `__main__.main`,
+only sets OpenBLAS's idle timeout before it runs `main`.
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SolverError, ResourceLimitError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (SolverError, ResourceLimitError, MemoryError) as exc:
+        # A bare MemoryError, such as (1.0,) * n raises, has no message.
+        print(f"solver error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -89,15 +89,6 @@ class WeightedGraph(_GraphFields):
             adj[j].add(i)
         return tuple(frozenset(s) for s in adj)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbor_sets[i]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
 
 def circulant(n: int, offsets) -> WeightedGraph:
     """Circulant graph: vertex i adjacent to (i +/- l) mod n for each offset l."""
@@ -112,17 +103,6 @@ def circulant(n: int, offsets) -> WeightedGraph:
         raise ValueError(f"offsets must lie in [1, {n // 2}]")
     edges = {tuple(sorted((i, (i + l) % n))) for i in range(n) for l in offs}
     return WeightedGraph(n, tuple(edges))
-
-
-def complement(g: WeightedGraph) -> WeightedGraph:
-    """Same vertices and weights, complemented edge set."""
-    edges = tuple(
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if not g.has_edge(i, j)
-    )
-    return WeightedGraph(g.n, edges, g.weights)
 
 
 def _greedy_clique_cover_bound(g: WeightedGraph, candidates: list[int]) -> float:

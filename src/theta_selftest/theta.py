@@ -8,9 +8,9 @@ g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
 lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
 dual_nondegenerate decides primal uniqueness by one SVD of the constraints
-restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  The closed-form
-CHSH and Mermin optimizers live here too, with the Mermin seven-dimensional
-configuration in witness order.
+restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  No optimizer is
+tabulated here: a built-in scenario's optimizer is the real Gram matrix
+Re(V V^H) of its reference realization, V = [psi, Pi_1 psi, ..., Pi_n psi].
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ResourceLimitError, WeightedGraph, circulant, complement
-from .scenarios import MAX_CHAINED_N, exclusivity_graph, mermin_witness
+from .graphs import ResourceLimitError, WeightedGraph, circulant
+from .scenarios import MAX_CHAINED_N
 from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
@@ -204,6 +204,17 @@ def verify_dual_certificate(g: WeightedGraph, y, tol: float = CERT_TOL) -> float
     return float(y[0])
 
 
+def _check_map_size(g: WeightedGraph, k: int) -> None:
+    """Refuse dual_nondegenerate's map on k kernel vectors beyond _MAX_STACK
+    doubles; before Z's eigh, k is the all-zero-row lower bound."""
+    size = (1 + g.n + len(g.edges)) * (k * (k + 1) // 2)
+    if size > _MAX_STACK:
+        raise ResourceLimitError(
+            f"the uniqueness map on a {k}-dimensional kernel of Z needs {size} "
+            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
+        )
+
+
 class UniquenessVerdict(NamedTuple):
     nondegenerate: bool
     nullspace_dim: int
@@ -222,22 +233,20 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     singular values of that map, padded with zeros up to its k(k + 1)/2
     unknowns, are counted as null at most NULL_THRESHOLD times the largest.
     Nondegenerate (hence the primal optimizer is unique) iff none is.  A map
-    of more than _MAX_STACK doubles is refused (ResourceLimitError) unbuilt.
+    of more than _MAX_STACK doubles is refused (ResourceLimitError) unbuilt;
+    each all-zero row of Z is an exact kernel vector, so their count bounds k
+    from below and refuses an oversized map before the O(n^3) eigh of Z.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
+    _check_map_size(g, int(np.count_nonzero(~z.any(axis=1))))
     lam, vecs = np.linalg.eigh(z)
     q = vecs[:, np.abs(lam) <= NULL_THRESHOLD * max(1.0, float(np.abs(lam).max()))]
     k = q.shape[1]
     if k == 0:
         return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
-    size = (1 + g.n + len(g.edges)) * (k * (k + 1) // 2)
-    if size > _MAX_STACK:
-        raise ResourceLimitError(
-            f"the uniqueness map on a {k}-dimensional kernel of Z needs {size} "
-            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
-        )
+    _check_map_size(g, k)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     # Row r is a_r^T S b_r: M_00, M_ii - M_0i and M_ij (i ~ j) at Q S Q^T.
     a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))
@@ -251,67 +260,6 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     return UniquenessVerdict(
         nondegenerate=(dim == 0), nullspace_dim=dim, residual=float(sv.min() / smax)
     )
-
-
-def chsh_primal_matrix() -> np.ndarray:
-    """The unique 9x9 theta optimizer for circulant(8, [1, 4])."""
-    chi = (2.0 + sqrt(2.0)) / 8.0
-    xi = (1.0 + sqrt(2.0)) / 8.0
-    p = np.zeros((9, 9))
-    p[0, 0] = 1.0
-    p[0, 1:] = p[1:, 0] = chi
-    by_offset = {0: chi, 1: 0.0, 2: chi / 2.0, 3: xi, 4: 0.0}
-    for i in range(8):
-        for j in range(8):
-            off = min((i - j) % 8, (j - i) % 8)
-            p[i + 1, j + 1] = by_offset[off]
-    return p
-
-
-def mermin_primal_matrix() -> np.ndarray:
-    """The unique 17x17 theta optimizer for the 16-event three-party graph."""
-    g = exclusivity_graph(mermin_witness())
-    a, b = 0.25, 0.125
-    p = np.zeros((17, 17))
-    p[0, 0] = 1.0
-    p[0, 1:] = p[1:, 0] = a
-    p[1:, 1:] = a * np.eye(16) + b * complement(g).adjacency_matrix()
-    return p
-
-
-# Seven-dimensional configuration whose Gram matrix is mermin_primal_matrix:
-# row 0 is the handle, row 1 + i event i of mermin_witness().  Entries are
-# printed to three decimals, so the match is good to a few parts in a thousand.
-_SEVEN_DIM_VECTORS = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.25, -0.113, -0.241, 0.284, 0.088, 0.166, -0.029),
-    (0.25, 0.0, -0.242, -0.274, -0.139, -0.186, 0.004),
-    (0.25, 0.044, 0.261, 0.167, 0.054, -0.291, -0.042),
-    (0.25, 0.069, 0.223, -0.178, -0.004, 0.312, 0.067),
-    (0.25, -0.110, -0.251, -0.120, 0.247, -0.021, -0.191),
-    (0.25, -0.004, -0.232, 0.130, -0.298, 0.001, 0.167),
-    (0.25, 0.045, 0.212, -0.030, 0.204, -0.042, 0.310),
-    (0.25, 0.069, 0.271, 0.019, -0.154, 0.062, -0.285),
-    (0.25, -0.292, 0.079, 0.151, 0.075, -0.051, -0.255),
-    (0.25, -0.182, 0.039, -0.200, -0.161, 0.035, 0.293),
-    (0.25, 0.223, -0.059, 0.300, 0.068, -0.075, 0.184),
-    (0.25, 0.251, -0.059, -0.252, 0.019, 0.091, -0.222),
-    (0.25, 0.291, -0.031, 0.046, -0.225, -0.199, -0.097),
-    (0.25, 0.182, -0.087, 0.003, 0.311, 0.215, 0.059),
-    (0.25, -0.226, 0.069, 0.104, -0.227, 0.262, -0.021),
-    (0.25, -0.247, 0.049, -0.152, 0.140, -0.278, 0.059),
-)
-
-
-def seven_dim_vectors() -> np.ndarray:
-    return np.array(_SEVEN_DIM_VECTORS)
-
-
-def mermin_seven_dim_check() -> float:
-    """Max deviation of the seven-dimensional configuration's Gram matrix
-    from the closed-form 16-event optimizer matrix."""
-    v = seven_dim_vectors()
-    return float(np.abs(v @ v.T - mermin_primal_matrix()).max())
 
 
 def certificate_to_json_dict(g: WeightedGraph, y) -> dict:

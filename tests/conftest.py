@@ -1,4 +1,5 @@
-"""Shared helpers: brute-force oracles, candidate builders, CLI runner."""
+"""Shared helpers: brute-force oracles, the reference optimizers, candidate
+builders, CLI runner."""
 
 from __future__ import annotations
 
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 
 from theta_selftest.cli import main as cli_main
 from theta_selftest.graphs import WeightedGraph
-from theta_selftest.scenarios import Realization
+from theta_selftest.scenarios import (
+    Realization,
+    builtin_witness,
+    event_vectors,
+    reference_realization,
+)
 
 
 def brute_force_independence(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
@@ -60,6 +66,12 @@ def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
     return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
 
 
+def complement(g: WeightedGraph) -> WeightedGraph:
+    """Same vertices and weights, complemented edge set."""
+    edges = set(itertools.combinations(range(g.n), 2)) - set(g.edges)
+    return WeightedGraph(g.n, edges, g.weights)
+
+
 def reweight(g: WeightedGraph, weights) -> WeightedGraph:
     """g with its vertex weights replaced."""
     return WeightedGraph(g.n, g.edges, weights)
@@ -75,6 +87,41 @@ def random_graph(rng: np.random.Generator, max_n: int = 12) -> WeightedGraph:
     ]
     weights = rng.uniform(0.0, 2.0, size=n)
     return WeightedGraph(n, edges, weights)
+
+
+def reference_gram(name: str) -> np.ndarray:
+    """Re(V V^H) for V = [psi, Pi_1 psi, ..., Pi_n psi], the event vectors of
+    the scenario's reference realization in witness order: the theta
+    optimizer of its exclusivity graph, index 0 the handle (the Gram-matrix
+    view of Bharti et al., PRL 122, 250403, 2019)."""
+    events = [e for e, _ in builtin_witness(name).terms]
+    v = event_vectors(reference_realization(name), events)
+    return (v @ v.conj().T).real
+
+
+# The paper's seven-dimensional configuration for mermin: row 0 is the
+# handle, row 1 + i event i of the witness.  Its entries are printed to three
+# decimals, so its Gram matrix matches reference_gram("mermin") only to a few
+# parts in ten thousand.
+MERMIN_SEVEN_DIM = np.array([
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.25, -0.113, -0.241, 0.284, 0.088, 0.166, -0.029),
+    (0.25, 0.0, -0.242, -0.274, -0.139, -0.186, 0.004),
+    (0.25, 0.044, 0.261, 0.167, 0.054, -0.291, -0.042),
+    (0.25, 0.069, 0.223, -0.178, -0.004, 0.312, 0.067),
+    (0.25, -0.110, -0.251, -0.120, 0.247, -0.021, -0.191),
+    (0.25, -0.004, -0.232, 0.130, -0.298, 0.001, 0.167),
+    (0.25, 0.045, 0.212, -0.030, 0.204, -0.042, 0.310),
+    (0.25, 0.069, 0.271, 0.019, -0.154, 0.062, -0.285),
+    (0.25, -0.292, 0.079, 0.151, 0.075, -0.051, -0.255),
+    (0.25, -0.182, 0.039, -0.200, -0.161, 0.035, 0.293),
+    (0.25, 0.223, -0.059, 0.300, 0.068, -0.075, 0.184),
+    (0.25, 0.251, -0.059, -0.252, 0.019, 0.091, -0.222),
+    (0.25, 0.291, -0.031, 0.046, -0.225, -0.199, -0.097),
+    (0.25, 0.182, -0.087, 0.003, 0.311, 0.215, 0.059),
+    (0.25, -0.226, 0.069, 0.104, -0.227, 0.262, -0.021),
+    (0.25, -0.247, 0.049, -0.152, 0.140, -0.278, 0.059),
+])
 
 
 def kron_all(mats) -> np.ndarray:

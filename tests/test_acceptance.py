@@ -6,10 +6,12 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 from conftest import (
+    MERMIN_SEVEN_DIM,
     brute_force_independence,
     padded_candidate,
     perturbed_candidate,
     random_graph,
+    reference_gram,
     rotated_candidate,
     run_cli,
     tensor_padded_candidate,
@@ -27,11 +29,7 @@ from theta_selftest.selftest import SelfTestError, run_selftest
 from theta_selftest.theta import (
     certificate_matrix,
     chained_dual_certificate,
-    chsh_primal_matrix,
     dual_nondegenerate,
-    mermin_primal_matrix,
-    mermin_seven_dim_check,
-    seven_dim_vectors,
     solve_theta_problem,
     verify_dual_certificate,
 )
@@ -51,7 +49,7 @@ def test_criterion_1_chsh_theta_value_and_primal():
     sol = solve_theta_problem(circulant(8, (1, 4)))
     value, primal = sol.value, sol.primal
     assert abs(value - (2.0 + sqrt(2.0))) <= 1e-6
-    assert np.abs(primal - chsh_primal_matrix()).max() <= 1e-5
+    assert np.abs(primal - reference_gram("chsh")).max() <= 1e-5
 
 
 def test_criterion_2_chsh_dual_certificate_and_uniqueness():
@@ -93,14 +91,14 @@ def test_criterion_4_mermin_graph_invariants_and_configuration():
     value = solve_theta_problem(g).value
     assert abs(value - 4.0) <= 1e-6
     assert abs(fractional_packing(g) - 4.0) <= 1e-9
-    p = mermin_primal_matrix()
+    p = reference_gram("mermin")
     rank = int(np.sum(np.linalg.eigvalsh(p) >= 1e-8))
     assert rank == 7
     witness_value, _ = evaluate_witness(wit, reference_realization("mermin"))
     assert abs(witness_value - 4.0) <= 1e-10
-    v = seven_dim_vectors()
+    v = MERMIN_SEVEN_DIM
     assert v.shape == (17, 7)
-    assert mermin_seven_dim_check() <= 5e-3
+    assert np.abs(v @ v.T - p).max() <= 5e-3
 
 
 def test_criterion_5_as4_graph_invariants_and_realization():

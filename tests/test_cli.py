@@ -2,12 +2,14 @@
 
 import json
 import os
+import time
 from math import cos, pi, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
+    complement,
     perturbed_candidate,
     rotated_candidate,
     run_cli,
@@ -15,7 +17,7 @@ from conftest import (
 )
 
 from theta_selftest import cli, graphs, selftest
-from theta_selftest.graphs import WeightedGraph, circulant, complement
+from theta_selftest.graphs import WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     Realization,
@@ -92,6 +94,20 @@ class TestTheta:
         assert doc["alpha"] == 4.0
         assert abs(doc["theta"] - 4.0) <= 1e-7
         assert abs(doc["alpha_star"] - 4.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate"), "Unable to allocate")],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_is_solver_error(self, monkeypatch, exc, message):
+        # Such as (1.0,) * n raises on a graph document with n = 10^12.
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_theta_problem", no_memory)
+        code, out, err = run_cli(["theta", "--scenario", "chsh", "--json"])
+        assert (code, out, err) == (2, "", f"solver error: {message}\n")
 
     def test_oversized_theta_problem_refused_before_alpha(self, tmp_path, monkeypatch):
         # 2000 isolated vertices: theta's size refusal comes before alpha*
@@ -291,6 +307,19 @@ class TestUniqueness:
         code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
         assert (code, out) == (2, "")
         assert err.startswith("solver error: the uniqueness map on a 439-dimensional kernel")
+        assert err.count("\n") == 1
+
+    def test_zero_rows_refuse_the_kernel_map_before_eigh(self, tmp_path, monkeypatch):
+        # 4000 zero-weight isolated vertices: the 4001 all-zero rows of Z = 0
+        # are kernel vectors enough to refuse the map without Z's O(n^3)
+        # eigh, which took 5.7 s on a 2-core x86-64 box.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(4000, [], [0.0] * 4000))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh ran"))
+        start = time.perf_counter()
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert time.perf_counter() - start <= 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the uniqueness map on a 4001-dimensional kernel")
         assert err.count("\n") == 1
 
     def test_zero_weight_kernel_below_the_bound(self, tmp_path):

@@ -5,9 +5,15 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import kron_all, padded_candidate, rotated_candidate, tensor_padded_candidate
+from conftest import (
+    complement,
+    kron_all,
+    padded_candidate,
+    rotated_candidate,
+    tensor_padded_candidate,
+)
 
-from theta_selftest.graphs import WeightedGraph, circulant, complement
+from theta_selftest.graphs import WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     BellScenario,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from conftest import (
+    MERMIN_SEVEN_DIM,
     conjugated_candidate,
     dense_claim_residuals,
     embedded_candidate,
@@ -13,6 +14,7 @@ from conftest import (
     kron_all,
     padded_candidate,
     perturbed_candidate,
+    reference_gram,
     rotated_candidate,
     run_cli,
     tensor_padded_candidate,
@@ -49,12 +51,6 @@ from theta_selftest.selftest import (
     product_structure_from_realization,
     run_selftest,
     selftest_report_to_json_dict,
-)
-from theta_selftest.theta import (
-    chsh_primal_matrix,
-    mermin_primal_matrix,
-    mermin_seven_dim_check,
-    seven_dim_vectors,
 )
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
@@ -597,22 +593,23 @@ class TestInterleave:
 
 class TestSevenDimensionalConfiguration:
     def test_shape_and_handle(self):
-        v = seven_dim_vectors()
+        v = MERMIN_SEVEN_DIM
         assert v.shape == (17, 7)
         assert np.array_equal(v[0], [1, 0, 0, 0, 0, 0, 0])
         assert np.abs(v[1:, 0] - 0.25).max() <= 1e-12
 
     def test_gram_rank_is_seven(self):
-        v = seven_dim_vectors()
+        v = MERMIN_SEVEN_DIM
         gram = v @ v.T
         assert _eig_rank(gram, 1e-2) == 7
 
     def test_matches_sixteen_event_optimizer(self):
-        assert mermin_seven_dim_check() <= 5e-3
+        v = MERMIN_SEVEN_DIM
+        assert np.abs(v @ v.T - reference_gram("mermin")).max() <= 5e-3
 
     def test_rows_follow_the_witness_events(self):
         # Row 1 + i is event i: the near-orthogonal pairs are the exclusive ones.
-        v = seven_dim_vectors()
+        v = MERMIN_SEVEN_DIM
         gram = (v @ v.T)[1:, 1:]
         i, j = np.triu_indices(16, 1)
         near = np.abs(gram[i, j]) < 0.06
@@ -622,7 +619,7 @@ class TestSevenDimensionalConfiguration:
 
 class TestOptimizerRanks:
     def test_bipartite_rank_four(self):
-        assert _eig_rank(chsh_primal_matrix(), 1e-8) == 4
+        assert _eig_rank(reference_gram("chsh"), 1e-8) == 4
 
     def test_tripartite_rank_seven(self):
-        assert _eig_rank(mermin_primal_matrix(), 1e-8) == 7
+        assert _eig_rank(reference_gram("mermin"), 1e-8) == 7

@@ -6,12 +6,12 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_graph, reweight, weighted_graphs
+from conftest import complement, random_graph, reference_gram, reweight, weighted_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_selftest import theta
-from theta_selftest.graphs import ResourceLimitError, WeightedGraph, circulant, complement
+from theta_selftest.graphs import ResourceLimitError, WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     builtin_witness,
@@ -27,9 +27,7 @@ from theta_selftest.theta import (
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
-    chsh_primal_matrix,
     dual_nondegenerate,
-    mermin_primal_matrix,
     solve_theta_problem,
     theta_problem,
     theta_start,
@@ -207,17 +205,14 @@ class TestThetaValues:
         # Zero-weight vertices get zero multipliers, so Z is the positive
         # subgraph's slack bordered by zero rows, PSD with the same t.
         #
-        # The derandomized draws depend on this body's source (the seed) and
-        # on the numeric literals of the src/ modules loaded when it runs
-        # (Hypothesis's local constants).  With the body that still called
-        # lovasz_theta, moving the paper tables (chsh_primal_matrix,
-        # mermin_primal_matrix, the seven-dimensional vectors) into tests/
-        # flipped the draws to defect (a)'s 5-vertex graph, on which every
-        # start of the ladder stalls, in a run of test_theta.py,
-        # test_acceptance.py and test_selftest.py, though not when this test
-        # ran alone.  This body passes that move, but any edit here or to a
-        # literal can draw (a) again, so the move (ROADMAP item 3) waits for
-        # the mend of (a) (item 7).
+        # The derandomized draws depend on this body's code without its
+        # comments (the seed) and on the numeric literals of the src/ modules
+        # loaded when it runs (Hypothesis's local constants).  With the body
+        # that still called lovasz_theta, moving the paper's optimizer tables
+        # out of src/ flipped the draws to defect (a)'s 5-vertex graph, on
+        # which every start of the ladder stalls.  This body passes that
+        # move, but an edit to its code or to a src/ literal can draw (a)
+        # again until (a) is mended (ROADMAP item 7).
         sol = solve_theta_problem(g)
         y = sol.dual_multipliers
         z = certificate_matrix(g, y)
@@ -285,26 +280,34 @@ class TestMetamorphic:
         _assert_theta_close(solve_theta_problem(_disjoint_union(g, h, True)).value, expected)
 
 
-class TestPrimalMatrices:
-    def test_chsh_primal_is_feasible_and_optimal(self):
-        p = chsh_primal_matrix()
-        assert p.shape == (9, 9)
-        assert float(np.linalg.eigvalsh(p).min()) >= -1e-12
-        assert p[0, 0] == 1.0
-        for i in range(8):
-            assert abs(p[0, i + 1] - p[i + 1, i + 1]) <= 1e-12
-        for i, j in CHSH_GRAPH.edges:
-            assert p[i + 1, j + 1] == 0.0
-        assert abs(np.trace(p) - 1.0 - (2.0 + sqrt(2.0))) <= 1e-12
+class TestReferenceGram:
+    """The reference realization's real event Gram matrix is a theta optimizer,
+    checked against theta's constraints and closed-form value, no solver."""
 
-    def test_mermin_primal_is_feasible_and_optimal(self):
-        g = exclusivity_graph(mermin_witness())
-        p = mermin_primal_matrix()
-        assert p.shape == (17, 17)
-        assert float(np.linalg.eigvalsh(p).min()) >= -1e-9
-        for i, j in g.edges:
-            assert p[i + 1, j + 1] == 0.0
-        assert abs(np.trace(p) - 1.0 - 4.0) <= 1e-12
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("chsh", 2.0 + sqrt(2.0)),
+            ("chained:3", 3.0 * (1.0 + cos(pi / 6.0))),
+            ("chained:8", 8.0 * (1.0 + cos(pi / 16.0))),
+            ("chained:16", 16.0 * (1.0 + cos(pi / 32.0))),
+            ("mermin", 4.0),
+            ("as4", 7.0 + 5.0 * sqrt(6.0) / 3.0),
+        ],
+        ids=["chsh", "chained:3", "chained:8", "chained:16", "mermin", "as4"],
+    )
+    def test_feasible_and_optimal(self, name, value):
+        # Built from kets, an edge entry is zero only to rounding (1.2e-32 has
+        # been seen), so the equalities hold to 1e-15, not exactly.
+        g = exclusivity_graph(builtin_witness(name))
+        x = reference_gram(name)
+        assert x.shape == (g.n + 1, g.n + 1)
+        assert abs(x[0, 0] - 1.0) <= 1e-15
+        assert np.abs(np.diag(x)[1:] - x[0, 1:]).max() <= 1e-15
+        e = np.asarray(g.edges) + 1
+        assert np.abs(x[e[:, 0], e[:, 1]]).max() <= 1e-15
+        assert float(np.linalg.eigvalsh(x).min()) >= -1e-12
+        assert abs(np.asarray(g.weights) @ np.diag(x)[1:] - value) <= 1e-12
 
 
 def _multipliers(g: WeightedGraph, t: float, lam, mu=None) -> np.ndarray:
@@ -372,7 +375,7 @@ class TestCertificates:
     def test_certificate_complements_primal(self):
         # Optimal pair: Z X = 0 for the closed-form certificate and optimizer.
         z = certificate_matrix(CHSH_GRAPH, chained_dual_certificate(2))
-        x = chsh_primal_matrix()
+        x = reference_gram("chsh")
         assert np.abs(z @ x).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -489,7 +492,8 @@ class TestUniqueness:
     def test_oversized_kernel_map_refused_before_allocating(self):
         # All-zero weights give Z = 0, so ker Z is everything: on 438 isolated
         # vertices the map would hold 439 * 439 * 440 / 2 doubles (339 MB),
-        # just over the stack bound.  Only the eigendecomposition is built.
+        # just over the stack bound.  Z's 439 all-zero rows already say so,
+        # before its eigendecomposition.
         g = WeightedGraph(438, [], np.zeros(438))
         z = certificate_matrix(g, np.zeros(439))
         tracemalloc.start()
