@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: theta, certify, uniqueness, selftest, scenario, export.
+Subcommands: theta, certify, uniqueness, selftest, scenario, export.  Each
+writes its output to stdout and opens no file for writing.
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 solver,
 certification or out-of-memory failure, 3 self-test rejection.
@@ -243,28 +244,17 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def _export_payload(scenario: str, fmt: str) -> str:
-    witness = builtin_witness(scenario)
+def cmd_export(args) -> int:
+    witness = builtin_witness(args.scenario)
     g = exclusivity_graph(witness)
-    if fmt == "dot":
-        return to_dot(g)
-    payload = {
-        "graph": graph_to_json_dict(g),
-        "witness": witness_to_json_dict(witness),
-    }
-    y = _closed_form_certificate(scenario)
+    if args.format == "dot":
+        sys.stdout.write(to_dot(g))
+        return EXIT_OK
+    payload = {"graph": graph_to_json_dict(g), "witness": witness_to_json_dict(witness)}
+    y = _closed_form_certificate(args.scenario)
     if y is not None:
         payload["certificate"] = certificate_to_json_dict(g, y)
-    return canonical_json(payload)
-
-
-def cmd_export(args) -> int:
-    text = _export_payload(args.scenario, args.format)
-    if args.path:
-        with open(args.path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(payload)
     return EXIT_OK
 
 
@@ -317,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write graph/witness/certificate artifacts")
     add_scenario(p)
     p.add_argument("--format", required=True, choices=("json", "dot"))
-    p.add_argument("--path", help="output file (stdout when omitted)")
     p.set_defaults(func=cmd_export)
     return parser
 

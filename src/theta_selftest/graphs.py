@@ -151,19 +151,22 @@ def _components(g: WeightedGraph) -> list[list[int]]:
 
 
 def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum weight of a stable set, with the lexicographically
-    smallest witness among optima.
+    """Exact maximum weight of a stable set, with the first optimum in
+    include-before-exclude order over vertices 0..n-1 as witness (the
+    order of itertools.product((1, 0), repeat=n) on membership vectors).
 
     Branch and bound, once per connected component: depth-first search in
-    increasing vertex order, include-branch first (so stable sets are
-    visited in lexicographic order and the first strict improvement is the
-    lex-smallest optimum), pruned by a greedy clique-cover bound.  No
-    include decision depends on another component, so the union of the
-    components' witnesses is the whole graph's lex-smallest optimum.
+    increasing vertex order, include-branch first, recording only strict
+    improvements, pruned by a greedy clique-cover bound.  No include
+    decision depends on another component, so the union of the components'
+    witnesses is the whole graph's first optimum.  Zero-weight vertices join
+    it where they fit: on the star with centre 1 (weight 0.3) and leaves 0,
+    2, 3 (weights 0, 0.1, 0.2) it is (0, 2, 3), where the `theta` command
+    searches the positive-weight subgraph and keeps (1,).
     """
     # Each search starts just below its component's greedy value, so the DFS
-    # still visits (and records) the lex-smallest optimum instead of keeping
-    # the greedy witness.  Both slacks are relative to the whole graph's
+    # still visits (and records) the first optimum instead of keeping the
+    # greedy witness.  Both slacks are relative to the whole graph's
     # greedy value: an absolute one is lost in rounding at large weights.
     scale = max(1.0, _greedy_stable_value(g, range(g.n)))
     tie = 1e-12 * scale

@@ -3,7 +3,7 @@ graphs, and reference realizations.
 
 Events are p[a|x] with per-party outcome labels a and setting labels x.
 Realizations carry a shared state and per-party, per-setting, per-outcome
-projectors; reference realizations are rank one and also carry the kets.
+projectors, and their JSON documents hold those alone with the dims.
 """
 
 from __future__ import annotations
@@ -177,8 +177,9 @@ class Realization(NamedTuple):
     """Shared state plus per-party, per-setting, per-outcome projectors.
 
     `projectors[j][x][a]` acts on the party-j factor of dimension dims[j].
-    Rank-one realizations may also carry their unit kets in `kets` (same
-    nesting), which the self-test never reads.  Arrays are complex.
+    Callers that build realizations from unit kets (the reference builders,
+    bench/gen.py, the tests) carry them in `kets`, with the same nesting;
+    the package never reads, writes or checks them.  Arrays are complex.
     """
 
     dims: tuple[int, ...]
@@ -217,10 +218,6 @@ def validate_realization(r: Realization) -> None:
                         raise ValueError(
                             f"projectors {j}:{x}:{a} and {j}:{x}:{b} not orthogonal"
                         )
-    if r.kets is not None and not all(
-        np.isfinite(k).all() for party in r.kets for setting in party for k in setting
-    ):
-        raise ValueError("kets have a non-finite entry")
 
 
 def event_projectors(r: Realization, e: Event) -> list[np.ndarray]:
@@ -434,11 +431,6 @@ def _jsonify(obj):
     return obj
 
 
-def _from_c_pair(v) -> complex:
-    re, im = v
-    return complex(_json_float(re), _json_float(im))
-
-
 def witness_to_json_dict(wit: BellWitness) -> dict:
     d = {
         "scenario": {
@@ -458,42 +450,33 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
 
 
 def realization_to_json_dict(r: Realization) -> dict:
-    def complex_tree(per_party):
-        return _jsonify(
-            [[[np.asarray(m, dtype=complex) for m in s] for s in party] for party in per_party]
-        )
-
-    d = {
+    return {
         "dims": list(r.dims),
         "state": _jsonify(np.asarray(r.state, dtype=complex)),
-        "projectors": complex_tree(r.projectors),
+        "projectors": _jsonify(
+            [[[np.asarray(p, dtype=complex) for p in s] for s in party] for party in r.projectors]
+        ),
     }
-    if r.kets is not None:
-        d["kets"] = complex_tree(r.kets)
-    return d
 
 
 def _complex_entries(v, depth: int):
     """`depth` levels of nested lists of [re, im] pairs, as complex numbers."""
-    return [_complex_entries(u, depth - 1) for u in v] if depth else _from_c_pair(v)
+    if depth:
+        return [_complex_entries(u, depth - 1) for u in v]
+    real, imag = v
+    return complex(_json_float(real), _json_float(imag))
 
 
 def realization_from_json_dict(d: dict) -> Realization:
-    def tree(per_party, depth: int):
-        # party -> setting -> outcome -> ket (depth 1) or projector (depth 2)
-        return tuple(
-            tuple(
-                tuple(np.array(_complex_entries(m, depth)) for m in setting)
-                for setting in party
-            )
-            for party in per_party
-        )
-
+    """Read dims, state and projectors; other keys, such as an older
+    document's `kets`, are ignored unchecked."""
     try:
         dims = tuple(_json_int(v) for v in d["dims"])
         state = np.array(_complex_entries(d["state"], 1))
-        projectors = tree(d["projectors"], 2)
-        kets = tree(d["kets"], 1) if "kets" in d else None
-        return Realization(dims, state, projectors, kets)
+        projectors = tuple(
+            tuple(tuple(np.array(_complex_entries(p, 2)) for p in s) for s in party)
+            for party in d["projectors"]
+        )
+        return Realization(dims, state, projectors)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed realization document: {exc}") from exc

@@ -31,15 +31,11 @@ NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null 
 _MAX_STACK = (10 * MAX_CHAINED_N + 1) * (4 * MAX_CHAINED_N + 1) ** 2
 
 
-class CertificateError(Exception):
-    """Base class for dual-certificate verification failures."""
-
-
-class MalformedCertificateError(CertificateError):
+class MalformedCertificateError(Exception):
     """Multiplier vector does not fit the graph or has a non-finite entry."""
 
 
-class NotPsdError(CertificateError):
+class NotPsdError(Exception):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
@@ -131,12 +127,19 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
 
     Zero-weight vertices leave theta unchanged, so only positive_subgraph(g)
     is solved, from each start of _START_LADDER in turn until one converges
-    (deterministic; the last SolverError propagates when none does).  The rest get zero primal rows and columns, lambda = 0
-    and mu = 0 on their edges, so certificate_matrix(g, y) is the subgraph's
-    slack bordered by zero rows.  No positive weight gives theta = 0 at E_00.
+    (deterministic; the last SolverError propagates when none does).  The
+    rest get zero primal rows and columns, lambda = 0 and mu = 0 on their
+    edges, so certificate_matrix(g, y) is the subgraph's slack bordered by
+    zero rows.  No positive weight gives theta = 0 at E_00.  A primal of
+    more than _MAX_STACK doubles is refused unbuilt (ResourceLimitError).
     """
-    sub, keep, inner = positive_subgraph(g)
     d = g.n + 1
+    if d * d > _MAX_STACK:
+        raise ResourceLimitError(
+            f"the theta solution on {g.n} vertices needs a primal of {d * d} "
+            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
+        )
+    sub, keep, inner = positive_subgraph(g)
     primal = np.zeros((d, d))
     primal[0, 0] = 1.0
     y = np.zeros(d + len(g.edges))

@@ -21,18 +21,21 @@ from theta_selftest.scenarios import (
 
 
 def brute_force_independence(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive 2^n maximum-weight stable set, lex-smallest witness."""
+    """Exhaustive 2^n maximum-weight stable set.  Membership vectors are
+    scanned in itertools.product((1, 0), repeat=n) order, include before
+    exclude over vertices 0..n-1, and only an improvement by more than
+    1e-12 replaces the best, so the witness is the first optimum in the
+    order that independence_number's search visits."""
     best_value = -1.0
     best_set: tuple[int, ...] = ()
-    for r in range(g.n + 1):
-        for subset in itertools.combinations(range(g.n), r):
-            chosen = set(subset)
-            if any(u in chosen and v in chosen for u, v in g.edges):
-                continue
-            value = sum(g.weights[v] for v in subset)
-            if value > best_value + 1e-12:
-                best_value = value
-                best_set = subset
+    for bits in itertools.product((1, 0), repeat=g.n):
+        subset = tuple(v for v in range(g.n) if bits[v])
+        if any(bits[u] and bits[v] for u, v in g.edges):
+            continue
+        value = sum(g.weights[v] for v in subset)
+        if value > best_value + 1e-12:
+            best_value = value
+            best_set = subset
     return best_value, best_set
 
 

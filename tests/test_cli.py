@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import tracemalloc
 from math import cos, pi, sqrt
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from theta_selftest import cli, graphs, selftest
 from theta_selftest.graphs import WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
-    Realization,
     builtin_witness,
     exclusivity_graph,
     realization_to_json_dict,
@@ -37,6 +37,12 @@ def _write_graph(path, g: WeightedGraph) -> str:
 def _write_realization(path, r) -> str:
     path.write_text(json.dumps(realization_to_json_dict(r)), encoding="utf-8")
     return str(path)
+
+
+def _kets_json(kets) -> list:
+    """Kets as an older realization document wrote them: [re, im] pairs."""
+    return [[[[[z.real, z.imag] for z in np.asarray(k, dtype=complex)] for k in setting]
+             for setting in party] for party in kets]
 
 
 C5_EDGES = [[i, (i + 1) % 5] for i in range(5)]
@@ -322,6 +328,22 @@ class TestUniqueness:
         assert err.startswith("solver error: the uniqueness map on a 4001-dimensional kernel")
         assert err.count("\n") == 1
 
+    def test_lifted_primal_is_refused_before_it_is_built(self, tmp_path):
+        # 20000 zero-weight isolated vertices: the lifted 20001 x 20001
+        # primal alone would take 3.2 GB, so it is refused before it or Z
+        # is built, ahead of the kernel-map refusal.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(20000, [], [0.0] * 20000))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the theta solution on 20000 vertices needs a primal")
+        assert err.count("\n") == 1
+        assert peak < 50e6
+
     def test_zero_weight_kernel_below_the_bound(self, tmp_path):
         path = _write_graph(tmp_path / "g.json", WeightedGraph(3, [(0, 1)], [0.0] * 3))
         code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
@@ -446,15 +468,26 @@ class TestSelftest:
         assert code == 0 and "ACCEPT" in out
 
     def test_candidate_kets_are_not_read(self, tmp_path):
-        # An optimizer's state and projectors with the kets of another
-        # rotation: the self-test judges the state and projectors alone.
+        # An older document: an optimizer's state and projectors with the
+        # kets of another rotation.  The self-test judges the state and
+        # projectors alone.
         ref = reference_realization("chsh")
-        cand = rotated_candidate(ref, 1)
-        mixed = Realization(
-            cand.dims, cand.state, cand.projectors, rotated_candidate(ref, 2).kets
-        )
-        path = _write_realization(tmp_path / "cand.json", mixed)
-        code, out, err = run_cli(["selftest", "--scenario", "chsh", "--candidate", path])
+        doc = realization_to_json_dict(rotated_candidate(ref, 1))
+        doc["kets"] = _kets_json(rotated_candidate(ref, 2).kets)
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--scenario", "chsh", "--candidate", str(path)])
+        assert (code, err) == (0, "")
+        assert "ACCEPT" in out
+
+    def test_non_finite_kets_of_an_older_document_are_ignored(self, tmp_path):
+        ref = reference_realization("chsh")
+        doc = realization_to_json_dict(ref)
+        doc["kets"] = _kets_json(ref.kets)
+        doc["kets"][0][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["selftest", "--scenario", "chsh", "--candidate", str(path)])
         assert (code, err) == (0, "")
         assert "ACCEPT" in out
 
@@ -559,13 +592,12 @@ class TestSelftest:
     @pytest.mark.parametrize("shape", ["party", "setting", "outcome"])
     def test_malformed_candidate_is_input_error(self, tmp_path, shape):
         doc = realization_to_json_dict(reference_realization("chsh"))
-        for key in ("projectors", "kets"):
-            if shape == "party":
-                del doc[key][1]
-            elif shape == "setting":
-                del doc[key][0][1]
-            else:
-                del doc[key][0][1][1]
+        if shape == "party":
+            del doc["projectors"][1]
+        elif shape == "setting":
+            del doc["projectors"][0][1]
+        else:
+            del doc["projectors"][0][1][1]
         path = tmp_path / "cand.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(
@@ -575,15 +607,13 @@ class TestSelftest:
         assert err.startswith("input error:") and "witness label" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("entry", ["state", "projector", "ket"])
+    @pytest.mark.parametrize("entry", ["state", "projector"])
     def test_non_finite_candidate_is_input_error(self, tmp_path, entry):
         doc = realization_to_json_dict(reference_realization("chsh"))
         if entry == "state":
             doc["state"] = [[float("nan"), float("nan")] for _ in doc["state"]]
-        elif entry == "projector":
-            doc["projectors"][0][0][0][0][0] = [float("nan"), 0.0]
         else:
-            doc["kets"][0][0][0][0] = [float("nan"), 0.0]
+            doc["projectors"][0][0][0][0][0] = [float("nan"), 0.0]
         path = tmp_path / "cand.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(
@@ -654,7 +684,8 @@ class TestScenario:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["witness"]["terms"]) == count
-        assert "state" in doc["realization"]
+        # A realization document is its dims, state and projectors: no kets.
+        assert sorted(doc["realization"]) == ["dims", "projectors", "state"]
         assert doc["witness_value"] > doc["witness"]["classical_bound"]
 
     def test_unknown_scenario(self):
@@ -704,22 +735,15 @@ class TestExport:
         assert out.startswith("graph G {")
         assert out.count(" -- ") == 72
 
-    def test_path_matches_stdout(self, tmp_path):
-        _, out, _ = run_cli(["export", "--scenario", "chained:2", "--format", "json"])
-        path = tmp_path / "artifact.json"
-        code, silent, _ = run_cli(
-            ["export", "--scenario", "chained:2", "--format", "json",
-             "--path", str(path)]
+    def test_path_option_is_gone(self, tmp_path):
+        # export writes to stdout only; the output is redirected instead.
+        path = tmp_path / "x"
+        code, out, err = run_cli(
+            ["export", "--scenario", "chsh", "--format", "json", "--path", str(path)]
         )
-        assert code == 0 and silent == ""
-        assert path.read_text(encoding="utf-8") == out
-
-    def test_write_failure_is_input_error(self):
-        code, _, err = run_cli(
-            ["export", "--scenario", "chsh", "--format", "json",
-             "--path", "/nonexistent-dir/x.json"]
-        )
-        assert code == 1 and "input error" in err
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: --path {path}" in err
+        assert not path.exists()
 
     def test_bad_format_rejected(self):
         code, _, _ = run_cli(["export", "--scenario", "chsh", "--format", "yaml"])

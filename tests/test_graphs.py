@@ -102,6 +102,24 @@ class TestIndependence:
             chosen = set(witness)
             assert not any(u in chosen and v in chosen for u, v in g.edges)
 
+    def test_witness_matches_brute_force_with_zero_and_tied_weights(self):
+        # Zero and repeated weights make many optima tie; both searches keep
+        # the first in include-before-exclude order, such as (0, 1) rather
+        # than (0,) for weights (1, 0) and no edge.
+        assert independence_number(WeightedGraph(2, [], [1.0, 0.0])) == (1.0, (0, 1))
+        g = WeightedGraph(4, [(0, 1), (1, 2), (1, 3)], [0.0, 0.3, 0.1, 0.2])
+        assert independence_number(g)[1] == brute_force_independence(g)[1] == (0, 2, 3)
+        rng = np.random.default_rng(0)
+        palette = [0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0]
+        for _ in range(300):
+            n = int(rng.integers(1, 11))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            g = WeightedGraph(n, edges, rng.choice(palette, size=n))
+            value, witness = independence_number(g)
+            bf_value, bf_witness = brute_force_independence(g)
+            assert value == pytest.approx(bf_value, abs=1e-9)
+            assert witness == bf_witness
+
     @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
     def test_matches_brute_force_at_large_weights(self, scale):
         # An absolute start slack below the greedy value is lost in rounding

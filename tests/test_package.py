@@ -93,6 +93,20 @@ def test_selftest_reads_no_kets():
     assert reads == []
 
 
+def test_package_never_reads_a_realizations_kets():
+    """No module reads the attribute `kets` or names the document key
+    "kets": only the Realization field and _rank_one_realization, which
+    passes them positionally, touch a realization's kets."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(theta_selftest.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "kets")
+        or (isinstance(node, ast.Constant) and node.value == "kets")
+    ]
+    assert reads == []
+
+
 def _flag_default(command: str, dest: str):
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
