@@ -52,7 +52,7 @@ from .theta import (
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
-    check_theta_size,
+    check_size,
     dual_nondegenerate,
     positive_subgraph,
     solve_theta_problem,
@@ -106,7 +106,7 @@ def cmd_theta(args) -> int:
     alpha = theta = alpha_star = 0.0
     if sub is not None:
         # The limits first: theta's size, then alpha*'s clique enumeration.
-        check_theta_size(sub)
+        check_size(sub)
         alpha_star = fractional_packing(sub)
         alpha, _ = independence_number(sub)
         theta = solve_theta_problem(sub, tol=solver_tol).value
@@ -171,6 +171,7 @@ def cmd_certify(args) -> int:
 def cmd_uniqueness(args) -> int:
     solver_tol = _unit_interval("solver_tol", args.solver_tol)
     g = _input_graph(args)
+    check_size(g)  # every size refusal the input decides, before anything is built
     y = _closed_form_certificate(args.scenario) if args.scenario else None
     if y is None:
         y = solve_theta_problem(g, tol=solver_tol).dual_multipliers

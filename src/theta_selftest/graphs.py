@@ -35,8 +35,8 @@ _CLIQUE_LIMIT = 100_000
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a combinatorial search or the theta SDP's constraint
-    stack exceeds its size limit."""
+    """Raised when a combinatorial search exceeds its size limit, or when
+    theta.check_size refuses an array of a theta or uniqueness stage."""
 
 
 def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:

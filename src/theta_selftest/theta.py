@@ -39,15 +39,29 @@ class NotPsdError(Exception):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
-def check_theta_size(g: WeightedGraph) -> None:
-    """Refuse the theta SDP of g beyond _MAX_STACK doubles (ResourceLimitError)."""
-    n, edges = g.n, len(g.edges)
-    size = (n + 1 + edges) * (n + 1) ** 2
-    if size > _MAX_STACK:
-        raise ResourceLimitError(
-            f"the theta SDP on {n} vertices and {edges} edges needs a constraint "
-            f"stack of {size} doubles, more than chained:{MAX_CHAINED_N}'s {_MAX_STACK}"
-        )
+def check_size(g: WeightedGraph, kernel_dim: int | None = None) -> None:
+    """Refuse (ResourceLimitError naming the stage) an array of more than
+    _MAX_STACK doubles, from g alone, in the order a command builds them:
+    theta's constraint stack on the positive subgraph, the lifted primal and
+    slack, and dual_nondegenerate's map on k kernel vectors of Z.  k is Z's
+    all-zero row count, one per zero weight (n + 1 if all are), unless
+    kernel_dim gives the k that Z's eigh found; then only the map is checked."""
+    n, m = g.n, len(g.edges)
+    stages = []
+    if kernel_dim is None:
+        pos = np.asarray(g.weights) > 0
+        n_pos = int(pos.sum())
+        m_pos = int(pos[np.asarray(g.edges, dtype=int).reshape(-1, 2)].all(axis=1).sum())
+        kernel_dim = n - n_pos if n_pos else n + 1
+        stages = [(f"theta SDP on {n_pos} vertices and {m_pos} edges",
+                   (n_pos + 1 + m_pos) * (n_pos + 1) ** 2),
+                  (f"lifted primal on {n} vertices", (n + 1) ** 2)]
+    stages.append((f"uniqueness map on a {kernel_dim}-dimensional kernel of Z",
+                   (1 + n + m) * (kernel_dim * (kernel_dim + 1) // 2)))
+    for stage, size in stages:
+        if size > _MAX_STACK:
+            raise ResourceLimitError(f"the {stage} needs {size} doubles, more than "
+                                     f"chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}")
 
 
 def positive_subgraph(
@@ -70,9 +84,7 @@ def positive_subgraph(
 def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the theta SDP as solve_sdp's (C, A stack, b); constraint
     order: normalization, one diagonal-border row per vertex, one zero per
-    edge (sorted).  Raises ResourceLimitError, before allocating, when the
-    stack would hold more than _MAX_STACK doubles."""
-    check_theta_size(g)
+    edge (sorted).  Its caller checks the stack's size first (check_size)."""
     d = g.n + 1
     v = np.arange(1, d)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
@@ -130,15 +142,10 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     (deterministic; the last SolverError propagates when none does).  The
     rest get zero primal rows and columns, lambda = 0 and mu = 0 on their
     edges, so certificate_matrix(g, y) is the subgraph's slack bordered by
-    zero rows.  No positive weight gives theta = 0 at E_00.  A primal of
-    more than _MAX_STACK doubles is refused unbuilt (ResourceLimitError).
+    zero rows.  No positive weight gives theta = 0 at E_00.  Its caller
+    checks the sizes of the stack and the primal first (check_size).
     """
     d = g.n + 1
-    if d * d > _MAX_STACK:
-        raise ResourceLimitError(
-            f"the theta solution on {g.n} vertices needs a primal of {d * d} "
-            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
-        )
     sub, keep, inner = positive_subgraph(g)
     primal = np.zeros((d, d))
     primal[0, 0] = 1.0
@@ -207,17 +214,6 @@ def verify_dual_certificate(g: WeightedGraph, y, tol: float = CERT_TOL) -> float
     return float(y[0])
 
 
-def _check_map_size(g: WeightedGraph, k: int) -> None:
-    """Refuse dual_nondegenerate's map on k kernel vectors beyond _MAX_STACK
-    doubles; before Z's eigh, k is the all-zero-row lower bound."""
-    size = (1 + g.n + len(g.edges)) * (k * (k + 1) // 2)
-    if size > _MAX_STACK:
-        raise ResourceLimitError(
-            f"the uniqueness map on a {k}-dimensional kernel of Z needs {size} "
-            f"doubles, more than chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}"
-        )
-
-
 class UniquenessVerdict(NamedTuple):
     nondegenerate: bool
     nullspace_dim: int
@@ -236,20 +232,18 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     singular values of that map, padded with zeros up to its k(k + 1)/2
     unknowns, are counted as null at most NULL_THRESHOLD times the largest.
     Nondegenerate (hence the primal optimizer is unique) iff none is.  A map
-    of more than _MAX_STACK doubles is refused (ResourceLimitError) unbuilt;
-    each all-zero row of Z is an exact kernel vector, so their count bounds k
-    from below and refuses an oversized map before the O(n^3) eigh of Z.
+    too large is refused unbuilt (check_size at k); its caller runs
+    check_size(g) before it builds Z, as the uniqueness command does.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (g.n + 1, g.n + 1):
         raise ValueError("slack matrix dimension mismatch")
-    _check_map_size(g, int(np.count_nonzero(~z.any(axis=1))))
     lam, vecs = np.linalg.eigh(z)
     q = vecs[:, np.abs(lam) <= NULL_THRESHOLD * max(1.0, float(np.abs(lam).max()))]
     k = q.shape[1]
     if k == 0:
         return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
-    _check_map_size(g, k)
+    check_size(g, kernel_dim=k)
     edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
     # Row r is a_r^T S b_r: M_00, M_ii - M_0i and M_ij (i ~ j) at Q S Q^T.
     a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))

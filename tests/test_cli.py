@@ -316,9 +316,10 @@ class TestUniqueness:
         assert err.count("\n") == 1
 
     def test_zero_rows_refuse_the_kernel_map_before_eigh(self, tmp_path, monkeypatch):
-        # 4000 zero-weight isolated vertices: the 4001 all-zero rows of Z = 0
-        # are kernel vectors enough to refuse the map without Z's O(n^3)
-        # eigh, which took 5.7 s on a 2-core x86-64 box.
+        # 4000 zero-weight isolated vertices: Z would be 0, and its 4001
+        # all-zero rows are kernel vectors enough to refuse the map from the
+        # weights alone, without Z's O(n^3) eigh, which took 5.7 s on a
+        # 2-core x86-64 box.
         path = _write_graph(tmp_path / "g.json", WeightedGraph(4000, [], [0.0] * 4000))
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh ran"))
         start = time.perf_counter()
@@ -326,6 +327,36 @@ class TestUniqueness:
         assert time.perf_counter() - start <= 1.0
         assert (code, out) == (2, "")
         assert err.startswith("solver error: the uniqueness map on a 4001-dimensional kernel")
+        assert err.count("\n") == 1
+
+    def test_kernel_map_is_refused_before_the_primal_is_built(self, tmp_path):
+        # 6505 zero-weight isolated vertices: the lifted primal fits, but the
+        # map at k = 6506 does not, and the weights alone say so.  Building
+        # the primal and Z first peaked at 339 MB.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(6505, [], [0.0] * 6505))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the uniqueness map on a 6506-dimensional kernel")
+        assert err.count("\n") == 1
+        assert peak < 50e6
+
+    def test_commands_check_the_sizes_of_what_they_build(self, tmp_path):
+        # 10 unit weights among 2000 isolated vertices: `theta` solves the
+        # 10-vertex positive subgraph, while `uniqueness` would need the map
+        # on the 1990 zero-weight vertices' kernel of Z.
+        weights = [1.0] * 10 + [0.0] * 1990
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2000, [], weights))
+        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["alpha"] == 10.0
+        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: the uniqueness map on a 1990-dimensional kernel")
         assert err.count("\n") == 1
 
     def test_lifted_primal_is_refused_before_it_is_built(self, tmp_path):
@@ -340,7 +371,7 @@ class TestUniqueness:
         finally:
             tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err.startswith("solver error: the theta solution on 20000 vertices needs a primal")
+        assert err.startswith("solver error: the lifted primal on 20000 vertices needs")
         assert err.count("\n") == 1
         assert peak < 50e6
 

@@ -27,6 +27,7 @@ from theta_selftest.theta import (
     certificate_matrix,
     certificate_to_json_dict,
     chained_dual_certificate,
+    check_size,
     dual_nondegenerate,
     solve_theta_problem,
     theta_problem,
@@ -138,28 +139,48 @@ class TestProblemAssembly:
         ids=["edgeless-2000", "complete-120"],
     )
     def test_oversized_problem_refused_before_allocating(self, g):
-        # The stacks would take 59.7 GiB and 850 MB; the refusal allocates
-        # next to nothing.
+        # The stacks would take 59.7 GiB and 850 MB; the size policy that
+        # both commands run first refuses them and allocates next to nothing.
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="theta SDP on"):
-                theta_problem(g)
+                check_size(g)
             assert tracemalloc.get_traced_memory()[1] <= 1e6
         finally:
             tracemalloc.stop()
 
-    def test_theta_size_is_checked_on_the_positive_subgraph(self):
-        # solve_theta_problem and `theta` check the size of the positive-weight
-        # subgraph they solve: 10 of 2000 vertices need a small stack, all
-        # 2000 the 59.7 GiB one.
-        weights = np.zeros(2000)
-        weights[:10] = 1.0
-        g = WeightedGraph(2000, [], weights)
+    @pytest.mark.parametrize(
+        "n, positive, subgraph, refused",
+        [
+            (437, 0, False, None),
+            (438, 0, False, "uniqueness map on a 439-dimensional kernel of Z"),
+            (6505, 0, False, "uniqueness map on a 6506-dimensional kernel of Z"),
+            (6506, 0, False, "lifted primal on 6506 vertices"),
+            (2000, 10, True, None),
+            (2000, 10, False, "uniqueness map on a 1990-dimensional kernel of Z"),
+            (438, 100, False, None),
+        ],
+        ids=["zero-437", "zero-438", "zero-6505", "zero-6506", "positive-10-of-2000",
+             "whole-10-of-2000", "positive-100-zero-338"],
+    )
+    def test_size_policy_boundaries(self, n, positive, subgraph, refused):
+        # Edgeless graphs whose first `positive` weights are 1 and the rest 0.
+        # The kernel map at k = 438 holds 438 * 438 * 439 / 2 doubles, under
+        # the bound, and at 439 it is over; the lifted primal fits for
+        # n = 6505 and not for 6506, and comes first.  The theta stack is
+        # counted on the positive subgraph (`theta` runs on that subgraph).
+        weights = np.zeros(n)
+        weights[:positive] = 1.0
+        g = WeightedGraph(n, [], weights)
+        if subgraph:
+            g = theta.positive_subgraph(g)[0]
         tracemalloc.start()
         try:
-            theta.check_theta_size(theta.positive_subgraph(g)[0])
-            with pytest.raises(ResourceLimitError, match="theta SDP on 2000 vertices and 0"):
-                theta.check_theta_size(g)
+            if refused is None:
+                check_size(g)
+            else:
+                with pytest.raises(ResourceLimitError, match=f"^the {refused} needs"):
+                    check_size(g)
             assert tracemalloc.get_traced_memory()[1] <= 1e6
         finally:
             tracemalloc.stop()
@@ -492,8 +513,8 @@ class TestUniqueness:
     def test_oversized_kernel_map_refused_before_allocating(self):
         # All-zero weights give Z = 0, so ker Z is everything: on 438 isolated
         # vertices the map would hold 439 * 439 * 440 / 2 doubles (339 MB),
-        # just over the stack bound.  Z's 439 all-zero rows already say so,
-        # before its eigendecomposition.
+        # just over the stack bound.  Z's eigh finds k = 439, and the map is
+        # refused before it is built.
         g = WeightedGraph(438, [], np.zeros(438))
         z = certificate_matrix(g, np.zeros(439))
         tracemalloc.start()
