@@ -7,11 +7,10 @@ Exit codes are a stable contract: 0 success, 1 input error, 2 solver,
 certification or out-of-memory failure, 3 self-test rejection.
 Human-readable output prints six significant digits; JSON output carries
 full double precision and is emitted in canonical form (sorted keys, no
-whitespace) so repeated runs are byte-identical.  The command line still
-reads no environment variable: each tolerance comes from the constant of the
-module that owns it.  `--solver-tol` defaults to sdp.SOLVER_TOL, the
-uniqueness cut is theta.NULL_THRESHOLD, and an omitted `--tol` is read from
-selftest.SELFTEST_TOL when `selftest` runs.  Only `cmd_selftest` loads the
+whitespace) so repeated runs are byte-identical.  No option or environment
+variable sets a tolerance: each command calls the library at its defaults,
+which are the constants of the modules that own them (sdp.SOLVER_TOL,
+theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  Only `cmd_selftest` loads the
 self-test layer, so the other commands never import (or, without cached
 bytecode, compile) it; `run_selftest` raises on every rejection, so each
 report it prints is an ACCEPT (`"verified":true`).  `main` runs in-process
@@ -45,7 +44,7 @@ from .scenarios import (
     reference_realization,
     witness_to_json_dict,
 )
-from .sdp import SOLVER_TOL, SolverError, min_eigenvalue
+from .sdp import SolverError, min_eigenvalue
 from .theta import (
     MalformedCertificateError,
     NotPsdError,
@@ -65,15 +64,6 @@ EXIT_SOLVER = 2
 EXIT_REJECT = 3
 
 SANDWICH_SLACK = 1e-6  # allowed relative solver error in alpha <= theta <= alpha*
-
-
-def _unit_interval(name: str, value: float) -> float:
-    # Relative gaps, singular-value ratios and the self-test's deviations of
-    # unit vectors are meant to be far below 1, so a tolerance of 1 or more
-    # (or NaN) accepts nearly anything.
-    if not 0 < value < 1:
-        raise ValueError(f"{name} must lie in (0, 1)")
-    return value
 
 
 def _emit_json(obj) -> None:
@@ -100,7 +90,6 @@ def _input_graph(args) -> WeightedGraph:
 
 
 def cmd_theta(args) -> int:
-    solver_tol = _unit_interval("solver_tol", args.solver_tol)
     # All three on the positive-weight subgraph; with no positive weight each is 0.
     sub = positive_subgraph(_input_graph(args))[0]
     alpha = theta = alpha_star = 0.0
@@ -109,7 +98,7 @@ def cmd_theta(args) -> int:
         check_size(sub)
         alpha_star = fractional_packing(sub)
         alpha, _ = independence_number(sub)
-        theta = solve_theta_problem(sub, tol=solver_tol).value
+        theta = solve_theta_problem(sub).value
     slack = SANDWICH_SLACK * max(1.0, abs(theta))
     sandwich_ok = alpha <= theta + slack and theta <= alpha_star + slack
     if args.json:
@@ -169,12 +158,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    solver_tol = _unit_interval("solver_tol", args.solver_tol)
     g = _input_graph(args)
     check_size(g)  # every size refusal the input decides, before anything is built
     y = _closed_form_certificate(args.scenario) if args.scenario else None
     if y is None:
-        y = solve_theta_problem(g, tol=solver_tol).dual_multipliers
+        y = solve_theta_problem(g).dual_multipliers
     verdict = dual_nondegenerate(g, certificate_matrix(g, y))
     if args.json:
         _emit_json(
@@ -202,9 +190,6 @@ def cmd_selftest(args) -> int:
 
     for name in ("run_selftest", "selftest_report_to_json_dict"):
         globals().setdefault(name, getattr(selftest, name))
-    tol = _unit_interval(
-        "selftest_tol", selftest.SELFTEST_TOL if args.tol is None else args.tol
-    )
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:
@@ -213,7 +198,7 @@ def cmd_selftest(args) -> int:
     else:
         cand = ref
     try:
-        report = run_selftest(witness, ref, cand, tol=tol)
+        report = run_selftest(witness, ref, cand)
     except selftest.PreconditionError as exc:
         print(f"self-test rejected (failed precondition): {exc}", file=sys.stderr)
         return EXIT_REJECT
@@ -283,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="independence number, theta, fractional packing")
     add_common(p, graph_input=True)
-    p.add_argument("--solver-tol", type=float, default=SOLVER_TOL, dest="solver_tol")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("certify", help="verify a closed-form dual certificate")
@@ -292,13 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="dual nondegeneracy of the optimizer")
     add_common(p, graph_input=True)
-    p.add_argument("--solver-tol", type=float, default=SOLVER_TOL, dest="solver_tol")
     p.set_defaults(func=cmd_uniqueness)
 
     p = sub.add_parser("selftest", help="run the extraction pipeline on a candidate")
     add_common(p)
     p.add_argument("--candidate", help="path to a candidate realization JSON file")
-    p.add_argument("--tol", type=float, help="acceptance tolerance")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("scenario", help="emit witness and reference realization JSON")

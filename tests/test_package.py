@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import cli, graphs, sdp, selftest
+from theta_selftest import cli, graphs, sdp, selftest, theta
 from theta_selftest.graphs import circulant
 from theta_selftest.scenarios import reference_realization
 
@@ -107,33 +107,21 @@ def test_package_never_reads_a_realizations_kets():
     assert reads == []
 
 
-def _flag_default(command: str, dest: str):
+def test_each_default_has_a_single_source():
+    # No subcommand takes a tolerance: each command calls the library at its
+    # defaults, and each default is the owning module's constant (identity,
+    # not equality), of which cli keeps no copy.
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
-    return sub.choices[command].get_default(dest)
-
-
-def test_each_default_has_a_single_source(monkeypatch):
-    # Identity, not equality: each default is the owning module's constant.
-    assert _flag_default("theta", "solver_tol") is sdp.SOLVER_TOL
-    assert _flag_default("uniqueness", "solver_tol") is sdp.SOLVER_TOL
-    # The self-test layer loads only when `selftest` runs, so an omitted
-    # --tol is read from its constant then, and cli keeps no copy of it.
-    seen = []
-
-    def recording(witness, ref, cand, tol):
-        seen.append(tol)
-        return selftest.run_selftest(witness, ref, cand, tol=tol)
-
-    monkeypatch.setattr(cli, "run_selftest", recording, raising=False)
-    assert cli.main(["selftest", "--scenario", "chsh"]) == 0
-    assert len(seen) == 1 and seen[0] is selftest.SELFTEST_TOL
-    assert _flag_default("selftest", "tol") is None
+    dests = [a.dest for p in (parser, *sub.choices.values()) for a in p._actions]
+    assert [d for d in dests if "tol" in d] == []
+    solve = inspect.signature(theta.solve_theta_problem).parameters["tol"].default
+    assert solve is sdp.SOLVER_TOL
+    accept = inspect.signature(selftest.run_selftest).parameters["tol"].default
+    assert accept is selftest.SELFTEST_TOL
     copies = [name for name, value in vars(cli).items()
-              if type(value) is float and value == selftest.SELFTEST_TOL]
+              if type(value) is float and value in (sdp.SOLVER_TOL, selftest.SELFTEST_TOL)]
     assert copies == []
-    tol = inspect.signature(selftest.run_selftest).parameters["tol"].default
-    assert tol is selftest.SELFTEST_TOL
 
 
 _MODULES_PROBE = """

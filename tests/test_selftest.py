@@ -294,6 +294,30 @@ class TestRankOneExtraction:
         with pytest.raises(NotOptimizerError, match="Gram mismatch"):
             run_selftest(wit, r, cand, tol=1e-9)
 
+    def test_residual_rejection_names_its_numbers(self):
+        # At tol 0.03 the perturbed candidate passes the Gram check (it is
+        # 2.2e-2 off) and is rejected by its claim residuals: the state
+        # residual is 0.049979.  The message names the residual with plain
+        # numbers, not numpy's repr.
+        wit, r, _ = _structure("chsh")
+        cand = perturbed_candidate(r, angle=0.05)
+        with pytest.raises(NotOptimizerError) as exc:
+            run_selftest(wit, r, cand, tol=0.03)
+        message = str(exc.value)
+        assert "state residual 0.049979" in message
+        assert message.endswith(" exceeds the tolerance 0.03")
+        assert "np." not in message
+
+    def test_isometry_check_uses_acceptance_tolerance(self):
+        # Residuals near 1e-9 and an isometry deviation of 1.5e-9: accepted
+        # under the default 1e-7, rejected under 1e-10 (there first by the
+        # Gram match, which is 4.0e-10 off).
+        wit, r, _ = _structure("chained:3")
+        cand = perturbed_candidate(r, angle=1e-9)
+        run_selftest(wit, r, cand)
+        with pytest.raises(NotOptimizerError):
+            run_selftest(wit, r, cand, tol=1e-10)
+
     def test_qutrit_reference_fails_A3(self):
         # Two qutrits measured in the computational and Fourier bases on the
         # maximally entangled state, one event per nonzero probability (24):

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_selftest import theta
-from theta_selftest.graphs import ResourceLimitError, WeightedGraph, circulant
+from theta_selftest.graphs import (
+    ResourceLimitError,
+    WeightedGraph,
+    circulant,
+    fractional_packing,
+    independence_number,
+)
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     builtin_witness,
@@ -240,6 +246,18 @@ class TestThetaValues:
         assert min_eigenvalue(z) >= -1e-8 * max(1.0, y[0])
         assert not z[1 + np.flatnonzero(np.asarray(g.weights) == 0.0)].any()
         _assert_theta_close(y[0], sol.value)
+
+    @pytest.mark.xfail(raises=SolverError, strict=True,
+                       reason="defect (a): every start of the ladder stalls (ROADMAP item 7)")
+    def test_theta_within_sandwich_where_every_start_stalls(self):
+        # alpha = alpha* = 1.1171876 here, so theta is known exactly, yet
+        # every start stalls with a gap of 2.6e-7.  The property test above
+        # fails with the same error whenever its draws reach this graph.
+        g = WeightedGraph(5, [(0, 3), (1, 2), (2, 3), (2, 4), (3, 4)],
+                          [1e-07, 0.1796875, 0.0078125, 0.3125, 0.9375])
+        value = solve_theta_problem(g).value
+        slack = 1e-7 * max(1.0, value)
+        assert independence_number(g)[0] - slack <= value <= fractional_packing(g) + slack
 
     def test_weighted_scaling(self):
         w = 1.7
