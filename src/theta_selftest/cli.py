@@ -96,8 +96,8 @@ def cmd_theta(args) -> int:
     if sub is not None:
         # The limits first: theta's size, then alpha*'s clique enumeration.
         check_size(sub)
-        alpha_star = fractional_packing(sub)
-        alpha, _ = independence_number(sub)
+        alpha_star = fractional_packing(sub)[1]
+        alpha = independence_number(sub)
         theta = solve_theta_problem(sub).value
     slack = SANDWICH_SLACK * max(1.0, abs(theta))
     sandwich_ok = alpha <= theta + slack and theta <= alpha_star + slack

@@ -150,53 +150,33 @@ def _components(g: WeightedGraph) -> list[list[int]]:
     return out
 
 
-def independence_number(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum weight of a stable set, with the first optimum in
-    include-before-exclude order over vertices 0..n-1 as witness (the
-    order of itertools.product((1, 0), repeat=n) on membership vectors).
+def independence_number(g: WeightedGraph) -> float:
+    """Exact maximum weight of a stable set.
 
     Branch and bound, once per connected component: depth-first search in
-    increasing vertex order, include-branch first, recording only strict
-    improvements, pruned by a greedy clique-cover bound.  No include
-    decision depends on another component, so the union of the components'
-    witnesses is the whole graph's first optimum.  Zero-weight vertices join
-    it where they fit: on the star with centre 1 (weight 0.3) and leaves 0,
-    2, 3 (weights 0, 0.1, 0.2) it is (0, 2, 3), where the `theta` command
-    searches the positive-weight subgraph and keeps (1,).
+    increasing vertex order, include-branch first, from the component's
+    greedy value, pruned by a greedy clique-cover bound wherever it cannot
+    beat the best value so far.  Ties are pruned too, so many equal weights
+    (a path of unit or zero weights, for one) cost no search.  The result is
+    the sum of the components' values.
     """
-    # Each search starts just below its component's greedy value, so the DFS
-    # still visits (and records) the first optimum instead of keeping the
-    # greedy witness.  Both slacks are relative to the whole graph's
-    # greedy value: an absolute one is lost in rounding at large weights.
-    scale = max(1.0, _greedy_stable_value(g, range(g.n)))
-    tie = 1e-12 * scale
-    witness: list[int] = []
 
-    def dfs(candidates: list[int], current: list[int], value: float) -> None:
-        nonlocal best_value, best_set
+    def dfs(candidates: list[int], value: float, best: float) -> float:
+        """max(best, value + the heaviest stable set within `candidates`)."""
         if not candidates:
-            if value > best_value + tie:
-                best_value = value
-                best_set = tuple(current)
-            return
-        if value + _greedy_clique_cover_bound(g, candidates) <= best_value + tie:
-            return
+            return max(best, value)
+        if value + _greedy_clique_cover_bound(g, candidates) <= best:
+            return best
         v = candidates[0]
         rest = candidates[1:]
         nv = g.neighbor_sets[v]
-        current.append(v)
-        dfs([u for u in rest if u not in nv], current, value + g.weights[v])
-        current.pop()
-        dfs(rest, current, value)
+        best = dfs([u for u in rest if u not in nv], value + g.weights[v], best)
+        return dfs(rest, value, best)
 
-    for component in _components(g):
-        best_value = _greedy_stable_value(g, component) - 1e-9 * scale
-        best_set: tuple[int, ...] | None = None
-        dfs(component, [], 0.0)
-        assert best_set is not None
-        witness.extend(best_set)
-    best = tuple(sorted(witness))
-    return sum(g.weights[v] for v in best), best
+    return sum(
+        dfs(component, 0.0, _greedy_stable_value(g, component))
+        for component in _components(g)
+    )
 
 
 def maximal_cliques(g: WeightedGraph) -> list[tuple[int, ...]]:
@@ -266,7 +246,7 @@ def _face_projection(a, w, x, s, y, z) -> tuple[np.ndarray, np.ndarray]:
     return xp, yp
 
 
-def fractional_packing_bounds(g: WeightedGraph) -> tuple[float, float]:
+def fractional_packing(g: WeightedGraph) -> tuple[float, float]:
     """Certified enclosure lo <= alpha* <= hi of the clique LP
     max w.x  s.t.  sum of x over each maximal clique <= 1,  x >= 0,
     with hi - lo <= PACKING_TOL * max(1, hi).
@@ -334,11 +314,6 @@ def fractional_packing_bounds(g: WeightedGraph) -> tuple[float, float]:
         float(np.abs(rd).max()),
         hi - lo,
     )
-
-
-def fractional_packing(g: WeightedGraph) -> float:
-    """The upper end of `fractional_packing_bounds`, so alpha* <= it (and theta)."""
-    return fractional_packing_bounds(g)[1]
 
 
 def to_json_dict(g: WeightedGraph) -> dict:

@@ -20,23 +20,14 @@ from theta_selftest.scenarios import (
 )
 
 
-def brute_force_independence(g: WeightedGraph) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive 2^n maximum-weight stable set.  Membership vectors are
-    scanned in itertools.product((1, 0), repeat=n) order, include before
-    exclude over vertices 0..n-1, and only an improvement by more than
-    1e-12 replaces the best, so the witness is the first optimum in the
-    order that independence_number's search visits."""
-    best_value = -1.0
-    best_set: tuple[int, ...] = ()
-    for bits in itertools.product((1, 0), repeat=g.n):
-        subset = tuple(v for v in range(g.n) if bits[v])
-        if any(bits[u] and bits[v] for u, v in g.edges):
-            continue
-        value = sum(g.weights[v] for v in subset)
-        if value > best_value + 1e-12:
-            best_value = value
-            best_set = subset
-    return best_value, best_set
+def brute_force_independence(g: WeightedGraph) -> float:
+    """Exhaustive maximum weight of a stable set over all 2^n vertex subsets,
+    each summed in increasing vertex order."""
+    best = 0.0
+    for bits in itertools.product((0, 1), repeat=g.n):
+        if not any(bits[u] and bits[v] for u, v in g.edges):
+            best = max(best, sum(w for w, b in zip(g.weights, bits) if b))
+    return best
 
 
 def brute_force_maximal_cliques(g: WeightedGraph) -> list[tuple[int, ...]]:

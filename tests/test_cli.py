@@ -118,7 +118,7 @@ class TestTheta:
 
     def test_oversized_theta_problem_refused_before_alpha(self, tmp_path, monkeypatch):
         # 2000 isolated vertices: theta's size refusal comes before alpha*
-        # and alpha, which would take minutes on this graph.
+        # and alpha run.
         path = _write_graph(tmp_path / "g.json", WeightedGraph(2000, []))
         for name in ("fractional_packing", "independence_number"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))

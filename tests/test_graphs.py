@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     complement,
     random_graph,
     reweight,
+    run_cli,
     weighted_graphs,
 )
 from theta_selftest import graphs
@@ -23,7 +25,6 @@ from theta_selftest.graphs import (
     canonical_json,
     circulant,
     fractional_packing,
-    fractional_packing_bounds,
     from_json_dict,
     independence_number,
     maximal_cliques,
@@ -86,8 +87,7 @@ class TestGenerators:
         g = exclusivity_graph(mermin_witness())
         assert g.n == 16
         assert all(len(g.neighbor_sets[v]) == 9 for v in range(16))
-        value, _ = independence_number(g)
-        assert value == 3.0
+        assert independence_number(g) == 3.0
 
 
 class TestIndependence:
@@ -95,85 +95,102 @@ class TestIndependence:
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_graph(rng, max_n=10)
-            value, witness = independence_number(g)
-            bf_value, bf_witness = brute_force_independence(g)
-            assert value == pytest.approx(bf_value, abs=1e-9)
-            assert witness == bf_witness
-            chosen = set(witness)
-            assert not any(u in chosen and v in chosen for u, v in g.edges)
+            assert independence_number(g) == pytest.approx(
+                brute_force_independence(g), rel=1e-12
+            )
 
-    def test_witness_matches_brute_force_with_zero_and_tied_weights(self):
-        # Zero and repeated weights make many optima tie; both searches keep
-        # the first in include-before-exclude order, such as (0, 1) rather
-        # than (0,) for weights (1, 0) and no edge.
-        assert independence_number(WeightedGraph(2, [], [1.0, 0.0])) == (1.0, (0, 1))
-        g = WeightedGraph(4, [(0, 1), (1, 2), (1, 3)], [0.0, 0.3, 0.1, 0.2])
-        assert independence_number(g)[1] == brute_force_independence(g)[1] == (0, 2, 3)
+    def test_matches_brute_force_with_zero_and_tied_weights(self):
+        # Zero and repeated weights make many optima tie; the search prunes
+        # every branch that can at best tie with the value it holds.
+        assert independence_number(WeightedGraph(2, [], [1.0, 0.0])) == 1.0
         rng = np.random.default_rng(0)
         palette = [0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0]
         for _ in range(300):
             n = int(rng.integers(1, 11))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
             g = WeightedGraph(n, edges, rng.choice(palette, size=n))
-            value, witness = independence_number(g)
-            bf_value, bf_witness = brute_force_independence(g)
-            assert value == pytest.approx(bf_value, abs=1e-9)
-            assert witness == bf_witness
+            assert independence_number(g) == pytest.approx(
+                brute_force_independence(g), rel=1e-12
+            )
+
+    def test_library_alpha_is_the_theta_commands(self, tmp_path):
+        # In doubles {2, 3} weighs 0.1 + 0.2 = 0.30000000000000004, strictly
+        # more than {1}.  The theta command searches the positive-weight
+        # subgraph, without vertex 0, and must print the same alpha.
+        assert Fraction(0.1) + Fraction(0.2) > Fraction(0.3)
+        g = WeightedGraph(4, [(0, 1), (1, 2), (1, 3)], [0.0, 0.3, 0.1, 0.2])
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(to_json_dict(g)))
+        code, out, _ = run_cli(["theta", "--graph", str(path), "--json"])
+        assert code == 0
+        alpha = json.loads(out)["alpha"]
+        assert independence_number(g) == alpha == 0.30000000000000004
 
     @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
     def test_matches_brute_force_at_large_weights(self, scale):
-        # An absolute start slack below the greedy value is lost in rounding
-        # at these magnitudes; the search must still record the optimum.
+        # The search holds no slack, absolute or relative, so no magnitude
+        # loses the optimum to rounding.
         rng = np.random.default_rng(int(np.log10(scale)))
         for _ in range(20):
             g = random_graph(rng, max_n=10)
             g = reweight(g, [scale * w for w in g.weights])
-            assert independence_number(g) == brute_force_independence(g)
-        g = WeightedGraph(2, [(0, 1)], [3e7, 3e7])
-        assert independence_number(g) == (3e7, (0,))
+            assert independence_number(g) == pytest.approx(
+                brute_force_independence(g), rel=1e-12
+            )
+        assert independence_number(WeightedGraph(2, [(0, 1)], [3e7, 3e7])) == 3e7
 
     def test_unweighted_cycle(self):
-        assert independence_number(circulant(5, (1,)))[0] == 2.0
-        assert independence_number(circulant(8, (1, 4)))[0] == 3.0
+        assert independence_number(circulant(5, (1,))) == 2.0
+        assert independence_number(circulant(8, (1, 4))) == 3.0
 
     def test_weight_zero_vertices_allowed(self):
         g = WeightedGraph(3, [(0, 1)], [0.0, 2.0, 0.5])
-        value, witness = independence_number(g)
-        assert value == 2.5
-        assert witness == (1, 2)
+        assert independence_number(g) == 2.5
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(weighted_graphs(), weighted_graphs())
     def test_disjoint_union_adds(self, g1, g2):
         # alpha is additive over a disjoint union, so the parts' brute-force
-        # values are the union's; its witness is the parts' own, the second
-        # relabelled after the first.
+        # values are the union's.
         shifted = tuple((i + g1.n, j + g1.n) for i, j in g2.edges)
         union = WeightedGraph(g1.n + g2.n, g1.edges + shifted, g1.weights + g2.weights)
-        (a1, w1), (a2, w2) = independence_number(g1), independence_number(g2)
-        value, witness = independence_number(union)
-        assert witness == w1 + tuple(v + g1.n for v in w2)
-        assert not any(u in witness and v in witness for u, v in union.edges)
-        assert a1 == pytest.approx(brute_force_independence(g1)[0], abs=1e-9)
-        assert a2 == pytest.approx(brute_force_independence(g2)[0], abs=1e-9)
-        assert value == pytest.approx(a1 + a2, abs=1e-9)
+        a1, a2 = independence_number(g1), independence_number(g2)
+        assert a1 == pytest.approx(brute_force_independence(g1), rel=1e-12)
+        assert a2 == pytest.approx(brute_force_independence(g2), rel=1e-12)
+        assert independence_number(union) == pytest.approx(a1 + a2, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "g, alpha, size",
+        "g, alpha",
         [
             (WeightedGraph(60, [(5 * k + i, 5 * k + (i + 1) % 5)
-                                for k in range(12) for i in range(5)]), 24.0, 24),
-            (WeightedGraph(2000, []), 2000.0, 2000),
-            (WeightedGraph(2000, [], [0.0] * 2000), 0.0, 2000),
+                                for k in range(12) for i in range(5)]), 24.0),
+            (WeightedGraph(2000, []), 2000.0),
+            (WeightedGraph(2000, [], [0.0] * 2000), 0.0),
         ],
         ids=["12-C5", "2000-isolated", "2000-isolated-zero-weight"],
     )
-    def test_disjoint_unions_are_fast(self, g, alpha, size):
+    def test_disjoint_unions_are_fast(self, g, alpha):
         # One search per component: exponential only in the largest one.
         start = time.perf_counter()
-        value, witness = independence_number(g)
+        value = independence_number(g)
         assert time.perf_counter() - start < 2.0
-        assert (value, len(witness)) == (alpha, size)
+        assert value == alpha
+
+    @pytest.mark.parametrize(
+        "g, alpha",
+        [
+            (WeightedGraph(500, [(i, i + 1) for i in range(499)]), 250.0),
+            (WeightedGraph(2000, [(i, i + 1) for i in range(1999)], [0.0] * 2000), 0.0),
+        ],
+        ids=["500-path", "2000-path-zero-weight"],
+    )
+    def test_ties_are_pruned(self, g, alpha):
+        # One component with very many optima of equal weight: the greedy
+        # value is optimal, and no branch that can only tie it is searched.
+        start = time.perf_counter()
+        value = independence_number(g)
+        assert time.perf_counter() - start < 2.0
+        assert value == alpha
 
 
 class TestCliquesAndPacking:
@@ -191,14 +208,14 @@ class TestCliquesAndPacking:
             maximal_cliques(WeightedGraph(8, []))
 
     def test_fractional_packing_closed_forms(self):
-        assert fractional_packing(circulant(5, (1,))) == pytest.approx(2.5, abs=1e-9)
-        assert fractional_packing(WeightedGraph(4, [])) == pytest.approx(4.0, abs=1e-9)
+        assert fractional_packing(circulant(5, (1,)))[1] == pytest.approx(2.5, abs=1e-9)
+        assert fractional_packing(WeightedGraph(4, []))[1] == pytest.approx(4.0, abs=1e-9)
         k4 = complement(WeightedGraph(4, []))
-        assert fractional_packing(k4) == pytest.approx(1.0, abs=1e-9)
+        assert fractional_packing(k4)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_fractional_packing_weighted(self):
         g = WeightedGraph(2, [(0, 1)], [0.5, 2.0])
-        assert fractional_packing(g) == pytest.approx(2.0, abs=1e-9)
+        assert fractional_packing(g)[1] == pytest.approx(2.0, abs=1e-9)
 
 
 def _assert_closed(lo: float, hi: float) -> None:
@@ -215,14 +232,13 @@ class TestPackingLP:
     @_PROPERTY
     @given(weighted_graphs())
     def test_enclosure_above_alpha_and_closed(self, g):
-        lo, hi = fractional_packing_bounds(g)
+        lo, hi = fractional_packing(g)
         _assert_closed(lo, hi)
-        alpha = independence_number(g)[0]
+        alpha = independence_number(g)
         # alpha <= alpha* <= hi; lo may sit below alpha, by at most the
         # width, where alpha == alpha* (on perfect graphs, for one).
         assert alpha <= hi
         assert alpha - lo <= PACKING_TOL * max(1.0, hi)
-        assert fractional_packing(g) == hi
 
     @_PROPERTY
     @given(weighted_graphs(bipartite=True), st.booleans())
@@ -231,9 +247,9 @@ class TestPackingLP:
         # by the weak perfect graph theorem, their complements.
         if complemented:
             g = complement(g)
-        lo, hi = fractional_packing_bounds(g)
+        lo, hi = fractional_packing(g)
         _assert_closed(lo, hi)
-        assert lo <= independence_number(g)[0] <= hi
+        assert lo <= independence_number(g) <= hi
 
     @pytest.mark.parametrize(
         "g",
@@ -254,9 +270,9 @@ class TestPackingLP:
         # Weights 1e-7 to 1e-12 times the largest: the directions they need
         # are lost in normal equations, and the dual stalls short of the
         # optimal face.  All three graphs are perfect, so alpha* == alpha.
-        lo, hi = fractional_packing_bounds(g)
+        lo, hi = fractional_packing(g)
         _assert_closed(lo, hi)
-        assert lo <= independence_number(g)[0] <= hi
+        assert lo <= independence_number(g) <= hi
 
     @pytest.mark.parametrize(
         "g, value",
@@ -278,7 +294,7 @@ class TestPackingLP:
              "single-vertex", "edgeless", "complete", "mermin", "as4"],
     )
     def test_known_values(self, g, value):
-        lo, hi = fractional_packing_bounds(g)
+        lo, hi = fractional_packing(g)
         _assert_closed(lo, hi)
         assert lo <= value <= hi
 
@@ -298,7 +314,7 @@ class TestPackingLP:
             res = linprog(-np.asarray(g.weights), A_ub=a_ub, b_ub=np.ones(len(cliques)),
                           bounds=(0, None), method="highs")
             assert res.success
-            lo, hi = fractional_packing_bounds(g)
+            lo, hi = fractional_packing(g)
             _assert_closed(lo, hi)
             assert lo <= -res.fun <= hi
 

@@ -308,15 +308,24 @@ class TestRankOneExtraction:
         assert message.endswith(" exceeds the tolerance 0.03")
         assert "np." not in message
 
-    def test_isometry_check_uses_acceptance_tolerance(self):
-        # Residuals near 1e-9 and an isometry deviation of 1.5e-9: accepted
-        # under the default 1e-7, rejected under 1e-10 (there first by the
-        # Gram match, which is 4.0e-10 off).
+    def test_isometry_check_uses_acceptance_tolerance(self, monkeypatch):
+        # The reference as its own candidate, with every extracted isometry
+        # scaled by 1 + 1e-9: an isometry deviation of 2e-9, accepted under
+        # the default tolerance and refused under 1e-10 by the isometry
+        # check itself (the unscaled claim passes 1e-10).
         wit, r, _ = _structure("chained:3")
-        cand = perturbed_candidate(r, angle=1e-9)
-        run_selftest(wit, r, cand)
-        with pytest.raises(NotOptimizerError):
-            run_selftest(wit, r, cand, tol=1e-10)
+        run_selftest(wit, r, r, tol=1e-10)
+        extract = selftest._general_isometries
+
+        def scaled(ps, cand):
+            isometries, junk, junk_dims = extract(ps, cand)
+            return tuple(v * (1 + 1e-9) for v in isometries), junk, junk_dims
+
+        monkeypatch.setattr(selftest, "_general_isometries", scaled)
+        run_selftest(wit, r, r)
+        with pytest.raises(NotOptimizerError) as exc:
+            run_selftest(wit, r, r, tol=1e-10)
+        assert str(exc.value).startswith("isometry deviation")
 
     def test_qutrit_reference_fails_A3(self):
         # Two qutrits measured in the computational and Fourier bases on the

@@ -257,7 +257,7 @@ class TestThetaValues:
                           [1e-07, 0.1796875, 0.0078125, 0.3125, 0.9375])
         value = solve_theta_problem(g).value
         slack = 1e-7 * max(1.0, value)
-        assert independence_number(g)[0] - slack <= value <= fractional_packing(g) + slack
+        assert independence_number(g) - slack <= value <= fractional_packing(g)[1] + slack
 
     def test_weighted_scaling(self):
         w = 1.7
