@@ -192,8 +192,10 @@ def validate_realization(r: Realization) -> None:
     state = np.asarray(r.state)
     if state.shape != (int(np.prod(r.dims)),):
         raise ValueError("state length must equal the product of the dims")
-    if not np.isfinite(state).all():
-        raise ValueError("state has a non-finite entry")
+    # No normalized state or projector has an entry above 1 in magnitude, so
+    # this refuses overflowing input before any norm or product; NaN fails too.
+    if not (np.abs(state) <= 1.0 + NORM_TOL).all():
+        raise ValueError("state has a non-finite entry or one above 1 in magnitude")
     if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
     if len(r.projectors) != len(r.dims):
@@ -206,8 +208,10 @@ def validate_realization(r: Realization) -> None:
                 p = np.asarray(p)
                 if p.shape != (r.dims[j], r.dims[j]):
                     raise ValueError(f"projector {j}:{x}:{a} has wrong shape")
-                if not np.isfinite(p).all():
-                    raise ValueError(f"projector {j}:{x}:{a} has a non-finite entry")
+                if not (np.abs(p) <= 1.0 + PROJECTOR_TOL).all():
+                    raise ValueError(
+                        f"projector {j}:{x}:{a} has a non-finite entry or one above 1 in magnitude"
+                    )
                 if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                     raise ValueError(f"projector {j}:{x}:{a} not Hermitian")
                 if np.abs(p @ p - p).max() > PROJECTOR_TOL:

@@ -595,11 +595,13 @@ class TestSelftest:
     @pytest.mark.parametrize(
         "fault,reason",
         [("nan-state", "non-finite"), ("scaled-state", "normalized"),
-         ("half-projector", "not idempotent"), ("parties", "has 3 parties")],
+         ("half-projector", "not idempotent"), ("parties", "has 3 parties"),
+         ("huge-state", "above 1 in magnitude"), ("huge-projector", "above 1 in magnitude")],
     )
     def test_invalid_candidate_is_input_error(self, tmp_path, fault, reason):
         # The candidate is validated before any condition or Gram check,
-        # whatever the rank of its projectors.
+        # whatever the rank of its projectors.  Entries of 1e200 are refused
+        # before a norm or product of them overflows (and warns).
         if fault == "parties":
             doc = realization_to_json_dict(reference_realization("mermin"))
         else:
@@ -614,6 +616,12 @@ class TestSelftest:
         elif fault == "half-projector":
             doc["projectors"][0][0][0] = [
                 [[0.5 * re, 0.5 * im] for re, im in row] for row in doc["projectors"][0][0][0]
+            ]
+        elif fault == "huge-state":
+            doc["state"] = [[1e200, 0.0] for _ in doc["state"]]
+        elif fault == "huge-projector":
+            doc["projectors"][0][0][0] = [
+                [[1e200 * re, 1e200 * im] for re, im in row] for row in doc["projectors"][0][0][0]
             ]
         path = tmp_path / "cand.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -44,7 +44,6 @@ from theta_selftest.selftest import (
     _claim_residuals,
     candidate_is_rank_one,
     check_bipartite_conditions,
-    check_projector_condition_C1,
     check_tripartite_conditions,
     condition_report_to_json_dict,
     interleave_with_junk,
@@ -157,7 +156,7 @@ class TestConditions:
     def test_tripartite_verdicts(self):
         _, _, ps = _structure("mermin")
         rep = check_tripartite_conditions(ps)
-        assert rep.failed(["A5", "A6", "A7", "A8", "A9"]) == []
+        assert rep.verdicts == dict.fromkeys(["A5", "A6", "A7", "A8", "A9"], True)
         a5 = rep.evidence["A5"]
         assert a5["party_span_dims"] == (2, 2, 2)
         assert a5["joint_span_dim"] == 7
@@ -198,17 +197,6 @@ class TestConditions:
             check_bipartite_conditions(ps3)
         with pytest.raises(ValueError):
             check_tripartite_conditions(ps2)
-
-    def test_projector_completeness_detects_violation(self):
-        _, r, ps = _structure("chsh")
-        assert check_projector_condition_C1(r, ps)
-        mats = [[[np.array(p) for p in s] for s in party] for party in r.projectors]
-        mats[0][0][1] = mats[0][0][0]  # no longer sums to identity
-        broken = Realization(
-            r.dims, r.state,
-            tuple(tuple(tuple(s) for s in party) for party in mats),
-        )
-        assert not check_projector_condition_C1(broken, ps)
 
     def test_condition_report_json(self):
         _, _, ps = _structure("chained:3")
@@ -327,10 +315,12 @@ class TestRankOneExtraction:
             run_selftest(wit, r, r, tol=1e-10)
         assert str(exc.value).startswith("isometry deviation")
 
-    def test_qutrit_reference_fails_A3(self):
+    def test_qutrit_reference_rejected_by_its_residuals(self):
         # Two qutrits measured in the computational and Fourier bases on the
         # maximally entangled state, one event per nonzero probability (24):
-        # it satisfies A1 and A2, but the block construction needs qubits.
+        # it satisfies A1 and A2 and fails A3.  The conditions refuse nothing:
+        # the block construction builds qubit maps, and the claim residuals
+        # reject them.
         omega = np.exp(2j * np.pi / 3)
         bases = (np.eye(3, dtype=complex),
                  np.array([[omega ** (a * k) for k in range(3)] for a in range(3)]) / np.sqrt(3))
@@ -346,8 +336,8 @@ class TestRankOneExtraction:
         assert len(events) == 24
         wit = BellWitness(BellScenario(2, (2, 2), (3, 3)), tuple(events), 2.0)
         conditions = check_bipartite_conditions(_structure_of(r, wit))
-        assert conditions.failed(["A1", "A2", "A3"]) == ["A3"]
-        with pytest.raises(PreconditionError, match="A3"):
+        assert conditions.verdicts == {"A1": True, "A2": True, "A3": False, "A4": False}
+        with pytest.raises(NotOptimizerError, match="^isometry deviation"):
             run_selftest(wit, r, r)
 
     def test_witness_value_drop_of_rejected_candidate(self):
@@ -477,6 +467,31 @@ class TestGeneralRankExtraction:
         _assert_oracle_accepts(r, cand, report)
         assert report.state_residual <= 1e-15
         assert report.vector_residuals.max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["chsh", "mermin", "chained:3"])
+    def test_incomplete_projectors_judged_by_residuals(self, name):
+        # A qutrit register on each party, jointly in |0...0>: every projector
+        # is P x diag(1, 1, 0), so a setting's projectors do not sum to the
+        # identity.  The state never sees the register's |2>, and the claim
+        # residuals accept; chained:3 still fails the pairing condition A4.
+        wit, r, _ = _structure(name)
+        ancilla = np.zeros(3 ** len(r.dims), dtype=complex)
+        ancilla[0] = 1.0
+        padded = tensor_padded_candidate(r, ancilla, k=3)
+        restrict = np.kron(np.eye(2), np.diag([1.0, 1.0, 0.0]))
+        projs = tuple(
+            tuple(tuple(p @ restrict for p in setting) for setting in party)
+            for party in padded.projectors
+        )
+        cand = Realization(padded.dims, padded.state, projs, None)
+        assert not candidate_is_rank_one(cand)
+        if name == "chained:3":
+            with pytest.raises(PreconditionError, match=r"\['A4'\]"):
+                run_selftest(wit, r, cand)
+            return
+        report = run_selftest(wit, r, cand)
+        assert report.junk_dims == (2,) * len(r.dims)
+        _assert_oracle_accepts(r, cand, report)
 
     def test_precondition_failure_names_condition(self):
         wit, r, _ = _structure("chained:3")
