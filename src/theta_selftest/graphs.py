@@ -111,17 +111,19 @@ def _greedy_clique_cover_bound(g: WeightedGraph, candidates: list[int]) -> float
     Partitions the candidates into cliques greedily; a stable set meets each
     clique at most once, so the clique-wise weight maxima bound it from above.
     """
-    cliques: list[list] = []  # [member list, max weight]
+    cliques: list[list[int]] = []
+    home: dict[int, int] = {}  # placed vertex -> index of its clique
     for v in candidates:
         nv = g.neighbor_sets[v]
-        for entry in cliques:
-            if all(u in nv for u in entry[0]):
-                entry[0].append(v)
-                entry[1] = max(entry[1], g.weights[v])
-                break
-        else:
-            cliques.append([[v], g.weights[v]])
-    return sum(entry[1] for entry in cliques)
+        # v joins the first clique it is adjacent to in full, and only a
+        # clique that holds a neighbour of v can be one.
+        k = next((k for k in sorted({home[u] for u in nv if u in home})
+                  if all(u in nv for u in cliques[k])), len(cliques))
+        if k == len(cliques):
+            cliques.append([])
+        cliques[k].append(v)
+        home[v] = k
+    return sum(max(g.weights[u] for u in clique) for clique in cliques)
 
 
 def _greedy_stable_value(g: WeightedGraph, vertices) -> float:

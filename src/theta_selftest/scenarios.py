@@ -1,7 +1,10 @@
 """Bell witnesses as weighted sums of event probabilities, their exclusivity
 graphs, and reference realizations.
 
-Events are p[a|x] with per-party outcome labels a and setting labels x.
+Events are p[a|x] with per-party outcome labels a and setting labels x.  A
+witness states no Bell scenario of its own: the party count is the events'
+arity, and a party's setting (outcome) count is one more than its largest
+setting (outcome) label.
 Realizations carry a shared state and per-party, per-setting, per-outcome
 projectors, and their JSON documents hold those alone with the dims.
 """
@@ -24,23 +27,6 @@ POLE_TOL = 1e-14  # Bloch directions this close to -z use the fixed south-pole k
 MAX_CHAINED_N = 64
 
 
-class _ScenarioFields(NamedTuple):
-    parties: int
-    settings: tuple[int, ...]  # per-party setting count
-    outcomes: tuple[int, ...]  # per-party outcome count
-
-
-class BellScenario(_ScenarioFields):
-    __slots__ = ()
-
-    def __new__(cls, parties: int, settings, outcomes):
-        if parties < 1 or len(settings) != parties or len(outcomes) != parties:
-            raise ValueError("per-party counts must match the party count")
-        if any(k < 1 for k in settings) or any(k < 1 for k in outcomes):
-            raise ValueError("counts must be >= 1")
-        return super().__new__(cls, parties, settings, outcomes)
-
-
 class _EventFields(NamedTuple):
     outcomes: tuple[int, ...]
     settings: tuple[int, ...]
@@ -60,7 +46,6 @@ class Event(_EventFields):
 
 
 class _WitnessFields(NamedTuple):
-    scenario: BellScenario
     terms: tuple[tuple[Event, float], ...]
     classical_bound: float
     affine: tuple[float, float] | None = None
@@ -75,31 +60,32 @@ class BellWitness(_WitnessFields):
 
     __slots__ = ()
 
-    def __new__(cls, scenario: BellScenario, terms, classical_bound: float, affine=None):
+    def __new__(cls, terms, classical_bound: float, affine=None):
         events = [e for e, _ in terms]
         if len(set(events)) != len(events):
             raise ValueError("witness events must be distinct")
-        for e, w in terms:
-            if w <= 0:
-                raise ValueError("weights must be strictly positive")
-            if len(e.outcomes) != scenario.parties:
-                raise ValueError("event arity does not match the scenario")
-            for j in range(scenario.parties):
-                if not (
-                    0 <= e.settings[j] < scenario.settings[j]
-                    and 0 <= e.outcomes[j] < scenario.outcomes[j]
-                ):
-                    raise ValueError(f"event {e} outside scenario label ranges")
-        return super().__new__(cls, scenario, terms, classical_bound, affine)
+        if any(w <= 0 for _, w in terms):
+            raise ValueError("weights must be strictly positive")
+        if len({len(e.outcomes) for e in events}) > 1:
+            raise ValueError("witness events must all have one arity")
+        if any(min(e.outcomes + e.settings, default=0) < 0 for e in events):
+            raise ValueError("event labels must be non-negative")
+        return super().__new__(cls, terms, classical_bound, affine)
+
+
+def _labels(wit: BellWitness) -> tuple[np.ndarray, np.ndarray]:
+    """Setting and outcome labels, one row per event and one column per party."""
+    shape = (len(wit.terms), len(wit.terms[0][0].outcomes) if wit.terms else 0)
+    x = np.array([e.settings for e, _ in wit.terms], dtype=int).reshape(shape)
+    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int).reshape(shape)
+    return x, a
 
 
 def exclusivity_graph(wit: BellWitness) -> WeightedGraph:
     """One vertex per term (with its weight); edges join exclusive events:
     pairs in which some party keeps its setting but changes its outcome,
     tested on all pairs at once."""
-    shape = (len(wit.terms), wit.scenario.parties)
-    x = np.array([e.settings for e, _ in wit.terms], dtype=int).reshape(shape)
-    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int).reshape(shape)
+    x, a = _labels(wit)
     exclusive = ((x[:, None] == x) & (a[:, None] != a)).any(axis=2)
     i, j = np.nonzero(np.triu(exclusive, 1))
     return WeightedGraph(
@@ -125,8 +111,7 @@ def chained_witness(N: int) -> BellWitness:
             a = (k + lap) % 2
             terms.append((Event((a, a), xy), 1.0))
         terms.append((Event((lap, 1 - lap), (0, N - 1)), 1.0))
-    scenario = BellScenario(2, (N, N), (2, 2))
-    return BellWitness(scenario, tuple(terms), classical_bound=2.0 * N - 1.0)
+    return BellWitness(tuple(terms), classical_bound=2.0 * N - 1.0)
 
 
 # Sixteen three-party events (outcomes, settings), grouped by setting triple.
@@ -145,9 +130,8 @@ _MERMIN_RAW: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = tup
 def mermin_witness() -> BellWitness:
     """16 unit-weight three-party events; the correlator form of the witness
     equals 2 * (probability sum) - 4, recorded in `affine`."""
-    scenario = BellScenario(3, (2, 2, 2), (2, 2, 2))
     terms = tuple((Event(a, x), 1.0) for a, x in _MERMIN_RAW)
-    return BellWitness(scenario, terms, classical_bound=3.0, affine=(2.0, -4.0))
+    return BellWitness(terms, classical_bound=3.0, affine=(2.0, -4.0))
 
 
 # Setting pairs carrying anti-correlated events in the 26-event witness.
@@ -163,14 +147,13 @@ _AS4_PAIRS = [
 def as4_witness() -> BellWitness:
     """26 two-party events on 13 setting pairs; the two events on setting
     pair (2,2) carry weight 2; classical bound 10."""
-    scenario = BellScenario(2, (4, 4), (2, 2))
     terms: list[tuple[Event, float]] = []
     for x, y in _AS4_PAIRS:
         w = 2.0 if (x, y) == (2, 2) else 1.0
         pair = ((0, 1), (1, 0)) if (x, y) in _AS4_ANTI else ((0, 0), (1, 1))
         for a in pair:
             terms.append((Event(a, (x, y)), w))
-    return BellWitness(scenario, tuple(terms), classical_bound=10.0)
+    return BellWitness(tuple(terms), classical_bound=10.0)
 
 
 class Realization(NamedTuple):
@@ -256,7 +239,7 @@ def evaluate_witness(wit: BellWitness, r: Realization) -> tuple[float, np.ndarra
     product of one trace per party, <= PROJECTOR_TOL on every graph edge.
     """
     validate_realization(r)
-    if len(r.dims) != wit.scenario.parties:
+    if len(r.dims) != _labels(wit)[0].shape[1]:
         raise ValueError("realization party count does not match the witness")
     events = [e for e, _ in wit.terms]
     vecs = event_vectors(r, events)
@@ -436,11 +419,14 @@ def _jsonify(obj):
 
 
 def witness_to_json_dict(wit: BellWitness) -> dict:
+    """The terms, classical bound and affine map, and under `scenario` the
+    counts that the events' labels imply."""
+    x, a = _labels(wit)
     d = {
         "scenario": {
-            "parties": wit.scenario.parties,
-            "settings": list(wit.scenario.settings),
-            "outcomes": list(wit.scenario.outcomes),
+            "parties": x.shape[1],
+            "settings": (x.max(axis=0, initial=-1) + 1).tolist(),
+            "outcomes": (a.max(axis=0, initial=-1) + 1).tolist(),
         },
         "terms": [
             {"a": list(e.outcomes), "x": list(e.settings), "w": float(w)}

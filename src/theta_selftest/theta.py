@@ -3,9 +3,10 @@ and uniqueness of the primal optimizer via dual nondegeneracy.
 
 The primal over (1+n)-dimensional symmetric X (index 0 = handle):
     max sum_i w_i X_ii   s.t.  X_00 = 1,  X_ii = X_0i,  X_ij = 0 (i ~ j),  X >= 0.
+Row r = (p, q, border) of the table _constraints fixes <A_r, X> with
+A_r = (a_r b_r^T + b_r a_r^T) / 2, a_r = e_p - [border] e_0 and b_r = e_q.
 A dual point is its multiplier vector y = (t, lambda, one mu per edge of
-g.edges) in theta_problem's constraint order.  Its slack Z = t E_00 + sum_i
-lambda_i (E_ii - E_0i) + sum_{i~j} mu_ij E_ij - sum_i w_i E_ii is always
+g.edges) in that row order.  Its slack Z = sum_r y_r A_r - C is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
 dual_nondegenerate decides primal uniqueness by one SVD of the constraints
 restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  No optimizer is
@@ -81,23 +82,36 @@ def positive_subgraph(
     return sub, keep, inner
 
 
+def _constraints(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constraint table (p, q, border) in row order: (0, 0) for X_00 = 1,
+    a border row (i, i) for X_ii = X_0i, then (i, j) for X_ij = 0 per edge."""
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    p = np.concatenate(([0], np.arange(1, g.n + 1), edges[:, 0]))
+    q = np.concatenate(([0], np.arange(1, g.n + 1), edges[:, 1]))
+    return p, q, (p == q) & (p > 0)
+
+
+def _fill(out: np.ndarray, lead: np.ndarray, g: WeightedGraph, val: np.ndarray) -> None:
+    """Write val_r A_r into out[lead_r] for each row r of _constraints(g),
+    entry by entry: val_r on a diagonal, +-val_r / 2 on a symmetric pair."""
+    p, q, border = _constraints(g)
+    half = val / 2.0
+    out[lead, p, q] = out[lead, q, p] = np.where(p == q, val, half)
+    lb, qb = lead[border], q[border]
+    out[lb, 0, qb] = out[lb, qb, 0] = -half[border]
+
+
 def theta_problem(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the theta SDP as solve_sdp's (C, A stack, b); constraint
-    order: normalization, one diagonal-border row per vertex, one zero per
-    edge (sorted).  Its caller checks the stack's size first (check_size)."""
+    """Assemble the theta SDP as solve_sdp's (C, A stack, b) in the row order
+    of _constraints.  Its caller checks the stack's size first (check_size)."""
     d = g.n + 1
     v = np.arange(1, d)
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    rows = d + np.arange(len(edges))
+    m = d + len(g.edges)
     c = np.zeros((d, d))
     c[v, v] = g.weights
-    a = np.zeros((d + len(edges), d, d))
-    a[0, 0, 0] = 1.0  # X_00 = 1
-    a[v, v, v] = 1.0  # X_ii - X_0i = 0
-    a[v, 0, v] = a[v, v, 0] = -0.5
-    a[rows, edges[:, 0], edges[:, 1]] = 0.5  # X_ij = 0
-    a[rows, edges[:, 1], edges[:, 0]] = 0.5
-    b = np.zeros(len(a))
+    a = np.zeros((m, d, d))
+    _fill(a, np.arange(m), g, np.ones(m))
+    b = np.zeros(m)
     b[0] = 1.0
     return c, a, b
 
@@ -170,22 +184,19 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
 
 
 def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
-    """The slack Z = sum_i y_i A_i - C of theta_problem(g) at multipliers y,
-    filled by index as theta_problem fills its stack."""
+    """The slack Z = sum_r y_r A_r - C of theta_problem(g) at multipliers y;
+    no two rows of the table write one entry of Z."""
     y = np.asarray(y, dtype=float)
     if y.shape != (1 + g.n + len(g.edges),):
         raise MalformedCertificateError("multiplier vector length mismatch")
     if not np.isfinite(y).all():
         raise MalformedCertificateError("non-finite multiplier")
     d = g.n + 1
+    z = np.zeros((1, d, d))
+    _fill(z, np.zeros(y.size, dtype=int), g, y)  # every row into the one slice
     v = np.arange(1, d)
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    z = np.zeros((d, d))
-    z[0, 0] = y[0]
-    z[0, v] = z[v, 0] = -y[v] / 2.0
-    z[v, v] = y[v] - np.asarray(g.weights)
-    z[edges[:, 0], edges[:, 1]] = z[edges[:, 1], edges[:, 0]] = y[d:] / 2.0
-    return z
+    z[0, v, v] -= np.asarray(g.weights)
+    return z[0]
 
 
 def chained_dual_certificate(N: int) -> np.ndarray:
@@ -227,8 +238,8 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     M Z = 0, so M = Q S Q^T for Q spanning ker Z: the eigenvectors of Z with
     |lambda| <= NULL_THRESHOLD * max(1, max |lambda|), k of them.  S runs
     over an orthonormal basis of symmetric k x k matrices, and the rows are
-    theta_problem's 1 + n + |E| constraints at Q S Q^T, each a bilinear form
-    a^T M b (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997).  The
+    theta_problem's 1 + n + |E| constraints at Q S Q^T, row r the form
+    a_r^T M b_r (Alizadeh, Haeberly and Overton, Math. Prog. 77, 1997).  The
     singular values of that map, padded with zeros up to its k(k + 1)/2
     unknowns, are counted as null at most NULL_THRESHOLD times the largest.
     Nondegenerate (hence the primal optimizer is unique) iff none is.  A map
@@ -244,10 +255,9 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
     if k == 0:
         return UniquenessVerdict(nondegenerate=True, nullspace_dim=0, residual=1.0)
     check_size(g, kernel_dim=k)
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
-    # Row r is a_r^T S b_r: M_00, M_ii - M_0i and M_ij (i ~ j) at Q S Q^T.
-    a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))
-    b = np.concatenate((q[:1], q[1:], q[edges[:, 1]]))
+    i, j, border = _constraints(g)
+    a, b = q[i], q[j]  # row r is a_r^T S b_r, a_r and b_r in Q's coordinates
+    a[border] -= q[0]
     iu, ju = np.triu_indices(k)  # S_pp and (S_pq + S_qp) / sqrt 2
     rows = (a[:, iu] * b[:, ju] + a[:, ju] * b[:, iu]) * np.where(iu == ju, 0.5, sqrt(0.5))
     sv = np.linalg.svd(rows, compute_uv=False)

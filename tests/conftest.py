@@ -1,5 +1,5 @@
-"""Shared helpers: brute-force oracles, the reference optimizers, candidate
-builders, CLI runner."""
+"""Shared helpers: brute-force oracles, the circulant theta LP, the
+reference optimizers, candidate builders, CLI runner."""
 
 from __future__ import annotations
 
@@ -58,6 +58,25 @@ def weighted_graphs(draw, bipartite: bool = False) -> WeightedGraph:
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     weights = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
     return WeightedGraph(n, [e for e, k in zip(pairs, keep) if k], weights)
+
+
+def circulant_theta(n: int, offsets) -> float:
+    """Lovasz theta of the unit-weight circulant(n, offsets) as an LP, solved
+    by scipy's HiGHS, with no SDP.  theta = max sum_ij B_ij over PSD B with
+    tr B = 1 and B_ij = 0 on edges; the rotations fix that program, so some
+    optimizer is circulant, its first row b symmetric (b_k = b_(n-k)), and
+    B >= 0 becomes one constraint per frequency j <= n/2: the DFT eigenvalue
+    sum_k b_k cos(2 pi j k / n) >= 0.  The unknowns are b_0, ..., b_(n//2)."""
+    from scipy.optimize import linprog
+
+    k = np.arange(n // 2 + 1)
+    fold = np.where((k == 0) | (2 * k == n), 1.0, 2.0)  # b_k stands for b_k and b_(n-k)
+    eigenvalues = fold * np.cos(2.0 * np.pi * np.outer(k, k) / n)  # row j, column k
+    bounds = [(0.0, 0.0) if i in set(offsets) else (None, None) for i in k.tolist()]
+    res = linprog(-n * fold, A_ub=-eigenvalues, b_ub=np.zeros(k.size),
+                  A_eq=n * np.eye(1, k.size), b_eq=[1.0], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:

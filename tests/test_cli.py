@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import hashlib
 import json
 import os
 import time
@@ -669,6 +670,34 @@ class TestScenario:
     def test_unknown_scenario(self):
         code, _, _ = run_cli(["scenario", "--scenario", "bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, sha256",
+        [
+            ("scenario --scenario chsh",
+             "9f1c6e9bdb7c97f5c9065f29e23e890b2d2994cc52f6de891b4e8ee6d6cb4c90"),
+            ("export --scenario chsh --format json",
+             "cdf094b76421dfffb4b7f91a225269be110b49e36be6b7915705dafbec1e9f9b"),
+            ("scenario --scenario chained:3",
+             "8995d1ef60736ba8e0ade7b1d9a4ef4145c9c6f5eb912cc7d590dc58301b2ccb"),
+            ("export --scenario chained:3 --format json",
+             "6668344367eea0b35ba450d3f9a1c0afdf539a7c8a7cbaa96b36d37c1575f658"),
+            ("scenario --scenario mermin",
+             "d8fea20b94d59ceecdb8d872f711bd7982cb5200ee30ac0664595b9c373f208c"),
+            ("export --scenario mermin --format json",
+             "1c03511f96f8af8fd3a63ff590cb907f89f092d54325397c0530e62a9ad6ce6e"),
+            ("scenario --scenario as4",
+             "c574fb31d94e8cc5d9a97f0db5f59b2012a00a0f2f14cd4f9ad0e1b83bfffa8a"),
+            ("export --scenario as4 --format json",
+             "fbfb13e5171f6706d6284ddca894052b8b2396ee2f4cdaeaed6101f7011e2c66"),
+        ],
+    )
+    def test_witness_json_bytes_pinned(self, command, sha256):
+        # The exact output, by its SHA-256 (each is 1.2-3.2 kB): the witness
+        # block, whose scenario counts are read off the events' labels, the
+        # realization, the graph and the certificate.
+        code, out, err = run_cli(command.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, sha256, "")
 
     @pytest.mark.parametrize("command", ["scenario", "export"])
     def test_json_flag_is_not_an_option(self, command):

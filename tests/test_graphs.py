@@ -181,12 +181,15 @@ class TestIndependence:
         [
             (WeightedGraph(500, [(i, i + 1) for i in range(499)]), 250.0),
             (WeightedGraph(2000, [(i, i + 1) for i in range(1999)], [0.0] * 2000), 0.0),
+            (WeightedGraph(10000, [(i, i + 1) for i in range(9999)]), 5000.0),
         ],
-        ids=["500-path", "2000-path-zero-weight"],
+        ids=["500-path", "2000-path-zero-weight", "10000-path"],
     )
     def test_ties_are_pruned(self, g, alpha):
         # One component with very many optima of equal weight: the greedy
         # value is optimal, and no branch that can only tie it is searched.
+        # The clique-cover bound at the root scans, for each vertex, only the
+        # cliques that hold a neighbour of it, so it is linear on a path.
         start = time.perf_counter()
         value = independence_number(g)
         assert time.perf_counter() - start < 2.0

@@ -16,7 +16,6 @@ from conftest import (
 from theta_selftest.graphs import WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
-    BellScenario,
     BellWitness,
     Event,
     Realization,
@@ -60,12 +59,6 @@ def events_exclusive(e1: Event, e2: Event) -> bool:
 
 
 class TestEventAlgebra:
-    def test_scenario_validation(self):
-        with pytest.raises(ValueError):
-            BellScenario(2, (2,), (2, 2))
-        with pytest.raises(ValueError):
-            BellScenario(1, (0,), (2,))
-
     def test_event_validation(self):
         with pytest.raises(ValueError):
             Event((0, 1), (0,))
@@ -81,9 +74,7 @@ class TestEventAlgebra:
         assert events_exclusive(a, b) == events_exclusive(b, a)
 
     def test_single_event_witness_graph(self):
-        wit = BellWitness(
-            BellScenario(2, (1, 1), (2, 2)), ((Event((0, 0), (0, 0)), 1.0),), 1.0
-        )
+        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0),), 1.0)
         g = exclusivity_graph(wit)
         assert g.n == 1 and g.edges == ()
 
@@ -104,27 +95,31 @@ class TestEventAlgebra:
 
 class TestWitnessValidation:
     def test_duplicate_events_rejected(self):
-        sc = BellScenario(2, (1, 1), (2, 2))
         e = Event((0, 0), (0, 0))
         with pytest.raises(ValueError):
-            BellWitness(sc, ((e, 1.0), (e, 2.0)), 1.0)
+            BellWitness(((e, 1.0), (e, 2.0)), 1.0)
 
     def test_nonpositive_weight_rejected(self):
-        sc = BellScenario(2, (1, 1), (2, 2))
         with pytest.raises(ValueError):
-            BellWitness(sc, ((Event((0, 0), (0, 0)), 0.0),), 1.0)
+            BellWitness(((Event((0, 0), (0, 0)), 0.0),), 1.0)
 
-    def test_label_ranges_enforced(self):
-        sc = BellScenario(2, (1, 1), (2, 2))
-        with pytest.raises(ValueError) as err:
-            BellWitness(sc, ((Event((0, 2), (0, 0)), 1.0),), 1.0)
-        assert str(err.value) == (
-            "event Event(outcomes=(0, 2), settings=(0, 0)) outside scenario label ranges"
-        )
-        with pytest.raises(ValueError):
-            BellWitness(sc, ((Event((0, 0), (0, 1)), 1.0),), 1.0)
-        with pytest.raises(ValueError):
-            BellWitness(sc, ((Event((0, 0, 0), (0, 0, 0)), 1.0),), 1.0)
+    @pytest.mark.parametrize("a, x", [((0, -1), (0, 0)), ((0, 0), (-2, 0))])
+    def test_negative_label_rejected(self, a, x):
+        terms = ((Event((0, 0), (0, 0)), 1.0), (Event(a, x), 1.0))
+        with pytest.raises(ValueError, match="^event labels must be non-negative$"):
+            BellWitness(terms, 1.0)
+
+    def test_mixed_arity_rejected(self):
+        terms = ((Event((0, 0), (0, 0)), 1.0), (Event((0, 0, 0), (0, 0, 0)), 1.0))
+        with pytest.raises(ValueError, match="^witness events must all have one arity$"):
+            BellWitness(terms, 1.0)
+
+    def test_scenario_counts_are_read_off_the_labels(self):
+        # Labels need not start at 0 or be contiguous: a party's counts are
+        # one more than its largest labels.
+        wit = BellWitness(((Event((0, 4), (2, 0)), 1.0), (Event((1, 0), (0, 1)), 1.0)), 1.0)
+        assert witness_to_json_dict(wit)["scenario"] == {
+            "parties": 2, "settings": [3, 2], "outcomes": [2, 5]}
 
 
 class TestBuiltinWitnesses:
@@ -378,11 +373,12 @@ class TestSerialization:
         # The written document survives JSON text and carries every term.
         wit = builtin_witness(name)
         doc = json.loads(json.dumps(witness_to_json_dict(wit)))
-        sc = wit.scenario
+        parties, settings = {"chsh": (2, 2), "mermin": (3, 2), "as4": (2, 4),
+                             "chained:3": (2, 3)}[name]
         assert doc["scenario"] == {
-            "parties": sc.parties,
-            "settings": list(sc.settings),
-            "outcomes": list(sc.outcomes),
+            "parties": parties,
+            "settings": [settings] * parties,
+            "outcomes": [2] * parties,
         }
         assert [(tuple(t["a"]), tuple(t["x"]), t["w"]) for t in doc["terms"]] == [
             (e.outcomes, e.settings, w) for e, w in wit.terms

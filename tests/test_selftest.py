@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from theta_selftest import selftest
 from theta_selftest.scenarios import (
-    BellScenario,
     BellWitness,
     Event,
     Realization,
@@ -95,7 +94,7 @@ class TestProductStructure:
         wit, r, ps = _structure(name)
         n = len(wit.terms)
         assert ps.dims == r.dims
-        assert ps.event_locals.shape == (n, wit.scenario.parties)
+        assert ps.event_locals.shape == (n, len(r.dims))
         assert ps.products.shape == (n, int(np.prod(r.dims)))
         assert np.array_equal(ps.state, np.asarray(r.state, dtype=complex))
         for i, (e, _) in enumerate(wit.terms):
@@ -213,7 +212,7 @@ class TestRankOneExtraction:
         report = run_selftest(wit, r, r)
         assert report.state_residual <= 1e-9
         assert report.vector_residuals.max() <= 1e-9
-        assert report.junk_dims == (1,) * wit.scenario.parties
+        assert report.junk_dims == (1,) * len(r.dims)
         for v, d in zip(report.isometries, r.dims):
             assert np.abs(v - np.eye(d)).max() <= 1e-12
         assert np.abs(report.junk - [1.0]).max() <= 1e-12
@@ -334,7 +333,7 @@ class TestRankOneExtraction:
             if abs(amp) > 1e-9:
                 events.append((Event(outcomes=(a, b), settings=(x, y)), 1.0))
         assert len(events) == 24
-        wit = BellWitness(BellScenario(2, (2, 2), (3, 3)), tuple(events), 2.0)
+        wit = BellWitness(tuple(events), 2.0)
         conditions = check_bipartite_conditions(_structure_of(r, wit))
         assert conditions.verdicts == {"A1": True, "A2": True, "A3": False, "A4": False}
         with pytest.raises(NotOptimizerError, match="^isometry deviation"):
@@ -595,8 +594,7 @@ class TestDispatch:
         assert not candidate_is_rank_one(cand)
 
     def test_unsupported_party_count(self):
-        sc = BellScenario(1, (1,), (2,))
-        wit = BellWitness(sc, ((Event((0,), (0,)), 1.0),), 1.0)
+        wit = BellWitness(((Event((0,), (0,)), 1.0),), 1.0)
         k = np.array([1.0, 0.0], dtype=complex)
         party = ((np.outer(k, k), np.eye(2) - np.outer(k, k)),)
         r = Realization((2,), k, (party,), (((k, np.array([0.0, 1.0], dtype=complex)),),))

@@ -6,11 +6,18 @@ from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import complement, random_graph, reference_gram, reweight, weighted_graphs
+from conftest import (
+    circulant_theta,
+    complement,
+    random_graph,
+    reference_gram,
+    reweight,
+    weighted_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selftest import theta
+from theta_selftest import sdp, theta
 from theta_selftest.graphs import (
     ResourceLimitError,
     WeightedGraph,
@@ -101,6 +108,111 @@ def _basis_e(dim: int, i: int, j: int) -> np.ndarray:
     else:
         m[i, j] = m[j, i] = 0.5
     return m
+
+
+def _stack_by_index(g: WeightedGraph) -> np.ndarray:
+    """theta_problem's constraint stack filled entry by entry for each kind
+    of row: the reference for the table-driven fill."""
+    d = g.n + 1
+    v = np.arange(1, d)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    rows = d + np.arange(len(edges))
+    a = np.zeros((d + len(edges), d, d))
+    a[0, 0, 0] = 1.0  # X_00 = 1
+    a[v, v, v] = 1.0  # X_ii - X_0i = 0
+    a[v, 0, v] = a[v, v, 0] = -0.5
+    a[rows, edges[:, 0], edges[:, 1]] = 0.5  # X_ij = 0
+    a[rows, edges[:, 1], edges[:, 0]] = 0.5
+    return a
+
+
+def _slack_by_index(g: WeightedGraph, y: np.ndarray) -> np.ndarray:
+    """certificate_matrix's Z filled entry by entry: the reference."""
+    d = g.n + 1
+    v = np.arange(1, d)
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    z = np.zeros((d, d))
+    z[0, 0] = y[0]
+    z[0, v] = z[v, 0] = -y[v] / 2.0
+    z[v, v] = y[v] - np.asarray(g.weights)
+    z[edges[:, 0], edges[:, 1]] = z[edges[:, 1], edges[:, 0]] = y[d:] / 2.0
+    return z
+
+
+def _kernel_rows_by_index(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
+    """dual_nondegenerate's map on the kernel basis q, its rows a_r^T S b_r
+    spelled out per kind: M_00, M_ii - M_0i and M_ij (i ~ j)."""
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2) + 1
+    a = np.concatenate((q[:1], q[1:] - q[0], q[edges[:, 0]]))
+    b = np.concatenate((q[:1], q[1:], q[edges[:, 1]]))
+    iu, ju = np.triu_indices(q.shape[1])
+    return (a[:, iu] * b[:, ju] + a[:, ju] * b[:, iu]) * np.where(iu == ju, 0.5, sqrt(0.5))
+
+
+def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_table_matches_references(g: WeightedGraph, y: np.ndarray, seed: int) -> None:
+    """The stack, Z at y, and the kernel map at a slack with a random
+    three-dimensional kernel (captured at its SVD) match the references
+    bit for bit, signs of zeros included."""
+    _assert_identical(theta_problem(g)[1], _stack_by_index(g))
+    _assert_identical(certificate_matrix(g, y), _slack_by_index(g, y))
+    d = g.n + 1
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam = np.concatenate((np.zeros(min(3, d)), rng.uniform(0.5, 2.0, size=d - min(3, d))))
+    z = (basis * lam) @ basis.T
+    w, vecs = np.linalg.eigh(z)
+    q = vecs[:, np.abs(w) <= NULL_THRESHOLD * max(1.0, float(np.abs(w).max()))]
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        seen.append(np.array(m))
+        return svd(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theta.np.linalg, "svd", recording)
+        dual_nondegenerate(g, z)
+    assert len(seen) == 1
+    _assert_identical(seen[0], _kernel_rows_by_index(g, q))
+
+
+@st.composite
+def _graphs_with_zeros(draw):
+    """A weighted graph with some weights set to zero and up to three
+    isolated vertices appended, and a multiplier vector with signed zeros
+    and the least subnormal (whose half rounds to zero)."""
+    g = draw(weighted_graphs())
+    zero = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    extra = draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=3))
+    weights = [0.0 if z else w for z, w in zip(zero, g.weights)] + extra
+    g = WeightedGraph(g.n + len(extra), g.edges, weights)
+    entry = st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-3.0, 3.0)
+    y = draw(st.lists(entry, min_size=1 + g.n + len(g.edges), max_size=1 + g.n + len(g.edges)))
+    return g, np.array(y)
+
+
+class TestConstraintTable:
+    @pytest.mark.parametrize(
+        "name", ["chsh", *(f"chained:{n}" for n in range(2, 17)), "mermin", "as4"]
+    )
+    def test_builtin_graphs_match_references(self, name):
+        g = exclusivity_graph(builtin_witness(name))
+        y = np.random.default_rng(g.n).normal(size=1 + g.n + len(g.edges))
+        y[::7] = 0.0
+        y[3::7] = -0.0
+        _assert_table_matches_references(g, y, g.n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_graphs_with_zeros())
+    def test_random_graphs_match_references(self, point):
+        g, y = point
+        _assert_table_matches_references(g, y, g.n)
 
 
 class TestProblemAssembly:
@@ -684,6 +796,33 @@ class TestUniqueness:
         ]
         for p in primals[1:]:
             assert np.abs(p - primals[0]).max() <= 1e-6
+
+
+class TestCirculantOracle:
+    """Closed forms against circulant_theta, an LP that solves no SDP."""
+
+    @pytest.fixture(autouse=True)
+    def no_sdp(self, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+        for module in (sdp, theta):
+            monkeypatch.setattr(module, "solve_sdp", lambda *a, **k: pytest.fail("SDP solved"))
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 128, 256])
+    def test_chained_closed_form_and_certificate(self, n):
+        want = circulant_theta(4 * n, [1, 2 * n])
+        assert abs(n * (1.0 + cos(pi / (2 * n))) - want) <= 1e-11 * want
+        assert abs(chained_dual_certificate(n)[0] - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("n", range(3, 102, 2))
+    def test_odd_cycles(self, n):
+        want = circulant_theta(n, [1])
+        assert abs(n * cos(pi / n) / (1.0 + cos(pi / n)) - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("n", range(6, 131, 4))
+    def test_bipartite_mobius_ladders(self, n):
+        # circulant(n, [1, n/2]) with n/2 odd is bipartite: theta = alpha = n/2.
+        want = circulant_theta(n, [1, n // 2])
+        assert abs(n / 2 - want) <= 1e-11 * want
 
 
 class TestCertificateSerialization:
