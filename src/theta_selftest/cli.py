@@ -8,9 +8,9 @@ certification or out-of-memory failure, 3 self-test rejection.
 Human-readable output prints six significant digits; JSON output carries
 full double precision and is emitted in canonical form (sorted keys, no
 whitespace) so repeated runs are byte-identical.  No option or environment
-variable sets a tolerance: each command calls the library at its defaults,
-which are the constants of the modules that own them (sdp.SOLVER_TOL,
-theta.NULL_THRESHOLD, selftest.SELFTEST_TOL).  Only `cmd_selftest` loads the
+variable sets a tolerance: each decision reads the constant of the module
+that owns it (sdp.SOLVER_TOL, theta.CERT_TOL, theta.NULL_THRESHOLD,
+selftest.SELFTEST_TOL).  Only `cmd_selftest` loads the
 self-test layer, so the other commands never import (or, without cached
 bytecode, compile) it; `run_selftest` raises on every rejection, so each
 report it prints is an ACCEPT (`"verified":true`).  `main` runs in-process

@@ -12,7 +12,7 @@ projectors, and their JSON documents hold those alone with the dims.
 from __future__ import annotations
 
 import re
-from math import cos, pi, sin, sqrt
+from math import cos, inf, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -64,8 +64,8 @@ class BellWitness(_WitnessFields):
         events = [e for e, _ in terms]
         if len(set(events)) != len(events):
             raise ValueError("witness events must be distinct")
-        if any(w <= 0 for _, w in terms):
-            raise ValueError("weights must be strictly positive")
+        if not all(0 < w < inf for _, w in terms):  # NaN fails both comparisons
+            raise ValueError("weights must be finite and strictly positive")
         if len({len(e.outcomes) for e in events}) > 1:
             raise ValueError("witness events must all have one arity")
         if any(min(e.outcomes + e.settings, default=0) < 0 for e in events):

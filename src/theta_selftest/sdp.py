@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-SOLVER_TOL = 1e-9  # default bound on the relative gap and both infeasibilities
+SOLVER_TOL = 1e-9  # bound on the relative gap and both infeasibilities
 _MAX_ITER = 200
 
 
@@ -77,9 +77,8 @@ def solve_sdp(
     a_stack: np.ndarray,
     b: np.ndarray,
     start: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tol: float = SOLVER_TOL,
 ) -> SdpSolution:
-    """Solve the primal/dual pair to duality gap and feasibility residuals <= tol.
+    """Solve the primal/dual pair to duality gap and feasibility residuals <= SOLVER_TOL.
 
     `c` is the d x d objective C, `a_stack` the m x d x d stack of the A_i
     and `b` the m right-hand sides, as float arrays with C and every A_i
@@ -108,7 +107,7 @@ def solve_sdp(
         pinf = float(np.linalg.norm(rp)) / bnorm
         dinf = float(np.linalg.norm(rd)) / cnorm
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if pinf <= tol and dinf <= tol and gap_rel <= tol:
+        if pinf <= SOLVER_TOL and dinf <= SOLVER_TOL and gap_rel <= SOLVER_TOL:
             return SdpSolution(primal=x, dual_multipliers=y, value=pobj, iterations=it)
         # Bail out once progress flatlines: without strict complementarity the
         # attainable gap bottoms out near sqrt(machine eps) and iterating

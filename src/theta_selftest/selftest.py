@@ -19,7 +19,7 @@ splits into two-dimensional blocks, one per junk index (a single block for a
 rank-one candidate, whose junk is a global phase), and the junk is the
 least-squares one for the assembled isometries.  One acceptance test: the
 claim residuals (isometry deviation, state residual and every event residual)
-must all lie within the caller's `tol`, so every report run_selftest returns
+must all lie within SELFTEST_TOL, so every report run_selftest returns
 is an accepted claim.  An ACCEPT verifies that one candidate's claim, on its
 state's support, which is all a self-test claims.
 
@@ -433,7 +433,7 @@ def _claim_residuals(
     return isometry_dev, float(res[0]), res[1:]
 
 
-def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -> None:
+def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray) -> None:
     """Compare the Gram matrices of two event tables [psi, Pi_1 psi, ...,
     Pi_n psi], after ruling out candidate events of negligible probability."""
     if (np.linalg.norm(cand_vecs[1:], axis=1) < ETA_TOL).any():
@@ -441,7 +441,7 @@ def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray, tol: float) -
     g_ref = ref_vecs.conj() @ ref_vecs.T
     g_cand = cand_vecs.conj() @ cand_vecs.T
     dev = float(np.abs(g_ref - g_cand).max())
-    if dev > tol:
+    if dev > SELFTEST_TOL:
         raise NotOptimizerError(
             f"Gram mismatch: candidate's event Gram matrix deviates from the "
             f"reference's by {dev:.3e}"
@@ -550,15 +550,13 @@ def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> Non
                 )
 
 
-def run_selftest(
-    witness, ref: Realization, cand: Realization, tol: float = SELFTEST_TOL
-) -> SelfTestReport:
+def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport:
     """Validate `cand`, compute the reference's conditions, check the
     candidate's Gram matrix, then extract isometries and junk onto `cand` by
     the block construction.  The candidate is accepted exactly when the claim
-    residuals are all within `tol`; a NaN residual never is.  The conditions
-    are reported, and only the pairing condition (A4/A9) refuses, for a
-    candidate that is not rank one."""
+    residuals are all within SELFTEST_TOL; a NaN residual never is.  The
+    conditions are reported, and only the pairing condition (A4/A9) refuses,
+    for a candidate that is not rank one."""
     events = tuple(e for e, _ in witness.terms)
     validate_realization(ref)
     ps = product_structure_from_realization(ref, events)
@@ -571,17 +569,17 @@ def run_selftest(
     if not conditions.verdicts[pairing] and not candidate_is_rank_one(cand):
         raise PreconditionError(f"conditions ['{pairing}'] fail for the reference")
     ref_vecs, cand_vecs = event_vectors(ref, events), event_vectors(cand, events)
-    _check_gram_match(ref_vecs, cand_vecs, tol)
+    _check_gram_match(ref_vecs, cand_vecs)
     isometries, junk, junk_dims = _general_isometries(ps, cand)
     isometry_dev, state_res, vec_res = _claim_residuals(
         ref_vecs, cand_vecs, ref.dims, isometries, junk, junk_dims
     )
     residuals = np.array([isometry_dev, state_res, *vec_res])
-    if not np.all(residuals <= tol):
-        # The first residual that is NaN or above tol names the rejection.
-        k = int(np.argmin(residuals <= tol))
+    if not np.all(residuals <= SELFTEST_TOL):
+        # The first residual that is NaN or above SELFTEST_TOL names the rejection.
+        k = int(np.argmin(residuals <= SELFTEST_TOL))
         name = ["isometry deviation", "state residual"][k] if k < 2 else f"event {k - 2} residual"
-        raise NotOptimizerError(f"{name} {float(residuals[k])} exceeds the tolerance {tol}")
+        raise NotOptimizerError(f"{name} {float(residuals[k])} exceeds the tolerance {SELFTEST_TOL}")
     return SelfTestReport(
         isometries, junk, junk_dims, state_res, vec_res, events, conditions
     )

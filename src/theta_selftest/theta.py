@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import ResourceLimitError, WeightedGraph, circulant
 from .scenarios import MAX_CHAINED_N
-from .sdp import SOLVER_TOL, SdpSolution, SolverError, min_eigenvalue, solve_sdp
+from .sdp import SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null in uniqueness
@@ -148,7 +148,7 @@ _START_LADDER: tuple[tuple[float, float], ...] = (
 )
 
 
-def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolution:
+def solve_theta_problem(g: WeightedGraph) -> SdpSolution:
     """Solve the theta SDP of g and return the solution on g.
 
     Zero-weight vertices leave theta unchanged, so only positive_subgraph(g)
@@ -170,7 +170,7 @@ def solve_theta_problem(g: WeightedGraph, tol: float = SOLVER_TOL) -> SdpSolutio
     err: SolverError | None = None
     for scales in _START_LADDER:
         try:
-            sol = solve_sdp(c, a, b, tol=tol, start=theta_start(sub, *scales))
+            sol = solve_sdp(c, a, b, start=theta_start(sub, *scales))
             break
         except SolverError as exc:
             err = exc
@@ -212,16 +212,16 @@ def chained_dual_certificate(N: int) -> np.ndarray:
     return np.concatenate(([N / l], np.full(n, 2.0), mus))
 
 
-def verify_dual_certificate(g: WeightedGraph, y, tol: float = CERT_TOL) -> float:
+def verify_dual_certificate(g: WeightedGraph, y) -> float:
     """Return the bound t = y[0] that the multipliers y certify for g.
 
     Any y of the right length with Z = certificate_matrix(g, y) >= 0 is dual
     feasible for theta_problem(g), so the only check is that Z's minimum
-    eigenvalue is at least -tol.
+    eigenvalue is at least -CERT_TOL.
     """
     lam_min = min_eigenvalue(certificate_matrix(g, y))
-    if not lam_min >= -tol:
-        raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{tol:.1e}")
+    if not lam_min >= -CERT_TOL:
+        raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{CERT_TOL:.1e}")
     return float(y[0])
 
 

@@ -1,7 +1,6 @@
 """The package's metadata, its tolerance policy and its import footprint."""
 
 import ast
-import inspect
 import os
 import re
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import cli, graphs, sdp, selftest, theta
+from theta_selftest import cli, graphs, sdp, selftest
 from theta_selftest.graphs import circulant
 from theta_selftest.scenarios import reference_realization
 
@@ -108,17 +107,22 @@ def test_package_never_reads_a_realizations_kets():
 
 
 def test_each_default_has_a_single_source():
-    # No subcommand takes a tolerance: each command calls the library at its
-    # defaults, and each default is the owning module's constant (identity,
-    # not equality), of which cli keeps no copy.
+    # No subcommand and no function or method of the package takes a
+    # tolerance: each decision reads the owning module's constant when it
+    # runs, and cli keeps no copy of one.
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
     dests = [a.dest for p in (parser, *sub.choices.values()) for a in p._actions]
     assert [d for d in dests if "tol" in d] == []
-    solve = inspect.signature(theta.solve_theta_problem).parameters["tol"].default
-    assert solve is sdp.SOLVER_TOL
-    accept = inspect.signature(selftest.run_selftest).parameters["tol"].default
-    assert accept is selftest.SELFTEST_TOL
+    params = [
+        f"{path.name}:{node.name}({arg.arg})"
+        for path in sorted(Path(theta_selftest.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and "tol" in arg.arg
+    ]
+    assert params == []
     copies = [name for name, value in vars(cli).items()
               if type(value) is float and value in (sdp.SOLVER_TOL, selftest.SELFTEST_TOL)]
     assert copies == []

@@ -99,9 +99,11 @@ class TestWitnessValidation:
         with pytest.raises(ValueError):
             BellWitness(((e, 1.0), (e, 2.0)), 1.0)
 
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            BellWitness(((Event((0, 0), (0, 0)), 0.0),), 1.0)
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_weight_not_finite_and_positive_rejected(self, w):
+        # Refused at construction, before exclusivity_graph builds anything.
+        with pytest.raises(ValueError, match="strictly positive"):
+            BellWitness(((Event((0,), (0,)), w),), 1.0)
 
     @pytest.mark.parametrize("a, x", [((0, -1), (0, 0)), ((0, 0), (-2, 0))])
     def test_negative_label_rejected(self, a, x):

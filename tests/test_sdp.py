@@ -14,13 +14,13 @@ def _trace_problem(c: np.ndarray):
     return c, np.eye(d)[None], np.array([1.0])
 
 
-def _solve(problem, **kwargs):
+def _solve(problem):
     """solve_sdp from the identity start X = I, y = 0, Z = s I, with s the
     largest of 1, |C| and |b|."""
     c, _, b = problem
     s = max(1.0, float(np.abs(c).max()), float(np.abs(b).max()))
     start = (np.eye(len(c)), np.zeros(len(b)), s * np.eye(len(c)))
-    return solve_sdp(*problem, start, **kwargs)
+    return solve_sdp(*problem, start)
 
 
 class TestSolver:
@@ -48,9 +48,10 @@ class TestSolver:
             sol = _solve(_trace_problem(c))
             assert abs(sol.value - float(np.linalg.eigvalsh(c).max())) <= 1e-7
 
-    def test_solution_residuals_and_history(self):
+    def test_solution_residuals_and_history(self, monkeypatch):
+        monkeypatch.setattr(sdp, "SOLVER_TOL", 1e-10)
         c = np.diag([1.0, 2.0, 5.0])
-        sol = _solve(_trace_problem(c), tol=1e-10)
+        sol = _solve(_trace_problem(c))
         # b = (1,): the primal residual is 1 - tr X and the dual value b.y is y_0.
         assert abs(1.0 - np.trace(sol.primal)) <= 1e-10
         dual_value = sol.dual_multipliers[0]

@@ -265,7 +265,7 @@ class TestRankOneExtraction:
 
     @pytest.mark.parametrize("rank", ["rank-one", "general"])
     @pytest.mark.parametrize("name", ["chsh", "mermin"])
-    def test_candidate_within_default_tolerance_accepted(self, name, rank):
+    def test_candidate_within_default_tolerance_accepted(self, name, rank, monkeypatch):
         # A 4e-8 rotation moves the Gram matrix by 1.7e-8 (chsh) and 5e-9
         # (mermin): inside the 1e-7 acceptance tolerance that run_selftest and
         # the CLI share, for the Gram match and the claim residuals of every
@@ -278,18 +278,20 @@ class TestRankOneExtraction:
             cand = tensor_padded_candidate(cand, ancilla, k=2)
         report = run_selftest(wit, r, cand)
         _assert_oracle_accepts(r, cand, report, SELFTEST_TOL)
+        monkeypatch.setattr(selftest, "SELFTEST_TOL", 1e-9)
         with pytest.raises(NotOptimizerError, match="Gram mismatch"):
-            run_selftest(wit, r, cand, tol=1e-9)
+            run_selftest(wit, r, cand)
 
-    def test_residual_rejection_names_its_numbers(self):
-        # At tol 0.03 the perturbed candidate passes the Gram check (it is
-        # 2.2e-2 off) and is rejected by its claim residuals: the state
-        # residual is 0.049979.  The message names the residual with plain
-        # numbers, not numpy's repr.
+    def test_residual_rejection_names_its_numbers(self, monkeypatch):
+        # At SELFTEST_TOL = 0.03 the perturbed candidate passes the Gram
+        # check (it is 2.2e-2 off) and is rejected by its claim residuals: the
+        # state residual is 0.049979.  The message names the residual with
+        # plain numbers, not numpy's repr.
         wit, r, _ = _structure("chsh")
         cand = perturbed_candidate(r, angle=0.05)
+        monkeypatch.setattr(selftest, "SELFTEST_TOL", 0.03)
         with pytest.raises(NotOptimizerError) as exc:
-            run_selftest(wit, r, cand, tol=0.03)
+            run_selftest(wit, r, cand)
         message = str(exc.value)
         assert "state residual 0.049979" in message
         assert message.endswith(" exceeds the tolerance 0.03")
@@ -301,7 +303,6 @@ class TestRankOneExtraction:
         # the default tolerance and refused under 1e-10 by the isometry
         # check itself (the unscaled claim passes 1e-10).
         wit, r, _ = _structure("chained:3")
-        run_selftest(wit, r, r, tol=1e-10)
         extract = selftest._general_isometries
 
         def scaled(ps, cand):
@@ -310,9 +311,12 @@ class TestRankOneExtraction:
 
         monkeypatch.setattr(selftest, "_general_isometries", scaled)
         run_selftest(wit, r, r)
+        monkeypatch.setattr(selftest, "SELFTEST_TOL", 1e-10)
         with pytest.raises(NotOptimizerError) as exc:
-            run_selftest(wit, r, r, tol=1e-10)
+            run_selftest(wit, r, r)
         assert str(exc.value).startswith("isometry deviation")
+        monkeypatch.setattr(selftest, "_general_isometries", extract)
+        run_selftest(wit, r, r)
 
     def test_qutrit_reference_rejected_by_its_residuals(self):
         # Two qutrits measured in the computational and Fourier bases on the

@@ -580,19 +580,21 @@ class TestCertificates:
         with pytest.raises(NotPsdError):
             verify_dual_certificate(C5, _multipliers(C5, 1.0, 2.0))
 
-    def test_multiplier_recovery_roundtrip(self):
+    def test_multiplier_recovery_roundtrip(self, monkeypatch):
         sol = solve_theta_problem(CHSH_GRAPH)
-        t = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers, tol=1e-6)
+        monkeypatch.setattr(theta, "CERT_TOL", 1e-6)
+        t = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers)
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-6
         with pytest.raises(MalformedCertificateError):
             verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
 
-    def test_recovered_certificates_on_random_weighted_graphs(self):
+    def test_recovered_certificates_on_random_weighted_graphs(self, monkeypatch):
+        monkeypatch.setattr(theta, "CERT_TOL", 1e-6)
         rng = np.random.default_rng(41)
         for _ in range(5):
             g = random_graph(rng, max_n=8)
             sol = solve_theta_problem(g)
-            t = verify_dual_certificate(g, sol.dual_multipliers, tol=1e-6)
+            t = verify_dual_certificate(g, sol.dual_multipliers)
             assert abs(t - sol.value) <= 1e-6
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
