@@ -46,7 +46,6 @@ from .scenarios import (
 )
 from .sdp import SolverError, min_eigenvalue
 from .theta import (
-    MalformedCertificateError,
     NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
@@ -137,7 +136,7 @@ def cmd_certify(args) -> int:
     try:
         verify_dual_certificate(g, y)
         verified = True
-    except (MalformedCertificateError, NotPsdError):
+    except NotPsdError:
         verified = False
     eig = min_eigenvalue(certificate_matrix(g, y))
     bound = float(y[0])

@@ -62,6 +62,8 @@ class BellWitness(_WitnessFields):
 
     def __new__(cls, terms, classical_bound: float, affine=None):
         events = [e for e, _ in terms]
+        if not events:
+            raise ValueError("a witness needs at least one term")
         if len(set(events)) != len(events):
             raise ValueError("witness events must be distinct")
         if not all(0 < w < inf for _, w in terms):  # NaN fails both comparisons
@@ -75,9 +77,8 @@ class BellWitness(_WitnessFields):
 
 def _labels(wit: BellWitness) -> tuple[np.ndarray, np.ndarray]:
     """Setting and outcome labels, one row per event and one column per party."""
-    shape = (len(wit.terms), len(wit.terms[0][0].outcomes) if wit.terms else 0)
-    x = np.array([e.settings for e, _ in wit.terms], dtype=int).reshape(shape)
-    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int).reshape(shape)
+    x = np.array([e.settings for e, _ in wit.terms], dtype=int)
+    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int)
     return x, a
 
 
@@ -171,7 +172,20 @@ class Realization(NamedTuple):
     kets: tuple[tuple[tuple[np.ndarray, ...], ...], ...] | None = None
 
 
-def validate_realization(r: Realization) -> None:
+def validate_realization(r: Realization, events) -> None:
+    """Raise ValueError unless `r` can carry the witness `events`: each
+    event's arity is the party count and, in event order, each of its labels
+    names a projector of `r`.  Then check the state and the projectors."""
+    parties, table = len(r.dims), r.projectors
+    for e in events:
+        if len(e.settings) != parties:
+            raise ValueError(f"realization has {parties} parties, the witness {len(e.settings)}")
+        for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
+            if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
+                raise ValueError(
+                    "realization has no projector for witness label "
+                    f"(party {j}, setting {x}, outcome {a})"
+                )
     state = np.asarray(r.state)
     if state.shape != (int(np.prod(r.dims)),):
         raise ValueError("state length must equal the product of the dims")
@@ -181,11 +195,9 @@ def validate_realization(r: Realization) -> None:
         raise ValueError("state has a non-finite entry or one above 1 in magnitude")
     if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
-    if len(r.projectors) != len(r.dims):
-        raise ValueError(
-            f"projectors cover {len(r.projectors)} parties but dims list {len(r.dims)}"
-        )
-    for j, party in enumerate(r.projectors):
+    if len(table) != parties:
+        raise ValueError(f"projectors cover {len(table)} parties but dims list {parties}")
+    for j, party in enumerate(table):
         for x, setting in enumerate(party):
             for a, p in enumerate(setting):
                 p = np.asarray(p)
@@ -235,13 +247,12 @@ def event_vectors(r: Realization, events) -> np.ndarray:
 def evaluate_witness(wit: BellWitness, r: Realization) -> tuple[float, np.ndarray]:
     """Witness value sum_i w_i p_i and the per-event behavior vector.
 
-    Validates the realization and checks exclusivity: tr(Pi_i Pi_j), a
-    product of one trace per party, <= PROJECTOR_TOL on every graph edge.
+    Validates the realization on the witness's events and checks
+    exclusivity: tr(Pi_i Pi_j), a product of one trace per party, <=
+    PROJECTOR_TOL on every graph edge.
     """
-    validate_realization(r)
-    if len(r.dims) != _labels(wit)[0].shape[1]:
-        raise ValueError("realization party count does not match the witness")
     events = [e for e, _ in wit.terms]
+    validate_realization(r, events)
     vecs = event_vectors(r, events)
     behavior = np.real(vecs[1:] @ vecs[0].conj())
     for i, j in exclusivity_graph(wit).edges:
@@ -425,8 +436,8 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
     d = {
         "scenario": {
             "parties": x.shape[1],
-            "settings": (x.max(axis=0, initial=-1) + 1).tolist(),
-            "outcomes": (a.max(axis=0, initial=-1) + 1).tolist(),
+            "settings": (x.max(axis=0) + 1).tolist(),
+            "outcomes": (a.max(axis=0) + 1).tolist(),
         },
         "terms": [
             {"a": list(e.outcomes), "x": list(e.settings), "w": float(w)}

@@ -7,13 +7,15 @@ construction read those kets and the reference state alone.  The claim is
 checked on event tables [psi, Pi_1 psi, ..., Pi_n psi], built once per run
 from each realization's state and projectors (never its `kets`).
 
-Pipeline (run_selftest): read the local kets off the validated rank-one qubit
-reference, check the candidate's party count and witness labels and validate
-it, compute the reference's conditions (A1-A4 bipartite, A5-A9 tripartite:
-premises of the graph theorem about every realization, reported, not
-required, except that a candidate that is not rank one still needs the
-pairing condition A4/A9), check once that the candidate's event table has the
-reference's Gram matrix, then build local isometries and a junk state.  One
+Pipeline (run_selftest): validate the reference and the candidate alike on
+the witness's events (validate_realization(r, events): party count, witness
+labels, state and projectors), read the local kets off the rank-one qubit
+reference, compute the reference's conditions (A1-A4 bipartite, A5-A9
+tripartite: premises of the graph theorem about every realization, reported,
+not required, except that a candidate that is not rank one still needs the
+pairing condition A4/A9), check once that neither event table has an event
+with |Pi_i psi| below ETA_TOL and that the candidate's has the reference's
+Gram matrix, then build local isometries and a junk state.  One
 extraction route serves every rank: each party's candidate projector algebra
 splits into two-dimensional blocks, one per junk index (a single block for a
 rank-one candidate, whose junk is a global phase), and the junk is the
@@ -114,8 +116,7 @@ def product_structure_from_realization(
     r: Realization, events: tuple[Event, ...]
 ) -> ProductStructure:
     """Extract the product structure of a validated rank-one realization on
-    `events`, reading each local ket off its projector; every event needs a
-    probability amplitude |<products[i], state>| of at least ETA_TOL."""
+    `events`, reading each local ket off its projector."""
     parties = len(r.dims)
     keys = tuple(
         tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
@@ -131,9 +132,6 @@ def product_structure_from_realization(
     )
     products = _product_kets([locals_[j][event_locals[:, j]] for j in range(parties)])
     state = np.asarray(r.state, dtype=complex)
-    negligible = np.flatnonzero(np.abs(products.conj() @ state) < ETA_TOL)
-    if negligible.size:
-        raise PreconditionError(f"event {negligible[0]} has negligible probability")
     return ProductStructure(tuple(r.dims), keys, locals_, event_locals, state, products)
 
 
@@ -435,9 +433,12 @@ def _claim_residuals(
 
 def _check_gram_match(ref_vecs: np.ndarray, cand_vecs: np.ndarray) -> None:
     """Compare the Gram matrices of two event tables [psi, Pi_1 psi, ...,
-    Pi_n psi], after ruling out candidate events of negligible probability."""
-    if (np.linalg.norm(cand_vecs[1:], axis=1) < ETA_TOL).any():
-        raise PreconditionError("candidate event with negligible probability")
+    Pi_n psi], after ruling out, in either, an event with |Pi_i psi| below
+    ETA_TOL."""
+    for name, vecs in (("reference", ref_vecs), ("candidate", cand_vecs)):
+        negligible = np.flatnonzero(np.linalg.norm(vecs[1:], axis=1) < ETA_TOL)
+        if negligible.size:
+            raise PreconditionError(f"{name} event {negligible[0]} has negligible probability")
     g_ref = ref_vecs.conj() @ ref_vecs.T
     g_cand = cand_vecs.conj() @ cand_vecs.T
     dev = float(np.abs(g_ref - g_cand).max())
@@ -534,34 +535,18 @@ def candidate_is_rank_one(cand: Realization) -> bool:
 _EXTRACTION = {2: (check_bipartite_conditions, "A4"), 3: (check_tripartite_conditions, "A9")}
 
 
-def _check_candidate_labels(cand: Realization, events: tuple[Event, ...]) -> None:
-    """Raise ValueError unless the candidate has the witness's party count,
-    naming the first witness label it lacks a projector for."""
-    parties = len(events[0].settings)
-    if len(cand.dims) != parties:
-        raise ValueError(f"candidate has {len(cand.dims)} parties, the witness {parties}")
-    table = cand.projectors
-    for e in events:
-        for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
-            if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
-                raise ValueError(
-                    "candidate has no projector for witness label "
-                    f"(party {j}, setting {x}, outcome {a})"
-                )
-
-
 def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport:
-    """Validate `cand`, compute the reference's conditions, check the
-    candidate's Gram matrix, then extract isometries and junk onto `cand` by
-    the block construction.  The candidate is accepted exactly when the claim
-    residuals are all within SELFTEST_TOL; a NaN residual never is.  The
-    conditions are reported, and only the pairing condition (A4/A9) refuses,
-    for a candidate that is not rank one."""
+    """Validate `ref` and `cand` on the witness's events, compute the
+    reference's conditions, check the candidate's Gram matrix, then extract
+    isometries and junk onto `cand` by the block construction.  The
+    candidate is accepted exactly when the claim residuals are all within
+    SELFTEST_TOL; a NaN residual never is.  The conditions are reported, and
+    only the pairing condition (A4/A9) refuses, for a candidate that is not
+    rank one."""
     events = tuple(e for e, _ in witness.terms)
-    validate_realization(ref)
+    for r in (ref, cand):
+        validate_realization(r, events)
     ps = product_structure_from_realization(ref, events)
-    _check_candidate_labels(cand, events)
-    validate_realization(cand)
     if len(ps.dims) not in _EXTRACTION:
         raise ValueError("self-testing supports two or three parties")
     check, pairing = _EXTRACTION[len(ps.dims)]

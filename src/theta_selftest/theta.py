@@ -32,10 +32,6 @@ NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null 
 _MAX_STACK = (10 * MAX_CHAINED_N + 1) * (4 * MAX_CHAINED_N + 1) ** 2
 
 
-class MalformedCertificateError(Exception):
-    """Multiplier vector does not fit the graph or has a non-finite entry."""
-
-
 class NotPsdError(Exception):
     """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
@@ -185,12 +181,13 @@ def solve_theta_problem(g: WeightedGraph) -> SdpSolution:
 
 def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
     """The slack Z = sum_r y_r A_r - C of theta_problem(g) at multipliers y;
-    no two rows of the table write one entry of Z."""
+    no two rows of the table write one entry of Z.  ValueError unless y is
+    finite and of length 1 + n + |E|."""
     y = np.asarray(y, dtype=float)
     if y.shape != (1 + g.n + len(g.edges),):
-        raise MalformedCertificateError("multiplier vector length mismatch")
+        raise ValueError("multiplier vector length mismatch")
     if not np.isfinite(y).all():
-        raise MalformedCertificateError("non-finite multiplier")
+        raise ValueError("non-finite multiplier")
     d = g.n + 1
     z = np.zeros((1, d, d))
     _fill(z, np.zeros(y.size, dtype=int), g, y)  # every row into the one slice

@@ -46,15 +46,14 @@ def test_readme_python_examples_run():
         exec(block, {"candidate": reference_realization("chsh")})
 
 
-@pytest.mark.parametrize("module", ["cli", "theta", "scenarios", "selftest"])
+@pytest.mark.parametrize("module", ["cli", "graphs", "theta", "scenarios", "selftest"])
 def test_small_float_literals_are_named_constants(module):
     """Every tolerance-sized float (0 < |x| < 1e-3) is the value of a
     module-level ``NAME = ...`` assignment, so each threshold is stated once
     and every use refers to it by name.
 
-    ``sdp`` and ``graphs`` are exempt: their small literals are internal
-    epsilons of one algorithm each (the solver's step length and cone nudge,
-    the branch-and-bound comparison slack), not verdicts a caller reads or
+    ``sdp`` is exempt: its small literals are internal epsilons of the
+    solver (its step length and cone nudge), not verdicts a caller reads or
     sets.
     """
     path = Path(theta_selftest.__file__).with_name(f"{module}.py")

@@ -1,6 +1,7 @@
 """Witness constructors, exclusivity graphs, reference realizations."""
 
 import json
+import re
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -35,9 +36,11 @@ from theta_selftest.scenarios import (
     validate_realization,
     witness_to_json_dict,
 )
+from theta_selftest.selftest import run_selftest
 from theta_selftest.theta import solve_theta_problem
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
+CHSH_EVENTS = [e for e, _ in builtin_witness("chsh").terms]
 
 CLOSED_FORM_THETA = {
     "chsh": 2.0 + sqrt(2.0),
@@ -94,6 +97,11 @@ class TestEventAlgebra:
 
 
 class TestWitnessValidation:
+    def test_empty_witness_rejected(self):
+        # No term means no events, so no party count to check a realization on.
+        with pytest.raises(ValueError, match="^a witness needs at least one term$"):
+            BellWitness((), 1.0)
+
     def test_duplicate_events_rejected(self):
         e = Event((0, 0), (0, 0))
         with pytest.raises(ValueError):
@@ -250,7 +258,7 @@ class TestReferenceRealizations:
     def test_reference_is_valid_and_optimal(self, name):
         wit = builtin_witness(name)
         r = reference_realization(name)
-        validate_realization(r)
+        validate_realization(r, [e for e, _ in wit.terms])
         value, behavior = evaluate_witness(wit, r)
         assert abs(value - CLOSED_FORM_THETA[name]) <= 1e-9
         assert behavior.min() >= -1e-12 and behavior.max() <= 1.0 + 1e-12
@@ -324,7 +332,7 @@ class TestRealizationValidation:
         r = reference_realization("chsh")
         bad = Realization(r.dims, np.asarray(r.state) * 2.0, r.projectors, r.kets)
         with pytest.raises(ValueError):
-            validate_realization(bad)
+            validate_realization(bad, CHSH_EVENTS)
 
     def test_rejects_non_projector(self):
         r = reference_realization("chsh")
@@ -334,7 +342,7 @@ class TestRealizationValidation:
             tuple(tuple(s) for s in party) for party in mats
         ))
         with pytest.raises(ValueError):
-            validate_realization(bad)
+            validate_realization(bad, CHSH_EVENTS)
 
     def test_rejects_non_orthogonal_outcomes(self):
         k = np.array([1.0, 0.0])
@@ -342,18 +350,56 @@ class TestRealizationValidation:
         party = ((proj, proj),)
         bad = Realization((2, 2), np.array([1, 0, 0, 0], dtype=complex),
                           (party, party))
-        with pytest.raises(ValueError):
-            validate_realization(bad)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            validate_realization(bad, [Event((0, 0), (0, 0))])
 
     def test_party_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_witness(mermin_witness(), reference_realization("chsh"))
 
+    @pytest.mark.parametrize("entry", ["evaluate_witness", "reference", "candidate"])
+    @pytest.mark.parametrize("cut", ["party", "setting", "outcome", "arity"])
+    @pytest.mark.parametrize("name", ["chsh", "mermin", "as4", "chained:3"])
+    def test_realization_that_cannot_carry_the_witness(self, name, cut, entry):
+        # The reference with party 1's projectors, party 0's last setting or
+        # party 0's setting-0 outcome 1 cut, or a reference of the other
+        # arity, is refused by each entry point with a ValueError that names
+        # the first missing label in event order, or both party counts.
+        wit = builtin_witness(name)
+        events = [e for e, _ in wit.terms]
+        ref = reference_realization(name)
+        projs = [list(party) for party in ref.projectors]
+        if cut == "party":
+            projs[1] = []
+            label = (1, events[0].settings[1], events[0].outcomes[1])
+        elif cut == "setting":
+            last = len(projs[0]) - 1
+            projs[0] = projs[0][:last]
+            label = (0, last, next(e.outcomes[0] for e in events if e.settings[0] == last))
+        elif cut == "outcome":
+            projs[0][0] = projs[0][0][:1]
+            label = (0, 0, 1)
+        bad = Realization(ref.dims, ref.state, tuple(tuple(p) for p in projs))
+        message = "realization has no projector for witness label "
+        message += "(party {}, setting {}, outcome {})"
+        if cut == "arity":
+            bad = reference_realization("chsh" if name == "mermin" else "mermin")
+            message = f"realization has {len(bad.dims)} parties, the witness {len(ref.dims)}"
+        else:
+            message = message.format(*label)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if entry == "evaluate_witness":
+                evaluate_witness(wit, bad)
+            elif entry == "reference":
+                run_selftest(wit, bad, ref)
+            else:
+                run_selftest(wit, ref, bad)
+
     def test_projector_party_count_must_match_dims(self):
         r = reference_realization("chsh")
         bad = Realization(r.dims, r.state, r.projectors[:1])
         with pytest.raises(ValueError, match="projectors cover 1 parties"):
-            validate_realization(bad)
+            validate_realization(bad, ())
 
     def test_edge_projectors_are_orthogonal(self):
         # Exclusive events share a setting with differing outcomes at some

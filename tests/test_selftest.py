@@ -120,12 +120,15 @@ class TestProductStructure:
 
     def test_negligible_event_refused(self):
         # On |00> the first chsh event of zero probability is event 4,
-        # outcomes (1, 1) at settings (0, 0).
+        # outcomes (1, 1) at settings (0, 0).  The reference's table is
+        # checked first, so |00> as both names the reference.
         wit = builtin_witness("chsh")
         r = reference_realization("chsh")
-        r = r._replace(state=np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        with pytest.raises(PreconditionError, match="^event 4 has negligible probability$"):
-            run_selftest(wit, r, r)
+        zero = r._replace(state=np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        for ref, cand, role in ((zero, zero, "reference"), (r, zero, "candidate")):
+            pattern = f"^{role} event 4 has negligible probability$"
+            with pytest.raises(PreconditionError, match=pattern):
+                run_selftest(wit, ref, cand)
 
     def test_mermin_etas_are_uniform(self):
         # eta_i = |Pi_i psi| is 1/2 for each of the 16 GHZ events.

@@ -35,7 +35,6 @@ from theta_selftest.sdp import SolverError, min_eigenvalue, solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
     NULL_THRESHOLD,
-    MalformedCertificateError,
     NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
@@ -546,11 +545,11 @@ class TestCertificates:
     def test_structural_mismatch_raises(self):
         # A multiplier vector that does not fit the graph has no slack matrix.
         y = chained_dual_certificate(2)
-        with pytest.raises(MalformedCertificateError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             verify_dual_certificate(CHSH_GRAPH, y[:-1])
-        with pytest.raises(MalformedCertificateError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             certificate_matrix(CHSH_GRAPH, y.reshape(1, -1))
-        with pytest.raises(MalformedCertificateError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             verify_dual_certificate(C5, chained_dual_certificate(2))
 
     def test_nan_entry_raises(self):
@@ -559,21 +558,21 @@ class TestCertificates:
             for value in (np.nan, np.inf, -np.inf):
                 y = chained_dual_certificate(2)
                 y[index] = value
-                with pytest.raises(MalformedCertificateError, match="non-finite"):
+                with pytest.raises(ValueError, match="non-finite"):
                     verify_dual_certificate(CHSH_GRAPH, y)
-                with pytest.raises(MalformedCertificateError, match="non-finite"):
+                with pytest.raises(ValueError, match="non-finite"):
                     certificate_matrix(CHSH_GRAPH, y)
 
     def test_mu_on_non_edge_is_malformed(self):
         # A mu for the non-edge (0, 2) of Ci_8(1, 4) has no slot in y.
         y = np.append(chained_dual_certificate(2), 0.0)
-        with pytest.raises(MalformedCertificateError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             verify_dual_certificate(CHSH_GRAPH, y)
 
     def test_mu_on_non_edge_rejected(self):
         # A certificate written for a supergraph does not verify on the graph.
         sup = WeightedGraph(5, C5.edges + ((0, 2),))
-        with pytest.raises(MalformedCertificateError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             verify_dual_certificate(C5, _multipliers(sup, 3.0, 2.0))
 
     def test_negative_eigenvalue_raises(self):
@@ -585,7 +584,7 @@ class TestCertificates:
         monkeypatch.setattr(theta, "CERT_TOL", 1e-6)
         t = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers)
         assert abs(t - (2.0 + sqrt(2.0))) <= 1e-6
-        with pytest.raises(MalformedCertificateError):
+        with pytest.raises(ValueError):
             verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
 
     def test_recovered_certificates_on_random_weighted_graphs(self, monkeypatch):
