@@ -73,19 +73,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load_graph(path: str) -> WeightedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
-
-
 def _input_graph(args) -> WeightedGraph:
-    if args.scenario and args.graph:
-        raise ValueError("give either --scenario or --graph, not both")
-    if args.scenario:
+    if args.graph is None:
         return exclusivity_graph(builtin_witness(args.scenario))
-    if args.graph:
-        return _load_graph(args.graph)
-    raise ValueError("one of --scenario or --graph is required")
+    with open(args.graph, encoding="utf-8") as fh:
+        return graph_from_json_dict(json.load(fh))
 
 
 def cmd_theta(args) -> int:
@@ -259,8 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, graph_input=False):
         if graph_input:
-            p.add_argument("--scenario", help="built-in scenario name")
-            p.add_argument("--graph", help="path to a graph JSON file")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--scenario", help="built-in scenario name")
+            source.add_argument("--graph", help="path to a graph JSON file")
         else:
             add_scenario(p)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")

@@ -98,10 +98,7 @@ def _product_kets(factors) -> np.ndarray:
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate `v` (a ket or a matrix) so its first significant entry, in
     row-major order, is positive real."""
-    nz = np.flatnonzero(np.abs(v) > OVERLAP_TOL)
-    if nz.size == 0:
-        return v
-    z = v.flat[nz[0]]
+    z = v.flat[np.flatnonzero(np.abs(v) > OVERLAP_TOL)[0]]
     return v * (np.abs(z) / z)
 
 
@@ -142,10 +139,7 @@ class ConditionReport(NamedTuple):
 
 
 def _span_rank(vectors) -> int:
-    m = np.array(vectors)
-    if m.size == 0:
-        return 0
-    return int(np.linalg.matrix_rank(m, tol=OVERLAP_TOL))
+    return int(np.linalg.matrix_rank(np.array(vectors), tol=OVERLAP_TOL))
 
 
 def _residual_outside_span(v: np.ndarray, vectors) -> float:
@@ -155,7 +149,7 @@ def _residual_outside_span(v: np.ndarray, vectors) -> float:
 
 
 def _connected(nodes, edges) -> bool:
-    """Whether the distinct `nodes` are nonempty and `edges` join them all."""
+    """Whether `edges` join all the distinct `nodes`."""
     nodes = list(nodes)
     reached, grew = set(nodes[:1]), True
     while grew:
@@ -164,7 +158,7 @@ def _connected(nodes, edges) -> bool:
             if (p in reached) != (q in reached):
                 reached |= {p, q}
                 grew = True
-    return bool(nodes) and len(reached) == len(nodes)
+    return len(reached) == len(nodes)
 
 
 def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int):

@@ -185,11 +185,6 @@ class TestTheta:
         assert err.count("\n") == 1
 
     def test_input_flag_errors(self, tmp_path):
-        path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)]))
-        code, _, err = run_cli(["theta"])
-        assert code == 1 and "required" in err
-        code, _, err = run_cli(["theta", "--scenario", "chsh", "--graph", path])
-        assert code == 1 and "not both" in err
         code, _, err = run_cli(["theta", "--scenario", "bogus"])
         assert code == 1
         code, _, err = run_cli(["theta", "--graph", str(tmp_path / "missing.json")])
@@ -413,12 +408,6 @@ class TestUniqueness:
         code, out, _ = run_cli(["uniqueness", "--scenario", "mermin", "--json"])
         assert code == 0
         assert json.loads(out)["nullspace_dim"] == 0
-
-    def test_scenario_and_graph_together_rejected(self, tmp_path):
-        path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)]))
-        code, out, err = run_cli(["uniqueness", "--scenario", "chsh", "--graph", path])
-        assert code == 1 and out == ""
-        assert "not both" in err
 
     def test_graph_file_routes(self, tmp_path):
         path = _write_graph(tmp_path / "e2.json", WeightedGraph(2, []))
@@ -766,6 +755,28 @@ class TestParsing:
 
     def test_help_is_success(self):
         assert run_cli(["--help"])[0] == 0
+
+    @pytest.mark.parametrize("command", ["theta", "uniqueness"])
+    @pytest.mark.parametrize(
+        "both,message",
+        [
+            (True, "argument --graph: not allowed with argument --scenario"),
+            (False, "one of the arguments --scenario --graph is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_scenario_or_graph_exactly_once(self, tmp_path, command, both, message):
+        # argparse owns the rule: a usage error, mapped to the input-error code.
+        path = _write_graph(tmp_path / "g.json", WeightedGraph(2, [(0, 1)]))
+        flags = ["--scenario", "chsh", "--graph", path] if both else []
+        code, out, err = run_cli([command, *flags, "--json"])
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["theta", "uniqueness"])
+    def test_help_shows_the_input_group(self, command):
+        code, out, _ = run_cli([command, "--help"])
+        assert code == 0 and "(--scenario SCENARIO | --graph GRAPH)" in out
 
     @pytest.mark.parametrize(
         "argv",

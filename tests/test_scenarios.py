@@ -1,5 +1,6 @@
 """Witness constructors, exclusivity graphs, reference realizations."""
 
+import itertools
 import json
 import re
 from math import cos, pi, sqrt
@@ -20,6 +21,7 @@ from theta_selftest.scenarios import (
     BellWitness,
     Event,
     Realization,
+    _rank_one_realization,
     as4_witness,
     builtin_witness,
     chained_realization,
@@ -28,6 +30,7 @@ from theta_selftest.scenarios import (
     event_projectors,
     event_vectors,
     exclusivity_graph,
+    mermin_realization,
     mermin_witness,
     parse_scenario_name,
     realization_from_json_dict,
@@ -207,6 +210,66 @@ class TestBuiltinWitnesses:
             parse_scenario_name(f"chained:{MAX_CHAINED_N + 1}")
         with pytest.raises(ValueError):
             builtin_witness("chained:1")
+
+
+def _mermin_rule_witness(n: int) -> BellWitness:
+    """The n-party Mermin witness from its rule (ROADMAP item 11).  Each
+    setting string with an even number k of 1s carries the 2^(n-1) outcome
+    strings of parity [k = 2 (mod 4)]; strings run in (-weight, string)
+    order, and a setting's outcomes are complemented unless k = 2 (mod 4).
+    The classical bound and the correlator map are those of the Mermin
+    polynomial: M = 2P - 2^(n-1) <= 2^floor(n/2)."""
+    strings = sorted(itertools.product((0, 1), repeat=n), key=lambda s: (-sum(s), s))
+    terms = []
+    for x in strings:
+        k = sum(x)
+        if k % 2 == 0:
+            odd = k % 4 == 2
+            outs = (s if odd else tuple(1 - b for b in s) for s in strings)
+            terms += [(Event(a, x), 1.0) for a in outs if sum(a) % 2 == odd]
+    settings = 2.0 ** (n - 1)
+    return BellWitness(tuple(terms), (2.0 ** (n // 2) + settings) / 2.0, (2.0, -settings))
+
+
+def _mermin_rule_realization(n: int) -> Realization:
+    """Its reference from the rule: every party measures Z (setting 0,
+    outcome 1 on |0>) or X (setting 1, outcome 1 on |+>), and the state has
+    amplitude (-1)^((n - w)/2) on each string of weight w = n (mod 2)."""
+    z, o = (1.0, 0.0), (0.0, 1.0)
+    p, m = (1.0 / sqrt(2.0), 1.0 / sqrt(2.0)), (1.0 / sqrt(2.0), -1.0 / sqrt(2.0))
+    psi = np.zeros(2**n)
+    for i in range(2**n):
+        w = bin(i).count("1")
+        if w % 2 == n % 2:
+            psi[i] = (-1.0) ** ((n - w) // 2)
+    return _rank_one_realization((2,) * n, psi, (((o, z), (m, p)),) * n)
+
+
+def _realization_arrays(r: Realization) -> list[np.ndarray]:
+    """The state, then every projector and every ket in nesting order."""
+    nested = (a for f in (r.projectors, r.kets) for party in f for st in party for a in st)
+    return [r.state, *nested]
+
+
+class TestMerminRule:
+    def test_rule_rebuilds_the_three_party_witness(self):
+        assert _mermin_rule_witness(3) == mermin_witness()
+
+    def test_rule_rebuilds_the_three_party_reference(self):
+        rule, ref = _mermin_rule_realization(3), mermin_realization()
+        assert json.dumps(realization_to_json_dict(rule)) == json.dumps(
+            realization_to_json_dict(ref)
+        )
+        for got, want in zip(_realization_arrays(rule), _realization_arrays(ref), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,value", [(4, 8.0), (5, 16.0)])
+    def test_every_event_of_the_rule_is_equally_likely(self, n, value):
+        wit = _mermin_rule_witness(n)
+        assert len(wit.terms) == 4 ** (n - 1)
+        got, behavior = evaluate_witness(wit, _mermin_rule_realization(n))
+        assert np.abs(behavior - 2.0 ** (1 - n)).max() <= 1e-12
+        assert abs(got - value) <= 1e-12 * value
 
 
 def _correlator_terms(sign: int, xy: tuple[int, int]):
