@@ -12,6 +12,7 @@ projectors, and their JSON documents hold those alone with the dims.
 from __future__ import annotations
 
 import re
+from itertools import product
 from math import cos, inf, pi, sin, sqrt
 from typing import NamedTuple
 
@@ -115,24 +116,24 @@ def chained_witness(N: int) -> BellWitness:
     return BellWitness(tuple(terms), classical_bound=2.0 * N - 1.0)
 
 
-# Sixteen three-party events (outcomes, settings), grouped by setting triple.
-_MERMIN_RAW: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = tuple(
-    (outs, setts)
-    for setts, group in (
-        ((0, 1, 1), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((1, 0, 1), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((1, 1, 0), ((1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        ((0, 0, 0), ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))),
-    )
-    for outs in group
-)
-
-
-def mermin_witness() -> BellWitness:
-    """16 unit-weight three-party events; the correlator form of the witness
-    equals 2 * (probability sum) - 4, recorded in `affine`."""
-    terms = tuple((Event(a, x), 1.0) for a, x in _MERMIN_RAW)
-    return BellWitness(terms, classical_bound=3.0, affine=(2.0, -4.0))
+def mermin_witness(n: int = 3) -> BellWitness:
+    """The n-party Mermin witness, 4^(n-1) unit-weight events from one rule:
+    each setting string with an even number k of 1s carries the 2^(n-1)
+    outcome strings of parity [k = 2 (mod 4)].  Strings run in (-weight,
+    string) order, and a setting's outcomes are complemented unless
+    k = 2 (mod 4).  The correlator form M = 2P - 2^(n-1) of the probability
+    sum P, recorded in `affine`, is the Mermin polynomial, whose classical
+    bound is 2^floor(n/2)."""
+    strings = sorted(product((0, 1), repeat=n), key=lambda s: (-sum(s), s))
+    terms = []
+    for x in strings:
+        k = sum(x)
+        if k % 2 == 0:
+            odd = k % 4 == 2
+            outs = (s if odd else tuple(1 - b for b in s) for s in strings)
+            terms += [(Event(a, x), 1.0) for a in outs if sum(a) % 2 == odd]
+    settings = 2.0 ** (n - 1)
+    return BellWitness(tuple(terms), (2.0 ** (n // 2) + settings) / 2.0, (2.0, -settings))
 
 
 # Setting pairs carrying anti-correlated events in the 26-event witness.
@@ -306,25 +307,19 @@ def chained_realization(N: int) -> Realization:
     return _rank_one_realization((2, 2), psi, (alice, bob))
 
 
-def mermin_realization() -> Realization:
-    """Three-qubit realization; all 16 event probabilities equal 1/4.
-
-    The state is locally equivalent to the three-qubit maximally entangled
-    state; each party measures the computational basis (setting 0, outcome 1
-    on the first basis vector) or the conjugate basis (setting 1).
-    """
-    z = (1.0, 0.0)
-    o = (0.0, 1.0)
-    p = (1.0 / sqrt(2.0), 1.0 / sqrt(2.0))
-    m = (1.0 / sqrt(2.0), -1.0 / sqrt(2.0))
-    # setting 0: outcome 0 -> o, outcome 1 -> z; setting 1: 0 -> m, 1 -> p
-    party = ((o, z), (m, p))
-    psi = np.zeros(8)
-    psi[0b111] = 0.5
-    psi[0b001] = -0.5
-    psi[0b010] = -0.5
-    psi[0b100] = -0.5
-    return _rank_one_realization((2, 2, 2), psi, (party, party, party))
+def mermin_realization(n: int = 3) -> Realization:
+    """The GHZ-type reference of `mermin_witness(n)`, under which every event
+    has probability 2^(1-n).  Each party measures Z (setting 0, outcome 1 on
+    |0>) or X (setting 1, outcome 1 on |+>), and the state has amplitude
+    (-1)^((n - w)/2) on each string of weight w = n (mod 2)."""
+    z, o = (1.0, 0.0), (0.0, 1.0)
+    p, m = (1.0 / sqrt(2.0), 1.0 / sqrt(2.0)), (1.0 / sqrt(2.0), -1.0 / sqrt(2.0))
+    psi = np.zeros(2**n)
+    for i in range(2**n):
+        w = i.bit_count()
+        if w % 2 == n % 2:
+            psi[i] = (-1.0) ** ((n - w) // 2)
+    return _rank_one_realization((2,) * n, psi, (((o, z), (m, p)),) * n)
 
 
 def _bloch_ket(n: np.ndarray) -> np.ndarray:
@@ -369,7 +364,8 @@ def as4_realization() -> Realization:
 
 
 # The built-in scenarios: (witness builder, reference realization builder).
-# Only the chained builders take an argument, the N of 'chained:N'.
+# Only the chained builders are passed an argument, the N of 'chained:N';
+# the mermin builders run at their default of three parties.
 _SCENARIOS = {
     "chsh": (lambda: chained_witness(2), lambda: chained_realization(2)),
     "chained": (chained_witness, chained_realization),

@@ -86,11 +86,19 @@ def test_other_uniqueness_spellings_keep_the_default(argv):
 
 # --- a user's thread count: output does not depend on it --------------------
 
-_NON_SOLVER_COMMANDS = [
+# Commands whose every LU solve is below OpenBLAS's threaded-LU cut: it
+# factors an m x m matrix on one thread while m^2 < 10^4, and the theta
+# solve's Schur matrix has order m, the program's row count (mermin 89,
+# chained:N 10N + 1, as4 104).  The last digits of theta on chained:10 and
+# on as4 follow the thread count.
+_BELOW_THREADED_LU_CUT = [
     ["certify", "--scenario", "chsh", "--json"],
     ["certify", "--scenario", "chained:16", "--json"],
+    ["theta", "--scenario", "mermin", "--json"],
+    ["theta", "--scenario", "chained:9", "--json"],
     ["uniqueness", "--scenario", "chained:3", "--json"],
     ["uniqueness", "--scenario", "chained:16", "--json"],
+    ["uniqueness", "--scenario", "mermin", "--json"],
     ["selftest", "--scenario", "mermin", "--json"],
     ["scenario", "--scenario", "chained:16"],
     ["export", "--scenario", "as4", "--format", "json"],
@@ -98,8 +106,8 @@ _NON_SOLVER_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _NON_SOLVER_COMMANDS, ids=" ".join)
-def test_non_solver_output_does_not_depend_on_blas_threads(argv):
+@pytest.mark.parametrize("argv", _BELOW_THREADED_LU_CUT, ids=" ".join)
+def test_output_below_the_threaded_lu_cut_does_not_depend_on_blas_threads(argv):
     procs = [_python("-m", "theta_selftest", *argv, env=_env(OPENBLAS_NUM_THREADS=threads))
              for threads in ("1", "2")]
     results = [(p.communicate()[0], p.returncode) for p in procs]
