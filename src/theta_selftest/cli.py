@@ -36,9 +36,9 @@ from .graphs import (
 )
 from .scenarios import (
     builtin_witness,
+    closed_form_certificate,
     evaluate_witness,
     exclusivity_graph,
-    parse_scenario_name,
     realization_from_json_dict,
     realization_to_json_dict,
     reference_realization,
@@ -49,7 +49,6 @@ from .theta import (
     NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
-    chained_dual_certificate,
     check_size,
     dual_nondegenerate,
     positive_subgraph,
@@ -112,16 +111,8 @@ def cmd_theta(args) -> int:
     return EXIT_OK if sandwich_ok else EXIT_SOLVER
 
 
-def _closed_form_certificate(scenario: str):
-    """The closed-form multipliers y of a chsh or chained scenario, else None."""
-    kind, n = parse_scenario_name(scenario)
-    if kind in ("chsh", "chained"):
-        return chained_dual_certificate(2 if kind == "chsh" else n)
-    return None
-
-
 def cmd_certify(args) -> int:
-    y = _closed_form_certificate(args.scenario)
+    y = closed_form_certificate(args.scenario)
     if y is None:
         raise ValueError(f"no closed-form certificate for scenario '{args.scenario}'")
     g = exclusivity_graph(builtin_witness(args.scenario))
@@ -151,7 +142,7 @@ def cmd_certify(args) -> int:
 def cmd_uniqueness(args) -> int:
     g = _input_graph(args)
     check_size(g)  # every size refusal the input decides, before anything is built
-    y = _closed_form_certificate(args.scenario) if args.scenario else None
+    y = closed_form_certificate(args.scenario) if args.scenario else None
     if y is None:
         y = solve_theta_problem(g).dual_multipliers
     verdict = dual_nondegenerate(g, certificate_matrix(g, y))
@@ -228,7 +219,7 @@ def cmd_export(args) -> int:
         sys.stdout.write(to_dot(g))
         return EXIT_OK
     payload = {"graph": graph_to_json_dict(g), "witness": witness_to_json_dict(witness)}
-    y = _closed_form_certificate(args.scenario)
+    y = closed_form_certificate(args.scenario)
     if y is not None:
         payload["certificate"] = certificate_to_json_dict(g, y)
     _emit_json(payload)

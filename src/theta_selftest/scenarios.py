@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import WeightedGraph, _json_float, _json_int
+from .graphs import WeightedGraph, _json_float, _json_int, circulant
 
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
@@ -114,6 +114,20 @@ def chained_witness(N: int) -> BellWitness:
             terms.append((Event((a, a), xy), 1.0))
         terms.append((Event((lap, 1 - lap), (0, N - 1)), 1.0))
     return BellWitness(tuple(terms), classical_bound=2.0 * N - 1.0)
+
+
+def chained_dual_certificate(N: int) -> np.ndarray:
+    """Dual optimal multipliers y for circulant(4N, [1, 2N]), the graph of
+    chained_witness(N) in its event order: t = y[0] = N(1 + cos(pi/2N))."""
+    if N < 2:
+        raise ValueError("chained certificates require N >= 2")
+    k = cos(pi / (2 * N))
+    f = (1.0 - k) / (1.0 + k)
+    l = 1.0 / (1.0 + k)
+    n = 4 * N
+    e = np.asarray(circulant(n, [1, 2 * N]).edges)
+    mus = np.where(e[:, 1] - e[:, 0] == 2 * N, 2.0 * f, 2.0 * l)  # antipodal, cycle
+    return np.concatenate(([N / l], np.full(n, 2.0), mus))
 
 
 def mermin_witness(n: int = 3) -> BellWitness:
@@ -363,14 +377,15 @@ def as4_realization() -> Realization:
     return _rank_one_realization((2, 2), psi, (alice, bob))
 
 
-# The built-in scenarios: (witness builder, reference realization builder).
-# Only the chained builders are passed an argument, the N of 'chained:N';
-# the mermin builders run at their default of three parties.
+# The built-in scenarios: (witness, reference realization, closed-form dual
+# certificate or None) builders.  Only the chained builders are passed an
+# argument, the N of 'chained:N'; the mermin builders run at three parties.
 _SCENARIOS = {
-    "chsh": (lambda: chained_witness(2), lambda: chained_realization(2)),
-    "chained": (chained_witness, chained_realization),
-    "mermin": (mermin_witness, mermin_realization),
-    "as4": (as4_witness, as4_realization),
+    "chsh": (lambda: chained_witness(2), lambda: chained_realization(2),
+             lambda: chained_dual_certificate(2)),
+    "chained": (chained_witness, chained_realization, chained_dual_certificate),
+    "mermin": (mermin_witness, mermin_realization, None),
+    "as4": (as4_witness, as4_realization, None),
 }
 
 
@@ -394,6 +409,8 @@ def parse_scenario_name(name: str) -> tuple[str, int | None]:
 def _build(name: str, which: int):
     kind, N = parse_scenario_name(name)
     build = _SCENARIOS[kind][which]
+    if build is None:
+        return None
     return build() if N is None else build(N)
 
 
@@ -403,6 +420,11 @@ def builtin_witness(name: str) -> BellWitness:
 
 def reference_realization(name: str) -> Realization:
     return _build(name, 1)
+
+
+def closed_form_certificate(name: str) -> np.ndarray | None:
+    """The closed-form multipliers y of chsh and chained:N; None for the rest."""
+    return _build(name, 2)
 
 
 def _jsonify(obj):

@@ -27,7 +27,7 @@ state's support, which is all a self-test claims.
 
 All vectors are complex128.  Local kets and extracted isometries follow a
 fixed phase gauge (first significant entry positive real) so every report is
-reproducible bit for bit.  Fixed optimizer data lives in `theta`.
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -235,8 +235,6 @@ def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
     """Verdicts for A1 (joint span), A2 (a spanning index family with a
     connected overlap graph), A3 (qubit ideal spaces), and A4 (four local
     kets in orthogonal pairs)."""
-    if len(ps.dims) != 2:
-        raise ValueError("bipartite conditions need a two-party structure")
     d_a, d_b = ps.dims
     rep = ConditionReport({}, {}, {})
     verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
@@ -300,8 +298,6 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
     A6 and A7 are searched jointly since A7 draws its index pairs from A6's
     chosen family.
     """
-    if len(ps.dims) != 3:
-        raise ValueError("tripartite conditions need a three-party structure")
     d_a, d_b, d_c = ps.dims
     rep = ConditionReport({}, {}, {})
     verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence

@@ -1,4 +1,4 @@
-"""Lovasz theta SDPs for weighted graphs, closed-form dual certificates,
+"""Lovasz theta SDPs for weighted graphs, checks of their dual certificates,
 and uniqueness of the primal optimizer via dual nondegeneracy.
 
 The primal over (1+n)-dimensional symmetric X (index 0 = handle):
@@ -16,20 +16,19 @@ Re(V V^H) of its reference realization, V = [psi, Pi_1 psi, ..., Pi_n psi].
 
 from __future__ import annotations
 
-from math import cos, pi, sqrt
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ResourceLimitError, WeightedGraph, circulant
-from .scenarios import MAX_CHAINED_N
+from .graphs import ResourceLimitError, WeightedGraph
 from .sdp import SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
 NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null in uniqueness
 # Most doubles theta_problem's constraint stack may hold: chained:N's
-# (10N + 1)(4N + 1)^2 at N = MAX_CHAINED_N, 339 MB.
-_MAX_STACK = (10 * MAX_CHAINED_N + 1) * (4 * MAX_CHAINED_N + 1) ** 2
+# (10N + 1)(4N + 1)^2 at N = 64 (scenarios.MAX_CHAINED_N), 339 MB.
+_MAX_STACK = 42_337_409
 
 
 class NotPsdError(Exception):
@@ -58,7 +57,7 @@ def check_size(g: WeightedGraph, kernel_dim: int | None = None) -> None:
     for stage, size in stages:
         if size > _MAX_STACK:
             raise ResourceLimitError(f"the {stage} needs {size} doubles, more than "
-                                     f"chained:{MAX_CHAINED_N}'s stack of {_MAX_STACK}")
+                                     f"chained:64's stack of {_MAX_STACK}")
 
 
 def positive_subgraph(
@@ -194,19 +193,6 @@ def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
     v = np.arange(1, d)
     z[0, v, v] -= np.asarray(g.weights)
     return z[0]
-
-
-def chained_dual_certificate(N: int) -> np.ndarray:
-    """Dual optimal multipliers y for circulant(4N, [1, 2N]), t = N(1 + cos(pi/2N))."""
-    if N < 2:
-        raise ValueError("chained certificates require N >= 2")
-    k = cos(pi / (2 * N))
-    f = (1.0 - k) / (1.0 + k)
-    l = 1.0 / (1.0 + k)
-    n = 4 * N
-    e = np.asarray(circulant(n, [1, 2 * N]).edges)
-    mus = np.where(e[:, 1] - e[:, 0] == 2 * N, 2.0 * f, 2.0 * l)  # antipodal, cycle
-    return np.concatenate(([N / l], np.full(n, 2.0), mus))
 
 
 def verify_dual_certificate(g: WeightedGraph, y) -> float:

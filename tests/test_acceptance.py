@@ -20,6 +20,7 @@ from conftest import (
 from theta_selftest.graphs import circulant, fractional_packing, independence_number
 from theta_selftest.scenarios import (
     builtin_witness,
+    chained_dual_certificate,
     evaluate_witness,
     exclusivity_graph,
     reference_realization,
@@ -28,7 +29,6 @@ from theta_selftest.sdp import min_eigenvalue
 from theta_selftest.selftest import SelfTestError, run_selftest
 from theta_selftest.theta import (
     certificate_matrix,
-    chained_dual_certificate,
     dual_nondegenerate,
     solve_theta_problem,
     verify_dual_certificate,

@@ -23,6 +23,7 @@ from theta_selftest.graphs import WeightedGraph, circulant
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     builtin_witness,
+    closed_form_certificate,
     exclusivity_graph,
     realization_to_json_dict,
     reference_realization,
@@ -249,8 +250,12 @@ class TestCertify:
         g = exclusivity_graph(builtin_witness(name))
         # chained_dual_certificate(N) writes y for circulant(4N, [1, 2N]).
         assert g == circulant(g.n, (1, g.n // 2))
-        y = cli._closed_form_certificate(name)
+        y = closed_form_certificate(name)
         assert verify_dual_certificate(g, y) == y[0]
+
+    def test_no_closed_form_certificate_for_mermin_and_as4(self):
+        assert closed_form_certificate("mermin") is None
+        assert closed_form_certificate("as4") is None
 
     def test_rejects_unsupported_scenarios(self):
         for bad in ("chained:0", "chained:1", f"chained:{MAX_CHAINED_N + 1}", "mermin", "as4",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import theta_selftest
-from theta_selftest import cli, graphs, sdp, selftest
+from theta_selftest import cli, graphs, sdp, selftest, theta
 from theta_selftest.graphs import circulant
 from theta_selftest.scenarios import reference_realization
 
@@ -89,6 +89,20 @@ def test_selftest_reads_no_kets():
         or (isinstance(node, ast.alias) and node.name in kron)
     ]
     assert reads == []
+
+
+def test_theta_imports_nothing_from_scenarios():
+    """theta.py is the theta layer over graphs and sdp alone: a scenario's
+    facts, its closed-form certificate and the selector bound among them,
+    live in scenarios.py, and theta imports nothing from it."""
+    tree = ast.parse(Path(theta.__file__).read_text(encoding="utf-8"))
+    imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "scenarios")
+        or (isinstance(node, ast.alias) and "scenarios" in node.name)
+    ]
+    assert imports == []
 
 
 def test_package_never_reads_a_realizations_kets():

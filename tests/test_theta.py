@@ -28,6 +28,7 @@ from theta_selftest.graphs import (
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     builtin_witness,
+    chained_dual_certificate,
     exclusivity_graph,
     mermin_witness,
 )
@@ -38,7 +39,6 @@ from theta_selftest.theta import (
     NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
-    chained_dual_certificate,
     check_size,
     dual_nondegenerate,
     solve_theta_problem,
@@ -350,7 +350,7 @@ class TestThetaValues:
         # out of src/ flipped the draws to defect (a)'s 5-vertex graph, on
         # which every start of the ladder stalls.  This body passes that
         # move, but an edit to its code or to a src/ literal can draw (a)
-        # again until (a) is mended (ROADMAP item 7).
+        # again until (a) is mended (ROADMAP item 6).
         sol = solve_theta_problem(g)
         y = sol.dual_multipliers
         z = certificate_matrix(g, y)
@@ -359,7 +359,7 @@ class TestThetaValues:
         _assert_theta_close(y[0], sol.value)
 
     @pytest.mark.xfail(raises=SolverError, strict=True,
-                       reason="defect (a): every start of the ladder stalls (ROADMAP item 7)")
+                       reason="defect (a): every start of the ladder stalls (ROADMAP item 6)")
     def test_theta_within_sandwich_where_every_start_stalls(self):
         # alpha = alpha* = 1.1171876 here, so theta is known exactly, yet
         # every start stalls with a gap of 2.6e-7.  The property test above
@@ -369,6 +369,17 @@ class TestThetaValues:
         value = solve_theta_problem(g).value
         slack = 1e-7 * max(1.0, value)
         assert independence_number(g) - slack <= value <= fractional_packing(g)[1] + slack
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="defect (b): K2 prints NONDEGENERATE (ROADMAP item 1)")
+    def test_two_maximum_stable_sets_make_the_optimizer_degenerate(self):
+        # {0} and {1} are both maximum-weight stable sets of K2, so theta's
+        # optimizer is not unique.  Yet the solver's slack leaves a smallest
+        # relative singular value of 7.7e-6, far above NULL_THRESHOLD, at one
+        # BLAS thread or two: the program is too small for threaded BLAS.
+        g = WeightedGraph(2, [(0, 1)], [1.0, 1.0])
+        z = certificate_matrix(g, solve_theta_problem(g).dual_multipliers)
+        assert not dual_nondegenerate(g, z).nondegenerate
 
     def test_weighted_scaling(self):
         w = 1.7
