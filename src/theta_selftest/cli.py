@@ -44,9 +44,8 @@ from .scenarios import (
     reference_realization,
     witness_to_json_dict,
 )
-from .sdp import SolverError, min_eigenvalue
+from .sdp import SolverError
 from .theta import (
-    NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
     check_size,
@@ -116,27 +115,14 @@ def cmd_certify(args) -> int:
     if y is None:
         raise ValueError(f"no closed-form certificate for scenario '{args.scenario}'")
     g = exclusivity_graph(builtin_witness(args.scenario))
-    try:
-        verify_dual_certificate(g, y)
-        verified = True
-    except NotPsdError:
-        verified = False
-    eig = min_eigenvalue(certificate_matrix(g, y))
-    bound = float(y[0])
+    cert = verify_dual_certificate(g, y)
     if args.json:
-        _emit_json(
-            {
-                "bound": bound,
-                "min_eigenvalue": eig,
-                "verified": verified,
-                "certificate": certificate_to_json_dict(g, y),
-            }
-        )
+        _emit_json({**cert._asdict(), "certificate": certificate_to_json_dict(g, y)})
     else:
-        print(f"certified bound  = {_fmt(bound)}")
-        print(f"min eigenvalue   = {_fmt(eig)}")
-        print("verification     : " + ("PASS" if verified else "FAIL"))
-    return EXIT_OK if verified else EXIT_SOLVER
+        print(f"certified bound  = {_fmt(cert.bound)}")
+        print(f"min eigenvalue   = {_fmt(cert.min_eigenvalue)}")
+        print("verification     : " + ("PASS" if cert.verified else "FAIL"))
+    return EXIT_OK if cert.verified else EXIT_SOLVER
 
 
 def cmd_uniqueness(args) -> int:

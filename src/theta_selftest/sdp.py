@@ -117,17 +117,7 @@ def solve_sdp(
             raise SolverError("progress stalled before reaching tolerance",
                               pinf, dinf, gap)
 
-        try:
-            zinv = sym(np.linalg.solve(z, np.eye(d)))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"numerical breakdown: {exc}", pinf, dinf, gap) from exc
         mu = gap / d
-
-        # Schur complement M_ij = tr(A_i Z^-1 A_j X), shared by both solves.
-        g = np.einsum("ab,jbc,cd->jad", zinv, a_stack, x, optimize=True)
-        schur = np.einsum("iab,jba->ij", a_stack, g, optimize=True)
-        tr_a_zinv = np.einsum("iab,ba->i", a_stack, zinv)
-        zinv_rd_x = zinv @ rd @ x
 
         def newton(nu: float, k: np.ndarray):
             rhs = (
@@ -142,6 +132,13 @@ def solve_sdp(
             return dx, dy, dz
 
         try:
+            zinv = sym(np.linalg.solve(z, np.eye(d)))
+            # Schur complement M_ij = tr(A_i Z^-1 A_j X), shared by both solves.
+            g = np.einsum("ab,jbc,cd->jad", zinv, a_stack, x, optimize=True)
+            schur = np.einsum("iab,jba->ij", a_stack, g, optimize=True)
+            tr_a_zinv = np.einsum("iab,ba->i", a_stack, zinv)
+            zinv_rd_x = zinv @ rd @ x
+
             dx_aff, dy_aff, dz_aff = newton(0.0, np.zeros((d, d)))
             tau = 0.998 if mu < 1e-6 else 0.98
             ap = tau * _max_step(x, dx_aff)

@@ -7,7 +7,9 @@ Row r = (p, q, border) of the table _constraints fixes <A_r, X> with
 A_r = (a_r b_r^T + b_r a_r^T) / 2, a_r = e_p - [border] e_0 and b_r = e_q.
 A dual point is its multiplier vector y = (t, lambda, one mu per edge of
 g.edges) in that row order.  Its slack Z = sum_r y_r A_r - C is always
-rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t.
+rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t:
+verify_dual_certificate returns t, Z's minimum eigenvalue and that verdict
+as a CertificateVerdict, and raises only for a malformed y.
 dual_nondegenerate decides primal uniqueness by one SVD of the constraints
 restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  No optimizer is
 tabulated here: a built-in scenario's optimizer is the real Gram matrix
@@ -29,10 +31,6 @@ NULL_THRESHOLD = 1e-8  # relative eigenvalue and singular value counted as null 
 # Most doubles theta_problem's constraint stack may hold: chained:N's
 # (10N + 1)(4N + 1)^2 at N = 64 (scenarios.MAX_CHAINED_N), 339 MB.
 _MAX_STACK = 42_337_409
-
-
-class NotPsdError(Exception):
-    """Certificate matrix has an eigenvalue below the PSD tolerance."""
 
 
 def check_size(g: WeightedGraph, kernel_dim: int | None = None) -> None:
@@ -195,17 +193,21 @@ def certificate_matrix(g: WeightedGraph, y) -> np.ndarray:
     return z[0]
 
 
-def verify_dual_certificate(g: WeightedGraph, y) -> float:
-    """Return the bound t = y[0] that the multipliers y certify for g.
+class CertificateVerdict(NamedTuple):
+    bound: float
+    min_eigenvalue: float
+    verified: bool
 
-    Any y of the right length with Z = certificate_matrix(g, y) >= 0 is dual
-    feasible for theta_problem(g), so the only check is that Z's minimum
-    eigenvalue is at least -CERT_TOL.
+
+def verify_dual_certificate(g: WeightedGraph, y) -> CertificateVerdict:
+    """Check the multipliers y as a dual certificate for g: the bound
+    t = y[0], the minimum eigenvalue of Z = certificate_matrix(g, y), and
+    whether it is at least -CERT_TOL.  Any y of the right length with Z >= 0
+    is dual feasible for theta_problem(g), so that is the only check; a
+    malformed y raises ValueError.
     """
     lam_min = min_eigenvalue(certificate_matrix(g, y))
-    if not lam_min >= -CERT_TOL:
-        raise NotPsdError(f"minimum eigenvalue {lam_min:.3e} below -{CERT_TOL:.1e}")
-    return float(y[0])
+    return CertificateVerdict(float(y[0]), lam_min, lam_min >= -CERT_TOL)
 
 
 class UniquenessVerdict(NamedTuple):

@@ -55,8 +55,9 @@ def test_criterion_1_chsh_theta_value_and_primal():
 def test_criterion_2_chsh_dual_certificate_and_uniqueness():
     g = circulant(8, (1, 4))
     y = chained_dual_certificate(2)
-    bound = verify_dual_certificate(g, y)
-    assert abs(bound - (2.0 + sqrt(2.0))) <= 1e-12
+    cert = verify_dual_certificate(g, y)
+    assert cert.verified
+    assert abs(cert.bound - (2.0 + sqrt(2.0))) <= 1e-12
     z = certificate_matrix(g, y)
     eig = min_eigenvalue(z)
     assert -1e-9 <= eig <= 1e-9
@@ -73,8 +74,9 @@ def test_criterion_3_chained_family_bounds_and_certificates():
         y = chained_dual_certificate(n)
         z = certificate_matrix(g, y)
         assert min_eigenvalue(z) >= -1e-9
-        bound = verify_dual_certificate(g, y)
-        assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
+        cert = verify_dual_certificate(g, y)
+        assert cert.verified
+        assert abs(cert.bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         assert abs(y[0] - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         # Z's vertex block is a symmetric circulant: its spectrum is the
         # real part of the DFT of its first row, in frequency order.

@@ -251,7 +251,28 @@ class TestCertify:
         # chained_dual_certificate(N) writes y for circulant(4N, [1, 2N]).
         assert g == circulant(g.n, (1, g.n // 2))
         y = closed_form_certificate(name)
-        assert verify_dual_certificate(g, y) == y[0]
+        cert = verify_dual_certificate(g, y)
+        assert cert.verified and cert.bound == y[0]
+
+    def test_failed_certificate_exits_2_with_the_same_numbers(self, monkeypatch):
+        # No minimum eigenvalue is at least 1, so CERT_TOL = -1 fails chsh.
+        argvs = (["certify", "--scenario", "chsh"], ["certify", "--scenario", "chsh", "--json"])
+        passed = [run_cli(argv) for argv in argvs]
+        monkeypatch.setattr(theta, "CERT_TOL", -1.0)
+        (code, text, err), (jcode, doc, jerr) = (run_cli(argv) for argv in argvs)
+        assert (code, jcode, err, jerr) == (2, 2, "", "")
+        assert text.endswith("verification     : FAIL\n")
+        assert text == passed[0][1].replace("PASS", "FAIL")
+        assert '"verified":false' in doc
+        assert doc == passed[1][1].replace('"verified":true', '"verified":false')
+
+    def test_certify_diagonalizes_z_once(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+        code, out, _ = run_cli(["certify", "--scenario", "chained:5", "--json"])
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert shapes == [(21, 21)]  # Z of chained:5's 20 events
 
     def test_no_closed_form_certificate_for_mermin_and_as4(self):
         assert closed_form_certificate("mermin") is None
@@ -727,8 +748,9 @@ class TestExport:
         t, lam, mu = (doc["certificate"][k] for k in ("t", "lambda", "mu"))
         assert set(mu) == {f"{i}-{j}" for i, j in g.edges}
         y = [t, *lam, *(mu[f"{i}-{j}"] for i, j in g.edges)]
-        bound = verify_dual_certificate(g, y)
-        assert abs(bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12 * bound
+        cert = verify_dual_certificate(g, y)
+        assert cert.verified
+        assert abs(cert.bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12 * cert.bound
 
     def test_dot_payload(self):
         code, out, _ = run_cli(["export", "--scenario", "mermin", "--format", "dot"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from theta_selftest import sdp
+from theta_selftest.graphs import circulant
 from theta_selftest.sdp import SolverError, min_eigenvalue, solve_sdp
+from theta_selftest.theta import theta_problem, theta_start
 
 
 def _trace_problem(c: np.ndarray):
@@ -79,6 +81,26 @@ class TestSolver:
         assert err.value.gap >= 0.0
         assert isinstance(err.value.pinfeas, float)
         assert isinstance(err.value.dinfeas, float)
+
+    @pytest.mark.parametrize(
+        "zero,message",
+        [
+            # Z0 = 0: the solve for Z^-1 is singular.
+            (2, "primal infeas 0.000e+00, dual infeas 2.677e+00, gap 0.000e+00"),
+            # X0 = 0: Z^-1 exists, but the Schur matrix tr(A_i Z^-1 A_j X) is 0.
+            (0, "primal infeas 5.000e-01, dual infeas 0.000e+00, gap 0.000e+00"),
+        ],
+        ids=["z0", "x0"],
+    )
+    def test_singular_iterate_is_numerical_breakdown(self, zero, message):
+        # chsh's theta problem from its first ladder start with X0 or Z0 zeroed.
+        g = circulant(8, (1, 4))
+        start = list(theta_start(g, 0.5, 1.0))
+        start[zero] = np.zeros_like(start[zero])
+        with pytest.raises(SolverError) as err:
+            solve_sdp(*theta_problem(g), start=tuple(start))
+        assert str(err.value) == f"numerical breakdown: Singular matrix ({message})"
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_custom_start_accepted(self):
         c = np.diag([1.0, 2.0])

@@ -36,7 +36,6 @@ from theta_selftest.sdp import SolverError, min_eigenvalue, solve_sdp
 from theta_selftest.theta import (
     _START_LADDER,
     NULL_THRESHOLD,
-    NotPsdError,
     certificate_matrix,
     certificate_to_json_dict,
     check_size,
@@ -506,8 +505,9 @@ def _dual_points(draw):
 
 class TestCertificates:
     def test_chsh_certificate_verifies(self):
-        t = verify_dual_certificate(CHSH_GRAPH, chained_dual_certificate(2))
-        assert abs(t - (2.0 + sqrt(2.0))) <= 1e-12
+        cert = verify_dual_certificate(CHSH_GRAPH, chained_dual_certificate(2))
+        assert cert.verified
+        assert abs(cert.bound - (2.0 + sqrt(2.0))) <= 1e-12
 
     def test_chained_matches_chsh_at_n2(self):
         # The CHSH closed form written out: mu = 2(2 - sqrt 2) on the cycle
@@ -524,8 +524,9 @@ class TestCertificates:
     def test_chained_bound_values(self):
         for n in (2, 3, 4, 6):
             g = circulant(4 * n, (1, 2 * n))
-            t = verify_dual_certificate(g, chained_dual_certificate(n))
-            assert abs(t - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
+            cert = verify_dual_certificate(g, chained_dual_certificate(n))
+            assert cert.verified
+            assert abs(cert.bound - n * (1.0 + cos(pi / (2 * n)))) <= 1e-12
         with pytest.raises(ValueError):
             chained_dual_certificate(1)
 
@@ -586,15 +587,18 @@ class TestCertificates:
         with pytest.raises(ValueError, match="length"):
             verify_dual_certificate(C5, _multipliers(sup, 3.0, 2.0))
 
-    def test_negative_eigenvalue_raises(self):
-        with pytest.raises(NotPsdError):
-            verify_dual_certificate(C5, _multipliers(C5, 1.0, 2.0))
+    def test_negative_eigenvalue_fails(self):
+        # t = 1 is below theta(C5) = sqrt 5, so Z has a negative eigenvalue.
+        cert = verify_dual_certificate(C5, _multipliers(C5, 1.0, 2.0))
+        assert not cert.verified
+        assert cert.bound == 1.0 and cert.min_eigenvalue < -1e-9
 
     def test_multiplier_recovery_roundtrip(self, monkeypatch):
         sol = solve_theta_problem(CHSH_GRAPH)
         monkeypatch.setattr(theta, "CERT_TOL", 1e-6)
-        t = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers)
-        assert abs(t - (2.0 + sqrt(2.0))) <= 1e-6
+        cert = verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers)
+        assert cert.verified
+        assert abs(cert.bound - (2.0 + sqrt(2.0))) <= 1e-6
         with pytest.raises(ValueError):
             verify_dual_certificate(CHSH_GRAPH, sol.dual_multipliers[:-1])
 
@@ -604,8 +608,9 @@ class TestCertificates:
         for _ in range(5):
             g = random_graph(rng, max_n=8)
             sol = solve_theta_problem(g)
-            t = verify_dual_certificate(g, sol.dual_multipliers)
-            assert abs(t - sol.value) <= 1e-6
+            cert = verify_dual_certificate(g, sol.dual_multipliers)
+            assert cert.verified
+            assert abs(cert.bound - sol.value) <= 1e-6
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_dual_points())
@@ -613,11 +618,9 @@ class TestCertificates:
         # Any y whose Z is PSD is dual feasible, so no structural check is
         # needed for verify_dual_certificate's t to bound theta.
         g, y, theta = point  # theta is solve_theta_problem(g).value
-        try:
-            t = verify_dual_certificate(g, y)
-        except NotPsdError:
-            return
-        assert t >= theta - 1e-6 * max(1.0, t)
+        cert = verify_dual_certificate(g, y)
+        if cert.verified:
+            assert cert.bound >= theta - 1e-6 * max(1.0, cert.bound)
 
 
 class TestUniqueness:
