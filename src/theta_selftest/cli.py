@@ -133,13 +133,7 @@ def cmd_uniqueness(args) -> int:
         y = solve_theta_problem(g).dual_multipliers
     verdict = dual_nondegenerate(g, certificate_matrix(g, y))
     if args.json:
-        _emit_json(
-            {
-                "nondegenerate": verdict.nondegenerate,
-                "nullspace_dim": verdict.nullspace_dim,
-                "residual": verdict.residual,
-            }
-        )
+        _emit_json(verdict._asdict())
     else:
         print(
             "dual nondegeneracy: "

@@ -270,7 +270,7 @@ def fractional_packing(g: WeightedGraph) -> tuple[float, float]:
     w = np.asarray(g.weights)
     x, z = np.ones(g.n), np.ones(g.n)
     s, y = np.ones(len(cliques)), np.ones(len(cliques))
-    for _ in range(_PACKING_MAX_ITER):
+    for it in range(_PACKING_MAX_ITER + 1):
         lo, hi = _packing_bounds(a, w, x, y)
         face_lo, face_hi = _packing_bounds(a, w, *_face_projection(a, w, x, s, y, z))
         lo, hi = max(lo, face_lo), min(hi, face_hi)
@@ -278,6 +278,8 @@ def fractional_packing(g: WeightedGraph) -> tuple[float, float]:
             return lo, hi
         rp = 1.0 - a @ x - s
         rd = w - a.T @ y + z
+        if it == _PACKING_MAX_ITER:
+            break
         mu = (x @ z + s @ y) / (x.size + s.size)
         # The normal matrix is K^T K; columns scaled to unit norm, so that
         # lstsq's relative cutoff keeps the directions of small columns.

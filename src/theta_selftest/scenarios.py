@@ -429,9 +429,12 @@ def closed_form_certificate(name: str) -> np.ndarray | None:
 
 def _jsonify(obj):
     """`obj` with numpy values turned into JSON types: arrays into nested
-    lists and complex numbers into [real, imag] pairs."""
+    lists, complex numbers into [real, imag] pairs and NamedTuple records
+    into the objects of their fields."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
+    if hasattr(obj, "_asdict"):
+        return _jsonify(obj._asdict())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):

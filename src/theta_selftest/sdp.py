@@ -21,7 +21,7 @@ _MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
-    """Non-convergence diagnostic carrying the final residuals."""
+    """Non-convergence diagnostic carrying the residuals of the last iterate judged."""
 
     def __init__(self, message: str, pinfeas: float, dinfeas: float, gap: float):
         super().__init__(
@@ -83,7 +83,9 @@ def solve_sdp(
     `c` is the d x d objective C, `a_stack` the m x d x d stack of the A_i
     and `b` the m right-hand sides, as float arrays with C and every A_i
     symmetric.  `start` supplies (X0, y0, Z0) with X0, Z0 strictly positive
-    definite.  Deterministic for fixed inputs.
+    definite.  Deterministic for fixed inputs.  Judges every iterate, the
+    one after step _MAX_ITER too; a stall, a numerical breakdown or no
+    convergence by then raises SolverError with the last judged residuals.
     """
     d = len(c)
 
@@ -94,13 +96,9 @@ def solve_sdp(
     cnorm = 1.0 + float(np.linalg.norm(c))
     merits: list[float] = []
 
-    def residuals(x, y, z):
+    for it in range(_MAX_ITER + 1):
         rp = b - np.einsum("kab,ab->k", a_stack, x)
         rd = np.einsum("k,kab->ab", y, a_stack) - z - c
-        return rp, rd
-
-    for it in range(_MAX_ITER):
-        rp, rd = residuals(x, y, z)
         pobj = float(np.sum(c * x))
         dobj = float(b @ y)
         gap = float(np.sum(x * z))
@@ -109,6 +107,9 @@ def solve_sdp(
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if pinf <= SOLVER_TOL and dinf <= SOLVER_TOL and gap_rel <= SOLVER_TOL:
             return SdpSolution(primal=x, dual_multipliers=y, value=pobj, iterations=it)
+        if it == _MAX_ITER:
+            raise SolverError(f"no convergence within {_MAX_ITER} iterations",
+                              pinf, dinf, gap)
         # Bail out once progress flatlines: without strict complementarity the
         # attainable gap bottoms out near sqrt(machine eps) and iterating
         # further cannot help.
@@ -155,14 +156,6 @@ def solve_sdp(
         x = _restore_cone(sym(x + ap * dx))
         y = y + ad * dy
         z = _restore_cone(sym(z + ad * dz))
-
-    rp, rd = residuals(x, y, z)
-    raise SolverError(
-        f"no convergence within {_MAX_ITER} iterations",
-        float(np.linalg.norm(rp)) / bnorm,
-        float(np.linalg.norm(rd)) / cnorm,
-        float(np.sum(x * z)),
-    )
 
 
 def min_eigenvalue(m: np.ndarray) -> float:

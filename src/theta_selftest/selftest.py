@@ -560,23 +560,7 @@ def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport
     )
 
 
-def condition_report_to_json_dict(rep: ConditionReport) -> dict:
-    return {
-        "verdicts": dict(sorted(rep.verdicts.items())),
-        "reasons": dict(sorted(rep.reasons.items())),
-        "evidence": _jsonify({k: rep.evidence[k] for k in sorted(rep.evidence)}),
-    }
-
-
 def selftest_report_to_json_dict(report: SelfTestReport) -> dict:
-    return {
-        "isometries": _jsonify(report.isometries),
-        "junk": _jsonify(report.junk),
-        "junk_dims": list(report.junk_dims),
-        "state_residual": report.state_residual,
-        "vector_residuals": _jsonify(report.vector_residuals),
-        "events": [
-            {"a": list(e.outcomes), "x": list(e.settings)} for e in report.events
-        ],
-        "conditions": condition_report_to_json_dict(report.conditions),
-    }
+    """The report as the object of its fields; each event is written {a, x}."""
+    events = [{"a": e.outcomes, "x": e.settings} for e in report.events]
+    return _jsonify(report._replace(events=events))

@@ -178,9 +178,33 @@ class TestTheta:
         assert (code, err) == (0, "")
         assert out == '{"alpha":0.0,"alpha_star":0.0,"sandwich_ok":true,"theta":0.0}\n'
 
-    def test_packing_non_convergence_is_solver_error(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", 1)
-        code, out, err = run_cli(["theta", "--scenario", "mermin", "--json"])
+    @pytest.mark.parametrize(
+        "scenario,cap",
+        [("mermin", lambda steps: 1), ("chsh", lambda steps: steps - 1),
+         ("chsh", lambda steps: steps)],
+        ids=["mermin-cap-1", "chsh-cap-below-steps", "chsh-cap-at-steps"],
+    )
+    def test_packing_non_convergence_is_solver_error(self, monkeypatch, scenario, cap):
+        # The iterate the last allowed step makes is judged too, so a cap of
+        # the steps an uncapped run takes still converges.  Every judged
+        # iterate is projected onto the optimal face once.
+        argv = ["theta", "--scenario", scenario, "--json"]
+        projections = []
+        project = graphs._face_projection
+
+        def counted(*args):
+            projections.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(graphs, "_face_projection", counted)
+        uncapped = run_cli(argv)
+        assert uncapped[0] == 0
+        steps = len(projections) - 1
+        monkeypatch.setattr(graphs, "_PACKING_MAX_ITER", cap(steps))
+        code, out, err = run_cli(argv)
+        if cap(steps) >= steps:
+            assert (code, out, err) == uncapped
+            return
         assert (code, out) == (2, "")
         assert err.startswith("solver error: fractional packing LP did not converge")
         assert err.count("\n") == 1
@@ -612,7 +636,9 @@ class TestSelftest:
         "fault,reason",
         [("nan-state", "non-finite"), ("scaled-state", "normalized"),
          ("half-projector", "not idempotent"), ("parties", "has 3 parties"),
-         ("huge-state", "above 1 in magnitude"), ("huge-projector", "above 1 in magnitude")],
+         ("huge-state", "above 1 in magnitude"), ("huge-projector", "above 1 in magnitude"),
+         ("short-state", "state length"), ("short-projector", "wrong shape"),
+         ("skew-projector", "not Hermitian")],
     )
     def test_invalid_candidate_is_input_error(self, tmp_path, fault, reason):
         # The candidate is validated before any condition or Gram check,
@@ -639,6 +665,15 @@ class TestSelftest:
             doc["projectors"][0][0][0] = [
                 [[1e200 * re, 1e200 * im] for re, im in row] for row in doc["projectors"][0][0][0]
             ]
+        elif fault == "short-state":
+            doc["state"] = doc["state"][:-1]
+        elif fault == "short-projector":
+            doc["projectors"][0][0][0] = doc["projectors"][0][0][0][:-1]
+        elif fault == "skew-projector":
+            # Entries (0, 1) and (1, 0) both 0.5i: each within magnitude 1,
+            # but not each other's conjugate.
+            p = doc["projectors"][0][0][0]
+            p[0][1] = p[1][0] = [0.0, 0.5]
         path = tmp_path / "cand.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(
@@ -845,6 +880,22 @@ class TestDeterminism:
         _, out, _ = run_cli(["scenario", "--scenario", "chsh"])
         doc = json.loads(out)
         assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_json_is_the_record(self):
+        # Each --json document is its record's fields, with what the command
+        # adds: certify the certificate, selftest the verdict.
+        documents = {
+            argv[0]: json.loads(run_cli(argv + ["--json"])[1])
+            for argv in (["uniqueness", "--scenario", "chsh"],
+                         ["certify", "--scenario", "chsh"],
+                         ["selftest", "--scenario", "chsh"])
+        }
+        assert set(documents["uniqueness"]) == set(theta.UniquenessVerdict._fields)
+        assert set(documents["certify"]) == {*theta.CertificateVerdict._fields, "certificate"}
+        report = documents["selftest"]
+        assert set(report) == {*selftest.SelfTestReport._fields, "verified"}
+        assert set(report["conditions"]) == set(selftest.ConditionReport._fields)
+        assert all(set(e) == {"a", "x"} for e in report["events"])
 
 
 class TestModuleEntryPoint:

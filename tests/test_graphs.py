@@ -75,6 +75,8 @@ class TestGenerators:
             circulant(8, ())
         with pytest.raises(ValueError):
             circulant(8, (1, 5))
+        with pytest.raises(ValueError, match="distinct"):
+            circulant(8, (1, 1))
 
     def test_complement_involution(self):
         g = random_graph(np.random.default_rng(5), max_n=9)

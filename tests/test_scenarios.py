@@ -18,6 +18,7 @@ from conftest import (
 from theta_selftest.graphs import WeightedGraph, circulant, independence_number
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
+    PROJECTOR_TOL,
     BellWitness,
     Event,
     Realization,
@@ -162,8 +163,10 @@ class TestBuiltinWitnesses:
             expected = {(a, xy) for xy in chain for a in ((0, 0), (1, 1))}
             expected |= {((0, 1), (0, n - 1)), ((1, 0), (0, n - 1))}
             assert {(e.outcomes, e.settings) for e, _ in wit.terms} == expected
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="witnesses require N >= 2"):
             chained_witness(1)
+        with pytest.raises(ValueError, match="realizations require N >= 2"):
+            chained_realization(1)
 
     def test_mermin_structure(self):
         wit = mermin_witness()
@@ -456,6 +459,19 @@ class TestRealizationValidation:
         for i, j in g.edges:
             assert abs(np.trace(ops[i] @ ops[j])) <= 1e-12
 
+    def test_exclusive_overlap_within_entry_tolerance_refused(self):
+        # Two events exclusive at party 0, whose setting is I and
+        # (3/4) PROJECTOR_TOL I: every entry check holds within PROJECTOR_TOL,
+        # but the traces add up to tr(Pi_0 Pi_1) = 3 PROJECTOR_TOL.
+        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0), (Event((1, 0), (0, 0)), 1.0)), 1.0)
+        eye = np.eye(2, dtype=complex)
+        r = Realization(
+            (2, 2), np.eye(4, dtype=complex)[0],
+            (((eye, 3 * PROJECTOR_TOL / 4 * eye),), ((eye, 0 * eye),)),
+        )
+        with pytest.raises(ValueError, match="^events 0 and 1 are exclusive but tr"):
+            evaluate_witness(wit, r)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name", ["chsh", "mermin", "as4", "chained:3"])
@@ -493,8 +509,11 @@ class TestSerialization:
     def test_jsonify_keeps_booleans(self):
         from theta_selftest.scenarios import _jsonify
 
-        doc = _jsonify({"a": True, "b": np.bool_(False), "c": np.int64(1), "z": 1j})
-        expected = '{"a": true, "b": false, "c": 1, "z": [0.0, 1.0]}'
+        doc = _jsonify({"a": True, "b": np.bool_(False), "c": np.int64(1), "z": 1j,
+                        "e": Event((1, 0), (0, 1))})
+        # A NamedTuple record is the object of its fields.
+        expected = ('{"a": true, "b": false, "c": 1, '
+                    '"e": {"outcomes": [1, 0], "settings": [0, 1]}, "z": [0.0, 1.0]}')
         assert json.dumps(doc, sort_keys=True) == expected
 
     def test_malformed_documents_rejected(self):

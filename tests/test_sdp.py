@@ -25,6 +25,12 @@ def _solve(problem):
     return solve_sdp(*problem, start)
 
 
+def _solve_chsh_theta():
+    """solve_sdp on chsh's theta problem from its first ladder start."""
+    g = circulant(8, (1, 4))
+    return solve_sdp(*theta_problem(g), start=theta_start(g, 0.5, 1.0))
+
+
 class TestSolver:
     def test_scalar_equality(self):
         sol = _solve((np.eye(1), np.eye(1)[None], np.array([3.0])))
@@ -73,11 +79,25 @@ class TestSolver:
         assert abs(np.sum(a2 * sol.primal) - 0.5) <= 1e-8
         assert min_eigenvalue(sol.primal) >= -1e-9
 
-    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(sdp, "_MAX_ITER", 2)
-        c = np.diag([1.0, 2.0, 5.0])
-        with pytest.raises(SolverError, match="within 2 iterations") as err:
-            _solve(_trace_problem(c))
+    @pytest.mark.parametrize(
+        "solve,cap",
+        [
+            (lambda: _solve(_trace_problem(np.diag([1.0, 2.0, 5.0]))), lambda steps: 2),
+            (_solve_chsh_theta, lambda steps: steps - 1),
+            (_solve_chsh_theta, lambda steps: steps),
+        ],
+        ids=["trace-cap-2", "chsh-cap-below-steps", "chsh-cap-at-steps"],
+    )
+    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch, solve, cap):
+        # The iterate the last allowed step makes is judged too: a cap of the
+        # steps an uncapped solve takes still converges, a lower one raises.
+        steps = solve().iterations
+        monkeypatch.setattr(sdp, "_MAX_ITER", cap(steps))
+        if cap(steps) >= steps:
+            assert solve().iterations == steps
+            return
+        with pytest.raises(SolverError, match=f"within {cap(steps)} iterations") as err:
+            solve()
         assert err.value.gap >= 0.0
         assert isinstance(err.value.pinfeas, float)
         assert isinstance(err.value.dinfeas, float)

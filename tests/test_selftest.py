@@ -27,6 +27,7 @@ from theta_selftest.scenarios import (
     BellWitness,
     Event,
     Realization,
+    _jsonify,
     builtin_witness,
     evaluate_witness,
     event_projectors,
@@ -44,7 +45,6 @@ from theta_selftest.selftest import (
     candidate_is_rank_one,
     check_bipartite_conditions,
     check_tripartite_conditions,
-    condition_report_to_json_dict,
     interleave_with_junk,
     product_structure_from_realization,
     run_selftest,
@@ -130,6 +130,16 @@ class TestProductStructure:
             with pytest.raises(PreconditionError, match=pattern):
                 run_selftest(wit, ref, cand)
 
+    def test_reference_projector_not_rank_one_refused(self):
+        # Party 0's first setting as the projectors I and 0 is a valid
+        # realization, but the reference is read as local kets.
+        wit = builtin_witness("chsh")
+        r = reference_realization("chsh")
+        eye = np.eye(2, dtype=complex)
+        ref = r._replace(projectors=(((eye, 0 * eye), r.projectors[0][1]), r.projectors[1]))
+        with pytest.raises(PreconditionError, match="^projector is not rank one$"):
+            run_selftest(wit, ref, ref)
+
     def test_mermin_etas_are_uniform(self):
         # eta_i = |Pi_i psi| is 1/2 for each of the 16 GHZ events.
         wit, r, _ = _structure("mermin")
@@ -181,7 +191,7 @@ class TestConditions:
         check = check_bipartite_conditions if len(r.dims) == 2 else check_tripartite_conditions
 
         def report(ps):
-            d = condition_report_to_json_dict(check(ps))
+            d = _jsonify(check(ps))
             for key in ("A1", "A5"):
                 d["evidence"].get(key, {}).pop("state_residual", None)
             return d
@@ -203,7 +213,7 @@ class TestConditions:
     def test_condition_report_json(self):
         _, _, ps = _structure("chained:3")
         rep = check_bipartite_conditions(ps)
-        d = condition_report_to_json_dict(rep)
+        d = _jsonify(rep)
         assert d["verdicts"]["A4"] is False
         assert isinstance(d["reasons"]["A4"], str)
 
