@@ -320,22 +320,45 @@ def fractional_packing(g: WeightedGraph) -> tuple[float, float]:
     )
 
 
+def jsonable(obj):
+    """`obj` in JSON types: a NamedTuple record as the object of its fields,
+    a list or tuple as a list, a real array as nested lists, a complex
+    number as a [real, imag] pair, and a numpy scalar as its Python value.
+    Every document the package writes is built by one call."""
+    # Scalars first, floats (np.float64 is one) foremost: most nodes are.
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_asdict"):
+        return jsonable(obj._asdict())
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        # tolist already gives JSON types unless an entry is complex.
+        return jsonable(obj.tolist()) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, np.generic):  # a numpy bool, integer or complex number
+        return jsonable(obj.item())
+    return obj
+
+
 def to_json_dict(g: WeightedGraph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [[i, j] for i, j in g.edges],
-        "weights": [float(w) for w in g.weights],
-    }
+    """The graph document: a WeightedGraph's fields n, edges and weights."""
+    return jsonable(g)
 
 
-def _json_int(v) -> int:
+def json_int(v) -> int:
     """An integer from a JSON document; floats and booleans are rejected."""
     if isinstance(v, bool):
         raise TypeError(f"expected an integer, got {v!r}")
     return operator.index(v)
 
 
-def _json_float(v) -> float:
+def json_float(v) -> float:
     """A real number from a JSON document; booleans and strings are rejected."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
@@ -344,10 +367,10 @@ def _json_float(v) -> float:
 
 def from_json_dict(d: dict) -> WeightedGraph:
     try:
-        n = _json_int(d["n"])
-        edges = tuple((_json_int(i), _json_int(j)) for i, j in d["edges"])
+        n = json_int(d["n"])
+        edges = tuple((json_int(i), json_int(j)) for i, j in d["edges"])
         weights = (
-            tuple(_json_float(w) for w in d["weights"]) if "weights" in d else None
+            tuple(json_float(w) for w in d["weights"]) if "weights" in d else None
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc

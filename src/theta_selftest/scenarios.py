@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import WeightedGraph, _json_float, _json_int, circulant
+from .graphs import WeightedGraph, circulant, json_float, json_int, jsonable
 
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
@@ -427,29 +427,6 @@ def closed_form_certificate(name: str) -> np.ndarray | None:
     return _build(name, 2)
 
 
-def _jsonify(obj):
-    """`obj` with numpy values turned into JSON types: arrays into nested
-    lists, complex numbers into [real, imag] pairs and NamedTuple records
-    into the objects of their fields."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if hasattr(obj, "_asdict"):
-        return _jsonify(obj._asdict())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.complexfloating, complex)):
-        return [float(np.real(obj)), float(np.imag(obj))]
-    return obj
-
-
 def witness_to_json_dict(wit: BellWitness) -> dict:
     """The terms, classical bound and affine map, and under `scenario` the
     counts that the events' labels imply."""
@@ -457,28 +434,24 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
     d = {
         "scenario": {
             "parties": x.shape[1],
-            "settings": (x.max(axis=0) + 1).tolist(),
-            "outcomes": (a.max(axis=0) + 1).tolist(),
+            "settings": x.max(axis=0) + 1,
+            "outcomes": a.max(axis=0) + 1,
         },
-        "terms": [
-            {"a": list(e.outcomes), "x": list(e.settings), "w": float(w)}
-            for e, w in wit.terms
-        ],
-        "classical_bound": float(wit.classical_bound),
+        "terms": [{"a": e.outcomes, "x": e.settings, "w": w} for e, w in wit.terms],
+        "classical_bound": wit.classical_bound,
     }
     if wit.affine is not None:
-        d["affine"] = [float(wit.affine[0]), float(wit.affine[1])]
-    return d
+        d["affine"] = wit.affine
+    return jsonable(d)
 
 
 def realization_to_json_dict(r: Realization) -> dict:
-    return {
-        "dims": list(r.dims),
-        "state": _jsonify(np.asarray(r.state, dtype=complex)),
-        "projectors": _jsonify(
-            [[[np.asarray(p, dtype=complex) for p in s] for s in party] for party in r.projectors]
-        ),
-    }
+    return jsonable({
+        "dims": r.dims,
+        "state": np.asarray(r.state, dtype=complex),
+        "projectors": [[[np.asarray(p, dtype=complex) for p in s] for s in party]
+                       for party in r.projectors],
+    })
 
 
 def _complex_entries(v, depth: int):
@@ -486,14 +459,14 @@ def _complex_entries(v, depth: int):
     if depth:
         return [_complex_entries(u, depth - 1) for u in v]
     real, imag = v
-    return complex(_json_float(real), _json_float(imag))
+    return complex(json_float(real), json_float(imag))
 
 
 def realization_from_json_dict(d: dict) -> Realization:
     """Read dims, state and projectors; other keys, such as an older
     document's `kets`, are ignored unchecked."""
     try:
-        dims = tuple(_json_int(v) for v in d["dims"])
+        dims = tuple(json_int(v) for v in d["dims"])
         state = np.array(_complex_entries(d["state"], 1))
         projectors = tuple(
             tuple(tuple(np.array(_complex_entries(p, 2)) for p in s) for s in party)

@@ -37,14 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenarios import (
-    Event,
-    Realization,
-    _jsonify,
-    apply_local,
-    event_vectors,
-    validate_realization,
-)
+from .graphs import jsonable
+from .scenarios import Event, Realization, apply_local, event_vectors, validate_realization
 
 SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
 OVERLAP_TOL = 1e-8  # nonzero-overlap, span-rank and rank-one tests
@@ -563,4 +557,4 @@ def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport
 def selftest_report_to_json_dict(report: SelfTestReport) -> dict:
     """The report as the object of its fields; each event is written {a, x}."""
     events = [{"a": e.outcomes, "x": e.settings} for e in report.events]
-    return _jsonify(report._replace(events=events))
+    return jsonable(report._replace(events=events))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ResourceLimitError, WeightedGraph
+from .graphs import ResourceLimitError, WeightedGraph, jsonable
 from .sdp import SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
@@ -36,10 +36,12 @@ _MAX_STACK = 42_337_409
 def check_size(g: WeightedGraph, kernel_dim: int | None = None) -> None:
     """Refuse (ResourceLimitError naming the stage) an array of more than
     _MAX_STACK doubles, from g alone, in the order a command builds them:
-    theta's constraint stack on the positive subgraph, the lifted primal and
-    slack, and dual_nondegenerate's map on k kernel vectors of Z.  k is Z's
-    all-zero row count, one per zero weight (n + 1 if all are), unless
-    kernel_dim gives the k that Z's eigh found; then only the map is checked."""
+    theta's constraint stack on the positive subgraph, then
+    dual_nondegenerate's map on k kernel vectors of Z.  k is Z's all-zero
+    row count, one per zero weight (n + 1 if all are), unless kernel_dim
+    gives the k that Z's eigh found; then only the map is checked.  The
+    (n + 1)^2 lifted primal needs no stage: once the stack fits (n_pos <= 347),
+    an n with (n + 1)^2 over _MAX_STACK leaves k >= 6159, which the map refuses."""
     n, m = g.n, len(g.edges)
     stages = []
     if kernel_dim is None:
@@ -48,8 +50,7 @@ def check_size(g: WeightedGraph, kernel_dim: int | None = None) -> None:
         m_pos = int(pos[np.asarray(g.edges, dtype=int).reshape(-1, 2)].all(axis=1).sum())
         kernel_dim = n - n_pos if n_pos else n + 1
         stages = [(f"theta SDP on {n_pos} vertices and {m_pos} edges",
-                   (n_pos + 1 + m_pos) * (n_pos + 1) ** 2),
-                  (f"lifted primal on {n} vertices", (n + 1) ** 2)]
+                   (n_pos + 1 + m_pos) * (n_pos + 1) ** 2)]
     stages.append((f"uniqueness map on a {kernel_dim}-dimensional kernel of Z",
                    (1 + n + m) * (kernel_dim * (kernel_dim + 1) // 2)))
     for stage, size in stages:
@@ -150,7 +151,7 @@ def solve_theta_problem(g: WeightedGraph) -> SdpSolution:
     rest get zero primal rows and columns, lambda = 0 and mu = 0 on their
     edges, so certificate_matrix(g, y) is the subgraph's slack bordered by
     zero rows.  No positive weight gives theta = 0 at E_00.  Its caller
-    checks the sizes of the stack and the primal first (check_size).
+    runs check_size first, which bounds the stack and the primal.
     """
     d = g.n + 1
     sub, keep, inner = positive_subgraph(g)
@@ -255,11 +256,10 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
 
 
 def certificate_to_json_dict(g: WeightedGraph, y) -> dict:
-    z = certificate_matrix(g, y)
-    y = np.asarray(y, dtype=float).tolist()
-    return {
+    y = np.asarray(y, dtype=float)
+    return jsonable({
         "t": y[0],
         "lambda": y[1 : 1 + g.n],
         "mu": {f"{i}-{j}": v for (i, j), v in zip(g.edges, y[1 + g.n :])},
-        "matrix": z.tolist(),
-    }
+        "matrix": certificate_matrix(g, y),
+    })

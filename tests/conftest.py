@@ -172,25 +172,15 @@ def dense_claim_residuals(ref: Realization, cand: Realization, report):
     return float(isometry_dev), float(np.linalg.norm(carried(psi) - psi_c)), np.array(events)
 
 
-def _kets_to_projectors(kets):
-    return tuple(
-        tuple(tuple(np.outer(k, np.conj(k)) for k in setting) for setting in party)
-        for party in kets
-    )
-
-
 def embedded_candidate(r: Realization, ws) -> Realization:
-    """Carry the rank-one realization `r` through one local isometry per
-    party: kets w_j k, state (w_1 x ... x w_n) psi."""
-    kets = tuple(
-        tuple(tuple(w @ np.asarray(k, dtype=complex) for k in setting) for setting in party)
-        for w, party in zip(ws, r.kets)
+    """Carry the realization `r`, of any rank, through one local isometry
+    per party: projectors w P w^dagger, state (w_1 x ... x w_n) psi."""
+    projs = tuple(
+        tuple(tuple(w @ np.asarray(p) @ w.conj().T for p in setting) for setting in party)
+        for w, party in zip(ws, r.projectors)
     )
     return Realization(
-        tuple(w.shape[0] for w in ws),
-        kron_all(ws) @ np.asarray(r.state, dtype=complex),
-        _kets_to_projectors(kets),
-        kets,
+        tuple(w.shape[0] for w in ws), kron_all(ws) @ np.asarray(r.state), projs, None
     )
 
 
@@ -235,30 +225,15 @@ def tensor_padded_candidate(r: Realization, ancilla: np.ndarray, k: int = 2) -> 
     return Realization(tuple(d * k for d in r.dims), state, projs, None)
 
 
-def conjugated_candidate(r: Realization, us) -> Realization:
-    """Conjugate each party of the realization `r`, of any rank, by its own
-    unitary: projectors u P u^dagger, state (u_1 x ... x u_n) psi."""
-    projs = tuple(
-        tuple(tuple(u @ np.asarray(p) @ u.conj().T for p in setting) for setting in party)
-        for u, party in zip(us, r.projectors)
-    )
-    return Realization(r.dims, kron_all(us) @ np.asarray(r.state), projs, None)
-
-
 def perturbed_candidate(r: Realization, angle: float = 0.05) -> Realization:
-    """Rotate the first party's first measurement basis by `angle`."""
+    """Rotate the first party's first measurement basis by `angle`: its
+    projectors become rot P rot^T."""
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.zeros((r.dims[0], r.dims[0]), dtype=complex)
+    rot = np.eye(r.dims[0])
     rot[:2, :2] = [[c, -s], [s, c]]
-    for i in range(2, r.dims[0]):
-        rot[i, i] = 1.0
-    kets = [
-        [[np.asarray(k, dtype=complex) for k in setting] for setting in party]
-        for party in r.kets
-    ]
-    kets[0][0] = [rot @ k for k in kets[0][0]]
-    kets = tuple(tuple(tuple(setting) for setting in party) for party in kets)
-    return Realization(r.dims, r.state, _kets_to_projectors(kets), kets)
+    projs = [list(party) for party in r.projectors]
+    projs[0][0] = tuple(rot @ np.asarray(p) @ rot.T for p in projs[0][0])
+    return Realization(r.dims, r.state, tuple(tuple(party) for party in projs), None)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

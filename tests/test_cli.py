@@ -391,10 +391,11 @@ class TestUniqueness:
         assert err.startswith("solver error: the uniqueness map on a 1990-dimensional kernel")
         assert err.count("\n") == 1
 
-    def test_lifted_primal_is_refused_before_it_is_built(self, tmp_path):
+    def test_oversized_primal_is_refused_by_the_kernel_map(self, tmp_path):
         # 20000 zero-weight isolated vertices: the lifted 20001 x 20001
-        # primal alone would take 3.2 GB, so it is refused before it or Z
-        # is built, ahead of the kernel-map refusal.
+        # primal alone would take 3.2 GB.  The kernel map on Z's 20001 zero
+        # rows is far larger, so its refusal comes before the primal or Z is
+        # built.
         path = _write_graph(tmp_path / "g.json", WeightedGraph(20000, [], [0.0] * 20000))
         tracemalloc.start()
         try:
@@ -403,7 +404,7 @@ class TestUniqueness:
         finally:
             tracemalloc.stop()
         assert (code, out) == (2, "")
-        assert err.startswith("solver error: the lifted primal on 20000 vertices needs")
+        assert err.startswith("solver error: the uniqueness map on a 20001-dimensional kernel")
         assert err.count("\n") == 1
         assert peak < 50e6
 
@@ -525,12 +526,12 @@ class TestSelftest:
         assert code == 0 and "ACCEPT" in out
 
     def test_candidate_kets_are_not_read(self, tmp_path):
-        # An older document: an optimizer's state and projectors with the
-        # kets of another rotation.  The self-test judges the state and
+        # An older document: a rotated optimizer's state and projectors with
+        # the unrotated reference's kets.  The self-test judges the state and
         # projectors alone.
         ref = reference_realization("chsh")
         doc = realization_to_json_dict(rotated_candidate(ref, 1))
-        doc["kets"] = _kets_json(rotated_candidate(ref, 2).kets)
+        doc["kets"] = _kets_json(ref.kets)
         path = tmp_path / "cand.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(["selftest", "--scenario", "chsh", "--candidate", str(path)])

@@ -36,6 +36,42 @@ def test_console_script_is_the_module_entry_point():
     assert config["project"]["scripts"] == {"theta-selftest": "theta_selftest.__main__:main"}
 
 
+def _package_modules() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(theta_selftest.__file__).parent.glob("*.py"))
+    ]
+
+
+def test_only_the_entry_point_runs_as_a_script():
+    """__main__.py is the one module with an `if __name__ == "__main__"`
+    block: `python -m theta_selftest.cli` would skip __main__.main's idle
+    timeout and hard exit, so no other module offers a second entry."""
+    guards = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_modules()
+        if name != "__main__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__name__"
+    ]
+    assert guards == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """Each module imports only the public names of the others: a helper
+    that two modules share is public where it is defined."""
+    private = [
+        f"{name}:{node.lineno}: {alias.name}"
+        for name, tree in _package_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("theta_selftest"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_readme_python_examples_run():
     """Each Python example of the README runs as written (imports included),
     with the chsh reference as the `candidate` it leaves to the reader."""
@@ -110,9 +146,9 @@ def test_package_never_reads_a_realizations_kets():
     "kets": only the Realization field and _rank_one_realization, which
     passes them positionally, touch a realization's kets."""
     reads = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(theta_selftest.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in _package_modules()
+        for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and node.attr == "kets")
         or (isinstance(node, ast.Constant) and node.value == "kets")
     ]
@@ -128,9 +164,9 @@ def test_each_default_has_a_single_source():
     dests = [a.dest for p in (parser, *sub.choices.values()) for a in p._actions]
     assert [d for d in dests if "tol" in d] == []
     params = [
-        f"{path.name}:{node.name}({arg.arg})"
-        for path in sorted(Path(theta_selftest.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.name}({arg.arg})"
+        for name, tree in _package_modules()
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in ast.walk(node.args)
         if isinstance(arg, ast.arg) and "tol" in arg.arg

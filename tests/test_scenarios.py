@@ -15,7 +15,7 @@ from conftest import (
     tensor_padded_candidate,
 )
 
-from theta_selftest.graphs import WeightedGraph, circulant, independence_number
+from theta_selftest.graphs import WeightedGraph, circulant, independence_number, jsonable
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
     PROJECTOR_TOL,
@@ -506,14 +506,15 @@ class TestSerialization:
         value_b, _ = evaluate_witness(builtin_witness(name), back)
         assert abs(value_a - value_b) <= 1e-12
 
-    def test_jsonify_keeps_booleans(self):
-        from theta_selftest.scenarios import _jsonify
-
-        doc = _jsonify({"a": True, "b": np.bool_(False), "c": np.int64(1), "z": 1j,
-                        "e": Event((1, 0), (0, 1))})
-        # A NamedTuple record is the object of its fields.
+    def test_jsonable_keeps_booleans(self):
+        doc = jsonable({"a": True, "b": np.bool_(False), "c": np.int64(1), "z": 1j,
+                        "e": Event((1, 0), (0, 1)), "r": np.array([[1.5, -0.0]]),
+                        "i": np.array([2, 3]), "m": np.array([1 + 2j, 3.0])})
+        # A NamedTuple record is the object of its fields; a real array is
+        # its nested lists, a complex one has [real, imag] pairs.
         expected = ('{"a": true, "b": false, "c": 1, '
-                    '"e": {"outcomes": [1, 0], "settings": [0, 1]}, "z": [0.0, 1.0]}')
+                    '"e": {"outcomes": [1, 0], "settings": [0, 1]}, "i": [2, 3], '
+                    '"m": [[1.0, 2.0], [3.0, 0.0]], "r": [[1.5, -0.0]], "z": [0.0, 1.0]}')
         assert json.dumps(doc, sort_keys=True) == expected
 
     def test_malformed_documents_rejected(self):

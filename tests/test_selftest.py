@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from conftest import (
     MERMIN_SEVEN_DIM,
-    conjugated_candidate,
     dense_claim_residuals,
     embedded_candidate,
     haar_isometry,
@@ -23,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_selftest import selftest
+from theta_selftest.graphs import jsonable
 from theta_selftest.scenarios import (
     BellWitness,
     Event,
     Realization,
-    _jsonify,
+    _rank_one_realization,
     builtin_witness,
     evaluate_witness,
     event_projectors,
@@ -191,7 +191,7 @@ class TestConditions:
         check = check_bipartite_conditions if len(r.dims) == 2 else check_tripartite_conditions
 
         def report(ps):
-            d = _jsonify(check(ps))
+            d = jsonable(check(ps))
             for key in ("A1", "A5"):
                 d["evidence"].get(key, {}).pop("state_residual", None)
             return d
@@ -201,6 +201,38 @@ class TestConditions:
         for _ in range(20):
             us = [haar_isometry(rng, d, d) for d in r.dims]
             assert report(_structure_of(embedded_candidate(r, us), wit)) == want
+
+    # References whose first party measures one basis at both settings: its
+    # kets have no intermediate overlap, so the condition search finds no
+    # family and extraction has no block to build on.  Every event keeps a
+    # positive probability.
+    def test_commuting_bipartite_reference(self):
+        wit = builtin_witness("chsh")
+        z, p = ((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (1.0, -1.0))
+        ref = _rank_one_realization((2, 2), [1.0, 0.0, 0.0, 1.0], ((z, z), (p, p)))
+        rep = check_bipartite_conditions(_structure_of(ref, wit))
+        assert rep.verdicts == {"A1": True, "A2": False, "A3": True, "A4": True}
+        assert rep.reasons == {"A2": "no index family of the required sizes spans "
+                                     "both sides with a connected overlap graph"}
+        with pytest.raises(PreconditionError) as exc:
+            run_selftest(wit, ref, ref)
+        assert str(exc.value) == "party 0 has no pair of reference kets with intermediate overlap"
+
+    def test_commuting_tripartite_reference(self):
+        wit = builtin_witness("mermin")
+        mermin = reference_realization("mermin")
+        flipped = ((0.0, 1.0), (1.0, 0.0))
+        kets = ((flipped, flipped), *mermin.kets[1:])
+        ref = _rank_one_realization(mermin.dims, mermin.state, kets)
+        rep = check_tripartite_conditions(_structure_of(ref, wit))
+        assert rep.verdicts == {"A5": True, "A6": False, "A7": False, "A8": True, "A9": True}
+        assert rep.reasons == {
+            "A6": "no spanning first-party family with a connected linked-triple graph",
+            "A7": "searched only after A6",
+        }
+        with pytest.raises(PreconditionError) as exc:
+            run_selftest(wit, ref, ref)
+        assert str(exc.value) == "party 0 has no pair of reference kets with intermediate overlap"
 
     def test_party_count_guards(self):
         _, _, ps2 = _structure("chsh")
@@ -213,7 +245,7 @@ class TestConditions:
     def test_condition_report_json(self):
         _, _, ps = _structure("chained:3")
         rep = check_bipartite_conditions(ps)
-        d = _jsonify(rep)
+        d = jsonable(rep)
         assert d["verdicts"]["A4"] is False
         assert isinstance(d["reasons"]["A4"], str)
 
@@ -450,7 +482,7 @@ class TestGeneralRankExtraction:
         wit, r, _ = _structure(name)
         padded = tensor_padded_candidate(r, np.array(ancilla, dtype=complex), k=2)
         rng = np.random.default_rng(seed)
-        cand = conjugated_candidate(padded, [haar_isometry(rng, d, d) for d in padded.dims])
+        cand = embedded_candidate(padded, [haar_isometry(rng, d, d) for d in padded.dims])
         report = run_selftest(wit, r, cand)
         _assert_oracle_accepts(r, cand, report)
         assert report.state_residual <= 1e-8

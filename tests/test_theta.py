@@ -271,20 +271,24 @@ class TestProblemAssembly:
             (437, 0, False, None),
             (438, 0, False, "uniqueness map on a 439-dimensional kernel of Z"),
             (6505, 0, False, "uniqueness map on a 6506-dimensional kernel of Z"),
-            (6506, 0, False, "lifted primal on 6506 vertices"),
+            (6506, 0, False, "uniqueness map on a 6507-dimensional kernel of Z"),
+            (6506, 347, False, "uniqueness map on a 6159-dimensional kernel of Z"),
             (2000, 10, True, None),
             (2000, 10, False, "uniqueness map on a 1990-dimensional kernel of Z"),
             (438, 100, False, None),
         ],
-        ids=["zero-437", "zero-438", "zero-6505", "zero-6506", "positive-10-of-2000",
-             "whole-10-of-2000", "positive-100-zero-338"],
+        ids=["zero-437", "zero-438", "zero-6505", "zero-6506", "positive-347-of-6506",
+             "positive-10-of-2000", "whole-10-of-2000", "positive-100-zero-338"],
     )
     def test_size_policy_boundaries(self, n, positive, subgraph, refused):
         # Edgeless graphs whose first `positive` weights are 1 and the rest 0.
         # The kernel map at k = 438 holds 438 * 438 * 439 / 2 doubles, under
-        # the bound, and at 439 it is over; the lifted primal fits for
-        # n = 6505 and not for 6506, and comes first.  The theta stack is
-        # counted on the positive subgraph (`theta` runs on that subgraph).
+        # the bound, and at 439 it is over.  The lifted primal would not fit
+        # for n = 6506, but the map refuses that graph first, as it does every
+        # graph whose primal is too large: 347 positive weights are the most
+        # a stack that fits allows, and leave the map 6159 kernel vectors.
+        # The theta stack is counted on the positive subgraph (`theta` runs on
+        # that subgraph).
         weights = np.zeros(n)
         weights[:positive] = 1.0
         g = WeightedGraph(n, [], weights)
