@@ -10,10 +10,11 @@ from each realization's state and projectors (never its `kets`).
 Pipeline (run_selftest): validate the reference and the candidate alike on
 the witness's events (validate_realization(r, events): party count, witness
 labels, state and projectors), read the local kets off the rank-one qubit
-reference, compute the reference's conditions (A1-A4 bipartite, A5-A9
-tripartite: premises of the graph theorem about every realization, reported,
-not required, except that a candidate that is not rank one still needs the
-pairing condition A4/A9), check once that neither event table has an event
+reference, compute the reference's conditions (check_conditions: A1-A4 for
+two parties, A5-A9 for three, a ValueError for any other count; premises of
+the graph theorem about every realization, reported, not required, except
+that a candidate that is not rank one still needs the pairing condition
+A4/A9), check once that neither event table has an event
 with |Pi_i psi| below ETA_TOL and that the candidate's has the reference's
 Gram matrix, then build local isometries and a junk state.  One
 extraction route serves every rank: each party's candidate projector algebra
@@ -127,6 +128,9 @@ def product_structure_from_realization(
 
 
 class ConditionReport(NamedTuple):
+    """Verdicts in key order, the pairing condition (A4/A9) last; a reason for
+    each failed condition; the evidence of what was found."""
+
     verdicts: dict[str, bool]
     reasons: dict[str, str]
     evidence: dict[str, object]
@@ -200,60 +204,6 @@ def _orthogonal_pairing(kets):
     return None
 
 
-def _joint_span(ps: ProductStructure) -> tuple[int, float]:
-    """Span dimension of the event vectors plus the state, and the state's
-    residual outside the span of the event vectors."""
-    rank = _span_rank(np.vstack([ps.products, ps.state]))
-    return rank, _residual_outside_span(ps.state, ps.products)
-
-
-def _ideal_dims_verdict(rep: ConditionReport, key: str, ps: ProductStructure, shown) -> None:
-    """A3/A8: every party's ideal space is a qubit."""
-    rep.verdicts[key] = all(d == 2 for d in ps.dims)
-    if not rep.verdicts[key]:
-        rep.reasons[key] = f"ideal dimensions are {shown}"
-
-
-def _pairing_verdict(rep: ConditionReport, key: str, ps: ProductStructure) -> None:
-    """A4/A9: each party's four local kets split into two orthogonal pairs."""
-    pairings = tuple(_orthogonal_pairing(kets) for kets in ps.locals_)
-    rep.verdicts[key] = None not in pairings
-    if rep.verdicts[key]:
-        rep.evidence[key] = pairings
-    else:
-        j = pairings.index(None)
-        rep.reasons[key] = f"party {j} has no orthogonal pairing of 4 local kets"
-
-
-def check_bipartite_conditions(ps: ProductStructure) -> ConditionReport:
-    """Verdicts for A1 (joint span), A2 (a spanning index family with a
-    connected overlap graph), A3 (qubit ideal spaces), and A4 (four local
-    kets in orthogonal pairs)."""
-    d_a, d_b = ps.dims
-    rep = ConditionReport({}, {}, {})
-    verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
-
-    joint_rank, psi_res = _joint_span(ps)
-    verdicts["A1"] = joint_rank == d_a * d_b
-    evidence["A1"] = {"span_dim": joint_rank, "state_residual": psi_res}
-    if not verdicts["A1"]:
-        reasons["A1"] = f"event vectors and state span {joint_rank} < {d_a * d_b} dims"
-
-    pairs = {(loc[0], loc[1]) for loc in ps.event_locals.tolist()}
-    found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b)
-    verdicts["A2"] = found is not None
-    if found is not None:
-        evidence["A2"] = found
-    else:
-        reasons["A2"] = (
-            "no index family of the required sizes spans both sides with a connected overlap graph"
-        )
-
-    _ideal_dims_verdict(rep, "A3", ps, f"{d_a} x {d_b}")
-    _pairing_verdict(rep, "A4", ps)
-    return rep
-
-
 def _linked_edges(ps: ProductStructure):
     """Edges between first-party local indices certified by linked triples.
 
@@ -282,39 +232,15 @@ def _linked_edges(ps: ProductStructure):
     return found
 
 
-def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
-    """Verdicts for A5-A9.
-
-    A5 is checked in its operative form: each party's local kets span that
-    party's ideal space and the state lies in the span of the event vectors
-    (the joint span dimension is recorded as evidence; it can be smaller than
-    the full product dimension, as for the 16-event tripartite witness).
-    A6 and A7 are searched jointly since A7 draws its index pairs from A6's
-    chosen family.
-    """
+def _a6_a7_search(ps: ProductStructure):
+    """Search A6's first-party family and, on its second/third-factor pairs,
+    A7's index family.  Returns their evidence (ev6, ev7): ev6 is the family
+    on which A7 succeeded, or else the first that passed A6; either is None
+    when nothing passed."""
     d_a, d_b, d_c = ps.dims
-    rep = ConditionReport({}, {}, {})
-    verdicts, reasons, evidence = rep.verdicts, rep.reasons, rep.evidence
-
-    party_ranks = [_span_rank(ps.locals_[j]) for j in range(3)]
-    joint_rank, psi_res = _joint_span(ps)
-    verdicts["A5"] = all(
-        party_ranks[j] == ps.dims[j] for j in range(3)
-    ) and psi_res <= OVERLAP_TOL
-    evidence["A5"] = {
-        "party_span_dims": tuple(party_ranks),
-        "joint_span_dim": joint_rank,
-        "state_residual": psi_res,
-    }
-    if not verdicts["A5"]:
-        reasons["A5"] = (
-            f"party span dims {party_ranks}, state residual {psi_res:.3e}"
-        )
-
-    locs = ps.event_locals.tolist()
     linked = _linked_edges(ps)
     rows_a: dict[int, list[tuple[int, int]]] = {}
-    for loc in locs:
+    for loc in ps.event_locals.tolist():
         rows_a.setdefault(loc[0], []).append((loc[1], loc[2]))
     for i_a in rows_a:
         rows_a[i_a] = sorted(set(rows_a[i_a]))
@@ -324,8 +250,7 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
     # (they can satisfy linear relations); what the construction needs is
     # that the union over the chosen rows spans, with sign propagation along
     # the connected linked-triple graph gluing the rows together.
-    # ev6 is the family on which A7 succeeded, or else the first that passed A6.
-    ev6 = ev7 = None
+    ev6 = None
     for i_a_subset in itertools.combinations(sorted(rows_a), d_a):
         if _span_rank([ps.locals_[0][i] for i in i_a_subset]) < d_a:
             continue
@@ -342,30 +267,88 @@ def check_tripartite_conditions(ps: ProductStructure) -> ConditionReport:
         if _span_rank(bc) < d_b * d_c:
             continue
         cb_pairs = {(ic, ib) for ib, ic in bc_pairs}
-        ev7 = _a2_search(cb_pairs, ps.locals_[2], ps.locals_[1], d_c, d_b)
-        if ev6 is None or ev7 is not None:
+        found = _a2_search(cb_pairs, ps.locals_[2], ps.locals_[1], d_c, d_b)
+        if ev6 is None or found is not None:
             ev6 = {
                 "I_A": i_a_subset,
                 "I_BC": {ia: tuple(rows_a[ia]) for ia in i_a_subset},
                 "G_A_edges": tuple(edges),
                 "linked_triples": {e: linked[frozenset(e)] for e in edges},
             }
-        if ev7 is not None:
-            break
+        if found is not None:
+            return ev6, {"I_B": found["I_B"], "I_C": found["I_A"], "G_B_edges": found["edges"]}
+    return ev6, None
 
-    verdicts["A6"], verdicts["A7"] = ev6 is not None, ev7 is not None
-    if ev6 is None:
-        reasons["A6"] = "no spanning first-party family with a connected linked-triple graph"
-        reasons["A7"] = "searched only after A6"
+
+def check_conditions(ps: ProductStructure) -> ConditionReport:
+    """Verdicts for the reference's structural premises: A1-A4 for two
+    parties, A5-A9 for three.
+
+    Two parties: A1 (the event vectors and the state span the joint space)
+    and A2 (a spanning index family with a connected overlap graph).  Three
+    parties: A5 in its operative form, each party's local kets spanning that
+    party's ideal space and the state lying in the span of the event vectors
+    (the joint span dimension is recorded as evidence; it can be smaller than
+    the full product dimension, as for the 16-event tripartite witness), then
+    A6 and A7, searched jointly since A7 draws its index pairs from A6's
+    chosen family.  For either count, the qubit condition (A3/A8: every ideal
+    space is a qubit) and last the pairing condition (A4/A9: each party's
+    four local kets split into two orthogonal pairs).
+    """
+    if len(ps.dims) not in (2, 3):
+        raise ValueError("self-testing supports two or three parties")
+    rep = ConditionReport({}, {}, {})
+    verdicts, reasons, evidence = rep
+    joint_rank = _span_rank(np.vstack([ps.products, ps.state]))
+    psi_res = _residual_outside_span(ps.state, ps.products)
+
+    if len(ps.dims) == 2:
+        d_a, d_b = ps.dims
+        qubit, pairing, shown = "A3", "A4", f"{d_a} x {d_b}"
+        verdicts["A1"] = joint_rank == d_a * d_b
+        evidence["A1"] = {"span_dim": joint_rank, "state_residual": psi_res}
+        if not verdicts["A1"]:
+            reasons["A1"] = f"event vectors and state span {joint_rank} < {d_a * d_b} dims"
+        pairs = {(loc[0], loc[1]) for loc in ps.event_locals.tolist()}
+        found = _a2_search(pairs, ps.locals_[0], ps.locals_[1], d_a, d_b)
+        verdicts["A2"] = found is not None
+        if found is not None:
+            evidence["A2"] = found
+        else:
+            reasons["A2"] = (
+                "no index family of the required sizes spans both sides with a connected overlap graph"
+            )
     else:
-        evidence["A6"] = ev6
-    if ev7 is not None:
-        evidence["A7"] = {"I_B": ev7["I_B"], "I_C": ev7["I_A"], "G_B_edges": ev7["edges"]}
-    elif ev6 is not None:
-        reasons["A7"] = "no spanning index family on the second/third factors"
+        qubit, pairing, shown = "A8", "A9", ps.dims
+        party_ranks = [_span_rank(kets) for kets in ps.locals_]
+        verdicts["A5"] = party_ranks == list(ps.dims) and psi_res <= OVERLAP_TOL
+        evidence["A5"] = {
+            "party_span_dims": tuple(party_ranks),
+            "joint_span_dim": joint_rank,
+            "state_residual": psi_res,
+        }
+        if not verdicts["A5"]:
+            reasons["A5"] = f"party span dims {party_ranks}, state residual {psi_res:.3e}"
+        ev6, ev7 = _a6_a7_search(ps)
+        verdicts["A6"], verdicts["A7"] = ev6 is not None, ev7 is not None
+        if ev6 is None:
+            reasons["A6"] = "no spanning first-party family with a connected linked-triple graph"
+            reasons["A7"] = "searched only after A6"
+        elif ev7 is None:
+            evidence["A6"] = ev6
+            reasons["A7"] = "no spanning index family on the second/third factors"
+        else:
+            evidence["A6"], evidence["A7"] = ev6, ev7
 
-    _ideal_dims_verdict(rep, "A8", ps, ps.dims)
-    _pairing_verdict(rep, "A9", ps)
+    verdicts[qubit] = all(d == 2 for d in ps.dims)
+    if not verdicts[qubit]:
+        reasons[qubit] = f"ideal dimensions are {shown}"
+    pairings = tuple(_orthogonal_pairing(kets) for kets in ps.locals_)
+    verdicts[pairing] = None not in pairings
+    if verdicts[pairing]:
+        evidence[pairing] = pairings
+    else:
+        reasons[pairing] = f"party {pairings.index(None)} has no orthogonal pairing of 4 local kets"
     return rep
 
 
@@ -510,15 +493,6 @@ def candidate_is_rank_one(cand: Realization) -> bool:
     )
 
 
-# Party count -> (condition checker, pairing condition).  The conditions are
-# premises of the graph theorem about every realization, not of one
-# candidate's claim, so run_selftest only reports them.  The pairing gate on a
-# candidate that is not rank one stays because the benchmark plan pins its
-# chained and as4 ancilla candidates as "failed precondition" (bench/gen.py,
-# REJECTIONS["ancilla"]); their residuals alone would accept them.
-_EXTRACTION = {2: (check_bipartite_conditions, "A4"), 3: (check_tripartite_conditions, "A9")}
-
-
 def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport:
     """Validate `ref` and `cand` on the witness's events, compute the
     reference's conditions, check the candidate's Gram matrix, then extract
@@ -531,10 +505,14 @@ def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport
     for r in (ref, cand):
         validate_realization(r, events)
     ps = product_structure_from_realization(ref, events)
-    if len(ps.dims) not in _EXTRACTION:
-        raise ValueError("self-testing supports two or three parties")
-    check, pairing = _EXTRACTION[len(ps.dims)]
-    conditions = check(ps)
+    conditions = check_conditions(ps)
+    # The conditions are premises of the graph theorem about every
+    # realization, not of one candidate's claim, so they are only reported.
+    # The pairing gate on a candidate that is not rank one stays because the
+    # benchmark plan pins its chained and as4 ancilla candidates as "failed
+    # precondition" (bench/gen.py, REJECTIONS["ancilla"]); their residuals
+    # alone would accept them.
+    pairing = list(conditions.verdicts)[-1]
     if not conditions.verdicts[pairing] and not candidate_is_rank_one(cand):
         raise PreconditionError(f"conditions ['{pairing}'] fail for the reference")
     ref_vecs, cand_vecs = event_vectors(ref, events), event_vectors(cand, events)

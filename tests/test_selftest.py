@@ -33,6 +33,7 @@ from theta_selftest.scenarios import (
     event_projectors,
     event_vectors,
     exclusivity_graph,
+    mermin_realization,
     mermin_witness,
     realization_to_json_dict,
     reference_realization,
@@ -43,8 +44,7 @@ from theta_selftest.selftest import (
     PreconditionError,
     _claim_residuals,
     candidate_is_rank_one,
-    check_bipartite_conditions,
-    check_tripartite_conditions,
+    check_conditions,
     interleave_with_junk,
     product_structure_from_realization,
     run_selftest,
@@ -154,7 +154,7 @@ class TestConditions:
     )
     def test_bipartite_verdicts(self, name, a4):
         _, _, ps = _structure(name)
-        rep = check_bipartite_conditions(ps)
+        rep = check_conditions(ps)
         assert sorted(rep.verdicts) == ["A1", "A2", "A3", "A4"]
         for key in ("A1", "A2", "A3"):
             assert rep.verdicts[key], key
@@ -167,7 +167,7 @@ class TestConditions:
 
     def test_tripartite_verdicts(self):
         _, _, ps = _structure("mermin")
-        rep = check_tripartite_conditions(ps)
+        rep = check_conditions(ps)
         assert rep.verdicts == dict.fromkeys(["A5", "A6", "A7", "A8", "A9"], True)
         a5 = rep.evidence["A5"]
         assert a5["party_span_dims"] == (2, 2, 2)
@@ -182,16 +182,70 @@ class TestConditions:
         assert len(a7["I_B"]) == 2
         assert all(len(v) == 2 for v in a7["I_C"].values())
 
+    # The reference's condition report, read through run_selftest: verdicts
+    # in key order, reasons, and evidence as JSON without the state residual.
+    PINNED_REPORTS = {
+        "chsh": (
+            [("A1", True), ("A2", True), ("A3", True), ("A4", True)],
+            {},
+            {"A1": {"span_dim": 4},
+             "A2": {"I_B": [0, 2], "I_A": {"0": [0, 2], "2": [1, 2]}, "edges": [[0, 2]]},
+             "A4": [[[0, 1], [2, 3]], [[0, 1], [2, 3]]]},
+        ),
+        "chained:3": (
+            [("A1", True), ("A2", True), ("A3", True), ("A4", False)],
+            {"A4": "party 0 has no orthogonal pairing of 4 local kets"},
+            {"A1": {"span_dim": 4},
+             "A2": {"I_B": [0, 2], "I_A": {"0": [0, 2], "2": [2, 4]}, "edges": [[0, 2]]}},
+        ),
+        "chained:8": (
+            [("A1", True), ("A2", True), ("A3", True), ("A4", False)],
+            {"A4": "party 0 has no orthogonal pairing of 4 local kets"},
+            {"A1": {"span_dim": 4},
+             "A2": {"I_B": [0, 2], "I_A": {"0": [0, 2], "2": [2, 4]}, "edges": [[0, 2]]}},
+        ),
+        "mermin": (
+            [("A5", True), ("A6", True), ("A7", True), ("A8", True), ("A9", True)],
+            {},
+            {"A5": {"party_span_dims": [2, 2, 2], "joint_span_dim": 7},
+             "A6": {"I_A": [0, 2],
+                    "I_BC": {"0": [[0, 0], [1, 1], [2, 3], [3, 2]],
+                             "2": [[0, 3], [1, 2], [2, 1], [3, 0]]},
+                    "G_A_edges": [[0, 2]],
+                    "linked_triples": {"(0, 2)": [1, 5, 9]}},
+             "A7": {"I_B": [0, 2], "I_C": {"0": [0, 3], "2": [1, 3]}, "G_B_edges": [[0, 2]]},
+             "A9": [[[0, 1], [2, 3]], [[0, 1], [2, 3]], [[0, 1], [2, 3]]]},
+        ),
+        "as4": (
+            [("A1", True), ("A2", True), ("A3", True), ("A4", False)],
+            {"A4": "party 0 has no orthogonal pairing of 4 local kets"},
+            {"A1": {"span_dim": 4},
+             "A2": {"I_B": [0, 2], "I_A": {"0": [0, 2], "2": [0, 2]}, "edges": [[0, 2]]}},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_reports_pinned(self, name):
+        wit, r, _ = _structure(name)
+        rep = run_selftest(wit, r, r).conditions
+        evidence = jsonable(rep.evidence)
+        for key in ("A1", "A5"):
+            evidence.get(key, {}).pop("state_residual", None)
+        verdicts, reasons, want_evidence = self.PINNED_REPORTS[name]
+        assert list(rep.verdicts.items()) == verdicts
+        assert list(rep.reasons.items()) == list(reasons.items())
+        assert list(evidence) == list(want_evidence)
+        assert evidence == want_evidence
+
     @pytest.mark.parametrize("name", ["chsh", "chained:3", "chained:8", "mermin", "as4"])
     def test_invariant_under_local_unitaries(self, name):
         # 20 draws per scenario from a fixed generator: Haar-random local
         # unitaries on the reference leave every verdict, reason and piece of
         # evidence unchanged, the state residual's rounding aside.
         wit, r, ps = _structure(name)
-        check = check_bipartite_conditions if len(r.dims) == 2 else check_tripartite_conditions
 
         def report(ps):
-            d = jsonable(check(ps))
+            d = jsonable(check_conditions(ps))
             for key in ("A1", "A5"):
                 d["evidence"].get(key, {}).pop("state_residual", None)
             return d
@@ -210,7 +264,7 @@ class TestConditions:
         wit = builtin_witness("chsh")
         z, p = ((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (1.0, -1.0))
         ref = _rank_one_realization((2, 2), [1.0, 0.0, 0.0, 1.0], ((z, z), (p, p)))
-        rep = check_bipartite_conditions(_structure_of(ref, wit))
+        rep = check_conditions(_structure_of(ref, wit))
         assert rep.verdicts == {"A1": True, "A2": False, "A3": True, "A4": True}
         assert rep.reasons == {"A2": "no index family of the required sizes spans "
                                      "both sides with a connected overlap graph"}
@@ -218,33 +272,50 @@ class TestConditions:
             run_selftest(wit, ref, ref)
         assert str(exc.value) == "party 0 has no pair of reference kets with intermediate overlap"
 
-    def test_commuting_tripartite_reference(self):
+    # With party 1 commuting instead, A6's family is found on party 0 and
+    # A7's search on it finds nothing.
+    @pytest.mark.parametrize("party,a6,reasons", [
+        (0, False, {"A6": "no spanning first-party family with a connected linked-triple graph",
+                    "A7": "searched only after A6"}),
+        (1, True, {"A7": "no spanning index family on the second/third factors"}),
+    ])
+    def test_commuting_tripartite_reference(self, party, a6, reasons):
         wit = builtin_witness("mermin")
         mermin = reference_realization("mermin")
         flipped = ((0.0, 1.0), (1.0, 0.0))
-        kets = ((flipped, flipped), *mermin.kets[1:])
+        kets = tuple((flipped, flipped) if j == party else k for j, k in enumerate(mermin.kets))
         ref = _rank_one_realization(mermin.dims, mermin.state, kets)
-        rep = check_tripartite_conditions(_structure_of(ref, wit))
-        assert rep.verdicts == {"A5": True, "A6": False, "A7": False, "A8": True, "A9": True}
-        assert rep.reasons == {
-            "A6": "no spanning first-party family with a connected linked-triple graph",
-            "A7": "searched only after A6",
-        }
+        rep = check_conditions(_structure_of(ref, wit))
+        assert rep.verdicts == {"A5": True, "A6": a6, "A7": False, "A8": True, "A9": True}
+        assert rep.reasons == reasons
         with pytest.raises(PreconditionError) as exc:
             run_selftest(wit, ref, ref)
-        assert str(exc.value) == "party 0 has no pair of reference kets with intermediate overlap"
+        assert str(exc.value) == (
+            f"party {party} has no pair of reference kets with intermediate overlap"
+        )
 
-    def test_party_count_guards(self):
-        _, _, ps2 = _structure("chsh")
-        _, _, ps3 = _structure("mermin")
-        with pytest.raises(ValueError):
-            check_bipartite_conditions(ps3)
-        with pytest.raises(ValueError):
-            check_tripartite_conditions(ps2)
+    # Each party padded into a qutrit: the reference's kets and state keep
+    # their qubit span, so the span conditions and the qubit condition fail.
+    def test_padded_bipartite_reference(self):
+        wit = builtin_witness("chsh")
+        ref = padded_candidate(reference_realization("chsh"))
+        rep = check_conditions(_structure_of(ref, wit))
+        assert rep.verdicts == {"A1": False, "A2": False, "A3": False, "A4": True}
+        assert rep.reasons["A1"] == "event vectors and state span 4 < 9 dims"
+        assert rep.reasons["A3"] == "ideal dimensions are 3 x 3"
+
+    def test_padded_tripartite_reference(self):
+        # The residual's digits come from rounding, so only the prefix is pinned.
+        wit = builtin_witness("mermin")
+        ref = padded_candidate(reference_realization("mermin"))
+        rep = check_conditions(_structure_of(ref, wit))
+        assert rep.verdicts == {"A5": False, "A6": False, "A7": False, "A8": False, "A9": True}
+        assert rep.reasons["A5"].startswith("party span dims [2, 2, 2], state residual ")
+        assert rep.reasons["A8"] == "ideal dimensions are (3, 3, 3)"
 
     def test_condition_report_json(self):
         _, _, ps = _structure("chained:3")
-        rep = check_bipartite_conditions(ps)
+        rep = check_conditions(ps)
         d = jsonable(rep)
         assert d["verdicts"]["A4"] is False
         assert isinstance(d["reasons"]["A4"], str)
@@ -383,7 +454,7 @@ class TestRankOneExtraction:
                 events.append((Event(outcomes=(a, b), settings=(x, y)), 1.0))
         assert len(events) == 24
         wit = BellWitness(tuple(events), 2.0)
-        conditions = check_bipartite_conditions(_structure_of(r, wit))
+        conditions = check_conditions(_structure_of(r, wit))
         assert conditions.verdicts == {"A1": True, "A2": True, "A3": False, "A4": False}
         with pytest.raises(NotOptimizerError, match="^isometry deviation"):
             run_selftest(wit, r, r)
@@ -548,6 +619,29 @@ class TestGeneralRankExtraction:
         with pytest.raises(PreconditionError, match="A4"):
             run_selftest(wit, r, cand)
 
+    def test_classical_candidate_has_no_blocks(self):
+        # Both parties measure Z and X on a maximally entangled pair, and the
+        # witness keeps the four events at equal settings, which a classical
+        # model reproduces: each party's local index 2a + s carries its Z
+        # outcome a and its X outcome s, and the state is uniform over equal
+        # indices.  The candidate has the reference's Gram matrix and
+        # pairings, but its projectors commute, so they split into no
+        # two-dimensional block.
+        z, o, p, m = (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)
+        ref = _rank_one_realization((2, 2), [1.0, 0.0, 0.0, 1.0], (((z, o), (p, m)),) * 2)
+        wit = BellWitness(tuple((Event((a, a), (x, x)), 1.0) for x in (0, 1) for a in (0, 1)), 1.0)
+        e = np.eye(4)
+        projs = tuple(
+            tuple(sum(np.outer(e[k], e[k]) for k in keys) for keys in outcomes)
+            for outcomes in (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+        )
+        cand = Realization((4, 4), e.reshape(-1) / 2, (projs, projs), None)
+        assert not candidate_is_rank_one(cand)
+        assert check_conditions(_structure_of(ref, wit)).verdicts["A4"]
+        with pytest.raises(NotOptimizerError) as exc:
+            run_selftest(wit, ref, cand)
+        assert str(exc.value) == "party 0 has no intermediate-overlap blocks"
+
 
 class TestVerifyClaim:
     def test_tampered_junk_fails(self):
@@ -642,12 +736,16 @@ class TestDispatch:
         cand = tensor_padded_candidate(r, np.array([1, 0, 0, 0], dtype=complex))
         assert not candidate_is_rank_one(cand)
 
-    def test_unsupported_party_count(self):
-        wit = BellWitness(((Event((0,), (0,)), 1.0),), 1.0)
-        k = np.array([1.0, 0.0], dtype=complex)
-        party = ((np.outer(k, k), np.eye(2) - np.outer(k, k)),)
-        r = Realization((2,), k, (party,), (((k, np.array([0.0, 1.0], dtype=complex)),),))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("parties", [1, 4])
+    def test_unsupported_party_count(self, parties):
+        if parties == 4:
+            wit, r = mermin_witness(4), mermin_realization(4)
+        else:
+            wit = BellWitness(((Event((0,), (0,)), 1.0),), 1.0)
+            k = np.array([1.0, 0.0], dtype=complex)
+            party = ((np.outer(k, k), np.eye(2) - np.outer(k, k)),)
+            r = Realization((2,), k, (party,), (((k, np.array([0.0, 1.0], dtype=complex)),),))
+        with pytest.raises(ValueError, match="^self-testing supports two or three parties$"):
             run_selftest(wit, r, r)
 
 
