@@ -31,6 +31,7 @@ from .graphs import (
     fractional_packing,
     from_json_dict as graph_from_json_dict,
     independence_number,
+    jsonable,
     to_dot,
     to_json_dict as graph_to_json_dict,
 )
@@ -146,12 +147,11 @@ def cmd_uniqueness(args) -> int:
 
 def cmd_selftest(args) -> int:
     # The one command that loads the self-test layer.  It calls the layer's
-    # functions as globals of this module, bound on its first run; a name
+    # run_selftest as a global of this module, bound on its first run; a name
     # already bound (a test's patch, the benchmark's spans) is kept.
     from . import selftest
 
-    for name in ("run_selftest", "selftest_report_to_json_dict"):
-        globals().setdefault(name, getattr(selftest, name))
+    globals().setdefault("run_selftest", selftest.run_selftest)
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
     if args.candidate:
@@ -168,7 +168,7 @@ def cmd_selftest(args) -> int:
         print(f"self-test rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
     if args.json:
-        _emit_json({**selftest_report_to_json_dict(report), "verified": True})
+        _emit_json({**jsonable(report), "verified": True})
     else:
         print(f"conditions: {report.conditions.verdicts}")
         print(f"junk dimensions = {report.junk_dims}")

@@ -324,6 +324,7 @@ def jsonable(obj):
     """`obj` in JSON types: a NamedTuple record as the object of its fields,
     a list or tuple as a list, a real array as nested lists, a complex
     number as a [real, imag] pair, and a numpy scalar as its Python value.
+    A dict key is written as text, a tuple key (an edge (i, j)) as "i-j".
     Every document the package writes is built by one call."""
     # Scalars first, floats (np.float64 is one) foremost: most nodes are.
     if isinstance(obj, (float, np.floating)):
@@ -333,7 +334,8 @@ def jsonable(obj):
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {"-".join(map(str, k)) if isinstance(k, tuple) else str(k): jsonable(v)
+                for k, v in obj.items()}
     if hasattr(obj, "_asdict"):
         return jsonable(obj._asdict())
     if isinstance(obj, (list, tuple)):

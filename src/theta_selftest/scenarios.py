@@ -29,21 +29,21 @@ MAX_CHAINED_N = 64
 
 
 class _EventFields(NamedTuple):
-    outcomes: tuple[int, ...]
-    settings: tuple[int, ...]
+    a: tuple[int, ...]
+    x: tuple[int, ...]
 
 
 class Event(_EventFields):
-    """Joint event: outcome labels and setting labels, one per party."""
+    """Joint event p(a|x): outcome labels a and setting labels x, one per party."""
 
     __slots__ = ()
 
-    def __new__(cls, outcomes, settings):
-        outcomes = tuple(int(a) for a in outcomes)
-        settings = tuple(int(x) for x in settings)
-        if len(outcomes) != len(settings):
+    def __new__(cls, a, x):
+        a = tuple(int(v) for v in a)
+        x = tuple(int(v) for v in x)
+        if len(a) != len(x):
             raise ValueError("outcome and setting tuples must have equal length")
-        return super().__new__(cls, outcomes, settings)
+        return super().__new__(cls, a, x)
 
 
 class _WitnessFields(NamedTuple):
@@ -69,17 +69,17 @@ class BellWitness(_WitnessFields):
             raise ValueError("witness events must be distinct")
         if not all(0 < w < inf for _, w in terms):  # NaN fails both comparisons
             raise ValueError("weights must be finite and strictly positive")
-        if len({len(e.outcomes) for e in events}) > 1:
+        if len({len(e.a) for e in events}) > 1:
             raise ValueError("witness events must all have one arity")
-        if any(min(e.outcomes + e.settings, default=0) < 0 for e in events):
+        if any(min(e.a + e.x, default=0) < 0 for e in events):
             raise ValueError("event labels must be non-negative")
         return super().__new__(cls, terms, classical_bound, affine)
 
 
 def _labels(wit: BellWitness) -> tuple[np.ndarray, np.ndarray]:
     """Setting and outcome labels, one row per event and one column per party."""
-    x = np.array([e.settings for e, _ in wit.terms], dtype=int)
-    a = np.array([e.outcomes for e, _ in wit.terms], dtype=int)
+    x = np.array([e.x for e, _ in wit.terms], dtype=int)
+    a = np.array([e.a for e, _ in wit.terms], dtype=int)
     return x, a
 
 
@@ -193,9 +193,9 @@ def validate_realization(r: Realization, events) -> None:
     names a projector of `r`.  Then check the state and the projectors."""
     parties, table = len(r.dims), r.projectors
     for e in events:
-        if len(e.settings) != parties:
-            raise ValueError(f"realization has {parties} parties, the witness {len(e.settings)}")
-        for j, (x, a) in enumerate(zip(e.settings, e.outcomes)):
+        if len(e.x) != parties:
+            raise ValueError(f"realization has {parties} parties, the witness {len(e.x)}")
+        for j, (x, a) in enumerate(zip(e.x, e.a)):
             if not (j < len(table) and x < len(table[j]) and a < len(table[j][x])):
                 raise ValueError(
                     "realization has no projector for witness label "
@@ -235,7 +235,7 @@ def validate_realization(r: Realization, events) -> None:
 
 
 def event_projectors(r: Realization, e: Event) -> list[np.ndarray]:
-    return [r.projectors[j][e.settings[j]][e.outcomes[j]] for j in range(len(e.settings))]
+    return [r.projectors[j][e.x[j]][e.a[j]] for j in range(len(e.x))]
 
 
 def apply_local(ops, t: np.ndarray, j: int) -> np.ndarray:
@@ -437,7 +437,7 @@ def witness_to_json_dict(wit: BellWitness) -> dict:
             "settings": x.max(axis=0) + 1,
             "outcomes": a.max(axis=0) + 1,
         },
-        "terms": [{"a": e.outcomes, "x": e.settings, "w": w} for e, w in wit.terms],
+        "terms": [{"a": e.a, "x": e.x, "w": w} for e, w in wit.terms],
         "classical_bound": wit.classical_bound,
     }
     if wit.affine is not None:

@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import jsonable
 from .scenarios import Event, Realization, apply_local, event_vectors, validate_realization
 
 SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
@@ -111,7 +110,7 @@ def product_structure_from_realization(
     `events`, reading each local ket off its projector."""
     parties = len(r.dims)
     keys = tuple(
-        tuple(sorted({(e.settings[j], e.outcomes[j]) for e in events}))
+        tuple(sorted({(e.x[j], e.a[j]) for e in events}))
         for j in range(parties)
     )
     locals_ = tuple(
@@ -119,7 +118,7 @@ def product_structure_from_realization(
         for j in range(parties)
     )
     event_locals = np.array(
-        [[keys[j].index((e.settings[j], e.outcomes[j])) for j in range(parties)]
+        [[keys[j].index((e.x[j], e.a[j])) for j in range(parties)]
          for e in events]
     )
     products = _product_kets([locals_[j][event_locals[:, j]] for j in range(parties)])
@@ -530,9 +529,3 @@ def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport
     return SelfTestReport(
         isometries, junk, junk_dims, state_res, vec_res, events, conditions
     )
-
-
-def selftest_report_to_json_dict(report: SelfTestReport) -> dict:
-    """The report as the object of its fields; each event is written {a, x}."""
-    events = [{"a": e.outcomes, "x": e.settings} for e in report.events]
-    return jsonable(report._replace(events=events))

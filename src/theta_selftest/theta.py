@@ -260,6 +260,6 @@ def certificate_to_json_dict(g: WeightedGraph, y) -> dict:
     return jsonable({
         "t": y[0],
         "lambda": y[1 : 1 + g.n],
-        "mu": {f"{i}-{j}": v for (i, j), v in zip(g.edges, y[1 + g.n :])},
+        "mu": dict(zip(g.edges, y[1 + g.n :])),
         "matrix": certificate_matrix(g, y),
     })

@@ -163,7 +163,7 @@ def dense_claim_residuals(ref: Realization, cand: Realization, report):
         return big_v @ outer.transpose(perm).reshape(-1)
 
     def projected(r, e):
-        ops = [r.projectors[j][x][a] for j, (x, a) in enumerate(zip(e.settings, e.outcomes))]
+        ops = [r.projectors[j][x][a] for j, (x, a) in enumerate(zip(e.x, e.a))]
         return kron_all(ops) @ np.asarray(r.state, dtype=complex)
 
     psi, psi_c = np.asarray(ref.state, dtype=complex), np.asarray(cand.state, dtype=complex)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import time
 import tracemalloc
 from math import cos, pi, sqrt
@@ -690,12 +691,11 @@ class TestSelftest:
         assert code == 1
 
     def test_first_run_binds_the_layer_and_later_patches_hold(self, monkeypatch):
-        # cmd_selftest binds the self-test functions in cli on its first run
-        # and never rebinds them, so a patch made afterwards is what runs.
+        # cmd_selftest binds run_selftest in cli on its first run and never
+        # rebinds it, so a patch made afterwards is what runs.
         argv = ["selftest", "--scenario", "chsh"]
         assert run_cli(argv)[0] == 0
-        for name in ("run_selftest", "selftest_report_to_json_dict"):
-            assert getattr(cli, name) is getattr(selftest, name)
+        assert cli.run_selftest is selftest.run_selftest
         calls = []
 
         def patched(*args, **kwargs):
@@ -897,6 +897,22 @@ class TestDeterminism:
         assert set(report) == {*selftest.SelfTestReport._fields, "verified"}
         assert set(report["conditions"]) == set(selftest.ConditionReport._fields)
         assert all(set(e) == {"a", "x"} for e in report["events"])
+
+    @pytest.mark.parametrize("name", ["chsh", "chained:3", "chained:8", "mermin", "as4"])
+    def test_every_object_key_is_a_name(self, name):
+        # No document writes a Python repr such as "(0, 2)" as a key: an edge
+        # key is "i-j", in the certificate's mu and in A6's linked_triples.
+        commands = [["theta", "--json"], ["uniqueness", "--json"], ["selftest", "--json"],
+                    ["scenario"], ["export", "--format", "json"]]
+        if closed_form_certificate(name) is not None:
+            commands.append(["certify", "--json"])
+        keys = []
+        for command, *options in commands:
+            code, out, _ = run_cli([command, "--scenario", name, *options])
+            assert code == 0
+            # The hook sees every object's key-value pairs, nested ones too.
+            json.loads(out, object_pairs_hook=lambda pairs: keys.extend(k for k, _ in pairs))
+        assert keys and [k for k in keys if not re.fullmatch(r"[A-Za-z0-9_-]+", k)] == []
 
 
 class TestModuleEntryPoint:

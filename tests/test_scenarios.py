@@ -60,7 +60,7 @@ def events_exclusive(e1: Event, e2: Event) -> bool:
     changes its outcome.  The oracle that exclusivity_graph is checked on."""
     return any(
         x == y and a != b
-        for a, b, x, y in zip(e1.outcomes, e2.outcomes, e1.settings, e2.settings)
+        for a, b, x, y in zip(e1.a, e2.a, e1.x, e2.x)
     )
 
 
@@ -69,7 +69,7 @@ class TestEventAlgebra:
         with pytest.raises(ValueError):
             Event((0, 1), (0,))
         e = Event((0.0, 1.0), (1.0, 0.0))
-        assert e.outcomes == (0, 1) and e.settings == (1, 0)
+        assert e.a == (0, 1) and e.x == (1, 0)
 
     def test_exclusivity_rule(self):
         a = Event((0, 0), (0, 0))
@@ -162,7 +162,7 @@ class TestBuiltinWitnesses:
             chain = [(0, 0)] + [(m, m - d) for m in range(1, n) for d in (1, 0)]
             expected = {(a, xy) for xy in chain for a in ((0, 0), (1, 1))}
             expected |= {((0, 1), (0, n - 1)), ((1, 0), (0, n - 1))}
-            assert {(e.outcomes, e.settings) for e, _ in wit.terms} == expected
+            assert {(e.a, e.x) for e, _ in wit.terms} == expected
         with pytest.raises(ValueError, match="witnesses require N >= 2"):
             chained_witness(1)
         with pytest.raises(ValueError, match="realizations require N >= 2"):
@@ -193,7 +193,7 @@ class TestBuiltinWitnesses:
         assert wit.classical_bound == 10.0
         heavy = [(e, w) for e, w in wit.terms if w == 2.0]
         assert len(heavy) == 2
-        assert all(e.settings == (2, 2) for e, _ in heavy)
+        assert all(e.x == (2, 2) for e, _ in heavy)
         assert sum(w for _, w in wit.terms) == 28.0
         assert exclusivity_graph(wit).n == 26
 
@@ -229,10 +229,10 @@ class TestMerminRule:
     # The built-in mermin is the rules at n = 3, pinned bit for bit: every
     # command's bytes and the bench plans rest on its event order and
     # reference.  No command prints the kets, but bench/gen.py builds its
-    # candidates from them.
+    # candidates from them.  The repr names each event Event(a=..., x=...).
     def test_three_party_witness_bytes_pinned(self):
         got = hashlib.sha256(repr(mermin_witness()).encode()).hexdigest()
-        assert got == "a2adeca18bf8609fb080d866eaadedca37563fdebf2253a82aaf886a7413732d"
+        assert got == "2869767ce9e95c976f8156e8d82bd9418768746d44c7fa2a820636ce1dd97e5d"
 
     def test_three_party_reference_bytes_pinned(self):
         got = _sha256_of_arrays(mermin_realization())
@@ -272,13 +272,13 @@ class TestCorrelatorExpansion:
             total_offset = 0.0
             for xy in setting_pairs:
                 terms, off = _correlator_terms(1, xy)
-                expanded += [(e.outcomes, e.settings) for e, _ in terms]
+                expanded += [(e.a, e.x) for e, _ in terms]
                 total_offset += off
             terms, off = _correlator_terms(-1, (0, n - 1))
-            expanded += [(e.outcomes, e.settings) for e, _ in terms]
+            expanded += [(e.a, e.x) for e, _ in terms]
             total_offset += off
             assert sorted(expanded) == sorted(
-                (e.outcomes, e.settings) for e, _ in wit.terms
+                (e.a, e.x) for e, _ in wit.terms
             )
             # Correlator bound 2N-2 maps to the probability-sum bound 2N-1.
             assert (2.0 * n - 2.0) == 2.0 * wit.classical_bound + total_offset
@@ -416,11 +416,11 @@ class TestRealizationValidation:
         projs = [list(party) for party in ref.projectors]
         if cut == "party":
             projs[1] = []
-            label = (1, events[0].settings[1], events[0].outcomes[1])
+            label = (1, events[0].x[1], events[0].a[1])
         elif cut == "setting":
             last = len(projs[0]) - 1
             projs[0] = projs[0][:last]
-            label = (0, last, next(e.outcomes[0] for e in events if e.settings[0] == last))
+            label = (0, last, next(e.a[0] for e in events if e.x[0] == last))
         elif cut == "outcome":
             projs[0][0] = projs[0][0][:1]
             label = (0, 0, 1)
@@ -487,7 +487,7 @@ class TestSerialization:
             "outcomes": [2] * parties,
         }
         assert [(tuple(t["a"]), tuple(t["x"]), t["w"]) for t in doc["terms"]] == [
-            (e.outcomes, e.settings, w) for e, w in wit.terms
+            (e.a, e.x, w) for e, w in wit.terms
         ]
         assert doc["classical_bound"] == wit.classical_bound
         assert doc.get("affine") == (None if wit.affine is None else list(wit.affine))
@@ -513,7 +513,7 @@ class TestSerialization:
         # A NamedTuple record is the object of its fields; a real array is
         # its nested lists, a complex one has [real, imag] pairs.
         expected = ('{"a": true, "b": false, "c": 1, '
-                    '"e": {"outcomes": [1, 0], "settings": [0, 1]}, "i": [2, 3], '
+                    '"e": {"a": [1, 0], "x": [0, 1]}, "i": [2, 3], '
                     '"m": [[1.0, 2.0], [3.0, 0.0]], "r": [[1.5, -0.0]], "z": [0.0, 1.0]}')
         assert json.dumps(doc, sort_keys=True) == expected
 

@@ -43,12 +43,12 @@ from theta_selftest.selftest import (
     NotOptimizerError,
     PreconditionError,
     _claim_residuals,
+    _orthogonal_pairing,
     candidate_is_rank_one,
     check_conditions,
     interleave_with_junk,
     product_structure_from_realization,
     run_selftest,
-    selftest_report_to_json_dict,
 )
 
 ALL_NAMES = ["chsh", "chained:2", "chained:3", "chained:4", "mermin", "as4"]
@@ -212,7 +212,7 @@ class TestConditions:
                     "I_BC": {"0": [[0, 0], [1, 1], [2, 3], [3, 2]],
                              "2": [[0, 3], [1, 2], [2, 1], [3, 0]]},
                     "G_A_edges": [[0, 2]],
-                    "linked_triples": {"(0, 2)": [1, 5, 9]}},
+                    "linked_triples": {"0-2": [1, 5, 9]}},
              "A7": {"I_B": [0, 2], "I_C": {"0": [0, 3], "2": [1, 3]}, "G_B_edges": [[0, 2]]},
              "A9": [[[0, 1], [2, 3]], [[0, 1], [2, 3]], [[0, 1], [2, 3]]]},
         ),
@@ -312,6 +312,20 @@ class TestConditions:
         assert rep.verdicts == {"A5": False, "A6": False, "A7": False, "A8": False, "A9": True}
         assert rep.reasons["A5"].startswith("party span dims [2, 2, 2], state residual ")
         assert rep.reasons["A8"] == "ideal dimensions are (3, 3, 3)"
+
+    @pytest.mark.parametrize(
+        "kets, pairing",
+        [
+            # Ket 0 is not orthogonal to ket 1, so ket 0 pairs with ket 2.
+            ([[1, 0], [1, 1], [0, 1], [1, -1]], ((0, 2), (1, 3))),
+            # Ket 0 is orthogonal to none of the other three kets.
+            ([[1, 0], [1, 1], [1, 1], [1, -1]], None),
+        ],
+        ids=["second-partner", "none"],
+    )
+    def test_orthogonal_pairing(self, kets, pairing):
+        kets = np.array(kets, dtype=complex) / np.linalg.norm(kets, axis=1)[:, None]
+        assert _orthogonal_pairing(kets) == pairing
 
     def test_condition_report_json(self):
         _, _, ps = _structure("chained:3")
@@ -451,7 +465,7 @@ class TestRankOneExtraction:
         for x, y, a, b in itertools.product(range(2), range(2), range(3), range(3)):
             amp = np.vdot(np.kron(bases[x][a], bases[y][b]), state)
             if abs(amp) > 1e-9:
-                events.append((Event(outcomes=(a, b), settings=(x, y)), 1.0))
+                events.append((Event(a=(a, b), x=(x, y)), 1.0))
         assert len(events) == 24
         wit = BellWitness(tuple(events), 2.0)
         conditions = check_conditions(_structure_of(r, wit))
@@ -723,7 +737,7 @@ class TestVerifyClaim:
     def test_report_json_is_serializable(self):
         wit, r, _ = _structure("chsh")
         report = run_selftest(wit, r, r)
-        d = selftest_report_to_json_dict(report)
+        d = jsonable(report)
         json.dumps(d)
         assert d["junk_dims"] == [1, 1]
         assert len(d["events"]) == 8
