@@ -14,7 +14,6 @@ last iterate is.  `theta` prints hi, the end that bounds theta from above.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from functools import cached_property
 from typing import NamedTuple
@@ -39,10 +38,24 @@ class ResourceLimitError(RuntimeError):
     theta.check_size refuses an array of a theta or uniqueness stage."""
 
 
+def json_int(v) -> int:
+    """The rule for an integer, in a document or a record: never a bool."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise TypeError(f"expected an integer, got {v!r}")
+
+
+def json_float(v) -> float:
+    """The rule for a real number, in a document or a record: never a bool."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+        return float(v)
+    raise TypeError(f"expected a number, got {v!r}")
+
+
 def _canonical_edges(n: int, edges) -> tuple[Edge, ...]:
     seen: set[Edge] = set()
     for i, j in edges:
-        i, j = int(i), int(j)
+        i, j = json_int(i), json_int(j)
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -61,18 +74,20 @@ class _GraphFields(NamedTuple):
 
 
 class WeightedGraph(_GraphFields):
-    """Undirected graph with nonnegative vertex weights (default all ones)."""
+    """Undirected graph with nonnegative vertex weights (default all ones); n
+    and the endpoints keep the rule of `json_int`, the weights `json_float`'s."""
 
     # No __slots__: the cached neighbor_sets lives in the instance __dict__.
 
     def __new__(cls, n: int, edges, weights=None):
+        n = json_int(n)
         if n < 1:
             raise ValueError("need at least one vertex")
         edges = _canonical_edges(n, edges)
         if weights is None:
             w = (1.0,) * n
         else:
-            w = tuple(float(x) for x in weights)
+            w = tuple(json_float(x) for x in weights)
         if len(w) != n:
             raise ValueError("weight vector length must equal vertex count")
         if not all(0.0 <= x <= MAX_WEIGHT for x in w):
@@ -92,9 +107,9 @@ class WeightedGraph(_GraphFields):
 
 def circulant(n: int, offsets) -> WeightedGraph:
     """Circulant graph: vertex i adjacent to (i +/- l) mod n for each offset l."""
-    if n < 3:
+    if json_int(n) < 3:
         raise ValueError("circulant graphs need n >= 3")
-    offs = [int(l) for l in offsets]
+    offs = [json_int(l) for l in offsets]
     if not offs:
         raise ValueError("offsets must be nonempty")
     if len(set(offs)) != len(offs):
@@ -353,30 +368,14 @@ def to_json_dict(g: WeightedGraph) -> dict:
     return jsonable(g)
 
 
-def json_int(v) -> int:
-    """An integer from a JSON document; floats and booleans are rejected."""
-    if isinstance(v, bool):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return operator.index(v)
-
-
-def json_float(v) -> float:
-    """A real number from a JSON document; booleans and strings are rejected."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
-
-
 def from_json_dict(d: dict) -> WeightedGraph:
+    """The graph of {n, edges[, weights]}; WeightedGraph checks the numbers."""
     try:
-        n = json_int(d["n"])
-        edges = tuple((json_int(i), json_int(j)) for i, j in d["edges"])
-        weights = (
-            tuple(json_float(w) for w in d["weights"]) if "weights" in d else None
-        )
+        # A present `weights` must be an array: null does not mean omitted.
+        weights = tuple(d["weights"]) if "weights" in d else None
+        return WeightedGraph(d["n"], d["edges"], weights)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
-    return WeightedGraph(n, edges, weights)
 
 
 def to_dot(g: WeightedGraph) -> str:

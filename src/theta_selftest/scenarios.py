@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from math import cos, inf, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import WeightedGraph, circulant, json_float, json_int, jsonable
+from .graphs import MAX_WEIGHT, WeightedGraph, circulant, json_float, json_int, jsonable
 
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
@@ -34,15 +34,17 @@ class _EventFields(NamedTuple):
 
 
 class Event(_EventFields):
-    """Joint event p(a|x): outcome labels a and setting labels x, one per party."""
+    """Joint event p(a|x): outcome labels a and setting labels x, one per
+    party, each a non-negative integer by the rule of `graphs.json_int`."""
 
     __slots__ = ()
 
     def __new__(cls, a, x):
-        a = tuple(int(v) for v in a)
-        x = tuple(int(v) for v in x)
+        a, x = tuple(map(json_int, a)), tuple(map(json_int, x))
         if len(a) != len(x):
             raise ValueError("outcome and setting tuples must have equal length")
+        if min(a + x, default=0) < 0:
+            raise ValueError("event labels must be non-negative")
         return super().__new__(cls, a, x)
 
 
@@ -53,7 +55,8 @@ class _WitnessFields(NamedTuple):
 
 
 class BellWitness(_WitnessFields):
-    """Positive combination sum_i w_i p(event_i) with a classical bound.
+    """Positive combination sum_i w_i p(event_i) with a classical bound; each
+    weight is a real number (`graphs.json_float`) in (0, graphs.MAX_WEIGHT].
 
     `affine` optionally records (gain, offset) mapping the probability sum P
     to a correlator-form expectation gain*P + offset.
@@ -62,17 +65,16 @@ class BellWitness(_WitnessFields):
     __slots__ = ()
 
     def __new__(cls, terms, classical_bound: float, affine=None):
+        terms = tuple((e, json_float(w)) for e, w in terms)
         events = [e for e, _ in terms]
         if not events:
             raise ValueError("a witness needs at least one term")
         if len(set(events)) != len(events):
             raise ValueError("witness events must be distinct")
-        if not all(0 < w < inf for _, w in terms):  # NaN fails both comparisons
-            raise ValueError("weights must be finite and strictly positive")
+        if not all(0 < w <= MAX_WEIGHT for _, w in terms):  # NaN fails both comparisons
+            raise ValueError(f"weights must be strictly positive and at most {MAX_WEIGHT:g}")
         if len({len(e.a) for e in events}) > 1:
             raise ValueError("witness events must all have one arity")
-        if any(min(e.a + e.x, default=0) < 0 for e in events):
-            raise ValueError("event labels must be non-negative")
         return super().__new__(cls, terms, classical_bound, affine)
 
 
@@ -90,9 +92,7 @@ def exclusivity_graph(wit: BellWitness) -> WeightedGraph:
     x, a = _labels(wit)
     exclusive = ((x[:, None] == x) & (a[:, None] != a)).any(axis=2)
     i, j = np.nonzero(np.triu(exclusive, 1))
-    return WeightedGraph(
-        len(wit.terms), tuple(zip(i.tolist(), j.tolist())), tuple(w for _, w in wit.terms)
-    )
+    return WeightedGraph(len(wit.terms), zip(i, j), [w for _, w in wit.terms])
 
 
 def chained_witness(N: int) -> BellWitness:
@@ -190,8 +190,10 @@ class Realization(NamedTuple):
 def validate_realization(r: Realization, events) -> None:
     """Raise ValueError unless `r` can carry the witness `events`: each
     event's arity is the party count and, in event order, each of its labels
-    names a projector of `r`.  Then check the state and the projectors."""
-    parties, table = len(r.dims), r.projectors
+    names a projector of `r`.  Then check the state and the projectors.  A
+    dim that is not an integer (`graphs.json_int`) raises TypeError first."""
+    dims = tuple(map(json_int, r.dims))
+    parties, table = len(dims), r.projectors
     for e in events:
         if len(e.x) != parties:
             raise ValueError(f"realization has {parties} parties, the witness {len(e.x)}")
@@ -202,7 +204,7 @@ def validate_realization(r: Realization, events) -> None:
                     f"(party {j}, setting {x}, outcome {a})"
                 )
     state = np.asarray(r.state)
-    if state.shape != (int(np.prod(r.dims)),):
+    if state.shape != (int(np.prod(dims)),):
         raise ValueError("state length must equal the product of the dims")
     # No normalized state or projector has an entry above 1 in magnitude, so
     # this refuses overflowing input before any norm or product; NaN fails too.
@@ -216,7 +218,7 @@ def validate_realization(r: Realization, events) -> None:
         for x, setting in enumerate(party):
             for a, p in enumerate(setting):
                 p = np.asarray(p)
-                if p.shape != (r.dims[j], r.dims[j]):
+                if p.shape != (dims[j], dims[j]):
                     raise ValueError(f"projector {j}:{x}:{a} has wrong shape")
                 if not (np.abs(p) <= 1.0 + PROJECTOR_TOL).all():
                     raise ValueError(
@@ -463,15 +465,14 @@ def _complex_entries(v, depth: int):
 
 
 def realization_from_json_dict(d: dict) -> Realization:
-    """Read dims, state and projectors; other keys, such as an older
-    document's `kets`, are ignored unchecked."""
+    """Read dims, state and projectors, which validate_realization checks;
+    other keys, such as an older document's `kets`, are ignored unchecked."""
     try:
-        dims = tuple(json_int(v) for v in d["dims"])
         state = np.array(_complex_entries(d["state"], 1))
         projectors = tuple(
             tuple(tuple(np.array(_complex_entries(p, 2)) for p in s) for s in party)
             for party in d["projectors"]
         )
-        return Realization(dims, state, projectors)
+        return Realization(tuple(d["dims"]), state, projectors)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed realization document: {exc}") from exc

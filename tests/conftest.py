@@ -11,13 +11,19 @@ import numpy as np
 from hypothesis import strategies as st
 
 from theta_selftest.cli import main as cli_main
-from theta_selftest.graphs import WeightedGraph
+from theta_selftest.graphs import MAX_WEIGHT, WeightedGraph
 from theta_selftest.scenarios import (
     Realization,
     builtin_witness,
     event_vectors,
     reference_realization,
 )
+
+# The number rule that every record keeps (graphs.json_int, graphs.json_float):
+# where an integer is expected each of these is refused, and where a weight
+# is expected each of these.
+NOT_INTEGERS = [True, np.True_, 2.0, 1.7, "2", None]
+BAD_WEIGHTS = [True, np.True_, "1.0", None, float("nan"), -1.0, 1.0000001 * MAX_WEIGHT]
 
 
 def brute_force_independence(g: WeightedGraph) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BAD_WEIGHTS,
+    NOT_INTEGERS,
     brute_force_independence,
     brute_force_maximal_cliques,
     complement,
@@ -59,6 +62,27 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(n, edges, weights)
 
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("where", ["n", "first endpoint", "second endpoint"])
+    def test_non_integer_count_or_endpoint_refused(self, where, bad):
+        # Refused, never truncated to an integer.
+        args = {"n": (bad, []), "first endpoint": (3, [(bad, 2)]),
+                "second endpoint": (3, [(0, bad)])}[where]
+        with pytest.raises(TypeError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            WeightedGraph(*args)
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_bad_weight_refused(self, bad):
+        with pytest.raises((TypeError, ValueError)):
+            WeightedGraph(2, [], [1.0, bad])
+
+    def test_numpy_numbers_accepted_as_python_numbers(self):
+        g = WeightedGraph(np.int64(3), [(np.int32(2), np.int64(1))],
+                          [np.float64(0.5), np.int64(2), 1])
+        assert g == WeightedGraph(3, [(1, 2)], [0.5, 2.0, 1.0])
+        assert type(g.n) is int and {type(v) for v in g.edges[0]} == {int}
+        assert {type(w) for w in g.weights} == {float}
+
 
 class TestGenerators:
     def test_circulant_edge_rule(self):
@@ -77,6 +101,17 @@ class TestGenerators:
             circulant(8, (1, 5))
         with pytest.raises(ValueError, match="distinct"):
             circulant(8, (1, 1))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("where", ["n", "offset"])
+    def test_circulant_refuses_a_non_integer(self, where, bad):
+        # Refused, never truncated to an integer.
+        args = (bad, (1,)) if where == "n" else (8, (bad, 4))
+        with pytest.raises(TypeError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            circulant(*args)
+
+    def test_circulant_accepts_numpy_integers(self):
+        assert circulant(np.int64(8), (np.int32(1), np.int64(4))) == circulant(8, (1, 4))
 
     def test_complement_involution(self):
         g = random_graph(np.random.default_rng(5), max_n=9)
@@ -358,10 +393,11 @@ class TestSerialization:
         for edge in ([0, 1, 2], [0]):
             with pytest.raises(ValueError, match="^malformed graph document: "):
                 from_json_dict({"n": 2, "edges": [edge]})
-        # The graph's own checks keep their messages.
-        with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        # The graph's own checks give the reasons.
+        with pytest.raises(ValueError, match="^malformed graph document: self-loop at vertex 1$"):
             from_json_dict({"n": 2, "edges": [[1, 1]]})
-        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        with pytest.raises(ValueError,
+                           match=r"^malformed graph document: duplicate edge \(0, 1\)$"):
             from_json_dict({"n": 2, "edges": [[0, 1], [1, 0]]})
 
     def test_graph_to_json_deterministic(self):

@@ -8,6 +8,8 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 from conftest import (
+    BAD_WEIGHTS,
+    NOT_INTEGERS,
     complement,
     kron_all,
     padded_candidate,
@@ -68,8 +70,21 @@ class TestEventAlgebra:
     def test_event_validation(self):
         with pytest.raises(ValueError):
             Event((0, 1), (0,))
-        e = Event((0.0, 1.0), (1.0, 0.0))
-        assert e.a == (0, 1) and e.x == (1, 0)
+        # A float label is refused, even an integral one, never truncated.
+        with pytest.raises(TypeError, match=r"^expected an integer, got 0\.0$"):
+            Event((0.0, 1.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("field", ["a", "x"])
+    def test_non_integer_label_refused(self, field, bad):
+        labels = {"a": (0, 1), "x": (1, 0), field: (1, bad)}
+        with pytest.raises(TypeError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            Event(**labels)
+
+    def test_numpy_labels_accepted_as_python_integers(self):
+        e = Event((np.int64(0), np.int32(1)), (np.int64(1), 0))
+        assert e == Event((0, 1), (1, 0))
+        assert {type(v) for v in e.a + e.x} == {int}
 
     def test_exclusivity_rule(self):
         a = Event((0, 0), (0, 0))
@@ -116,11 +131,23 @@ class TestWitnessValidation:
         with pytest.raises(ValueError, match="strictly positive"):
             BellWitness(((Event((0,), (0,)), w),), 1.0)
 
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_bad_weight_refused(self, bad):
+        # The graph's weight rule and bound; a term's weight must also be positive.
+        with pytest.raises((TypeError, ValueError)):
+            BellWitness(((Event((0,), (0,)), 1.0), (Event((1,), (0,)), bad)), 1.0)
+
+    def test_numpy_weights_accepted_as_floats(self):
+        wit = BellWitness(((Event((0,), (0,)), np.float64(0.5)),
+                           (Event((1,), (0,)), np.int64(2))), 1.0)
+        assert [w for _, w in wit.terms] == [0.5, 2.0]
+        assert {type(w) for _, w in wit.terms} == {float}
+
     @pytest.mark.parametrize("a, x", [((0, -1), (0, 0)), ((0, 0), (-2, 0))])
     def test_negative_label_rejected(self, a, x):
-        terms = ((Event((0, 0), (0, 0)), 1.0), (Event(a, x), 1.0))
+        # The event refuses it, before any witness is built.
         with pytest.raises(ValueError, match="^event labels must be non-negative$"):
-            BellWitness(terms, 1.0)
+            Event(a, x)
 
     def test_mixed_arity_rejected(self):
         terms = ((Event((0, 0), (0, 0)), 1.0), (Event((0, 0, 0), (0, 0, 0)), 1.0))
@@ -373,6 +400,18 @@ class TestReferenceRealizations:
 
 
 class TestRealizationValidation:
+    @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("party", [0, 1])
+    def test_non_integer_dim_refused(self, party, bad):
+        r = reference_realization("chsh")
+        dims = tuple(bad if j == party else d for j, d in enumerate(r.dims))
+        with pytest.raises(TypeError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            validate_realization(r._replace(dims=dims), CHSH_EVENTS)
+
+    def test_numpy_dims_accepted(self):
+        r = reference_realization("chsh")
+        validate_realization(r._replace(dims=(np.int64(2), np.int32(2))), CHSH_EVENTS)
+
     def test_rejects_unnormalized_state(self):
         r = reference_realization("chsh")
         bad = Realization(r.dims, np.asarray(r.state) * 2.0, r.projectors, r.kets)
@@ -520,13 +559,12 @@ class TestSerialization:
     def test_malformed_documents_rejected(self):
         with pytest.raises(ValueError):
             realization_from_json_dict({"dims": [2, 2]})
-        # Dims are integers and complex numbers [re, im] pairs of numbers;
-        # JSON booleans and strings are neither.
+        # Dims are an array and complex numbers [re, im] pairs of numbers;
+        # JSON booleans and strings are neither.  validate_realization
+        # refuses a dim that is not an integer (TestRealizationValidation).
         good = realization_to_json_dict(reference_realization("chsh"))
         for key, value in (
-            ("dims", [2.7, 2]),
-            ("dims", ["2", 2]),
-            ("dims", [True, 2]),
+            ("dims", 2),
             ("state", [["0.7071067811865476", 0.0]] + good["state"][1:]),
             ("state", [[good["state"][0][0], False]] + good["state"][1:]),
             ("state", [good["state"][0] + [99.0]] + good["state"][1:]),
