@@ -151,7 +151,7 @@ def _greedy_stable_value(g: WeightedGraph, vertices) -> float:
     return sum(g.weights[v] for v in sorted(taken))
 
 
-def _components(g: WeightedGraph) -> list[list[int]]:
+def components(g: WeightedGraph) -> list[list[int]]:
     """The connected components, each sorted, in order of their least vertex."""
     seen: set[int] = set()
     out: list[list[int]] = []
@@ -192,7 +192,7 @@ def independence_number(g: WeightedGraph) -> float:
 
     return sum(
         dfs(component, 0.0, _greedy_stable_value(g, component))
-        for component in _components(g)
+        for component in components(g)
     )
 
 

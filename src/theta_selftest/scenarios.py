@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from math import cos, pi, sin, sqrt
+from math import cos, isfinite, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -57,15 +57,20 @@ class _WitnessFields(NamedTuple):
 class BellWitness(_WitnessFields):
     """Positive combination sum_i w_i p(event_i) with a classical bound; each
     weight is a real number (`graphs.json_float`) in (0, graphs.MAX_WEIGHT].
-
-    `affine` optionally records (gain, offset) mapping the probability sum P
-    to a correlator-form expectation gain*P + offset.
+    `affine` optionally records (gain, offset), mapping the probability sum P
+    to the correlator form gain*P + offset; bound, gain and offset are finite.
     """
 
     __slots__ = ()
 
     def __new__(cls, terms, classical_bound: float, affine=None):
         terms = tuple((e, json_float(w)) for e, w in terms)
+        classical_bound = json_float(classical_bound)
+        if affine is not None:
+            gain, offset = affine  # two entries, or a TypeError or ValueError
+            affine = (json_float(gain), json_float(offset))
+        if not all(map(isfinite, (classical_bound, *(affine or ())))):
+            raise ValueError("the classical bound and the affine map must be finite")
         events = [e for e, _ in terms]
         if not events:
             raise ValueError("a witness needs at least one term")
@@ -178,7 +183,7 @@ class Realization(NamedTuple):
     `projectors[j][x][a]` acts on the party-j factor of dimension dims[j].
     Callers that build realizations from unit kets (the reference builders,
     bench/gen.py, the tests) carry them in `kets`, with the same nesting;
-    the package never reads, writes or checks them.  Arrays are complex.
+    the package never reads or checks them.  Arrays are complex.
     """
 
     dims: tuple[int, ...]

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graphs import WeightedGraph, components
 from .scenarios import Event, Realization, apply_local, event_vectors, validate_realization
 
 SELFTEST_TOL = 1e-7  # acceptance: Gram match, isometry, state and event residuals
@@ -96,11 +97,15 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.abs(z) / z)
 
 
+def _is_rank_one(p) -> bool:
+    """A validated projector has rank one when its trace is within OVERLAP_TOL of 1."""
+    return abs(np.trace(np.asarray(p)).real - 1.0) <= OVERLAP_TOL
+
+
 def _rank_one_ket(p: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(np.asarray(p, dtype=complex))
-    if abs(w[-1] - 1.0) > OVERLAP_TOL or (w.size > 1 and abs(w[-2]) > OVERLAP_TOL):
+    if not _is_rank_one(p):
         raise PreconditionError("projector is not rank one")
-    return u[:, -1]
+    return np.linalg.eigh(np.asarray(p, dtype=complex))[1][:, -1]
 
 
 def product_structure_from_realization(
@@ -145,17 +150,9 @@ def _residual_outside_span(v: np.ndarray, vectors) -> float:
     return float(np.linalg.norm(m @ coeff - v))
 
 
-def _connected(nodes, edges) -> bool:
-    """Whether `edges` join all the distinct `nodes`."""
-    nodes = list(nodes)
-    reached, grew = set(nodes[:1]), True
-    while grew:
-        grew = False
-        for p, q in edges:
-            if (p in reached) != (q in reached):
-                reached |= {p, q}
-                grew = True
-    return len(reached) == len(nodes)
+def _connected(family, edges) -> bool:
+    at = {v: k for k, v in enumerate(family)}
+    return len(components(WeightedGraph(len(family), [(at[p], at[q]) for p, q in edges]))) == 1
 
 
 def _a2_search(pairs, a_vectors, b_vectors, d_a: int, d_b: int):
@@ -486,10 +483,7 @@ def _general_isometries(ps: ProductStructure, cand: Realization):
 
 
 def candidate_is_rank_one(cand: Realization) -> bool:
-    return not any(
-        abs(np.trace(np.asarray(p)).real - 1.0) > OVERLAP_TOL
-        for party in cand.projectors for setting in party for p in setting
-    )
+    return all(_is_rank_one(p) for party in cand.projectors for setting in party for p in setting)
 
 
 def run_selftest(witness, ref: Realization, cand: Realization) -> SelfTestReport:

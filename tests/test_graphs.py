@@ -127,6 +127,17 @@ class TestGenerators:
         assert independence_number(g) == 3.0
 
 
+class TestComponents:
+    @pytest.mark.parametrize("g, want", [
+        (WeightedGraph(3, []), [[0], [1], [2]]),
+        (WeightedGraph(4, [(2, 3), (0, 1), (1, 2)]), [[0, 1, 2, 3]]),
+        # A triangle on {1, 3, 4} and an edge {0, 2}, given out of order.
+        (WeightedGraph(5, [(4, 3), (2, 0), (1, 4), (3, 1)]), [[0, 2], [1, 3, 4]]),
+    ], ids=["isolated", "path", "triangle-and-edge"])
+    def test_components_sorted_in_order_of_least_vertex(self, g, want):
+        assert graphs.components(g) == want
+
+
 class TestIndependence:
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(11)

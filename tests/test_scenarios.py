@@ -137,6 +137,24 @@ class TestWitnessValidation:
         with pytest.raises((TypeError, ValueError)):
             BellWitness(((Event((0,), (0,)), 1.0), (Event((1,), (0,)), bad)), 1.0)
 
+    @pytest.mark.parametrize("bound, affine", [
+        ("ten", None), (None, None), (True, None),
+        (float("nan"), None), (float("inf"), None), (float("-inf"), None),
+        (1.0, (True, 1.0)), (1.0, (2.0, None)), (1.0, (2.0, -1.0, 0.0)), (1.0, "ab"),
+        (1.0, (float("nan"), 0.0)), (1.0, (2.0, float("inf"))),
+    ], ids=repr)
+    def test_bad_bound_or_affine_refused(self, bound, affine):
+        # A witness document writes both, so each must be a finite real
+        # number; "ab" is a pair only of characters.
+        with pytest.raises((TypeError, ValueError)):
+            BellWitness(((Event((0,), (0,)), 1.0),), bound, affine)
+
+    def test_numpy_bound_and_affine_accepted_as_floats(self):
+        wit = BellWitness(((Event((0,), (0,)), 1.0),), np.float64(2.5), (np.float64(2), np.int64(-1)))
+        assert (wit.classical_bound, wit.affine) == (2.5, (2.0, -1.0))
+        assert {type(v) for v in (wit.classical_bound, *wit.affine)} == {float}
+        assert witness_to_json_dict(wit)["affine"] == [2.0, -1.0]
+
     def test_numpy_weights_accepted_as_floats(self):
         wit = BellWitness(((Event((0,), (0,)), np.float64(0.5)),
                            (Event((1,), (0,)), np.int64(2))), 1.0)

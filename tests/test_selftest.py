@@ -750,6 +750,31 @@ class TestDispatch:
         cand = tensor_padded_candidate(r, np.array([1, 0, 0, 0], dtype=complex))
         assert not candidate_is_rank_one(cand)
 
+    @pytest.mark.parametrize("p, rank_one", [
+        (np.eye(2), False),
+        (np.zeros((2, 2)), False),
+        (np.full((2, 2), 0.5), True),
+        (np.diag([1.0, 1.0, 0.0]), False),
+    ], ids=["identity", "zero", "rank-one", "rank-two-qutrit"])
+    def test_one_rank_one_rule_for_reference_and_candidate(self, p, rank_one):
+        # Party 0 measures (p, 1 - p) at both settings, party 1 as in chsh's
+        # reference, so the realization is rank one exactly when p is.  The
+        # reference is refused as not rank one exactly when the candidate
+        # test calls the same realization not rank one.
+        d = len(p)
+        setting = (p.astype(complex), np.eye(d, dtype=complex) - p)
+        state = np.zeros(2 * d, dtype=complex)
+        state[[0, 3]] = 1 / np.sqrt(2)  # |00> + |11>
+        r = Realization((d, 2), state, ((setting, setting), reference_realization("chsh").projectors[1]))
+        assert selftest._is_rank_one(p) == rank_one
+        assert candidate_is_rank_one(r) == rank_one
+        try:
+            run_selftest(builtin_witness("chsh"), r, r)
+            refused = False
+        except selftest.SelfTestError as exc:
+            refused = str(exc) == "projector is not rank one"
+        assert refused == (not rank_one)
+
     @pytest.mark.parametrize("parties", [1, 4])
     def test_unsupported_party_count(self, parties):
         if parties == 4:
