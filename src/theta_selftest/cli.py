@@ -48,7 +48,6 @@ from .scenarios import (
 from .sdp import SolverError
 from .theta import (
     certificate_matrix,
-    certificate_to_json_dict,
     check_size,
     dual_nondegenerate,
     positive_subgraph,
@@ -118,7 +117,7 @@ def cmd_certify(args) -> int:
     g = exclusivity_graph(builtin_witness(args.scenario))
     cert = verify_dual_certificate(g, y)
     if args.json:
-        _emit_json({**cert._asdict(), "certificate": certificate_to_json_dict(g, y)})
+        _emit_json(jsonable(cert))
     else:
         print(f"certified bound  = {_fmt(cert.bound)}")
         print(f"min eigenvalue   = {_fmt(cert.min_eigenvalue)}")
@@ -201,7 +200,7 @@ def cmd_export(args) -> int:
     payload = {"graph": graph_to_json_dict(g), "witness": witness_to_json_dict(witness)}
     y = closed_form_certificate(args.scenario)
     if y is not None:
-        payload["certificate"] = certificate_to_json_dict(g, y)
+        payload["certificate"] = jsonable(verify_dual_certificate(g, y).certificate)
     _emit_json(payload)
     return EXIT_OK
 

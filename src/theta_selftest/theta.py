@@ -8,8 +8,9 @@ A_r = (a_r b_r^T + b_r a_r^T) / 2, a_r = e_p - [border] e_0 and b_r = e_q.
 A dual point is its multiplier vector y = (t, lambda, one mu per edge of
 g.edges) in that row order.  Its slack Z = sum_r y_r A_r - C is always
 rebuilt from y by certificate_matrix, and Z >= 0 certifies theta <= t:
-verify_dual_certificate returns t, Z's minimum eigenvalue and that verdict
-as a CertificateVerdict, and raises only for a malformed y.
+verify_dual_certificate builds Z once and returns t, Z's minimum eigenvalue,
+that verdict and the certificate it checked (t, lambda, mu by edge and Z) as
+a CertificateVerdict, and raises only for a malformed y.
 dual_nondegenerate decides primal uniqueness by one SVD of the constraints
 restricted to the kernel of Z (Alizadeh-Haeberly-Overton).  No optimizer is
 tabulated here: a built-in scenario's optimizer is the real Gram matrix
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ResourceLimitError, WeightedGraph, jsonable
+from .graphs import ResourceLimitError, WeightedGraph
 from .sdp import SdpSolution, SolverError, min_eigenvalue, solve_sdp
 
 CERT_TOL = 1e-9  # PSD slack of a dual certificate's slack matrix
@@ -198,6 +199,7 @@ class CertificateVerdict(NamedTuple):
     bound: float
     min_eigenvalue: float
     verified: bool
+    certificate: dict
 
 
 def verify_dual_certificate(g: WeightedGraph, y) -> CertificateVerdict:
@@ -205,10 +207,15 @@ def verify_dual_certificate(g: WeightedGraph, y) -> CertificateVerdict:
     t = y[0], the minimum eigenvalue of Z = certificate_matrix(g, y), and
     whether it is at least -CERT_TOL.  Any y of the right length with Z >= 0
     is dual feasible for theta_problem(g), so that is the only check; a
-    malformed y raises ValueError.
+    malformed y raises ValueError.  The certificate checked is a copy of y as
+    t, lambda and mu keyed by edge, with Z as matrix.
     """
-    lam_min = min_eigenvalue(certificate_matrix(g, y))
-    return CertificateVerdict(float(y[0]), lam_min, lam_min >= -CERT_TOL)
+    y = np.array(y, dtype=float)
+    z = certificate_matrix(g, y)
+    lam_min = min_eigenvalue(z)
+    certificate = {"t": y[0], "lambda": y[1 : 1 + g.n],
+                   "mu": dict(zip(g.edges, y[1 + g.n :])), "matrix": z}
+    return CertificateVerdict(float(y[0]), lam_min, lam_min >= -CERT_TOL, certificate)
 
 
 class UniquenessVerdict(NamedTuple):
@@ -254,12 +261,3 @@ def dual_nondegenerate(g: WeightedGraph, z: np.ndarray) -> UniquenessVerdict:
         nondegenerate=(dim == 0), nullspace_dim=dim, residual=float(sv.min() / smax)
     )
 
-
-def certificate_to_json_dict(g: WeightedGraph, y) -> dict:
-    y = np.asarray(y, dtype=float)
-    return jsonable({
-        "t": y[0],
-        "lambda": y[1 : 1 + g.n],
-        "mu": dict(zip(g.edges, y[1 + g.n :])),
-        "matrix": certificate_matrix(g, y),
-    })

@@ -292,12 +292,26 @@ class TestCertify:
         assert doc == passed[1][1].replace('"verified":true', '"verified":false')
 
     def test_certify_diagonalizes_z_once(self, monkeypatch):
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
+        # The check and the document share one Z, diagonalized once.
+        shapes, built = [], []
+        eigvalsh, matrix = np.linalg.eigvalsh, theta.certificate_matrix
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+        monkeypatch.setattr(theta, "certificate_matrix", lambda g, y: built.append(y) or matrix(g, y))
         code, out, _ = run_cli(["certify", "--scenario", "chained:5", "--json"])
         assert code == 0 and json.loads(out)["verified"] is True
         assert shapes == [(21, 21)]  # Z of chained:5's 20 events
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", ["chsh", "chained:5"])
+    def test_certify_and_export_print_one_certificate(self, name):
+        # Both documents are canonical JSON written from verify_dual_certificate's
+        # record, so each prints the same certificate object verbatim.
+        texts = [run_cli([*argv, "--scenario", name, *options])[1]
+                 for argv, options in ((["certify"], ["--json"]),
+                                       (["export"], ["--format", "json"]))]
+        certs = [graphs.canonical_json(json.loads(t)["certificate"]).rstrip("\n") for t in texts]
+        assert certs[0] == certs[1]
+        assert all(f'"certificate":{c}' in t for c, t in zip(certs, texts))
 
     def test_no_closed_form_certificate_for_mermin_and_as4(self):
         assert closed_form_certificate("mermin") is None
@@ -735,6 +749,11 @@ class TestScenario:
              "9f1c6e9bdb7c97f5c9065f29e23e890b2d2994cc52f6de891b4e8ee6d6cb4c90"),
             ("export --scenario chsh --format json",
              "cdf094b76421dfffb4b7f91a225269be110b49e36be6b7915705dafbec1e9f9b"),
+            # chained:2 is chsh: the same witness, realization, graph and certificate.
+            ("scenario --scenario chained:2",
+             "9f1c6e9bdb7c97f5c9065f29e23e890b2d2994cc52f6de891b4e8ee6d6cb4c90"),
+            ("export --scenario chained:2 --format json",
+             "cdf094b76421dfffb4b7f91a225269be110b49e36be6b7915705dafbec1e9f9b"),
             ("scenario --scenario chained:3",
              "8995d1ef60736ba8e0ade7b1d9a4ef4145c9c6f5eb912cc7d590dc58301b2ccb"),
             ("export --scenario chained:3 --format json",
@@ -890,7 +909,7 @@ class TestDeterminism:
 
     def test_json_is_the_record(self):
         # Each --json document is its record's fields, with what the command
-        # adds: certify the certificate, selftest the verdict.
+        # adds: selftest the verdict; certify adds nothing.
         documents = {
             argv[0]: json.loads(run_cli(argv + ["--json"])[1])
             for argv in (["uniqueness", "--scenario", "chsh"],
@@ -898,7 +917,7 @@ class TestDeterminism:
                          ["selftest", "--scenario", "chsh"])
         }
         assert set(documents["uniqueness"]) == set(theta.UniquenessVerdict._fields)
-        assert set(documents["certify"]) == {*theta.CertificateVerdict._fields, "certificate"}
+        assert set(documents["certify"]) == set(theta.CertificateVerdict._fields)
         report = documents["selftest"]
         assert set(report) == {*selftest.SelfTestReport._fields, "verified"}
         assert set(report["conditions"]) == set(selftest.ConditionReport._fields)

@@ -24,6 +24,7 @@ from theta_selftest.graphs import (
     circulant,
     fractional_packing,
     independence_number,
+    jsonable,
 )
 from theta_selftest.scenarios import (
     MAX_CHAINED_N,
@@ -37,7 +38,6 @@ from theta_selftest.theta import (
     _START_LADDER,
     NULL_THRESHOLD,
     certificate_matrix,
-    certificate_to_json_dict,
     check_size,
     dual_nondegenerate,
     solve_theta_problem,
@@ -847,9 +847,13 @@ class TestCirculantOracle:
 class TestCertificateSerialization:
     def test_json_roundtrip(self):
         # The document carries y: t, lambda and mu keyed by edge rebuild the
-        # multipliers, and its matrix is their slack Z.
+        # multipliers, and its matrix is their slack Z.  The record holds its
+        # own copy of y, so changing y after the check changes neither.
         y = chained_dual_certificate(2)
-        d = json.loads(json.dumps(certificate_to_json_dict(CHSH_GRAPH, y)))
+        cert = verify_dual_certificate(CHSH_GRAPH, y)
+        y[:] = -1.0
+        y = chained_dual_certificate(2)
+        d = json.loads(json.dumps(jsonable(cert.certificate)))
         mu = [d["mu"][f"{i}-{j}"] for i, j in CHSH_GRAPH.edges]
         assert np.array_equal([d["t"], *d["lambda"], *mu], y)
         assert len(d["mu"]) == len(CHSH_GRAPH.edges)
