@@ -4,7 +4,9 @@ graphs, and reference realizations.
 Events are p[a|x] with per-party outcome labels a and setting labels x.  A
 witness states no Bell scenario of its own: the party count is the events'
 arity, and a party's setting (outcome) count is one more than its largest
-setting (outcome) label.
+setting (outcome) label.  A witness stores only its terms: its classical
+(local) bound is alpha of its weighted exclusivity graph, exactly (Cabello,
+Severini and Winter, PRL 112, 040401), and its JSON document writes that.
 Realizations carry a shared state and per-party, per-setting, per-outcome
 projectors, and their JSON documents hold those alone with the dims.
 """
@@ -13,12 +15,13 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from math import cos, isfinite, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import MAX_WEIGHT, WeightedGraph, circulant, json_float, json_int, jsonable
+from .graphs import (MAX_WEIGHT, WeightedGraph, circulant, independence_number, json_float,
+                     json_int, jsonable)
 
 PROJECTOR_TOL = 1e-10  # projector entries, completeness, exclusive-pair overlaps
 NORM_TOL = 1e-12  # deviation of the state norm from 1
@@ -50,27 +53,18 @@ class Event(_EventFields):
 
 class _WitnessFields(NamedTuple):
     terms: tuple[tuple[Event, float], ...]
-    classical_bound: float
-    affine: tuple[float, float] | None = None
 
 
 class BellWitness(_WitnessFields):
-    """Positive combination sum_i w_i p(event_i) with a classical bound; each
-    weight is a real number (`graphs.json_float`) in (0, graphs.MAX_WEIGHT].
-    `affine` optionally records (gain, offset), mapping the probability sum P
-    to the correlator form gain*P + offset; bound, gain and offset are finite.
+    """Positive combination sum_i w_i p(event_i), stored as its terms alone;
+    each weight is a real number (`graphs.json_float`) in (0,
+    graphs.MAX_WEIGHT].  `witness_to_json_dict` computes the classical bound.
     """
 
     __slots__ = ()
 
-    def __new__(cls, terms, classical_bound: float, affine=None):
+    def __new__(cls, terms):
         terms = tuple((e, json_float(w)) for e, w in terms)
-        classical_bound = json_float(classical_bound)
-        if affine is not None:
-            gain, offset = affine  # two entries, or a TypeError or ValueError
-            affine = (json_float(gain), json_float(offset))
-        if not all(map(isfinite, (classical_bound, *(affine or ())))):
-            raise ValueError("the classical bound and the affine map must be finite")
         events = [e for e, _ in terms]
         if not events:
             raise ValueError("a witness needs at least one term")
@@ -80,7 +74,7 @@ class BellWitness(_WitnessFields):
             raise ValueError(f"weights must be strictly positive and at most {MAX_WEIGHT:g}")
         if len({len(e.a) for e in events}) > 1:
             raise ValueError("witness events must all have one arity")
-        return super().__new__(cls, terms, classical_bound, affine)
+        return super().__new__(cls, terms)
 
 
 def _labels(wit: BellWitness) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +99,7 @@ def chained_witness(N: int) -> BellWitness:
     exclusivity graph is circulant(4N, [1, 2N]): each of two laps walks the
     measurement chain with correlated, alternating outcomes and closes it
     with an anti-correlated event; event i + 2N flips event i's outcomes.
-    Classical bound 2N - 1."""
+    Classical bound alpha = 2N - 1."""
     if N < 2:
         raise ValueError("chained witnesses require N >= 2")
     setting_pairs = [(0, 0)]
@@ -118,7 +112,7 @@ def chained_witness(N: int) -> BellWitness:
             a = (k + lap) % 2
             terms.append((Event((a, a), xy), 1.0))
         terms.append((Event((lap, 1 - lap), (0, N - 1)), 1.0))
-    return BellWitness(tuple(terms), classical_bound=2.0 * N - 1.0)
+    return BellWitness(tuple(terms))
 
 
 def chained_dual_certificate(N: int) -> np.ndarray:
@@ -141,8 +135,7 @@ def mermin_witness(n: int = 3) -> BellWitness:
     outcome strings of parity [k = 2 (mod 4)].  Strings run in (-weight,
     string) order, and a setting's outcomes are complemented unless
     k = 2 (mod 4).  The correlator form M = 2P - 2^(n-1) of the probability
-    sum P, recorded in `affine`, is the Mermin polynomial, whose classical
-    bound is 2^floor(n/2)."""
+    sum P is the Mermin polynomial, whose classical bound is 2^floor(n/2)."""
     strings = sorted(product((0, 1), repeat=n), key=lambda s: (-sum(s), s))
     terms = []
     for x in strings:
@@ -151,8 +144,7 @@ def mermin_witness(n: int = 3) -> BellWitness:
             odd = k % 4 == 2
             outs = (s if odd else tuple(1 - b for b in s) for s in strings)
             terms += [(Event(a, x), 1.0) for a in outs if sum(a) % 2 == odd]
-    settings = 2.0 ** (n - 1)
-    return BellWitness(tuple(terms), (2.0 ** (n // 2) + settings) / 2.0, (2.0, -settings))
+    return BellWitness(tuple(terms))
 
 
 # Setting pairs carrying anti-correlated events in the 26-event witness.
@@ -167,14 +159,14 @@ _AS4_PAIRS = [
 
 def as4_witness() -> BellWitness:
     """26 two-party events on 13 setting pairs; the two events on setting
-    pair (2,2) carry weight 2; classical bound 10."""
+    pair (2,2) carry weight 2; classical bound alpha = 10."""
     terms: list[tuple[Event, float]] = []
     for x, y in _AS4_PAIRS:
         w = 2.0 if (x, y) == (2, 2) else 1.0
         pair = ((0, 1), (1, 0)) if (x, y) in _AS4_ANTI else ((0, 0), (1, 1))
         for a in pair:
             terms.append((Event(a, (x, y)), w))
-    return BellWitness(tuple(terms), classical_bound=10.0)
+    return BellWitness(tuple(terms))
 
 
 class Realization(NamedTuple):
@@ -435,21 +427,18 @@ def closed_form_certificate(name: str) -> np.ndarray | None:
 
 
 def witness_to_json_dict(wit: BellWitness) -> dict:
-    """The terms, classical bound and affine map, and under `scenario` the
-    counts that the events' labels imply."""
+    """The terms, the classical bound alpha of the exclusivity graph, and
+    under `scenario` the counts that the events' labels imply."""
     x, a = _labels(wit)
-    d = {
+    return jsonable({
         "scenario": {
             "parties": x.shape[1],
             "settings": x.max(axis=0) + 1,
             "outcomes": a.max(axis=0) + 1,
         },
         "terms": [{"a": e.a, "x": e.x, "w": w} for e, w in wit.terms],
-        "classical_bound": wit.classical_bound,
-    }
-    if wit.affine is not None:
-        d["affine"] = wit.affine
-    return jsonable(d)
+        "classical_bound": independence_number(exclusivity_graph(wit)),
+    })
 
 
 def realization_to_json_dict(r: Realization) -> dict:

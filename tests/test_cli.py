@@ -166,16 +166,18 @@ class TestTheta:
         assert abs(doc["theta"] - 1.409491023015686) <= 1e-9 * 1.409491023015686
         assert doc["sandwich_ok"] is True
 
-    def test_zero_weight_path_is_zero_without_a_search(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("doc", [
+        graphs.to_json_dict(WeightedGraph(2000, [(i, i + 1) for i in range(1999)], [0.0] * 2000)),
+        {"n": 2000, "edges": [], "weights": [0] * 2000},  # integer zeros, no edges
+    ], ids=["path", "isolated"])
+    def test_zero_weight_path_is_zero_without_a_search(self, tmp_path, monkeypatch, doc):
         # alpha, theta and alpha* are those of the positive-weight subgraph,
         # empty here, so none of the three searches or solvers runs.
-        n = 2000
-        path = _write_graph(
-            tmp_path / "g.json", WeightedGraph(n, [(i, i + 1) for i in range(n - 1)], [0.0] * n)
-        )
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         for name in ("fractional_packing", "independence_number", "solve_theta_problem"):
             monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: pytest.fail(f"{name} ran"))
-        code, out, err = run_cli(["theta", "--graph", path, "--json"])
+        code, out, err = run_cli(["theta", "--graph", str(path), "--json"])
         assert (code, err) == (0, "")
         assert out == '{"alpha":0.0,"alpha_star":0.0,"sandwich_ok":true,"theta":0.0}\n'
 
@@ -759,9 +761,9 @@ class TestScenario:
             ("export --scenario chained:3 --format json",
              "6668344367eea0b35ba450d3f9a1c0afdf539a7c8a7cbaa96b36d37c1575f658"),
             ("scenario --scenario mermin",
-             "d8fea20b94d59ceecdb8d872f711bd7982cb5200ee30ac0664595b9c373f208c"),
+             "3d1da3681759b6e2075956e7eb65c8b0f6f9e4e42db3982e386ded762d0b9ce5"),
             ("export --scenario mermin --format json",
-             "1c03511f96f8af8fd3a63ff590cb907f89f092d54325397c0530e62a9ad6ce6e"),
+             "b9cd3587840b90d465d9a753c5aaa6f4bd817a3407afc2d4ba2d6cd5a6237bb0"),
             ("scenario --scenario as4",
              "c574fb31d94e8cc5d9a97f0db5f59b2012a00a0f2f14cd4f9ad0e1b83bfffa8a"),
             ("export --scenario as4 --format json",
@@ -796,6 +798,17 @@ class TestExport:
         doc = json.loads(out)
         assert doc["graph"]["n"] == 26
         assert "certificate" not in doc
+
+    def test_theta_reads_back_the_exported_graph(self, tmp_path):
+        # theta on the graph that export writes prints exactly what theta
+        # prints on the scenario itself.
+        code, out, _ = run_cli(["export", "--scenario", "as4", "--format", "json"])
+        assert code == 0
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(json.loads(out)["graph"]), encoding="utf-8")
+        code, out, err = run_cli(["theta", "--graph", str(path), "--json"])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["theta", "--scenario", "as4", "--json"])[1]
 
     @pytest.mark.parametrize(
         "name,n", [("chsh", 2), ("chained:2", 2), ("chained:3", 3), ("chained:5", 5),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from itertools import product
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -16,6 +17,8 @@ from conftest import (
     rotated_candidate,
     tensor_padded_candidate,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selftest.graphs import WeightedGraph, circulant, independence_number, jsonable
 from theta_selftest.scenarios import (
@@ -95,7 +98,7 @@ class TestEventAlgebra:
         assert events_exclusive(a, b) == events_exclusive(b, a)
 
     def test_single_event_witness_graph(self):
-        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0),), 1.0)
+        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0),))
         g = exclusivity_graph(wit)
         assert g.n == 1 and g.edges == ()
 
@@ -118,46 +121,28 @@ class TestWitnessValidation:
     def test_empty_witness_rejected(self):
         # No term means no events, so no party count to check a realization on.
         with pytest.raises(ValueError, match="^a witness needs at least one term$"):
-            BellWitness((), 1.0)
+            BellWitness(())
 
     def test_duplicate_events_rejected(self):
         e = Event((0, 0), (0, 0))
         with pytest.raises(ValueError):
-            BellWitness(((e, 1.0), (e, 2.0)), 1.0)
+            BellWitness(((e, 1.0), (e, 2.0)))
 
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
     def test_weight_not_finite_and_positive_rejected(self, w):
         # Refused at construction, before exclusivity_graph builds anything.
         with pytest.raises(ValueError, match="strictly positive"):
-            BellWitness(((Event((0,), (0,)), w),), 1.0)
+            BellWitness(((Event((0,), (0,)), w),))
 
     @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
     def test_bad_weight_refused(self, bad):
         # The graph's weight rule and bound; a term's weight must also be positive.
         with pytest.raises((TypeError, ValueError)):
-            BellWitness(((Event((0,), (0,)), 1.0), (Event((1,), (0,)), bad)), 1.0)
-
-    @pytest.mark.parametrize("bound, affine", [
-        ("ten", None), (None, None), (True, None),
-        (float("nan"), None), (float("inf"), None), (float("-inf"), None),
-        (1.0, (True, 1.0)), (1.0, (2.0, None)), (1.0, (2.0, -1.0, 0.0)), (1.0, "ab"),
-        (1.0, (float("nan"), 0.0)), (1.0, (2.0, float("inf"))),
-    ], ids=repr)
-    def test_bad_bound_or_affine_refused(self, bound, affine):
-        # A witness document writes both, so each must be a finite real
-        # number; "ab" is a pair only of characters.
-        with pytest.raises((TypeError, ValueError)):
-            BellWitness(((Event((0,), (0,)), 1.0),), bound, affine)
-
-    def test_numpy_bound_and_affine_accepted_as_floats(self):
-        wit = BellWitness(((Event((0,), (0,)), 1.0),), np.float64(2.5), (np.float64(2), np.int64(-1)))
-        assert (wit.classical_bound, wit.affine) == (2.5, (2.0, -1.0))
-        assert {type(v) for v in (wit.classical_bound, *wit.affine)} == {float}
-        assert witness_to_json_dict(wit)["affine"] == [2.0, -1.0]
+            BellWitness(((Event((0,), (0,)), 1.0), (Event((1,), (0,)), bad)))
 
     def test_numpy_weights_accepted_as_floats(self):
         wit = BellWitness(((Event((0,), (0,)), np.float64(0.5)),
-                           (Event((1,), (0,)), np.int64(2))), 1.0)
+                           (Event((1,), (0,)), np.int64(2))))
         assert [w for _, w in wit.terms] == [0.5, 2.0]
         assert {type(w) for _, w in wit.terms} == {float}
 
@@ -170,12 +155,12 @@ class TestWitnessValidation:
     def test_mixed_arity_rejected(self):
         terms = ((Event((0, 0), (0, 0)), 1.0), (Event((0, 0, 0), (0, 0, 0)), 1.0))
         with pytest.raises(ValueError, match="^witness events must all have one arity$"):
-            BellWitness(terms, 1.0)
+            BellWitness(terms)
 
     def test_scenario_counts_are_read_off_the_labels(self):
         # Labels need not start at 0 or be contiguous: a party's counts are
         # one more than its largest labels.
-        wit = BellWitness(((Event((0, 4), (2, 0)), 1.0), (Event((1, 0), (0, 1)), 1.0)), 1.0)
+        wit = BellWitness(((Event((0, 4), (2, 0)), 1.0), (Event((1, 0), (0, 1)), 1.0)))
         assert witness_to_json_dict(wit)["scenario"] == {
             "parties": 2, "settings": [3, 2], "outcomes": [2, 5]}
 
@@ -184,7 +169,7 @@ class TestBuiltinWitnesses:
     def test_chsh_structure(self):
         wit = builtin_witness("chsh")
         assert len(wit.terms) == 8
-        assert wit.classical_bound == 3.0
+        assert witness_to_json_dict(wit)["classical_bound"] == 3.0
         assert all(w == 1.0 for _, w in wit.terms)
         assert exclusivity_graph(wit) == circulant(8, (1, 4))
 
@@ -200,7 +185,7 @@ class TestBuiltinWitnesses:
         for n in range(2, 17):
             wit = chained_witness(n)
             assert len(wit.terms) == 4 * n
-            assert wit.classical_bound == 2.0 * n - 1.0
+            assert witness_to_json_dict(wit)["classical_bound"] == 2.0 * n - 1.0
             assert all(w == 1.0 for _, w in wit.terms)
             # Listed around the ladder: the graph is the circulant itself.
             assert exclusivity_graph(wit) == circulant(4 * n, (1, 2 * n))
@@ -216,8 +201,7 @@ class TestBuiltinWitnesses:
     def test_mermin_structure(self):
         wit = mermin_witness()
         assert len(wit.terms) == 16
-        assert wit.classical_bound == 3.0
-        assert wit.affine == (2.0, -4.0)
+        assert witness_to_json_dict(wit)["classical_bound"] == 3.0
         # The complement is the Shrikhande graph: the Cayley graph of
         # Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}.  Event i
         # maps to the group element p[i], written 4a + b.
@@ -235,7 +219,7 @@ class TestBuiltinWitnesses:
     def test_as4_structure(self):
         wit = as4_witness()
         assert len(wit.terms) == 26
-        assert wit.classical_bound == 10.0
+        assert witness_to_json_dict(wit)["classical_bound"] == 10.0
         heavy = [(e, w) for e, w in wit.terms if w == 2.0]
         assert len(heavy) == 2
         assert all(e.x == (2, 2) for e, _ in heavy)
@@ -259,6 +243,63 @@ class TestBuiltinWitnesses:
             builtin_witness("chained:1")
 
 
+def local_bound(wit: BellWitness) -> float:
+    """The largest witness value of a deterministic local strategy, by brute
+    force: each party fixes one outcome per setting, and an event counts when
+    every party's fixed outcome at the event's setting is the event's."""
+    events = [e for e, _ in wit.terms]
+    per_party = (
+        product(range(max(e.a[j] for e in events) + 1), repeat=max(e.x[j] for e in events) + 1)
+        for j in range(len(events[0].x))
+    )
+    return max(
+        sum(w for e, w in wit.terms if all(s[x] == a for s, x, a in zip(strategy, e.x, e.a)))
+        for strategy in product(*per_party)
+    )
+
+
+@st.composite
+def small_witnesses(draw) -> BellWitness:
+    """1 to 12 distinct events on 1 to 3 parties, at most 3 settings and 3
+    outcomes per party (2 at three parties), with integer weights 1 to 5, so
+    that every sum of weights is exact."""
+    parties = draw(st.integers(1, 3))
+    top = 2 if parties == 3 else 3
+    counts = [(draw(st.integers(1, top)), draw(st.integers(1, top))) for _ in range(parties)]
+    event = st.tuples(*(st.tuples(st.integers(0, s - 1), st.integers(0, o - 1))
+                        for s, o in counts))
+    labels = draw(st.lists(event, min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(labels), max_size=len(labels)))
+    return BellWitness(
+        (Event(tuple(a for _, a in xa), tuple(x for x, _ in xa)), w)
+        for xa, w in zip(labels, weights)
+    )
+
+
+class TestClassicalBound:
+    # The document's classical bound is alpha of the exclusivity graph; in a
+    # Bell scenario that is exactly the local bound (Cabello, Severini and
+    # Winter, PRL 112, 040401): the events a deterministic strategy makes
+    # certain are pairwise non-exclusive, and every stable set is the
+    # certain-event set of some deterministic strategy.
+    @given(small_witnesses())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_alpha_is_the_local_bound(self, wit):
+        assert witness_to_json_dict(wit)["classical_bound"] == local_bound(wit)
+
+    @pytest.mark.parametrize("wit, bound", [
+        (builtin_witness("chsh"), 3.0),
+        *((chained_witness(n), 2.0 * n - 1.0) for n in range(2, 17)),
+        (mermin_witness(), 3.0),
+        (mermin_witness(4), 6.0),
+        (as4_witness(), 10.0),
+    ], ids=["chsh", *(f"chained:{n}" for n in range(2, 17)), "mermin", "mermin:4", "as4"])
+    def test_builtin_bounds(self, wit, bound):
+        assert witness_to_json_dict(wit)["classical_bound"] == bound
+        if max(max(e.x) for e, _ in wit.terms) < 6:  # at most 2^12 strategies here
+            assert local_bound(wit) == bound
+
+
 def _sha256_of_arrays(r: Realization) -> str:
     """SHA-256 of the dims, then the dtype, shape and bytes of the state,
     every projector and every ket in nesting order."""
@@ -277,18 +318,24 @@ class TestMerminRule:
     # candidates from them.  The repr names each event Event(a=..., x=...).
     def test_three_party_witness_bytes_pinned(self):
         got = hashlib.sha256(repr(mermin_witness()).encode()).hexdigest()
-        assert got == "2869767ce9e95c976f8156e8d82bd9418768746d44c7fa2a820636ce1dd97e5d"
+        assert got == "2d6d01879d2a9cd9c2eef0129fd1bee7f184af52c1ac0c1308995c06e34fec8f"
+
+    def test_three_party_terms_bytes_pinned(self):
+        # The events and weights in order, apart from the record's type name.
+        got = hashlib.sha256(repr(mermin_witness().terms).encode()).hexdigest()
+        assert got == "f3288379344c9dd9634b64ce776e42480537a6a48a45f6dd57796b350b8d8069"
 
     def test_three_party_reference_bytes_pinned(self):
         got = _sha256_of_arrays(mermin_realization())
         assert got == "e3c58d66744d6cf77bbb3a693629871f624d25bd6bf926750fc539854e0ec128"
 
     def test_four_party_graph(self):
-        # The classical bound of the four-party rule is its graph's alpha.
+        # The classical bound of the four-party rule, (2^2 + 2^3)/2, is its
+        # graph's alpha.
         wit = mermin_witness(4)
         g = exclusivity_graph(wit)
         assert (g.n, len(g.edges)) == (64, 1376)
-        assert independence_number(g) == wit.classical_bound == 6.0
+        assert independence_number(g) == witness_to_json_dict(wit)["classical_bound"] == 6.0
 
     @pytest.mark.parametrize("n,value", [(4, 8.0), (5, 16.0)])
     def test_every_event_of_the_rule_is_equally_likely(self, n, value):
@@ -325,8 +372,10 @@ class TestCorrelatorExpansion:
             assert sorted(expanded) == sorted(
                 (e.a, e.x) for e, _ in wit.terms
             )
-            # Correlator bound 2N-2 maps to the probability-sum bound 2N-1.
-            assert (2.0 * n - 2.0) == 2.0 * wit.classical_bound + total_offset
+            # Correlator bound 2N-2 maps to the probability-sum bound 2N-1,
+            # alpha of the exclusivity graph.
+            alpha = independence_number(exclusivity_graph(wit))
+            assert (2.0 * n - 2.0) == 2.0 * alpha + total_offset
 
     def test_correlator_identity_on_quantum_states(self):
         r = reference_realization("chsh")
@@ -520,7 +569,7 @@ class TestRealizationValidation:
         # Two events exclusive at party 0, whose setting is I and
         # (3/4) PROJECTOR_TOL I: every entry check holds within PROJECTOR_TOL,
         # but the traces add up to tr(Pi_0 Pi_1) = 3 PROJECTOR_TOL.
-        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0), (Event((1, 0), (0, 0)), 1.0)), 1.0)
+        wit = BellWitness(((Event((0, 0), (0, 0)), 1.0), (Event((1, 0), (0, 0)), 1.0)))
         eye = np.eye(2, dtype=complex)
         r = Realization(
             (2, 2), np.eye(4, dtype=complex)[0],
@@ -546,8 +595,8 @@ class TestSerialization:
         assert [(tuple(t["a"]), tuple(t["x"]), t["w"]) for t in doc["terms"]] == [
             (e.a, e.x, w) for e, w in wit.terms
         ]
-        assert doc["classical_bound"] == wit.classical_bound
-        assert doc.get("affine") == (None if wit.affine is None else list(wit.affine))
+        assert doc["classical_bound"] == independence_number(exclusivity_graph(wit))
+        assert "affine" not in doc
 
     @pytest.mark.parametrize("name", ["chsh", "mermin", "as4"])
     def test_realization_roundtrip(self, name):

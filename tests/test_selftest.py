@@ -467,7 +467,7 @@ class TestRankOneExtraction:
             if abs(amp) > 1e-9:
                 events.append((Event(a=(a, b), x=(x, y)), 1.0))
         assert len(events) == 24
-        wit = BellWitness(tuple(events), 2.0)
+        wit = BellWitness(tuple(events))
         conditions = check_conditions(_structure_of(r, wit))
         assert conditions.verdicts == {"A1": True, "A2": True, "A3": False, "A4": False}
         with pytest.raises(NotOptimizerError, match="^isometry deviation"):
@@ -643,7 +643,7 @@ class TestGeneralRankExtraction:
         # two-dimensional block.
         z, o, p, m = (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)
         ref = _rank_one_realization((2, 2), [1.0, 0.0, 0.0, 1.0], (((z, o), (p, m)),) * 2)
-        wit = BellWitness(tuple((Event((a, a), (x, x)), 1.0) for x in (0, 1) for a in (0, 1)), 1.0)
+        wit = BellWitness(tuple((Event((a, a), (x, x)), 1.0) for x in (0, 1) for a in (0, 1)))
         e = np.eye(4)
         projs = tuple(
             tuple(sum(np.outer(e[k], e[k]) for k in keys) for keys in outcomes)
@@ -780,7 +780,7 @@ class TestDispatch:
         if parties == 4:
             wit, r = mermin_witness(4), mermin_realization(4)
         else:
-            wit = BellWitness(((Event((0,), (0,)), 1.0),), 1.0)
+            wit = BellWitness(((Event((0,), (0,)), 1.0),))
             k = np.array([1.0, 0.0], dtype=complex)
             party = ((np.outer(k, k), np.eye(2) - np.outer(k, k)),)
             r = Realization((2,), k, (party,), (((k, np.array([0.0, 1.0], dtype=complex)),),))
