@@ -71,11 +71,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _read_json(path: str):
+    """The JSON document in the file at path.  The decoder's RecursionError
+    on a document nested too deeply becomes the ValueError of any other
+    malformed document."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON document nested too deeply") from None
+
+
 def _input_graph(args) -> WeightedGraph:
     if args.graph is None:
         return exclusivity_graph(builtin_witness(args.scenario))
-    with open(args.graph, encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
+    return graph_from_json_dict(_read_json(args.graph))
 
 
 def cmd_theta(args) -> int:
@@ -153,11 +163,7 @@ def cmd_selftest(args) -> int:
     globals().setdefault("run_selftest", selftest.run_selftest)
     witness = builtin_witness(args.scenario)
     ref = reference_realization(args.scenario)
-    if args.candidate:
-        with open(args.candidate, encoding="utf-8") as fh:
-            cand = realization_from_json_dict(json.load(fh))
-    else:
-        cand = ref
+    cand = realization_from_json_dict(_read_json(args.candidate)) if args.candidate else ref
     try:
         report = run_selftest(witness, ref, cand)
     except selftest.PreconditionError as exc:

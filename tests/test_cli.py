@@ -107,16 +107,23 @@ class TestTheta:
 
     @pytest.mark.parametrize(
         "exc, message",
-        [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate"), "Unable to allocate")],
-        ids=["bare", "numpy"],
+        [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate"), "Unable to allocate"),
+         (None, "out of memory")],
+        ids=["bare", "numpy", "document"],
     )
-    def test_memory_error_is_solver_error(self, monkeypatch, exc, message):
-        # Such as (1.0,) * n raises on a graph document with n = 10^12.
+    def test_memory_error_is_solver_error(self, tmp_path, monkeypatch, exc, message):
+        # (1.0,) * n raises a bare one on the graph document with n = 10^12.
         def no_memory(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "solve_theta_problem", no_memory)
-        code, out, err = run_cli(["theta", "--scenario", "chsh", "--json"])
+        argv = ["theta", "--scenario", "chsh", "--json"]
+        if exc is None:
+            path = tmp_path / "g.json"
+            path.write_text('{"n": 1000000000000, "edges": []}', encoding="utf-8")
+            argv = ["theta", "--graph", str(path), "--json"]
+        else:
+            monkeypatch.setattr(cli, "solve_theta_problem", no_memory)
+        code, out, err = run_cli(argv)
         assert (code, out, err) == (2, "", f"solver error: {message}\n")
 
     def test_oversized_theta_problem_refused_before_alpha(self, tmp_path, monkeypatch):
@@ -225,6 +232,7 @@ class TestTheta:
             '{"n": 2, "edges": [[0, 1]], "weights": [1.0, NaN]}',
             '{"n": 2, "edges": [[0, 1]], "weights": [Infinity, 1.0]}',
             '{"n": 2, "edges": [[0, 1.7]]}',
+            '{"n": 3, "edges": [[0, 1.0]]}',  # an integral float is no integer either
             '{"n": true, "edges": []}',
             '{"n": 2, "edges": [[0, 1]], "weights": [true, "2.5"]}',
             # Weights may be omitted, but when present must be n numbers.
@@ -234,12 +242,14 @@ class TestTheta:
             '{"n": 2, "edges": [[0, 1]], "weights": {}}',
             '{"n": 2, "edges": [[0, 1]], "weights": []}',
             '{"n": 2, "edges": [[0, 1]], "weights": null}',
+            # Too deep for the decoder, whose RecursionError is an input error.
+            "[" * 200000 + "]" * 200000,
         ):
             bad.write_text(text, encoding="utf-8")
             for command in ("theta", "uniqueness"):
                 code, out, err = run_cli([command, "--graph", str(bad)])
                 assert (code, out) == (1, ""), (command, text)
-                assert err.startswith("input error"), (command, text)
+                assert err.startswith("input error:") and err.count("\n") == 1, (command, text)
 
     @pytest.mark.parametrize("command", ["theta", "uniqueness"])
     def test_sdp_non_convergence_is_solver_error(self, monkeypatch, command):
@@ -364,18 +374,20 @@ class TestUniqueness:
         assert err.startswith("solver error: the uniqueness map on a 439-dimensional kernel")
         assert err.count("\n") == 1
 
-    def test_zero_rows_refuse_the_kernel_map_before_eigh(self, tmp_path, monkeypatch):
-        # 4000 zero-weight isolated vertices: Z would be 0, and its 4001
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_zero_rows_refuse_the_kernel_map_before_eigh(self, tmp_path, monkeypatch, n):
+        # n zero-weight isolated vertices: Z would be 0, and its n + 1
         # all-zero rows are kernel vectors enough to refuse the map from the
-        # weights alone, without Z's O(n^3) eigh, which took 5.7 s on a
-        # 2-core x86-64 box.
-        path = _write_graph(tmp_path / "g.json", WeightedGraph(4000, [], [0.0] * 4000))
+        # weights alone, without Z's O(n^3) eigh, which took 5.7 s at n = 4000
+        # on a 2-core x86-64 box.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": n, "edges": [], "weights": [0] * n}), encoding="utf-8")
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh ran"))
         start = time.perf_counter()
-        code, out, err = run_cli(["uniqueness", "--graph", path, "--json"])
+        code, out, err = run_cli(["uniqueness", "--graph", str(path), "--json"])
         assert time.perf_counter() - start <= 1.0
         assert (code, out) == (2, "")
-        assert err.startswith("solver error: the uniqueness map on a 4001-dimensional kernel")
+        assert err.startswith(f"solver error: the uniqueness map on a {n + 1}-dimensional kernel")
         assert err.count("\n") == 1
 
     def test_kernel_map_is_refused_before_the_primal_is_built(self, tmp_path):
@@ -662,14 +674,21 @@ class TestSelftest:
          ("half-projector", "not idempotent"), ("parties", "has 3 parties"),
          ("huge-state", "above 1 in magnitude"), ("huge-projector", "above 1 in magnitude"),
          ("short-state", "state length"), ("short-projector", "wrong shape"),
-         ("skew-projector", "not Hermitian")],
+         ("skew-projector", "not Hermitian"), ("huge-state-unpadded", "above 1 in magnitude"),
+         ("short-projector-unpadded", "wrong shape"), ("skew-projector-unpadded", "not Hermitian"),
+         ("too-deep", "nested too deeply")],
     )
     def test_invalid_candidate_is_input_error(self, tmp_path, fault, reason):
         # The candidate is validated before any condition or Gram check,
-        # whatever the rank of its projectors.  Entries of 1e200 are refused
-        # before a norm or product of them overflows (and warns).
+        # whatever the rank of its projectors: an -unpadded fault is made in
+        # the rank-one chsh reference, any other in its padded rank-two copy.
+        # Entries of 1e200 are refused before a norm or product of them
+        # overflows (and warns).
+        fault, unpadded = fault.removesuffix("-unpadded"), fault.endswith("-unpadded")
         if fault == "parties":
             doc = realization_to_json_dict(reference_realization("mermin"))
+        elif unpadded:
+            doc = realization_to_json_dict(reference_realization("chsh"))
         else:
             ancilla = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
             doc = realization_to_json_dict(
@@ -698,13 +717,15 @@ class TestSelftest:
             # but not each other's conjugate.
             p = doc["projectors"][0][0][0]
             p[0][1] = p[1][0] = [0.0, 0.5]
+        # Too deep for the decoder, whose RecursionError is an input error.
+        text = "[" * 200000 + "]" * 200000 if fault == "too-deep" else json.dumps(doc)
         path = tmp_path / "cand.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(
             ["selftest", "--scenario", "chsh", "--candidate", str(path)]
         )
         assert (code, out) == (1, "")
-        assert err.startswith("input error:") and reason in err
+        assert err.startswith("input error:") and reason in err and err.count("\n") == 1
 
     def test_missing_candidate_file(self, tmp_path):
         code, _, _ = run_cli(

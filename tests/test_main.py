@@ -14,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import perturbed_candidate
+
+from theta_selftest.scenarios import realization_to_json_dict, reference_realization
 
 ROOT = Path(__file__).resolve().parents[1]
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -59,29 +62,60 @@ def _solver_commands(workload: str, tmp_path) -> list[list[str]]:
 _CLI_MAIN = "import sys; from theta_selftest.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _prints_what_cli_main_prints(argv: list[str]) -> bool:
-    """Whether `python -m theta_selftest` prints the stdout, stderr and exit
-    code of a fresh `cli.main` run at OpenBLAS's default thread count."""
+def _module_and_cli_main(argv: list[str]) -> list[tuple[bytes, bytes, int]]:
+    """The stdout, stderr and exit code of `python -m theta_selftest` and of
+    a fresh `cli.main` run, both at OpenBLAS's default thread count."""
     # Both at once: their outputs, not their timings, are compared.
     procs = [_python("-m", "theta_selftest", *argv), _python("-c", _CLI_MAIN, *argv)]
-    module, reference = ((p.communicate(), p.returncode) for p in procs)
-    return module == reference
+    return [(*p.communicate(), p.returncode) for p in procs]
 
 
 @pytest.mark.parametrize("workload", ["scenarios-cli", "chained-uniqueness", "random-theta"])
 def test_module_prints_what_cli_main_prints_at_the_default_thread_count(workload, tmp_path):
     commands = _solver_commands(workload, tmp_path)
     assert commands
-    assert [argv for argv in commands if not _prints_what_cli_main_prints(argv)] == []
+    runs = [(argv, *_module_and_cli_main(argv)) for argv in commands]
+    assert [argv for argv, module, reference in runs if module != reference] == []
 
 
-@pytest.mark.parametrize("argv", [["uniqueness", "--scenario"]], ids=" ".join)
-def test_other_uniqueness_spellings_keep_the_default(argv):
-    # A usage error leaves through os._exit with exit code 1, as cli.main does.
-    procs = [_python("-m", "theta_selftest", *argv), _python("-c", _CLI_MAIN, *argv)]
-    module, reference = ((p.communicate(), p.returncode) for p in procs)
+_PERTURBED_CHSH = json.dumps(realization_to_json_dict(
+    perturbed_candidate(reference_realization("chsh"), angle=0.05)))
+
+# Commands that _solver_commands leaves out, each with its exit code and the
+# text of the document that IN names, if it reads one: theta beyond the
+# threaded-LU cut, uniqueness at odd N and at MAX_CHAINED_N, certificates,
+# self-tests, a rejection, a refusal and usage errors.
+_COMMANDS = [
+    (["theta", "--scenario", "chained:16", "--json"], 0, None),
+    (["uniqueness", "--scenario", "chained:7", "--json"], 0, None),
+    (["uniqueness", "--scenario", "chained:64", "--json"], 0, None),
+    (["certify", "--scenario", "chained:16", "--json"], 0, None),
+    (["certify", "--scenario", "chsh"], 0, None),
+    (["selftest", "--scenario", "mermin", "--json"], 0, None),
+    (["selftest", "--scenario", "as4", "--json"], 0, None),
+    (["selftest", "--scenario", "chained:8", "--json"], 0, None),
+    (["selftest", "--scenario", "chained:3", "--json"], 0, None),
+    (["selftest", "--scenario", "chsh", "--candidate", "IN"], 3, _PERTURBED_CHSH),
+    (["theta", "--graph", "IN"], 1, "[" * 200000 + "]" * 200000),
+    (["theta", "--scenario", "chsh", "--solver-tol", "0.5"], 1, None),
+    (["theta", "--scenario", "chsh", "--graph", "g.json"], 1, None),
+    (["uniqueness", "--json"], 1, None),
+    (["uniqueness", "--scenario"], 1, None),
+]
+
+
+@pytest.mark.parametrize("argv, code, doc", _COMMANDS,
+                         ids=[" ".join(argv) for argv, _, _ in _COMMANDS])
+def test_module_prints_what_cli_main_prints(argv, code, doc, tmp_path):
+    # A rejection, a refusal or a usage error leaves through os._exit with
+    # its exit code, as cli.main does, and with no traceback.
+    if doc is not None:
+        path = tmp_path / "in.json"
+        path.write_text(doc, encoding="utf-8")
+        argv = [str(path) if arg == "IN" else arg for arg in argv]
+    module, reference = _module_and_cli_main(argv)
     assert module == reference
-    assert module[1] == 1
+    assert module[2] == code and b"Traceback" not in module[1]
 
 
 # --- a user's thread count: output does not depend on it --------------------

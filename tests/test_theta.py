@@ -361,6 +361,17 @@ class TestThetaValues:
         assert not z[1 + np.flatnonzero(np.asarray(g.weights) == 0.0)].any()
         _assert_theta_close(y[0], sol.value)
 
+    def test_a_later_start_converges_where_the_first_stalls(self):
+        # The first start of _START_LADDER stalls on this graph, and so do the
+        # next two; theta = 3.488814429936218 lies strictly between alpha =
+        # 3.375 and alpha* = 3.8125, and the multipliers certify it.
+        g = WeightedGraph(6, [(0, 1), (0, 3), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5)],
+                          [0.25, 2.0, 1.75, 1.375, 1.375, 0.875])
+        sol = solve_theta_problem(g)
+        assert independence_number(g) <= sol.value <= fractional_packing(g)[1]
+        cert = verify_dual_certificate(g, sol.dual_multipliers)
+        assert cert.verified and abs(cert.bound - sol.value) <= 1e-7
+
     @pytest.mark.xfail(raises=SolverError, strict=True,
                        reason="defect (a): every start of the ladder stalls (ROADMAP item 6)")
     def test_theta_within_sandwich_where_every_start_stalls(self):
